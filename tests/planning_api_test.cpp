@@ -3,9 +3,12 @@
 // strategy names), and the cross-epoch warm-start guarantee — a 50-epoch
 // demand trace where warm-started re-solves must produce plans bit-identical
 // to cold re-solves while spending at least 2x fewer LP pivots in the steady
-// state.
+// state. A golden 50-epoch trajectory on the 96-worker traffic pipeline pins
+// every plan digest and solver work counter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -424,6 +427,141 @@ TEST(NearWarmTier, DemandRampEngagesAndStaysWithinGap) {
   }
   // The tier actually engaged.
   EXPECT_GT(near_stats.near_warm_hits, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden planner trajectory
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// FNV-1a over a plan's text: a compact, exact fingerprint of every field.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One control epoch of the golden trajectory: the demand fed to plan() and
+/// everything it must reproduce.
+struct GoldenEpoch {
+  double demand_qps;
+  std::uint64_t plan_digest;  // fnv1a(comparable_text(plan))
+  int lp_iterations;
+  int nodes_explored;
+  int milp_solves;
+  int warm_start_hits;
+  int epoch_warm_hits;
+  int epoch_cache_skips;
+};
+
+// Demand: the replan-storm shape (Twitter-bursty, peak 5000 qps, 120
+// bursts/hour, seed 5), sampled every 6 s over 300 s and rounded to 250 qps
+// so that flat stretches repeat a demand and reach the cross-epoch warm
+// and cache paths.
+constexpr GoldenEpoch kGoldenTrajectory[] = {
+    {1500, 0x5616a4b7983b72a5ull, 0, 3, 3, 0, 0, 0},
+    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
+    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
+    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
+    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
+    {3250, 0x6884bbb4db330e96ull, 3671, 413, 9, 404, 0, 0},
+    {6500, 0x78f62885327f4f60ull, 788, 135, 9, 126, 0, 0},
+    {4750, 0x3916b3323c475bbaull, 2882, 604, 9, 595, 0, 0},
+    {3250, 0x668928f02a37e1eaull, 3987, 482, 9, 473, 0, 0},
+    {4250, 0x8d8a09012c40999dull, 2545, 519, 9, 510, 0, 0},
+    {5000, 0x2a4fe79e9fdc877bull, 2244, 485, 9, 476, 0, 0},
+    {5500, 0x3cfbb6275795bfd1ull, 1813, 485, 9, 476, 0, 0},
+    {6500, 0xbcd26741d96418c9ull, 628, 138, 9, 129, 0, 0},
+    {7250, 0x28d9587e95ffc6abull, 2819, 1287, 21, 1272, 0, 0},
+    {8500, 0xf2d90a9658af2c2eull, 2892, 1285, 21, 1270, 0, 0},
+    {9000, 0xbf8585ee65a95e7bull, 3130, 1301, 21, 1286, 0, 0},
+    {9000, 0x55eed905db750c07ull, 3054, 1297, 17, 1286, 0, 4},
+    {8750, 0xf768d7408ab0099eull, 2989, 1311, 21, 1296, 0, 0},
+    {9500, 0xc9486e1da8ee8e0cull, 2946, 1449, 21, 1434, 0, 0},
+    {9250, 0x654b7f17602fad31ull, 2960, 1323, 21, 1308, 0, 0},
+    {10000, 0x2ec1ff0a0e8520a3ull, 2917, 1283, 21, 1268, 0, 0},
+    {9500, 0xc9486e1da8ee8e0cull, 2924, 1449, 21, 1434, 0, 0},
+    {8000, 0x828fa89b7863ccf7ull, 2953, 1285, 21, 1270, 0, 0},
+    {7750, 0x83037c920a2b1370ull, 3003, 1333, 21, 1318, 0, 0},
+    {6000, 0xd1e009e4864ff35cull, 1045, 247, 9, 238, 0, 0},
+    {4750, 0x3916b3323c475bbaull, 2721, 561, 9, 552, 0, 0},
+    {4500, 0x9477f4a0c0d247cdull, 2830, 533, 9, 524, 0, 0},
+    {3750, 0x4c95ee3340d88bcaull, 3785, 577, 9, 568, 0, 0},
+    {2750, 0xfe1e52b8316a3df5ull, 3510, 428, 9, 419, 0, 0},
+    {2250, 0xccd86d35ca5b8d6full, 1277, 167, 9, 158, 0, 0},
+    {2000, 0x1212bb1414108fe6ull, 2454, 287, 9, 278, 0, 0},
+    {2000, 0x1212bb1414108fe6ull, 0, 6, 6, 6, 6, 3},
+    {2000, 0x1212bb1414108fe6ull, 0, 6, 6, 6, 6, 3},
+    {2000, 0x1212bb1414108fe6ull, 0, 6, 6, 6, 6, 3},
+    {2500, 0x0b083ae350c6f737ull, 2050, 324, 9, 315, 0, 0},
+    {3000, 0x56c1937520f8ddafull, 2103, 262, 9, 253, 0, 0},
+    {3500, 0x1c75bc306cb515a1ull, 4560, 723, 9, 714, 0, 0},
+    {4250, 0x0f7e3573bc289137ull, 2627, 440, 9, 431, 0, 0},
+    {4750, 0x3916b3323c475bbaull, 3171, 604, 9, 595, 0, 0},
+    {6000, 0xd1e009e4864ff35cull, 1090, 247, 9, 238, 0, 0},
+    {6000, 0xd1e009e4864ff35cull, 1030, 244, 6, 238, 0, 3},
+    {6250, 0x363171f451d58349ull, 1026, 247, 9, 238, 0, 0},
+    {5750, 0xd641de665b0f0882ull, 1656, 476, 9, 467, 0, 0},
+    {5750, 0xd641de665b0f0882ull, 1755, 431, 6, 425, 0, 3},
+    {5500, 0x3cfbb6275795bfd1ull, 1883, 485, 9, 476, 0, 0},
+    {5000, 0x2a4fe79e9fdc877bull, 2539, 485, 9, 476, 0, 0},
+    {4000, 0x51d037a03192a0baull, 3632, 502, 9, 493, 0, 0},
+    {3500, 0x114c752f750ee3cbull, 4501, 723, 9, 714, 0, 0},
+    {3000, 0x24456944cb437933ull, 1762, 228, 9, 219, 0, 0},
+    {2250, 0xccd86d35ca5b8d6full, 1277, 167, 9, 158, 0, 0},
+};
+
+}  // namespace
+
+TEST(PlannerTrajectory, GoldenPlansAndSolverWork) {
+  // The MILP planner is deterministic down to the last pivot: every plan
+  // and every work counter of this 50-epoch run is pinned. A change to the
+  // simplex or branch-and-bound kernels that claims to be a pure speedup
+  // must leave this table untouched. The table is pinned under the
+  // deterministic node budget (also what the repository benchmark runs):
+  // with the wall-clock budget armed, truncated incumbents are not cached
+  // across epochs, so later plans differ.
+  setenv("LOKI_MILP_NO_TIME_LIMIT", "1", /*overwrite=*/1);
+  const pipeline::PipelineGraph graph = pipeline::traffic_analysis_pipeline();
+  const serving::ProfileTable profiles =
+      serving::build_profile_table(graph, profile::ModelProfiler());
+  const pipeline::MultFactorTable mult = pipeline::default_mult_factors(graph);
+  serving::AllocatorConfig cfg;
+  cfg.cluster_size = 96;
+  cfg.slo_s = 0.250;
+  serving::MilpAllocator alloc(cfg, &graph, profiles);
+
+  int modes[3] = {0, 0, 0};
+  serving::AllocationPlan prev;
+  int epoch = 0;
+  for (const GoldenEpoch& g : kGoldenTrajectory) {
+    serving::PlanRequest req;
+    req.demand_qps = g.demand_qps;
+    req.mult = mult;
+    req.epoch = epoch;
+    req.previous_plan = epoch > 0 ? &prev : nullptr;
+    serving::PlanResult r = alloc.plan(req);
+    ++modes[static_cast<int>(r.plan.mode)];
+    EXPECT_EQ(fnv1a(comparable_text(r.plan)), g.plan_digest)
+        << "epoch " << epoch;
+    EXPECT_EQ(r.solver.lp_iterations, g.lp_iterations) << "epoch " << epoch;
+    EXPECT_EQ(r.solver.nodes_explored, g.nodes_explored) << "epoch " << epoch;
+    EXPECT_EQ(r.solver.milp_solves, g.milp_solves) << "epoch " << epoch;
+    EXPECT_EQ(r.solver.warm_start_hits, g.warm_start_hits) << "epoch " << epoch;
+    EXPECT_EQ(r.solver.epoch_warm_hits, g.epoch_warm_hits) << "epoch " << epoch;
+    EXPECT_EQ(r.solver.epoch_cache_skips, g.epoch_cache_skips)
+        << "epoch " << epoch;
+    prev = std::move(r.plan);
+    ++epoch;
+  }
+  // The trajectory crosses all three scaling steps of §4.1.
+  EXPECT_GT(modes[static_cast<int>(serving::ScalingMode::kHardware)], 0);
+  EXPECT_GT(modes[static_cast<int>(serving::ScalingMode::kAccuracy)], 0);
+  EXPECT_GT(modes[static_cast<int>(serving::ScalingMode::kOverload)], 0);
 }
 
 // ---------------------------------------------------------------------------
