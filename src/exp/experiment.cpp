@@ -376,6 +376,7 @@ ExperimentResult run_experiment_sharded(const pipeline::PipelineGraph& graph,
   sim::ParallelSimulation::Config pcfg;
   pcfg.shards = shards;
   pcfg.window_s = cfg.sim_window_s;
+  pcfg.threads = cfg.sim_threads;
   sim::ParallelSimulation psim(pcfg);
 
   ShardArrivalFeeder feeder;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <queue>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -251,10 +250,17 @@ MilpSolution BranchAndBound::solve(
   std::vector<double> node_lo(static_cast<std::size_t>(nv));
   std::vector<double> node_hi(static_cast<std::size_t>(nv));
 
-  std::priority_queue<Node, std::vector<Node>, NodeCompare> open(
-      NodeCompare{options_.node_order == NodeOrder::kDepthFirst});
+  // The open list is a binary heap kept with the same push_heap/pop_heap
+  // calls std::priority_queue makes, so nodes come out in the same order;
+  // owning the vector lets a node be moved out instead of copied.
+  const NodeCompare node_cmp{options_.node_order == NodeOrder::kDepthFirst};
+  std::vector<Node> open;
+  const auto push_node = [&](Node&& n) {
+    open.push_back(std::move(n));
+    std::push_heap(open.begin(), open.end(), node_cmp);
+  };
   std::uint64_t seq = 0;
-  open.push(Node{-kInf, 0, {}, seq++});
+  push_node(Node{-kInf, 0, {}, seq++});
 
   double best_open_bound = -kInf;  // for gap reporting
   bool truncated = false;
@@ -273,8 +279,9 @@ MilpSolution BranchAndBound::solve(
       truncated = true;
       break;
     }
-    Node node = open.top();
-    open.pop();
+    std::pop_heap(open.begin(), open.end(), node_cmp);
+    Node node = std::move(open.back());
+    open.pop_back();
 
     // Prune by bound before paying for the LP.
     if (node.bound >= incumbent_obj - options_.gap_tol) {
@@ -427,22 +434,20 @@ MilpSolution BranchAndBound::solve(
     // Down child: x <= floor(v); up child: x >= ceil(v).
     Node down{node_obj, node.depth + 1, node.deltas, seq++};
     down.deltas.push_back({branch_var, -kInf, std::floor(v)});
-    Node up{node_obj, node.depth + 1, node.deltas, seq++};
+    Node up{node_obj, node.depth + 1, std::move(node.deltas), seq++};
     up.deltas.push_back({branch_var, std::ceil(v), kInf});
-    open.push(std::move(down));
-    open.push(std::move(up));
+    push_node(std::move(down));
+    push_node(std::move(up));
   }
 
   // Gap: distance between incumbent and the best still-open bound. Under
-  // depth-first order the queue top is the NEWEST node, not the best bound,
-  // so scan the whole remaining frontier (the search is over; draining the
-  // queue is fine).
+  // depth-first order the heap top is the NEWEST node, not the best bound,
+  // so scan the whole remaining frontier.
   best_open_bound = incumbent_obj;
   if (truncated && !open.empty()) {
-    best_open_bound = open.top().bound;
-    while (!open.empty()) {
-      best_open_bound = std::min(best_open_bound, open.top().bound);
-      open.pop();
+    best_open_bound = open.front().bound;
+    for (const Node& n : open) {
+      best_open_bound = std::min(best_open_bound, n.bound);
     }
   }
 

@@ -3,9 +3,41 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/check.hpp"
 
 namespace loki::solver {
+
+namespace {
+
+// d[j] -= row[j] != 0.0 ? y * row[j] : 0.0 for j in [0, n). Masked instead
+// of branched: x - (+0.0) == x for every x, so a zero entry leaves d[j]
+// bit-identical. Under the default -ftrapping-math GCC will not if-convert
+// the scalar form (the compare might trap), so where SSE2 is available
+// (baseline on x86-64) the loop is written with it: cmpneq is true exactly
+// where `!=` is, NaN included, and each lane does the same IEEE multiply
+// and subtract as the scalar tail.
+void masked_row_update(double* d, const double* row, double y, int n) {
+  int j = 0;
+#if defined(__SSE2__)
+  const __m128d yv = _mm_set1_pd(y);
+  const __m128d zero = _mm_setzero_pd();
+  for (; j + 2 <= n; j += 2) {
+    const __m128d r = _mm_loadu_pd(row + j);
+    const __m128d t = _mm_and_pd(_mm_mul_pd(yv, r), _mm_cmpneq_pd(r, zero));
+    _mm_storeu_pd(d + j, _mm_sub_pd(_mm_loadu_pd(d + j), t));
+  }
+#endif
+  for (; j < n; ++j) {
+    const double t = y * row[j];
+    d[j] -= row[j] != 0.0 ? t : 0.0;
+  }
+}
+
+}  // namespace
 
 std::string to_string(LpStatus s) {
   switch (s) {
@@ -26,6 +58,13 @@ std::string to_string(LpStatus s) {
 //   [nv+m, nv+2m)    artificials (cold phase 1 only; fixed at 0 afterwards)
 // The tableau a_ holds B^-1 A; bvec_ holds B^-1 b; both are updated
 // incrementally on every pivot, as is the reduced-cost row d_.
+//
+// Every O(n) loop walks only the live columns [0, live_n_). The artificial
+// columns are all-zero and fixed unless reset_cold put one in play, and a
+// zero column stays zero under pivoting, so until then they can neither
+// price in, block a ratio test nor move a reduced cost or devex weight:
+// skipping them changes no bit. reset_cold widens the range to n_ when it
+// adds an artificial; the next raw tableau rebuild narrows it again.
 
 SimplexContext::SimplexContext(const LpProblem& p, SimplexOptions options)
     : opt_(options) {
@@ -70,6 +109,10 @@ SimplexContext::SimplexContext(const LpProblem& p, SimplexOptions options)
   val_.assign(static_cast<std::size_t>(n_), 0.0);
   state_.assign(static_cast<std::size_t>(n_), VarState::kAtLower);
   devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
+  row_nz_.assign(static_cast<std::size_t>(n_), 0);
+  elim_rows_.assign(static_cast<std::size_t>(m_), 0);
+  nonbasic_nz_.reserve(static_cast<std::size_t>(n_));
+  live_n_ = nv_ + m_;
 }
 
 SimplexContext::Snapshot SimplexContext::snapshot() const {
@@ -87,6 +130,7 @@ SimplexContext::Snapshot SimplexContext::snapshot() const {
   s.state = state_;
   s.dual_feasible = basis_dual_feasible_;
   s.since_refresh = since_refresh_;
+  s.live_n = live_n_;
   s.n = n_;
   s.m = m_;
   return s;
@@ -107,6 +151,7 @@ bool SimplexContext::restore(const Snapshot& s) {
   state_ = s.state;
   basis_dual_feasible_ = s.dual_feasible;
   since_refresh_ = s.since_refresh;
+  live_n_ = s.live_n;
   return true;
 }
 
@@ -124,10 +169,8 @@ void SimplexContext::recompute_reduced_costs() {
     if (!row_active_[i]) continue;
     const double y = cost_[basis_[i]];
     if (y == 0.0) continue;
-    const double* row = &a_[static_cast<std::size_t>(i) * n_];
-    for (int j = 0; j < n_; ++j) {
-      if (row[j] != 0.0) d_[j] -= y * row[j];
-    }
+    masked_row_update(d_.data(), &a_[static_cast<std::size_t>(i) * n_], y,
+                      live_n_);
   }
   for (int i = 0; i < m_; ++i) {
     if (row_active_[i]) d_[basis_[i]] = 0.0;
@@ -137,16 +180,17 @@ void SimplexContext::recompute_reduced_costs() {
 void SimplexContext::recompute_basic_values() {
   // xb = B^-1 b - sum over nonbasic j of (B^-1 A_j) * val_j; most nonbasic
   // variables sit at 0, so collect the nonzero ones first.
-  std::vector<int> nz;
-  nz.reserve(16);
-  for (int j = 0; j < n_; ++j) {
-    if (state_[j] != VarState::kBasic && val_[j] != 0.0) nz.push_back(j);
+  nonbasic_nz_.clear();
+  for (int j = 0; j < live_n_; ++j) {
+    if (state_[j] != VarState::kBasic && val_[j] != 0.0) {
+      nonbasic_nz_.push_back(j);
+    }
   }
   for (int i = 0; i < m_; ++i) {
     if (!row_active_[i]) continue;
     double s = bvec_[i];
     const double* row = &a_[static_cast<std::size_t>(i) * n_];
-    for (int j : nz) s -= row[j] * val_[j];
+    for (int j : nonbasic_nz_) s -= row[j] * val_[j];
     xb_[i] = s;
   }
 }
@@ -177,26 +221,58 @@ void SimplexContext::pivot(int r, int q, double entering_delta,
 
   double* rowr = &a_[static_cast<std::size_t>(r) * n_];
   const double inv = 1.0 / rowr[q];
-  for (int j = 0; j < n_; ++j) rowr[j] *= inv;
+  for (int j = 0; j < live_n_; ++j) rowr[j] *= inv;
   rowr[q] = 1.0;  // exact
   bvec_[r] *= inv;
+  // The pivot row's nonzero pattern, gathered once and applied to every
+  // eliminated row and to d. The gather is branch-free: each index is
+  // written and the cursor advances only past a nonzero.
+  int* nz = row_nz_.data();
+  int nnz = 0;
+  for (int j = 0; j < live_n_; ++j) {
+    nz[nnz] = j;
+    nnz += rowr[j] != 0.0;
+  }
+  // Rows with a nonzero pivot-column entry are eliminated four at a time,
+  // so each pattern index and pivot-row value is loaded once per block;
+  // every element still gets exactly one a_ij -= f_i * a_rj.
+  int* rows = elim_rows_.data();
+  int nrows = 0;
   for (int i = 0; i < m_; ++i) {
-    if (i == r || !row_active_[i]) continue;
-    double* rowi = &a_[static_cast<std::size_t>(i) * n_];
-    const double factor = rowi[q];
-    if (factor == 0.0) continue;
-    for (int j = 0; j < n_; ++j) {
-      if (rowr[j] != 0.0) rowi[j] -= factor * rowr[j];
+    if (i != r && row_active_[i] && at(i, q) != 0.0) rows[nrows++] = i;
+  }
+  int k = 0;
+  for (; k + 4 <= nrows; k += 4) {
+    double* r0 = &a_[static_cast<std::size_t>(rows[k]) * n_];
+    double* r1 = &a_[static_cast<std::size_t>(rows[k + 1]) * n_];
+    double* r2 = &a_[static_cast<std::size_t>(rows[k + 2]) * n_];
+    double* r3 = &a_[static_cast<std::size_t>(rows[k + 3]) * n_];
+    const double f0 = r0[q], f1 = r1[q], f2 = r2[q], f3 = r3[q];
+    for (int t = 0; t < nnz; ++t) {
+      const int j = nz[t];
+      const double v = rowr[j];
+      r0[j] -= f0 * v;
+      r1[j] -= f1 * v;
+      r2[j] -= f2 * v;
+      r3[j] -= f3 * v;
     }
+    r0[q] = r1[q] = r2[q] = r3[q] = 0.0;  // exact
+    bvec_[rows[k]] -= f0 * bvec_[r];
+    bvec_[rows[k + 1]] -= f1 * bvec_[r];
+    bvec_[rows[k + 2]] -= f2 * bvec_[r];
+    bvec_[rows[k + 3]] -= f3 * bvec_[r];
+  }
+  for (; k < nrows; ++k) {
+    double* rowi = &a_[static_cast<std::size_t>(rows[k]) * n_];
+    const double f = rowi[q];
+    for (int t = 0; t < nnz; ++t) rowi[nz[t]] -= f * rowr[nz[t]];
     rowi[q] = 0.0;  // exact
-    bvec_[i] -= factor * bvec_[r];
+    bvec_[rows[k]] -= f * bvec_[r];
   }
   // Incremental reduced-cost update: d stays equal to cost - y·(B^-1 A).
   const double dq = d_[q];
   if (dq != 0.0) {
-    for (int j = 0; j < n_; ++j) {
-      if (rowr[j] != 0.0) d_[j] -= dq * rowr[j];
-    }
+    for (int t = 0; t < nnz; ++t) d_[nz[t]] -= dq * rowr[nz[t]];
   }
   d_[q] = 0.0;  // exact
   basis_[r] = q;
@@ -226,7 +302,7 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
     int q = -1;
     int dir = 0;
     double best = 0.0;  // Dantzig: |d|; devex: d^2 / w
-    for (int j = 0; j < n_; ++j) {
+    for (int j = 0; j < live_n_; ++j) {
       if (state_[j] == VarState::kBasic || fixed(j)) continue;
       const double dj = d_[j];
       int cand_dir = 0;
@@ -330,7 +406,7 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
       devex_w_[b] = 1.0;
       const double* rowr = &a_[static_cast<std::size_t>(leave_row) * n_];
       double wmax = 1.0;
-      for (int j = 0; j < n_; ++j) {
+      for (int j = 0; j < live_n_; ++j) {
         if (state_[j] == VarState::kBasic) continue;
         const double rj = rowr[j];
         if (rj != 0.0) {
@@ -374,7 +450,7 @@ SimplexContext::DualResult SimplexContext::dual_repair(LpSolution& out,
   const bool track_obj = std::isfinite(internal_cutoff);
   const auto exact_obj = [&] {
     double v = 0.0;
-    for (int j = 0; j < n_; ++j) {
+    for (int j = 0; j < live_n_; ++j) {
       if (state_[j] != VarState::kBasic && val_[j] != 0.0) {
         v += cost_[j] * val_[j];
       }
@@ -425,7 +501,7 @@ SimplexContext::DualResult SimplexContext::dual_repair(LpSolution& out,
     const double* rowr = &a_[static_cast<std::size_t>(r) * n_];
     int q = -1;
     double best_ratio = 0.0;
-    for (int j = 0; j < n_; ++j) {
+    for (int j = 0; j < live_n_; ++j) {
       if (state_[j] == VarState::kBasic || fixed(j)) continue;
       const double arj = rowr[j];
       if (std::abs(arj) <= opt_.tol) continue;
@@ -483,6 +559,7 @@ void SimplexContext::build_raw_tableau(const std::vector<double>& lo,
                                        const std::vector<double>& hi) {
   std::fill(a_.begin(), a_.end(), 0.0);
   std::fill(row_active_.begin(), row_active_.end(), 1);
+  live_n_ = nv_ + m_;
   set_column_bounds_from(lo, hi);
   for (int i = 0; i < m_; ++i) {
     for (const auto& [var, coeff] : row_terms_[i]) at(i, var) += coeff;
@@ -543,6 +620,7 @@ void SimplexContext::reset_cold(const std::vector<double>& lo,
         resid = -resid;
       }
       at(i, art) = 1.0;
+      live_n_ = n_;
       lo_[art] = 0.0;
       hi_[art] = kInf;
       basis_[i] = art;
@@ -694,30 +772,30 @@ bool SimplexContext::repair_and_finish(LpSolution& out,
   // stays valid; the true costs come back (with an exact reduced-cost
   // rebuild) before the finishing primal pass, which starts
   // primal-feasible and therefore needs no dual feasibility.
-  std::vector<std::pair<int, double>> shifts;
-  for (int j = 0; j < n_; ++j) {
+  shifts_.clear();
+  for (int j = 0; j < live_n_; ++j) {
     if (state_[j] == VarState::kBasic || fixed(j)) continue;
     const double dj = d_[j];
     const bool broken = state_[j] == VarState::kAtLower ? dj < -opt_.tol
                                                         : dj > opt_.tol;
     if (broken) {
-      shifts.emplace_back(j, dj);
+      shifts_.emplace_back(j, dj);
       cost_[j] -= dj;
       d_[j] = 0.0;
     }
   }
   const auto restore_shifts = [&] {
-    if (shifts.empty()) return;
-    for (const auto& [j, s] : shifts) cost_[j] += s;
+    if (shifts_.empty()) return;
+    for (const auto& [j, s] : shifts_) cost_[j] += s;
     recompute_reduced_costs();
   };
-  switch (dual_repair(out, shifts.empty() ? internal_cutoff : kInf)) {
+  switch (dual_repair(out, shifts_.empty() ? internal_cutoff : kInf)) {
     case DualResult::kInfeasible:
       // Primal infeasibility is independent of the (possibly shifted)
       // cost, so the verdict stands. Without shifts the basis stayed
       // dual-feasible and branch-and-bound siblings can keep reusing it.
       restore_shifts();
-      basis_dual_feasible_ = shifts.empty();
+      basis_dual_feasible_ = shifts_.empty();
       out.status = LpStatus::kInfeasible;
       return true;
     case DualResult::kIterLimit:

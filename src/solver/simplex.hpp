@@ -116,6 +116,7 @@ class SimplexContext {
     std::vector<VarState> state;
     bool dual_feasible = false;
     int since_refresh = 0;
+    int live_n = 0;
     int n = 0;
     int m = 0;
   };
@@ -265,6 +266,9 @@ class SimplexContext {
   int nv_ = 0;  // structural variables
   int m_ = 0;   // rows
   int n_ = 0;   // columns: nv_ structural + m_ slacks + m_ artificials
+  // Columns [0, live_n_) are live: nv_ + m_ while every artificial column is
+  // all-zero and fixed, n_ once reset_cold has put artificials in play.
+  int live_n_ = 0;
   std::vector<double> obj_;  // per structural var, problem sense
   std::vector<double> base_lo_, base_hi_;
   std::vector<std::vector<std::pair<int, double>>> row_terms_;
@@ -286,6 +290,12 @@ class SimplexContext {
                                   // not part of Snapshot state
   bool basis_dual_feasible_ = false;
   int since_refresh_ = 0;
+  // Scratch reused across pivots and solves so node LPs do not allocate.
+  std::vector<int> row_nz_;       // pivot-row nonzero pattern (pivot)
+  std::vector<int> elim_rows_;    // rows eliminated by a pivot
+  std::vector<int> nonbasic_nz_;  // nonzero nonbasic columns
+                                  // (recompute_basic_values)
+  std::vector<std::pair<int, double>> shifts_;  // repair_and_finish
 };
 
 /// Solves the continuous relaxation of `problem` (integrality ignored).

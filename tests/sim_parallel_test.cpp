@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -179,6 +180,53 @@ TEST(ParallelExperiment, ShardedRunIsDeterministic) {
   EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
   EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
   EXPECT_EQ(a.allocations, b.allocations);
+}
+
+TEST(ParallelExperiment, ShardedRunIsIndependentOfThreadCount) {
+  // Plain sharded mode must honour sim_threads (it used to run on the
+  // default thread count whatever the config said), and the outcome may not
+  // depend on it: every shard replans on its own clock, and the window
+  // barriers fix the order in which shard events meet. Four shards on one,
+  // two and four worker threads give bit-identical metrics and registry
+  // snapshots.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = diff_curve();
+
+  std::vector<exp::ExperimentResult> runs;
+  for (const std::size_t threads : {1, 2, 4}) {
+    auto cfg = diff_config(4);
+    cfg.sim_threads = threads;
+    runs.push_back(exp::run_experiment(graph, curve, cfg));
+  }
+  const auto& a = runs.front();
+  EXPECT_GT(a.arrivals, 0u);
+  EXPECT_EQ(a.metrics.completions() + a.drops, a.arrivals);
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    const auto& b = runs[k];
+    SCOPED_TRACE("run " + std::to_string(k));
+    EXPECT_EQ(a.arrivals, b.arrivals);
+    EXPECT_EQ(a.drops, b.drops);
+    EXPECT_EQ(a.metrics.completions(), b.metrics.completions());
+    EXPECT_EQ(a.metrics.shed(), b.metrics.shed());
+    EXPECT_EQ(a.metrics.late(), b.metrics.late());
+    EXPECT_EQ(a.metrics.violations(), b.metrics.violations());
+    EXPECT_DOUBLE_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
+    EXPECT_DOUBLE_EQ(a.mean_accuracy, b.mean_accuracy);
+    EXPECT_DOUBLE_EQ(a.mean_latency_s, b.mean_latency_s);
+    EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
+    EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
+    EXPECT_EQ(a.allocations, b.allocations);
+    EXPECT_EQ(a.obs.counters, b.obs.counters);
+    ASSERT_EQ(a.obs.histograms.size(), b.obs.histograms.size());
+    for (std::size_t h = 0; h < a.obs.histograms.size(); ++h) {
+      const auto& ha = a.obs.histograms[h];
+      const auto& hb = b.obs.histograms[h];
+      EXPECT_EQ(ha.name, hb.name);
+      EXPECT_EQ(ha.count, hb.count) << ha.name;
+      EXPECT_EQ(ha.sum, hb.sum) << ha.name;
+      EXPECT_EQ(ha.bucket, hb.bucket) << ha.name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

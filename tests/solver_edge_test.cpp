@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -673,6 +676,176 @@ TEST_P(SolverDifferentialWarm, BoundOverlayResolvesMatchColdSolves) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialWarm,
                          ::testing::Range(0, 40));
+
+// ---------------------------------------------------------------------------
+// Both column regimes of SimplexContext. The artificial columns are live
+// only after a cold start that ran the artificial phase 1; every other
+// tableau (dual cold start, crashed basis) skips them. These tests drive
+// warm re-solves and snapshot restores from each regime and check them
+// against the seed reference and the dual-start path.
+// ---------------------------------------------------------------------------
+
+/// Objectives agree to the differential tolerance.
+void expect_same_objective(const LpSolution& got, const LpSolution& ref,
+                           const LpProblem& q) {
+  const double tol = 1e-5 * std::max(1.0, std::abs(ref.objective));
+  EXPECT_NEAR(got.objective, ref.objective, tol) << q.to_string();
+}
+
+/// Bit-identical replay: same status, work counts, objective and values.
+void expect_bit_identical(const LpSolution& a, const LpSolution& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.bound_flips, b.bound_flips);
+  EXPECT_EQ(a.devex_resets, b.devex_resets);
+  EXPECT_EQ(a.warm_started, b.warm_started);
+  if (a.status != LpStatus::kOptimal) return;
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.values, b.values);
+}
+
+/// The tightening sequence of SolverDifferentialWarm, drawn up front so
+/// several contexts can replay it.
+std::vector<std::pair<std::vector<double>, std::vector<double>>>
+branching_overlays(const LpProblem& p, Rng& rng, int steps) {
+  const int nv = p.num_variables();
+  std::vector<double> lo(nv), hi(nv);
+  for (int j = 0; j < nv; ++j) {
+    lo[j] = p.lower_bound(j);
+    hi[j] = p.upper_bound(j);
+  }
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> out;
+  for (int step = 0; step < steps; ++step) {
+    const int j = static_cast<int>(rng.uniform_index(nv));
+    const double span = std::isfinite(hi[j]) ? hi[j] - lo[j] : 4.0;
+    const double cut = lo[j] + rng.uniform(0.0, span);
+    if (rng.bernoulli(0.5)) {
+      hi[j] = std::max(std::floor(cut), lo[j]);
+    } else {
+      lo[j] = std::min(std::ceil(cut), hi[j]);
+    }
+    out.emplace_back(lo, hi);
+  }
+  return out;
+}
+
+LpProblem with_bounds(LpProblem p, const std::vector<double>& lo,
+                      const std::vector<double>& hi) {
+  for (int v = 0; v < p.num_variables(); ++v) p.set_bounds(v, lo[v], hi[v]);
+  return p;
+}
+
+TEST(SimplexColumnRegimes, ArtificialPhaseOneThenWarmOverlays) {
+  // dual_cold_start = false sends every cold solve whose slack basis is
+  // infeasible through the artificial phase 1, so the warm overlays that
+  // follow run with the artificial columns live; the default context takes
+  // the dual start wherever it can and runs them dead.
+  SimplexOptions two_phase;
+  two_phase.dual_cold_start = false;
+  int live = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<std::uint64_t>(seed) * 5443 + 71);
+    const LpProblem p = random_lp(rng);
+    SimplexContext art(p, two_phase);
+    SimplexContext dual(p);
+    const auto ref = seedref::solve(p);
+    const auto a0 = art.solve();
+    const auto d0 = dual.solve();
+    ASSERT_NE(ref.status, LpStatus::kIterLimit) << p.to_string();
+    ASSERT_EQ(a0.status, ref.status) << p.to_string();
+    ASSERT_EQ(d0.status, ref.status) << p.to_string();
+    if (ref.status != LpStatus::kOptimal) continue;
+    expect_same_objective(a0, ref, p);
+    expect_same_objective(d0, ref, p);
+    if (a0.phase1_iterations > 0) ++live;
+
+    for (const auto& [lo, hi] : branching_overlays(p, rng, 6)) {
+      const LpProblem q = with_bounds(p, lo, hi);
+      const auto cold = seedref::solve(q);
+      const auto aw = art.solve_with_bounds(lo, hi);
+      const auto dw = dual.solve_with_bounds(lo, hi);
+      ASSERT_NE(cold.status, LpStatus::kIterLimit) << q.to_string();
+      ASSERT_EQ(aw.status, cold.status) << q.to_string();
+      ASSERT_EQ(dw.status, cold.status) << q.to_string();
+      if (cold.status != LpStatus::kOptimal) continue;
+      EXPECT_TRUE(q.is_feasible(aw.values, 1e-5)) << q.to_string();
+      expect_same_objective(aw, cold, q);
+      expect_same_objective(dw, cold, q);
+    }
+  }
+  // The artificial regime was actually exercised.
+  EXPECT_GE(live, 10);
+}
+
+TEST(SimplexColumnRegimes, SnapshotRestoreAcrossColdRebuild) {
+  // A snapshot taken with the artificial columns live, restored after a
+  // rebuild left them dead (and the other way round), must resume exactly
+  // where it was taken: replaying the same overlays gives the bits an
+  // untouched twin context gives.
+  SimplexOptions two_phase;
+  two_phase.dual_cold_start = false;
+  int covered = 0;
+  for (int seed = 0; seed < 80; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<std::uint64_t>(seed) * 3307 + 29);
+    const LpProblem p = random_lp(rng);
+    SimplexContext ctx(p, two_phase);
+    const auto first = ctx.solve();
+    if (first.status != LpStatus::kOptimal || first.phase1_iterations == 0) {
+      continue;  // no artificial phase 1 ran: nothing live to snapshot
+    }
+    const auto basis = ctx.basis_snapshot();
+    if (!basis.valid()) continue;
+    ++covered;
+    const auto overlays = branching_overlays(p, rng, 5);
+
+    // Twins that never restore: the live one keeps the phase-1 tableau, the
+    // dead one rebuilds from the recorded basis (artificials zero again).
+    SimplexContext live_twin(p, two_phase);
+    live_twin.solve();
+    SimplexContext dead_twin(p, two_phase);
+    dead_twin.solve();
+    const auto dead_root = dead_twin.solve_from_basis(basis);
+    ASSERT_EQ(dead_root.status, LpStatus::kOptimal);
+    expect_same_objective(dead_root, first, p);
+
+    const auto live_state = ctx.snapshot();
+    // Cold rebuild from the recorded basis: the artificial columns go dead.
+    const auto rebuilt = ctx.solve_from_basis(basis);
+    expect_bit_identical(rebuilt, dead_root);
+    const auto dead_state = ctx.snapshot();
+
+    std::vector<LpSolution> live_runs, dead_runs;
+    for (const auto& [lo, hi] : overlays) {
+      live_runs.push_back(live_twin.solve_with_bounds(lo, hi));
+      dead_runs.push_back(dead_twin.solve_with_bounds(lo, hi));
+    }
+    // Live snapshot restored over the dead tableau, then the dead one over
+    // whatever the live replay left behind.
+    for (const auto* state : {&live_state, &dead_state}) {
+      ASSERT_TRUE(ctx.restore(*state));
+      const auto& expected = state == &live_state ? live_runs : dead_runs;
+      for (std::size_t k = 0; k < overlays.size(); ++k) {
+        SCOPED_TRACE("overlay " + std::to_string(k));
+        const auto& [lo, hi] = overlays[k];
+        const auto got = ctx.solve_with_bounds(lo, hi);
+        expect_bit_identical(got, expected[k]);
+        // And the answer is right: the reference and a fresh dual-start
+        // context on the overlaid problem agree with it.
+        const LpProblem q = with_bounds(p, lo, hi);
+        const auto cold = seedref::solve(q);
+        const auto fresh = SimplexSolver().solve(q);
+        ASSERT_EQ(got.status, cold.status) << q.to_string();
+        ASSERT_EQ(fresh.status, cold.status) << q.to_string();
+        if (cold.status != LpStatus::kOptimal) continue;
+        expect_same_objective(got, cold, q);
+        expect_same_objective(fresh, cold, q);
+      }
+    }
+  }
+  EXPECT_GE(covered, 10);
+}
 
 // Random MILP generator + exhaustive integer-box enumeration reference.
 class SolverDifferentialMilp : public ::testing::TestWithParam<int> {};
