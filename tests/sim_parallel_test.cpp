@@ -24,6 +24,7 @@
 #include "sim/parallel.hpp"
 #include "tests/test_support.hpp"
 #include "trace/generator.hpp"
+#include "trace/replay.hpp"
 
 namespace loki {
 namespace {
@@ -576,6 +577,112 @@ TEST(SequentialGoldens, SmokeWorkloadMetricsAreBitIdentical) {
   EXPECT_DOUBLE_EQ(r.mean_latency_s, 0.098174636698791506);
   EXPECT_DOUBLE_EQ(r.p99_latency_s, 0.23212521921268792);
   EXPECT_DOUBLE_EQ(r.mean_servers_used, 3.9692307692307702);
+}
+
+// ---------------------------------------------------------------------------
+// Per-mode bit-identity goldens: one pinned run for each way the driver can
+// be configured (sequential with every optional plane armed, plain sharded,
+// coordinated, coordinated with skewed weighted shares). Differential tests
+// only compare runs against each other; these pin the absolute outcome, so a
+// driver change that shifts every mode alike still shows up.
+// ---------------------------------------------------------------------------
+
+struct RunGolden {
+  std::uint64_t arrivals, drops, completions, shed;
+  int allocations;
+  // Per tier: arrivals, completions, drops, shed.
+  std::array<std::array<std::uint64_t, 4>, serving::kNumTiers> tiers;
+  // exp.shard<k>.arrivals for every shard (empty for sequential runs).
+  std::vector<std::uint64_t> shard_arrivals;
+  double slo_violation_ratio, mean_accuracy, mean_latency_s, p99_latency_s,
+      mean_servers_used;
+};
+
+void expect_golden(const exp::ExperimentResult& r, const RunGolden& g) {
+  EXPECT_EQ(r.arrivals, g.arrivals);
+  EXPECT_EQ(r.drops, g.drops);
+  EXPECT_EQ(r.metrics.completions(), g.completions);
+  EXPECT_EQ(r.metrics.shed(), g.shed);
+  EXPECT_EQ(r.allocations, g.allocations);
+  for (int k = 0; k < serving::kNumTiers; ++k) {
+    const auto& tc = r.metrics.tier(k);
+    const auto& want = g.tiers[static_cast<std::size_t>(k)];
+    EXPECT_EQ(tc.arrivals, want[0]) << "tier " << k;
+    EXPECT_EQ(tc.completions, want[1]) << "tier " << k;
+    EXPECT_EQ(tc.drops, want[2]) << "tier " << k;
+    EXPECT_EQ(tc.shed, want[3]) << "tier " << k;
+  }
+  for (std::size_t s = 0; s < g.shard_arrivals.size(); ++s) {
+    EXPECT_EQ(r.obs.counter_value("exp.shard" + std::to_string(s) +
+                                  ".arrivals"),
+              g.shard_arrivals[s])
+        << "shard " << s;
+  }
+  EXPECT_DOUBLE_EQ(r.slo_violation_ratio, g.slo_violation_ratio);
+  EXPECT_DOUBLE_EQ(r.mean_accuracy, g.mean_accuracy);
+  EXPECT_DOUBLE_EQ(r.mean_latency_s, g.mean_latency_s);
+  EXPECT_DOUBLE_EQ(r.p99_latency_s, g.p99_latency_s);
+  EXPECT_DOUBLE_EQ(r.mean_servers_used, g.mean_servers_used);
+}
+
+TEST(ModeGoldens, SequentialReplayWithFaultsTiersAndFallback) {
+  // Grid-aligned replay (t = i * 0.05, so arrivals land exactly on window
+  // barriers), tiers cycling 0, 1, 2 with the tier policy on, a crash and
+  // recovery of worker 1, and the control-plane fallback chain.
+  trace::QueryReplay replay;
+  for (int i = 0; i < 1200; ++i) {
+    replay.rows.push_back({static_cast<double>(i) * 0.05, 0, i % 3});
+  }
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = trace::replay_demand_curve(replay, 1.0);
+  auto cfg = diff_config(1);
+  cfg.replay = replay;
+  cfg.tiers.enabled = true;
+  cfg.fault_plan = fault::crash_plan(1, 20.0, 40.0);
+  cfg.fallback.enabled = true;
+  expect_golden(exp::run_experiment(graph, curve, cfg),
+                RunGolden{1200, 86, 1114, 85, 6,
+                          {{{400, 369, 31, 30}, {400, 371, 29, 29},
+                            {400, 374, 26, 26}}},
+                          {},
+                          0.072499999999999995, 1.0, 0.083624698756209384,
+                          0.19933645183646437, 2.0});
+}
+
+TEST(ModeGoldens, PlainShardedTwoShards) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  expect_golden(exp::run_experiment(graph, diff_curve(), diff_config(2)),
+                RunGolden{3180, 38, 3142, 0, 27,
+                          {{{3180, 3142, 38, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
+                          {1590, 1590},
+                          0.011949685534591196, 0.99975047740292777,
+                          0.092251549524716508, 0.22941097646271069,
+                          2.4923076923076928});
+}
+
+TEST(ModeGoldens, CoordinatedTwoShards) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  expect_golden(exp::run_experiment(graph, diff_curve(), coord_config(2, 0)),
+                RunGolden{3180, 39, 3141, 0, 13,
+                          {{{3180, 3141, 39, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
+                          {1590, 1590},
+                          0.012264150943396227, 0.99950971028334878,
+                          0.092131595595809163, 0.23083910543265201,
+                          2.4923076923076914});
+}
+
+TEST(ModeGoldens, CoordinatedThreeSkewedWeightedShards) {
+  // cluster 10 over 3 shards: shares {4, 3, 3}, dealt by share.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = coord_config(3, 0);
+  cfg.system_cfg.allocator.cluster_size = 10;
+  cfg.sim_weighted_split = true;
+  expect_golden(exp::run_experiment(graph, diff_curve(), cfg),
+                RunGolden{3180, 14, 3166, 0, 26,
+                          {{{3180, 3166, 14, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
+                          {1272, 954, 954},
+                          0.0044025157232704401, 1.0, 0.087638297597336073,
+                          0.21792781272143846, 2.1846153846153848});
 }
 
 }  // namespace
