@@ -60,9 +60,9 @@ int main(int argc, char** argv) {
               "grd.acc", "milp.srv", "grd.srv", "milp ms", "grd ms");
   for (double d : {100.0, 300.0, 600.0, 900.0, 1200.0, 1500.0, 1800.0}) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto mp = milp.allocate(d, mult);
+    const auto mp = milp.plan({d, mult}).plan;
     const auto t1 = std::chrono::steady_clock::now();
-    const auto gp = greedy.allocate(d, mult);
+    const auto gp = greedy.plan({d, mult}).plan;
     const auto t2 = std::chrono::steady_clock::now();
     const double milp_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();

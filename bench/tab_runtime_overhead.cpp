@@ -7,6 +7,8 @@
 // allocator, the MostAccurateFirst routing pass, and a raw simplex solve.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
@@ -48,10 +50,11 @@ void BM_ResourceManagerMilp(benchmark::State& state) {
   serving::AllocatorConfig cfg = s.cfg;
   cfg.warm_start_across_epochs = false;
   serving::MilpAllocator alloc(cfg, &s.graph, s.profiles);
-  const double demand = static_cast<double>(state.range(0));
+  // No previous plan either: every iteration is the same first-epoch solve.
+  const serving::PlanRequest req{static_cast<double>(state.range(0)), s.mult};
   serving::SolverStats last;
   for (auto _ : state) {
-    auto plan = alloc.allocate(demand, s.mult);
+    auto plan = alloc.plan(req).plan;
     benchmark::DoNotOptimize(plan.servers_used);
     last = plan.solver;
   }
@@ -88,16 +91,19 @@ BENCHMARK(BM_ResourceManagerMilp)
 void BM_ResourceManagerSteadyReplan(benchmark::State& state) {
   auto& s = setup();
   serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
-  const double demand = static_cast<double>(state.range(0));
+  serving::PlanRequest req{static_cast<double>(state.range(0)), s.mult};
   // Prime: two epochs stabilize the previous-plan view (continuity bonus)
-  // and retain the bases the timed epochs warm-start from.
-  alloc.allocate(demand, s.mult);
-  alloc.allocate(demand, s.mult);
+  // and retain the bases the timed epochs warm-start from. Every epoch
+  // plans against the plan the one before it returned.
+  serving::AllocationPlan prev = alloc.plan(req).plan;
+  req.previous_plan = &prev;
+  prev = alloc.plan(req).plan;
   serving::SolverStats last;
   for (auto _ : state) {
-    auto plan = alloc.allocate(demand, s.mult);
+    auto plan = alloc.plan(req).plan;
     benchmark::DoNotOptimize(plan.servers_used);
     last = plan.solver;
+    prev = std::move(plan);
   }
   state.counters["lp_pivots"] =
       benchmark::Counter(static_cast<double>(last.lp_iterations));
@@ -116,9 +122,9 @@ BENCHMARK(BM_ResourceManagerSteadyReplan)
 void BM_GreedyAllocator(benchmark::State& state) {
   auto& s = setup();
   serving::GreedyAllocator alloc(s.cfg, &s.graph, s.profiles);
-  const double demand = static_cast<double>(state.range(0));
+  const serving::PlanRequest req{static_cast<double>(state.range(0)), s.mult};
   for (auto _ : state) {
-    auto plan = alloc.allocate(demand, s.mult);
+    auto plan = alloc.plan(req).plan;
     benchmark::DoNotOptimize(plan.servers_used);
   }
 }
@@ -128,7 +134,7 @@ BENCHMARK(BM_GreedyAllocator)->Arg(900)->Unit(benchmark::kMillisecond);
 void BM_MostAccurateFirst(benchmark::State& state) {
   auto& s = setup();
   serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
-  const auto plan = alloc.allocate(900.0, s.mult);
+  const auto plan = alloc.plan({900.0, s.mult}).plan;
   serving::LoadBalancer lb(&s.graph, &s.profiles,
                            s.cfg.utilization_target);
   for (auto _ : state) {
@@ -178,7 +184,7 @@ BENCHMARK(BM_RawSimplex)->Unit(benchmark::kMicrosecond);
 void BM_RoutingPick(benchmark::State& state) {
   auto& s = setup();
   serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
-  const auto plan = alloc.allocate(900.0, s.mult);
+  const auto plan = alloc.plan({900.0, s.mult}).plan;
   serving::LoadBalancer lb(&s.graph, &s.profiles, s.cfg.utilization_target);
   const auto routing = lb.most_accurate_first(plan, 900.0, s.mult);
   Rng rng(7);

@@ -33,14 +33,6 @@ class ProteusStrategy : public serving::AllocationStrategy {
   serving::PlanResult plan(const serving::PlanRequest& request) override;
   std::string name() const override { return "proteus"; }
 
-  /// Deprecated shim for the pre-PlanRequest observation side-channel; new
-  /// code passes observations in PlanRequest::task_arrivals_qps. Folds one
-  /// reference period's worth of observation (the old per-heartbeat
-  /// semantics).
-  void observe_task_demand(const std::vector<double>& qps) {
-    fold_observation(qps, 1.0);
-  }
-
   /// Observed per-task demand estimates (QPS), for tests.
   const std::vector<double>& task_demand() const { return task_demand_; }
 

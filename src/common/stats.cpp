@@ -165,7 +165,8 @@ double TimeSeries::max() const {
   return points_.empty() ? 0.0 : m;
 }
 
-void TimeSeries::combine(const TimeSeries& other, bool sum) {
+void TimeSeries::combine(const TimeSeries& other, bool sum, double weight,
+                         double other_weight) {
   constexpr double kEps = 1e-9;
   std::vector<Point> merged;
   merged.reserve(points_.size() + other.points_.size());
@@ -174,7 +175,10 @@ void TimeSeries::combine(const TimeSeries& other, bool sum) {
     const Point& a = points_[i];
     const Point& b = other.points_[j];
     if (std::abs(a.t - b.t) <= kEps) {
-      merged.push_back({a.t, sum ? a.v + b.v : 0.5 * (a.v + b.v)});
+      merged.push_back(
+          {a.t, sum ? a.v + b.v
+                    : (a.v * weight + b.v * other_weight) /
+                          (weight + other_weight)});
       ++i;
       ++j;
     } else if (a.t < b.t) {

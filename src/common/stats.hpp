@@ -105,9 +105,11 @@ class TimeSeries {
 
   /// Pointwise combination with another time-ordered series on a shared
   /// window grid (parallel-shard reduction): points with matching
-  /// timestamps combine — sum when `sum`, else across-series mean —
-  /// and unmatched points pass through unchanged.
-  void combine(const TimeSeries& other, bool sum);
+  /// timestamps combine — summed when `sum`, else averaged with weight
+  /// `weight` on this series and `other_weight` on `other` — and unmatched
+  /// points pass through unchanged.
+  void combine(const TimeSeries& other, bool sum, double weight = 1.0,
+               double other_weight = 1.0);
 
  private:
   std::vector<Point> points_;

@@ -1,50 +1,46 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/inferline.hpp"
 #include "baselines/proteus.hpp"
 #include "common/check.hpp"
+#include "common/padded.hpp"
 #include "profile/profiler.hpp"
 #include "serving/strategy_registry.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 
 namespace loki::exp {
+
+namespace {
+
+/// Registry factory for a strategy built from the shared (config, graph,
+/// profiles) construction triple.
+template <typename Strategy>
+serving::StrategyRegistry::Factory factory_of() {
+  return [](const serving::AllocatorConfig& cfg,
+            const pipeline::PipelineGraph* graph,
+            const serving::ProfileTable& profiles)
+             -> std::unique_ptr<serving::AllocationStrategy> {
+    return std::make_unique<Strategy>(cfg, graph, profiles);
+  };
+}
+
+}  // namespace
 
 void register_builtin_strategies() {
   auto& registry = serving::StrategyRegistry::global();
   // add() is a no-op when the key exists, so repeat calls are harmless.
-  registry.add("loki-milp",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<serving::MilpAllocator>(cfg, graph,
-                                                                 profiles);
-               });
-  registry.add("greedy",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<serving::GreedyAllocator>(cfg, graph,
-                                                                   profiles);
-               });
-  registry.add("inferline",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<baselines::InferLineStrategy>(
-                     cfg, graph, profiles);
-               });
-  registry.add("proteus",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<baselines::ProteusStrategy>(
-                     cfg, graph, profiles);
-               });
+  registry.add("loki-milp", factory_of<serving::MilpAllocator>());
+  registry.add("greedy", factory_of<serving::GreedyAllocator>());
+  registry.add("inferline", factory_of<baselines::InferLineStrategy>());
+  registry.add("proteus", factory_of<baselines::ProteusStrategy>());
 }
 
 std::unique_ptr<serving::AllocationStrategy> make_strategy(
@@ -54,23 +50,6 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
   register_builtin_strategies();
   return serving::StrategyRegistry::global().create(name, cfg, graph,
                                                     profiles);
-}
-
-std::string to_string(SystemKind k) {
-  switch (k) {
-    case SystemKind::kLoki: return "loki-milp";
-    case SystemKind::kInferLine: return "inferline";
-    case SystemKind::kProteus: return "proteus";
-    case SystemKind::kGreedy: return "greedy";
-  }
-  return "?";
-}
-
-std::unique_ptr<serving::AllocationStrategy> make_strategy(
-    SystemKind kind, const serving::AllocatorConfig& cfg,
-    const pipeline::PipelineGraph* graph,
-    const serving::ProfileTable& profiles) {
-  return make_strategy(to_string(kind), cfg, graph, profiles);
 }
 
 WeightedInterleave::WeightedInterleave(std::vector<double> weights)
@@ -104,7 +83,7 @@ std::size_t WeightedInterleave::next() {
 namespace {
 
 /// Per-shard worker counts: floor(cluster / K) plus one for the first
-/// cluster % K shards — the same split both parallel modes already used.
+/// cluster % K shards.
 std::vector<int> shard_shares(int cluster, std::size_t shards) {
   std::vector<int> share(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -115,41 +94,31 @@ std::vector<int> shard_shares(int cluster, std::size_t shards) {
   return share;
 }
 
-/// The global (timestamp, tier) arrival sequence every feed mode deals
-/// from: the replay verbatim when one is configured, else the sampled
-/// arrival stream with tiers drawn in global arrival order (TierSampler
-/// draws nothing without a tier mix, so tier-less runs are bit-identical).
-struct GlobalArrivals {
-  std::vector<double> t;
-  std::vector<int> tier;  // parallel to t
-};
-
-GlobalArrivals collect_arrivals(const trace::DemandCurve& curve,
-                                const ExperimentConfig& cfg) {
-  GlobalArrivals out;
-  if (!cfg.replay.empty()) {
-    out.t.reserve(cfg.replay.rows.size());
-    out.tier.reserve(cfg.replay.rows.size());
-    for (const trace::ReplayRow& r : cfg.replay.rows) {
-      out.t.push_back(r.t_s);
-      out.tier.push_back(r.tier);
-    }
-    return out;
-  }
-  trace::ArrivalStream stream(curve, cfg.arrivals);
-  trace::TierSampler sampler(cfg.tier_mix, cfg.tier_seed);
-  for (double t = stream.next(); t >= 0.0; t = stream.next()) {
-    out.t.push_back(t);
-    out.tier.push_back(sampler.next());
-  }
-  return out;
-}
-
 /// Simulation end time: past the curve AND any replay tail, plus drain.
 /// Without a replay this is exactly the pre-replay horizon.
 double run_horizon(const trace::DemandCurve& curve,
                    const ExperimentConfig& cfg) {
   return std::max(curve.duration_s(), cfg.replay.duration_s()) + cfg.drain_s;
+}
+
+/// The serving-system config of shard `s`: its slice of the cluster and of
+/// the fault plan, plus every run-wide plane. A single shard keeps the
+/// configured seed; with K > 1 each shard gets a decorrelated seed (shards
+/// model disjoint replica groups).
+serving::SystemConfig shard_config(const ExperimentConfig& cfg,
+                                   const std::vector<int>& share,
+                                   const std::vector<fault::FaultPlan>& faults,
+                                   std::size_t s, obs::Registry* registry) {
+  serving::SystemConfig scfg = cfg.system_cfg;
+  scfg.allocator.cluster_size = share[s];
+  if (share.size() > 1) scfg.seed = cfg.system_cfg.seed + 1000003 * (s + 1);
+  scfg.registry = registry;
+  scfg.trace = cfg.obs_trace;
+  scfg.fault_plan = faults[s];
+  scfg.detector = cfg.detector;
+  scfg.tiers = cfg.tiers;
+  scfg.fallback = cfg.fallback;
+  return scfg;
 }
 
 /// Driver-owned fallback rung strategies: when the chain is enabled but the
@@ -180,425 +149,293 @@ struct FallbackRungs {
   }
 };
 
-/// Partitions the arrival sequence across shards: round-robin (the
-/// bit-reproducible reference) or share-weighted interleave. Tiers travel
-/// with their arrival. Also publishes each shard's observed-demand counter
-/// (exp.shard<k>.arrivals).
-std::vector<std::vector<double>> partition_arrivals(
-    const GlobalArrivals& seq, const ExperimentConfig& cfg,
-    const std::vector<int>& share, obs::Registry* registry,
-    std::vector<std::vector<int>>* shard_tiers) {
-  const std::size_t shards = share.size();
-  std::vector<std::vector<double>> shard_arrivals(shards);
-  shard_tiers->assign(shards, {});
-  if (cfg.sim_weighted_split) {
-    std::vector<double> weights(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      weights[s] = static_cast<double>(share[s]);
-    }
-    WeightedInterleave interleave(std::move(weights));
-    for (std::size_t j = 0; j < seq.t.size(); ++j) {
-      const std::size_t s = interleave.next();
-      shard_arrivals[s].push_back(seq.t[j]);
-      (*shard_tiers)[s].push_back(seq.tier[j]);
-    }
-  } else {
-    for (std::size_t j = 0; j < seq.t.size(); ++j) {
-      const std::size_t s = j % shards;
-      shard_arrivals[s].push_back(seq.t[j]);
-      (*shard_tiers)[s].push_back(seq.tier[j]);
-    }
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    registry->counter("exp.shard" + std::to_string(s) + ".arrivals")
-        .add(shard_arrivals[s].size());
-  }
-  return shard_arrivals;
-}
+using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
 
-/// Streams the shared arrival sequence into the shard systems. Two modes:
+/// Streams the global (timestamp, tier) arrival sequence into the shard
+/// systems. The sequence is drawn lazily: the replay verbatim when one is
+/// configured, else the sampled arrival stream with tiers drawn in global
+/// arrival order (TierSampler draws nothing without a tier mix). A
+/// WeightedInterleave deals it to the shards one window at a time, with
+/// weight 1 per shard (round-robin), the worker shares when `weighted`, or
+/// under sim_reweight the surviving worker counts (share minus crashed),
+/// re-read at every barrier; the interleave is rebuilt only when the weights
+/// change. Each shard's dealt arrivals are counted in exp.shard<k>.arrivals.
 ///
-///  - pre-partitioned (default): the sequence is dealt to shards up front
-///    (round-robin or share-weighted interleave, partition_arrivals above)
-///    and each shard runs a chained arrival pump over its slice — the
-///    bit-reproducible reference.
-///  - sim_reweight: arrivals are dealt one *window* at a time from the
-///    barrier, re-deriving each shard's weight from its surviving worker
-///    count (share minus crashed workers), so a mid-run crash shifts the
-///    following windows' load onto the survivors. The interleave persists
-///    across windows and is rebuilt only when the weights change, so with
-///    constant weights the assignment — and the run's metrics — match the
-///    upfront weighted partition exactly (differential-tested).
-///
-/// init() runs before the shard systems are constructed (it registers the
-/// exp.shard<k>.arrivals counters in the same order partition_arrivals did);
-/// arm() runs after ServingSystem::start(), when worker states exist.
-struct ShardArrivalFeeder {
-  sim::ParallelSimulation* psim = nullptr;
-  std::vector<std::unique_ptr<serving::ServingSystem>>* systems = nullptr;
-  std::vector<int> share;
-  double window_s = 0.0;
-  bool reweight = false;
-
-  // Pre-partitioned mode.
-  std::vector<std::vector<double>> shard_arrivals;
-  std::vector<std::vector<int>> shard_tiers;
-  std::vector<std::size_t> next_idx;
-  std::vector<std::function<void()>> pumps;
-
-  // Reweight mode.
-  std::vector<double> arrivals;  // full sequence, ascending
-  std::vector<int> tiers;        // parallel to arrivals
-  std::size_t cursor = 0;
-  std::vector<double> weights;  // unnormalized, for change detection
-  std::unique_ptr<WeightedInterleave> interleave;
-  std::vector<obs::Counter> counters;
-
-  void init(const trace::DemandCurve& curve, const ExperimentConfig& cfg,
-            obs::Registry* registry) {
-    reweight = cfg.sim_reweight;
-    GlobalArrivals seq = collect_arrivals(curve, cfg);
-    if (!reweight) {
-      shard_arrivals =
-          partition_arrivals(seq, cfg, share, registry, &shard_tiers);
-      return;
+/// Dealing runs one window ahead of the simulation, so a shard's chained
+/// pump finds its next arrival in its buffer whenever that arrival is less
+/// than a window away, and schedules it as the previous one fires — the
+/// same event order as an unbuffered pump, ties included. A pump that runs
+/// dry is restarted by the barrier that deals its next arrival. Memory is
+/// two windows of arrivals, whatever the trace length.
+class ArrivalFeeder {
+ public:
+  ArrivalFeeder(const trace::DemandCurve& curve, const ExperimentConfig& cfg,
+                const std::vector<int>& share, bool weighted,
+                sim::ParallelSimulation* psim, obs::Registry* registry)
+      : cfg_(cfg),
+        share_(share),
+        weighted_(weighted),
+        psim_(psim),
+        stream_(curve, cfg.arrivals),
+        sampler_(cfg.tier_mix, cfg.tier_seed),
+        shards_(share.size()) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s].arrivals =
+          registry->counter("exp.shard" + std::to_string(s) + ".arrivals");
     }
-    arrivals = std::move(seq.t);
-    tiers = std::move(seq.tier);
-    counters.reserve(share.size());
-    for (std::size_t s = 0; s < share.size(); ++s) {
-      counters.push_back(
-          registry->counter("exp.shard" + std::to_string(s) + ".arrivals"));
-    }
+    draw();
   }
+  // Scheduled pump events hold `this`.
+  ArrivalFeeder(const ArrivalFeeder&) = delete;
+  ArrivalFeeder& operator=(const ArrivalFeeder&) = delete;
 
-  void arm() {
-    const std::size_t shards = share.size();
-    if (reweight) {
-      refresh_weights();
-      schedule_until(window_s);
-      return;
-    }
-    next_idx.assign(shards, 0);
-    pumps.resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      pumps[s] = [this, s]() {
-        const std::size_t i = next_idx[s];
-        (*systems)[s]->submit(shard_tiers[s][i]);
-        const std::size_t j = next_idx[s] = i + 1;
-        if (j < shard_arrivals[s].size()) {
-          psim->shard(s).schedule_at(shard_arrivals[s][j],
-                                     [&pump = pumps[s]]() { pump(); });
-        }
-      };
-      if (!shard_arrivals[s].empty()) {
-        psim->shard(s).schedule_at(shard_arrivals[s][0],
-                                   [&pump = pumps[s]]() { pump(); });
-      }
-    }
-  }
-
-  /// Barrier hook (reweight mode only): deal the next window's arrivals
-  /// with weights recomputed from the current crash state.
-  void on_barrier(double now) {
-    if (!reweight) return;
+  /// Deals the first two windows and starts the pumps; call once the shard
+  /// systems have started.
+  void arm(const Systems* systems) {
+    systems_ = systems;
     refresh_weights();
-    schedule_until(now + window_s);
+    deal_until(2.0 * cfg_.sim_window_s);
+  }
+
+  /// Barrier hook: deals the window after the next one.
+  void on_barrier(double now) {
+    if (cfg_.sim_reweight) refresh_weights();
+    deal_until(now + 2.0 * cfg_.sim_window_s);
+  }
+
+ private:
+  // Each shard's pump runs on that shard's thread: keep them off each
+  // other's cache lines.
+  struct Arrival {
+    double t;
+    int tier;
+  };
+  struct alignas(kCacheLineBytes) Shard {
+    std::vector<Arrival> dealt;  // ascending t
+    std::size_t head = 0;        // next arrival to fire
+    bool pumping = false;        // an arrival event is pending
+    obs::Counter arrivals;
+  };
+
+  /// Draws the next global arrival into next_; next_.t < 0 once the
+  /// sequence is exhausted.
+  void draw() {
+    if (cfg_.replay.empty()) {
+      next_.t = stream_.next();
+      if (next_.t >= 0.0) next_.tier = sampler_.next();
+    } else if (replay_idx_ < cfg_.replay.rows.size()) {
+      const trace::ReplayRow& row = cfg_.replay.rows[replay_idx_++];
+      next_ = {row.t_s, row.tier};
+    } else {
+      next_.t = -1.0;
+    }
   }
 
   void refresh_weights() {
-    std::vector<double> w(share.size());
-    double total = 0.0;
-    for (std::size_t s = 0; s < share.size(); ++s) {
-      w[s] = static_cast<double>(
-          std::max(0, share[s] - (*systems)[s]->crashed_workers()));
-      total += w[s];
-    }
-    if (total <= 0.0) {
-      // Every worker everywhere is down: keep dealing by share so arrivals
-      // still land somewhere deterministic (and get accounted as sheds).
-      for (std::size_t s = 0; s < share.size(); ++s) {
-        w[s] = static_cast<double>(share[s]);
+    std::vector<double> w(shards_.size(), 1.0);
+    if (weighted_) {
+      double total = 0.0;
+      for (std::size_t s = 0; s < w.size(); ++s) {
+        const int down = cfg_.sim_reweight ? (*systems_)[s]->crashed_workers()
+                                           : 0;
+        w[s] = static_cast<double>(std::max(0, share_[s] - down));
+        total += w[s];
+      }
+      if (total <= 0.0) {
+        // Every worker everywhere is down: keep dealing by share so arrivals
+        // still land somewhere deterministic (and get accounted as sheds).
+        for (std::size_t s = 0; s < w.size(); ++s) {
+          w[s] = static_cast<double>(share_[s]);
+        }
       }
     }
-    if (interleave == nullptr || w != weights) {
-      weights = std::move(w);
-      interleave = std::make_unique<WeightedInterleave>(weights);
+    if (interleave_ == nullptr || w != weights_) {
+      weights_ = std::move(w);
+      interleave_ = std::make_unique<WeightedInterleave>(weights_);
     }
   }
 
-  void schedule_until(double horizon) {
-    while (cursor < arrivals.size() && arrivals[cursor] < horizon) {
-      const double t = arrivals[cursor];
-      const int tier = tiers[cursor];
-      ++cursor;
-      const std::size_t s = interleave->next();
-      counters[s].add(1);
-      serving::ServingSystem* sys = (*systems)[s].get();
-      psim->shard(s).schedule_at(t, [sys, tier]() { sys->submit(tier); });
+  /// Deals every arrival before `horizon`, then restarts the pumps that ran
+  /// dry and have work again.
+  void deal_until(double horizon) {
+    std::vector<std::size_t> kept(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& sh = shards_[s];
+      sh.dealt.erase(sh.dealt.begin(),
+                     sh.dealt.begin() + static_cast<std::ptrdiff_t>(sh.head));
+      sh.head = 0;
+      kept[s] = sh.dealt.size();
+    }
+    while (next_.t >= 0.0 && next_.t < horizon) {
+      shards_[interleave_->next()].dealt.push_back(next_);
+      draw();
+    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& sh = shards_[s];
+      sh.arrivals.add(sh.dealt.size() - kept[s]);
+      if (!sh.pumping) schedule_next(s);
     }
   }
+
+  void fire(std::size_t s) {
+    Shard& sh = shards_[s];
+    (*systems_)[s]->submit(sh.dealt[sh.head++].tier);
+    schedule_next(s);
+  }
+
+  void schedule_next(std::size_t s) {
+    Shard& sh = shards_[s];
+    sh.pumping = sh.head < sh.dealt.size();
+    if (sh.pumping) {
+      psim_->shard(s).schedule_at(sh.dealt[sh.head].t,
+                                  [this, s]() { fire(s); });
+    }
+  }
+
+  const ExperimentConfig& cfg_;
+  std::vector<int> share_;
+  bool weighted_;
+  sim::ParallelSimulation* psim_;
+  const Systems* systems_ = nullptr;
+  trace::ArrivalStream stream_;
+  trace::TierSampler sampler_;
+  std::size_t replay_idx_ = 0;
+  Arrival next_{-1.0, 0};  // drawn, not yet dealt
+  std::vector<double> weights_;  // unnormalized, for change detection
+  std::unique_ptr<WeightedInterleave> interleave_;
+  std::vector<Shard> shards_;
 };
 
-ExperimentResult result_from_metrics(const std::string& name,
-                                     const serving::Metrics& m,
-                                     double total_solve_time_s,
-                                     int allocations) {
-  ExperimentResult out;
-  out.system_name = name;
-  out.slo_violation_ratio = m.slo_violation_ratio();
-  out.mean_accuracy = m.mean_accuracy();
-  out.mean_latency_s = m.mean_latency_s();
-  out.p99_latency_s = m.p99_latency_s();
-  out.mean_servers_used = m.mean_servers_used();
-  out.arrivals = m.arrivals();
-  out.drops = m.drops();
-  out.total_solve_time_s = total_solve_time_s;
-  out.allocations = allocations;
-  out.metrics = m;
-  return out;
-}
-
-/// Parallel simulation mode: K independent (cluster slice, arrival slice)
-/// shards advanced in conservative lockstep windows, metrics merged.
-ExperimentResult run_experiment_sharded(const pipeline::PipelineGraph& graph,
-                                        const trace::DemandCurve& curve,
-                                        const ExperimentConfig& cfg,
-                                        const serving::ProfileTable& profiles,
-                                        std::size_t shards,
-                                        obs::Registry* registry) {
-  // Partition of the *same* arrival sequence the sequential reference uses
-  // (round-robin, or share-weighted with sim_weighted_split), so the total
-  // arrival count matches the sequential run exactly.
-  const int cluster = cfg.system_cfg.allocator.cluster_size;
-  const std::vector<int> share = shard_shares(cluster, shards);
-
-  sim::ParallelSimulation::Config pcfg;
-  pcfg.shards = shards;
-  pcfg.window_s = cfg.sim_window_s;
-  pcfg.threads = cfg.sim_threads;
-  sim::ParallelSimulation psim(pcfg);
-
-  ShardArrivalFeeder feeder;
-  feeder.psim = &psim;
-  feeder.share = share;
-  feeder.window_s = cfg.sim_window_s;
-  feeder.init(curve, cfg, registry);
-
-  // The global-id fault plan splits along the same contiguous worker-share
-  // ranges as the cluster itself; each shard arms only its own slice
-  // (cluster-wide network events are broadcast to every shard).
-  std::vector<fault::FaultPlan> shard_faults;
-  if (!cfg.fault_plan.empty()) {
-    shard_faults = fault::split_by_shares(cfg.fault_plan, share);
-  }
-
-  // Each shard gets a proportional slice of the cluster (remainder to the
-  // first shards) and its own strategy + serving system + RNG streams
-  // (decorrelated seeds: shards model disjoint replica groups). Fallback
-  // rung strategies are per shard too (sized for its slice) and must
-  // outlive the systems holding the pointers.
-  std::vector<FallbackRungs> rungs(shards);
-  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
-  std::vector<std::unique_ptr<serving::ServingSystem>> systems;
-  for (std::size_t s = 0; s < shards; ++s) {
-    serving::SystemConfig scfg = cfg.system_cfg;
-    scfg.allocator.cluster_size = share[s];
-    scfg.seed = cfg.system_cfg.seed + 1000003 * (s + 1);
-    scfg.registry = registry;
-    scfg.trace = cfg.obs_trace;
-    if (!shard_faults.empty()) scfg.fault_plan = shard_faults[s];
-    scfg.detector = cfg.detector;
-    scfg.tiers = cfg.tiers;
-    scfg.fallback = cfg.fallback;
-    rungs[s].fill(scfg.fallback, scfg.allocator, &graph, profiles);
-    strategies.push_back(
-        make_strategy(cfg.system, scfg.allocator, &graph, profiles));
-    systems.push_back(std::make_unique<serving::ServingSystem>(
-        &psim.shard(s), &graph, profiles, strategies.back().get(), scfg));
-  }
-  // start() performs the initial allocation (solver work): sequential, so
-  // strategy construction stays off the worker threads.
-  for (auto& system : systems) system->start();
-
-  feeder.systems = &systems;
-  feeder.arm();
-  if (cfg.sim_reweight) {
-    psim.set_barrier_callback(
-        [&feeder](sim::Time now) { feeder.on_barrier(now); });
-  }
-
-  const double t_end = run_horizon(curve, cfg);
-  psim.run_until(t_end);
-
-  serving::Metrics merged(cfg.system_cfg.metrics_window_s);
-  double solve_s = 0.0;
-  int allocations = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    systems[s]->finish(t_end);
-    merged.merge(systems[s]->metrics());
-    solve_s += systems[s]->total_solve_time_s();
-    allocations += systems[s]->allocations_performed();
-  }
-  return result_from_metrics(strategies.front()->name(), merged, solve_s,
-                             allocations);
-}
-
-/// Coordinated parallel mode: ONE strategy, solving once per control epoch
-/// at a window barrier from globally merged shard observations (summed
-/// demand, summed per-task arrival rates, averaged multiplicative factors).
-/// The arrival stream is round-robined, so every shard serves the same 1/K
-/// demand slice — the representative-slice plan (demand/K over one shard's
-/// workers) is installed on every shard. An integral split of one
-/// full-cluster plan was measured strictly worse here: equal-demand slices
-/// need equal capacity, and dealing a full-cluster plan's replicas across
-/// shards necessarily starves one of them (e.g. 3 detection replicas over 2
-/// shards), which turns into forward-time drops on the short side.
-ExperimentResult run_experiment_coordinated(
-    const pipeline::PipelineGraph& graph, const trace::DemandCurve& curve,
-    const ExperimentConfig& cfg, const serving::ProfileTable& profiles,
-    std::size_t shards, obs::Registry* registry) {
-  const int cluster = cfg.system_cfg.allocator.cluster_size;
-  const std::vector<int> share = shard_shares(cluster, shards);
-
-  sim::ParallelSimulation::Config pcfg;
-  pcfg.shards = shards;
-  pcfg.window_s = cfg.sim_window_s;
-  pcfg.threads = cfg.sim_threads;
-  sim::ParallelSimulation psim(pcfg);
-
-  ShardArrivalFeeder feeder;
-  feeder.psim = &psim;
-  feeder.share = share;
-  feeder.window_s = cfg.sim_window_s;
-  feeder.init(curve, cfg, registry);
-
-  // Fault mode: shard systems arm their slice of the plan and run detection
-  // locally (they are external systems, so they never replan on their own);
-  // the coordinator observes fault_replan_pending() at barriers and replans
-  // over the survivors. Plans must then be per *shard*, not per distinct
-  // share: two shards with equal shares can lose different workers.
-  const bool fault_mode = !cfg.fault_plan.empty() || cfg.detector.enabled;
-  std::vector<fault::FaultPlan> shard_faults;
-  if (!cfg.fault_plan.empty()) {
-    shard_faults = fault::split_by_shares(cfg.fault_plan, share);
-  }
-
-  // One strategy per *distinct worker share* — at most two exist (floor and
-  // ceil of cluster / K), so a control epoch costs one or two solves for the
-  // whole cluster: still K× fewer than plain sharded mode, where every shard
-  // runs its own allocator. Round-robin split: every shard serves the same
-  // 1/K demand slice, so the representative floor-share plan is installed
-  // everywhere (a bigger shard's extra worker idles — the skew gap).
-  // Weighted split: a shard's arrival slice is proportional to its share,
-  // so each distinct share gets a plan sized for exactly the demand it
-  // receives (share / cluster of the total). Shard systems carry no
-  // strategy of their own.
-  std::vector<int> plan_shares;    // distinct shares, one plan each
-  std::vector<double> plan_fracs;  // demand fraction that share serves
-  if (fault_mode) {
-    // One plan per shard: each tracks its own survivor set. The demand
-    // fraction follows the arrival split (share-weighted or 1/K).
+/// Coordinated sharding's control plane: ONE strategy per planned share,
+/// solving at window barriers from globally merged shard observations
+/// (summed demand, summed per-task arrival rates, averaged multiplicative
+/// factors) and installing the plans on the externally planned shard
+/// systems. It replans every rm_period_s (at the first barrier at or past
+/// the deadline), when the merged demand estimate surges or collapses — the
+/// triggers the in-process Resource Manager uses — and, in fault mode, as
+/// soon as a shard's detected-dead set changes.
+///
+/// Plan slices follow the arrival deal. Unweighted, every shard serves the
+/// same 1/K slice, so the floor-share plan is installed everywhere (a bigger
+/// shard's extra worker idles — the skew gap); an integral split of one
+/// full-cluster plan was measured strictly worse, since dealing its replicas
+/// across equal-demand shards starves one of them (e.g. 3 detection
+/// replicas over 2 shards). Weighted, each distinct share gets a plan sized
+/// for exactly the share / cluster slice it receives. In fault mode every
+/// shard gets its own plan: two equal shares can lose different workers.
+class Coordinator {
+ public:
+  Coordinator(const pipeline::PipelineGraph& graph, const ExperimentConfig& cfg,
+              const serving::ProfileTable& profiles,
+              const std::vector<int>& share, bool weighted,
+              const Systems* systems, obs::Registry* registry)
+      : graph_(graph),
+        cfg_(cfg),
+        share_(share),
+        systems_(*systems),
+        fault_mode_(!cfg.fault_plan.empty() || cfg.detector.enabled) {
+    const std::size_t shards = share.size();
+    const int cluster = cfg.system_cfg.allocator.cluster_size;
+    shard_plan_.assign(shards, 0);
     for (std::size_t s = 0; s < shards; ++s) {
-      plan_shares.push_back(share[s]);
-      plan_fracs.push_back(
-          cfg.sim_weighted_split || cfg.sim_reweight
-              ? static_cast<double>(share[s]) / static_cast<double>(cluster)
-              : 1.0 / static_cast<double>(shards));
-    }
-  } else if (cfg.sim_weighted_split) {
-    for (int s : share) {
-      if (std::find(plan_shares.begin(), plan_shares.end(), s) ==
-          plan_shares.end()) {
-        plan_shares.push_back(s);
-        plan_fracs.push_back(static_cast<double>(s) /
-                             static_cast<double>(cluster));
+      const double frac = weighted ? static_cast<double>(share[s]) /
+                                         static_cast<double>(cluster)
+                                   : 1.0 / static_cast<double>(shards);
+      if (fault_mode_) {
+        shard_plan_[s] = s;
+        plan_shares_.push_back(share[s]);
+        plan_fracs_.push_back(frac);
+      } else if (weighted) {
+        const auto it =
+            std::find(plan_shares_.begin(), plan_shares_.end(), share[s]);
+        shard_plan_[s] = static_cast<std::size_t>(it - plan_shares_.begin());
+        if (it == plan_shares_.end()) {
+          plan_shares_.push_back(share[s]);
+          plan_fracs_.push_back(frac);
+        }
       }
     }
-  } else {
-    plan_shares.push_back(cluster / static_cast<int>(shards));
-    plan_fracs.push_back(1.0 / static_cast<double>(shards));
-  }
-  // The coordinator owns the fallback chain here (one per planned share):
-  // shard systems carry no strategy, so chaining happens around the
-  // barrier-time plan() calls below rather than inside the systems.
-  std::vector<FallbackRungs> rungs(plan_shares.size());
-  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
-  std::vector<std::unique_ptr<serving::PlanFallbackChain>> chains;
-  for (std::size_t pi = 0; pi < plan_shares.size(); ++pi) {
-    serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
-    alloc.cluster_size = plan_shares[pi];
-    strategies.push_back(make_strategy(cfg.system, alloc, &graph, profiles));
+    if (plan_shares_.empty()) {
+      plan_shares_.push_back(cluster / static_cast<int>(shards));
+      plan_fracs_.push_back(1.0 / static_cast<double>(shards));
+    }
+    // The coordinator owns the fallback chain (one per planned share): the
+    // shard systems carry no strategy, so chaining wraps the barrier-time
+    // plan() calls below.
+    rungs_.resize(plan_shares_.size());
+    for (std::size_t pi = 0; pi < plan_shares_.size(); ++pi) {
+      serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
+      alloc.cluster_size = plan_shares_[pi];
+      strategies_.push_back(make_strategy(cfg.system, alloc, &graph, profiles));
+      if (cfg.fallback.enabled) {
+        serving::FallbackConfig fb = cfg.fallback;
+        rungs_[pi].fill(fb, alloc, &graph, profiles);
+        chains_.push_back(std::make_unique<serving::PlanFallbackChain>(
+            strategies_.back().get(), fb, &graph, plan_shares_[pi]));
+      }
+    }
     if (cfg.fallback.enabled) {
-      serving::FallbackConfig fb = cfg.fallback;
-      rungs[pi].fill(fb, alloc, &graph, profiles);
-      chains.push_back(std::make_unique<serving::PlanFallbackChain>(
-          strategies.back().get(), fb, &graph, plan_shares[pi]));
+      c_plan_fallbacks_ = registry->counter("exp.coord.plan_fallbacks");
+      c_plan_rejects_ = registry->counter("exp.coord.plan_rejects");
+      c_plan_retained_ = registry->counter("exp.coord.plan_retained");
+    }
+    plans_.resize(plan_shares_.size());
+  }
+
+  /// Starts the shard systems without planners of their own and installs
+  /// the initial plan before any arrival.
+  void start() {
+    for (const auto& system : systems_) system->start_external();
+    replan(0.0, /*force=*/true);
+    next_replan_ = cfg_.system_cfg.rm_period_s;
+  }
+
+  void on_barrier(double now) {
+    bool fault_due = false;
+    if (fault_mode_) {
+      for (const auto& system : systems_) {
+        fault_due = fault_due || system->fault_replan_pending();
+      }
+    }
+    bool due = fault_due || now + 1e-9 >= next_replan_;
+    if (!due && have_plan_) {
+      double est = 0.0;
+      for (const auto& system : systems_) est += system->demand_estimate_now();
+      due = est > last_demand_ * 1.25 + 1.0 || est < last_demand_ * 0.5 - 1.0;
+    }
+    if (!due) return;
+    replan(now, /*force=*/fault_due);
+    while (next_replan_ <= now + 1e-9) {
+      next_replan_ += cfg_.system_cfg.rm_period_s;
     }
   }
-  obs::Counter c_plan_fallbacks, c_plan_rejects, c_plan_retained;
-  if (cfg.fallback.enabled) {
-    c_plan_fallbacks = registry->counter("exp.coord.plan_fallbacks");
-    c_plan_rejects = registry->counter("exp.coord.plan_rejects");
-    c_plan_retained = registry->counter("exp.coord.plan_retained");
-  }
-  // Shard -> plan index (0 everywhere in round-robin mode).
-  std::vector<std::size_t> shard_plan(shards, 0);
-  if (fault_mode) {
-    for (std::size_t s = 0; s < shards; ++s) shard_plan[s] = s;
-  } else if (cfg.sim_weighted_split) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      shard_plan[s] = static_cast<std::size_t>(
-          std::find(plan_shares.begin(), plan_shares.end(), share[s]) -
-          plan_shares.begin());
-    }
-  }
 
-  std::vector<std::unique_ptr<serving::ServingSystem>> systems;
-  for (std::size_t s = 0; s < shards; ++s) {
-    serving::SystemConfig scfg = cfg.system_cfg;
-    scfg.allocator.cluster_size = share[s];
-    scfg.seed = cfg.system_cfg.seed + 1000003 * (s + 1);
-    scfg.registry = registry;
-    scfg.trace = cfg.obs_trace;
-    if (!shard_faults.empty()) scfg.fault_plan = shard_faults[s];
-    scfg.detector = cfg.detector;
-    scfg.tiers = cfg.tiers;  // data-plane tiering runs inside each shard
-    systems.push_back(std::make_unique<serving::ServingSystem>(
-        &psim.shard(s), &graph, profiles, /*strategy=*/nullptr, scfg));
-  }
-  for (auto& system : systems) system->start_external();
+  std::string name() const { return strategies_.front()->name(); }
+  double solve_s() const { return solve_s_; }
+  int allocations() const { return allocations_; }
 
-  // Coordinator state: replans every rm_period_s (at the first barrier at
-  // or past the deadline) or when the merged demand estimate surges or
-  // collapses — the same triggers the in-process Resource Manager uses.
-  double solve_s = 0.0;
-  int allocations = 0;
-  double last_demand = 0.0;
-  bool have_plan = false;
-  double next_replan = 0.0;
-  std::vector<serving::AllocationPlan> plans(plan_shares.size());
-
-  auto replan = [&](double now, bool force) {
+ private:
+  void replan(double now, bool force) {
+    const std::size_t shards = systems_.size();
     double demand = 0.0;
-    for (auto& system : systems) demand += system->demand_estimate_now();
-    if (have_plan && !force) {
+    for (const auto& system : systems_) demand += system->demand_estimate_now();
+    if (have_plan_ && !force) {
       double min_served = 1.0;
-      for (const auto& p : plans) {
+      for (const auto& p : plans_) {
         min_served = std::min(min_served, p.served_fraction);
       }
-      const double rel = std::abs(demand - last_demand) /
-                         std::max(last_demand, 10.0);
-      if (rel < cfg.system_cfg.realloc_threshold && min_served >= 1.0) {
+      const double rel = std::abs(demand - last_demand_) /
+                         std::max(last_demand_, 10.0);
+      if (rel < cfg_.system_cfg.realloc_threshold && min_served >= 1.0) {
         return;
       }
     }
     const double inv_shards = 1.0 / static_cast<double>(shards);
     // Merge multiplicative-factor estimates: shards observe the same
     // underlying pipeline, so the mean is the natural pooled estimate.
-    pipeline::MultFactorTable mult = systems[0]->mult_estimates();
+    pipeline::MultFactorTable mult = systems_[0]->mult_estimates();
     for (std::size_t s = 1; s < shards; ++s) {
-      const auto& m = systems[s]->mult_estimates();
+      const auto& m = systems_[s]->mult_estimates();
       for (std::size_t t = 0; t < mult.size(); ++t) {
         for (std::size_t k = 0; k < mult[t].size(); ++k) {
           mult[t][k] += m[t][k];
@@ -613,18 +450,18 @@ ExperimentResult run_experiment_coordinated(
     // same observations.
     std::vector<std::vector<double>> sys_rates;
     sys_rates.reserve(shards);
-    for (auto& system : systems) {
+    for (const auto& system : systems_) {
       sys_rates.push_back(system->drain_task_arrivals_now());
     }
     // Demand fractions: static by default; under reweighted fault mode the
     // arrival split follows the survivors, so the planned slices must too.
-    std::vector<double> fracs = plan_fracs;
-    if (fault_mode && cfg.sim_reweight) {
+    std::vector<double> fracs = plan_fracs_;
+    if (fault_mode_ && cfg_.sim_reweight) {
       double surviving_total = 0.0;
       std::vector<double> surviving(shards, 0.0);
       for (std::size_t s = 0; s < shards; ++s) {
         surviving[s] = static_cast<double>(
-            std::max(0, share[s] - systems[s]->crashed_workers()));
+            std::max(0, share_[s] - systems_[s]->crashed_workers()));
         surviving_total += surviving[s];
       }
       if (surviving_total > 0.0) {
@@ -633,89 +470,69 @@ ExperimentResult run_experiment_coordinated(
         }
       }
     }
-    for (std::size_t pi = 0; pi < plan_shares.size(); ++pi) {
+    for (std::size_t pi = 0; pi < plan_shares_.size(); ++pi) {
       serving::PlanRequest req;
       req.demand_qps = demand * fracs[pi];
       req.mult = mult;
       req.task_arrivals_qps.assign(
-          static_cast<std::size_t>(graph.num_tasks()), 0.0);
+          static_cast<std::size_t>(graph_.num_tasks()), 0.0);
       for (const auto& rates : sys_rates) {
         for (std::size_t t = 0; t < rates.size(); ++t) {
           req.task_arrivals_qps[t] += rates[t] * fracs[pi];
         }
       }
       req.sim_time_s = now;
-      req.epoch = allocations;
-      req.previous_plan = have_plan ? &plans[pi] : nullptr;
-      if (fault_mode) {
+      req.epoch = allocations_;
+      req.previous_plan = have_plan_ ? &plans_[pi] : nullptr;
+      if (fault_mode_) {
         // Plan over the survivors the controller has *detected* (plan index
         // == shard index in fault mode); the allocator clamps internally so
         // it never plans below one worker per task.
         req.available_workers =
-            share[pi] - systems[pi]->detector_dead_workers();
+            share_[pi] - systems_[pi]->detector_dead_workers();
       }
       serving::PlanResult result;
-      if (!chains.empty()) {
-        serving::FallbackOutcome fo = chains[pi]->plan(req);
+      if (!chains_.empty()) {
+        serving::FallbackOutcome fo = chains_[pi]->plan(req);
         result = std::move(fo.result);
-        c_plan_fallbacks.add(static_cast<std::uint64_t>(fo.fallbacks));
-        c_plan_rejects.add(static_cast<std::uint64_t>(fo.rejects));
-        if (fo.retained_previous) c_plan_retained.add(1);
+        c_plan_fallbacks_.add(static_cast<std::uint64_t>(fo.fallbacks));
+        c_plan_rejects_.add(static_cast<std::uint64_t>(fo.rejects));
+        if (fo.retained_previous) c_plan_retained_.add(1);
       } else {
-        result = strategies[pi]->plan(req);
+        result = strategies_[pi]->plan(req);
       }
-      plans[pi] = std::move(result.plan);
-      solve_s += plans[pi].solve_time_s;
-      ++allocations;
+      plans_[pi] = std::move(result.plan);
+      solve_s_ += plans_[pi].solve_time_s;
+      ++allocations_;
     }
-    have_plan = true;
-    last_demand = demand;
+    have_plan_ = true;
+    last_demand_ = demand;
     for (std::size_t s = 0; s < shards; ++s) {
-      serving::AllocationPlan sub = plans[shard_plan[s]];
+      serving::AllocationPlan sub = plans_[shard_plan_[s]];
       sub.solve_time_s = 0.0;  // the coordinator accounts the solve once
-      systems[s]->install_plan(std::move(sub));
+      systems_[s]->install_plan(std::move(sub));
     }
-  };
-
-  replan(0.0, /*force=*/true);  // initial allocation before arrivals
-  next_replan = cfg.system_cfg.rm_period_s;
-
-  psim.set_barrier_callback([&](sim::Time now) {
-    feeder.on_barrier(now);
-    // A shard whose detected-dead set changed since its plan was installed
-    // forces an immediate survivor replan (the event-driven trigger of
-    // ROADMAP item 4); otherwise the usual period/demand-surge triggers.
-    bool fault_due = false;
-    if (fault_mode) {
-      for (auto& system : systems) {
-        fault_due = fault_due || system->fault_replan_pending();
-      }
-    }
-    bool due = fault_due || now + 1e-9 >= next_replan;
-    if (!due && have_plan) {
-      double est = 0.0;
-      for (auto& system : systems) est += system->demand_estimate_now();
-      due = est > last_demand * 1.25 + 1.0 || est < last_demand * 0.5 - 1.0;
-    }
-    if (!due) return;
-    replan(now, /*force=*/fault_due);
-    while (next_replan <= now + 1e-9) next_replan += cfg.system_cfg.rm_period_s;
-  });
-
-  feeder.systems = &systems;
-  feeder.arm();
-
-  const double t_end = run_horizon(curve, cfg);
-  psim.run_until(t_end);
-
-  serving::Metrics merged(cfg.system_cfg.metrics_window_s);
-  for (std::size_t s = 0; s < shards; ++s) {
-    systems[s]->finish(t_end);
-    merged.merge(systems[s]->metrics());
   }
-  return result_from_metrics(strategies.front()->name(), merged, solve_s,
-                             allocations);
-}
+
+  const pipeline::PipelineGraph& graph_;
+  const ExperimentConfig& cfg_;
+  std::vector<int> share_;
+  const Systems& systems_;
+  bool fault_mode_;
+  std::vector<int> plan_shares_;         // one plan each
+  std::vector<double> plan_fracs_;       // demand fraction that plan serves
+  std::vector<std::size_t> shard_plan_;  // shard -> plan index
+  std::vector<FallbackRungs> rungs_;     // outlive chains_
+  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies_;
+  std::vector<std::unique_ptr<serving::PlanFallbackChain>> chains_;
+  obs::Counter c_plan_fallbacks_, c_plan_rejects_, c_plan_retained_;
+  std::vector<serving::AllocationPlan> plans_;
+  double solve_s_ = 0.0;
+  int allocations_ = 0;
+  double last_demand_ = 0.0;
+  bool have_plan_ = false;
+  double next_replan_ = 0.0;
+};
 
 }  // namespace
 
@@ -735,74 +552,88 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
                       std::max(1, graph.num_tasks())));
   const std::size_t shards =
       std::min(std::max<std::size_t>(1, cfg.sim_shards), max_shards);
+  const std::vector<int> share =
+      shard_shares(cfg.system_cfg.allocator.cluster_size, shards);
+  const bool weighted = cfg.sim_weighted_split || cfg.sim_reweight;
+  const bool coordinated = cfg.sim_coordinated && shards > 1;
 
   // One registry per run: concurrent run_experiment calls (e.g. the fig5
   // bench runs three systems on a thread pool) must not mix series. All of
   // a run's shard systems share it, so stage histograms and counters merge
   // cluster-wide.
   obs::Registry registry;
-  ExperimentResult out;
-  if (shards > 1) {
-    out = cfg.sim_coordinated
-              ? run_experiment_coordinated(graph, curve, cfg, profiles,
-                                           shards, &registry)
-              : run_experiment_sharded(graph, curve, cfg, profiles, shards,
-                                       &registry);
-  } else {
-    auto strategy = make_strategy(cfg.system, cfg.system_cfg.allocator,
-                                  &graph, profiles);
 
-    sim::Simulation sim;
-    serving::SystemConfig scfg = cfg.system_cfg;
-    scfg.registry = &registry;
-    scfg.trace = cfg.obs_trace;
-    // Sequential mode serves the whole cluster, so the global-id fault plan
-    // applies verbatim (no split needed).
-    if (!cfg.fault_plan.empty()) scfg.fault_plan = cfg.fault_plan;
-    if (cfg.detector.enabled) scfg.detector = cfg.detector;
-    scfg.tiers = cfg.tiers;
-    scfg.fallback = cfg.fallback;
-    FallbackRungs rungs;  // outlives the system holding the rung pointers
-    rungs.fill(scfg.fallback, scfg.allocator, &graph, profiles);
-    serving::ServingSystem system(&sim, &graph, profiles, strategy.get(),
-                                  scfg);
-    system.start();
+  sim::ParallelSimulation::Config pcfg;
+  pcfg.shards = shards;
+  pcfg.window_s = cfg.sim_window_s;
+  pcfg.threads = cfg.sim_threads;
+  sim::ParallelSimulation psim(pcfg);
+  ArrivalFeeder feeder(curve, cfg, share, weighted, &psim, &registry);
+  // The global-id fault plan splits along the worker-share ranges of the
+  // cluster split (cluster-wide events go to every shard); ids outside the
+  // cluster are rejected here, before anything runs.
+  const std::vector<fault::FaultPlan> faults =
+      fault::split_by_shares(cfg.fault_plan, share);
 
-    // Stream arrivals: each arrival event submits and schedules the next
-    // one, keeping the event queue O(in-flight) instead of O(trace). Tiers
-    // are sampled inline in arrival order (the sampler draws nothing
-    // without a mix, so tier-less runs are bit-identical); a configured
-    // replay is fed by index instead.
-    trace::ArrivalStream stream(curve, cfg.arrivals);
-    trace::TierSampler sampler(cfg.tier_mix, cfg.tier_seed);
-    std::size_t replay_idx = 0;
-    std::function<void()> pump;
-    if (!cfg.replay.empty()) {
-      pump = [&]() {
-        system.submit(cfg.replay.rows[replay_idx].tier);
-        if (++replay_idx < cfg.replay.rows.size()) {
-          sim.schedule_at(cfg.replay.rows[replay_idx].t_s, pump);
-        }
-      };
-      sim.schedule_at(cfg.replay.rows[0].t_s, pump);
-    } else {
-      pump = [&]() {
-        system.submit(sampler.next());
-        const double next = stream.next();
-        if (next >= 0.0) sim.schedule_at(next, pump);
-      };
-      const double first = stream.next();
-      if (first >= 0.0) sim.schedule_at(first, pump);
+  // Uncoordinated shards each own a strategy and fallback rungs sized for
+  // their slice; both must outlive the systems holding pointers to them.
+  std::vector<FallbackRungs> rungs(shards);
+  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
+  Systems systems;
+  for (std::size_t s = 0; s < shards; ++s) {
+    serving::SystemConfig scfg =
+        shard_config(cfg, share, faults, s, &registry);
+    serving::AllocationStrategy* strategy = nullptr;
+    if (!coordinated) {
+      rungs[s].fill(scfg.fallback, scfg.allocator, &graph, profiles);
+      strategies.push_back(
+          make_strategy(cfg.system, scfg.allocator, &graph, profiles));
+      strategy = strategies.back().get();
     }
-
-    const double t_end = run_horizon(curve, cfg);
-    sim.run_until(t_end);
-    system.finish(t_end);
-
-    out = result_from_metrics(strategy->name(), system.metrics(),
-                              system.total_solve_time_s(),
-                              system.allocations_performed());
+    systems.push_back(std::make_unique<serving::ServingSystem>(
+        &psim.shard(s), &graph, profiles, strategy, scfg));
   }
+  // The initial allocation (solver work) runs here, on the driving thread.
+  std::unique_ptr<Coordinator> coordinator;
+  if (coordinated) {
+    coordinator = std::make_unique<Coordinator>(graph, cfg, profiles, share,
+                                                weighted, &systems, &registry);
+    coordinator->start();
+  } else {
+    for (auto& system : systems) system->start();
+  }
+  feeder.arm(&systems);
+  psim.set_barrier_callback([&](sim::Time now) {
+    feeder.on_barrier(now);
+    if (coordinator != nullptr) coordinator->on_barrier(now);
+  });
+
+  const double t_end = run_horizon(curve, cfg);
+  psim.run_until(t_end);
+
+  ExperimentResult out;
+  for (auto& system : systems) system->finish(t_end);
+  if (coordinator != nullptr) {
+    out.system_name = coordinator->name();
+    out.total_solve_time_s = coordinator->solve_s();
+    out.allocations = coordinator->allocations();
+  } else {
+    out.system_name = strategies.front()->name();
+    for (const auto& system : systems) {
+      out.total_solve_time_s += system->total_solve_time_s();
+      out.allocations += system->allocations_performed();
+    }
+  }
+  // Shard 0's metrics absorb the rest, so one shard is a plain copy.
+  serving::Metrics& m = out.metrics = systems[0]->metrics();
+  for (std::size_t s = 1; s < shards; ++s) m.merge(systems[s]->metrics());
+  out.slo_violation_ratio = m.slo_violation_ratio();
+  out.mean_accuracy = m.mean_accuracy();
+  out.mean_latency_s = m.mean_latency_s();
+  out.p99_latency_s = m.p99_latency_s();
+  out.mean_servers_used = m.mean_servers_used();
+  out.arrivals = m.arrivals();
+  out.drops = m.drops();
   out.obs = registry.snapshot();
   if (!cfg.obs_csv_path.empty()) out.obs.write_csv(cfg.obs_csv_path);
   return out;
@@ -812,12 +643,9 @@ PlanProbe probe_plan(serving::AllocationStrategy& strategy,
                      const pipeline::PipelineGraph& graph, double demand_qps) {
   // Pure planner probe: a fresh single-epoch request with no previous plan,
   // so probes are independent of each other and of any prior probes on the
-  // same strategy (the old API threaded hidden continuity state through
-  // them).
-  serving::PlanRequest req;
-  req.demand_qps = demand_qps;
-  req.mult = pipeline::default_mult_factors(graph);
-  const auto plan = strategy.plan(req).plan;
+  // same strategy.
+  const auto plan =
+      strategy.plan({demand_qps, pipeline::default_mult_factors(graph)}).plan;
   PlanProbe probe;
   probe.demand_qps = demand_qps;
   probe.mode = plan.mode;
@@ -849,10 +677,7 @@ double find_capacity(serving::AllocationStrategy& strategy, double lo,
                      double tol_qps) {
   LOKI_CHECK(lo >= 0.0 && hi > lo && tol_qps > 0.0);
   auto servable = [&](double qps) {
-    serving::PlanRequest req;
-    req.demand_qps = qps;
-    req.mult = mult;
-    return strategy.plan(req).plan.served_fraction >= 1.0 - 1e-9;
+    return strategy.plan({qps, mult}).plan.served_fraction >= 1.0 - 1e-9;
   };
   if (!servable(lo)) return 0.0;
   if (servable(hi)) return hi;

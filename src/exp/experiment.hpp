@@ -35,20 +35,6 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
     const pipeline::PipelineGraph* graph,
     const serving::ProfileTable& profiles);
 
-/// Deprecated shim for the closed pre-registry enum (§6.1 baselines). The
-/// registry key is the single source of truth; these helpers only translate
-/// old call sites.
-enum class SystemKind { kLoki, kInferLine, kProteus, kGreedy };
-
-/// Registry key for `k` ("loki-milp", "inferline", "proteus", "greedy").
-std::string to_string(SystemKind k);
-
-/// Deprecated: make_strategy(to_string(kind), ...).
-std::unique_ptr<serving::AllocationStrategy> make_strategy(
-    SystemKind kind, const serving::AllocatorConfig& cfg,
-    const pipeline::PipelineGraph* graph,
-    const serving::ProfileTable& profiles);
-
 struct ExperimentConfig {
   /// Registry key of the strategy to run (serving/strategy_registry.hpp).
   std::string system = "loki-milp";
@@ -59,57 +45,55 @@ struct ExperimentConfig {
   /// Profiler measurement noise (0 = ideal profiles).
   double profiler_noise_frac = 0.0;
   std::uint64_t profiler_seed = 1;
-  /// Opt-in parallel simulation mode: split the run across this many event
-  /// shards (1 = the sequential, bit-reproducible reference). Each shard
-  /// simulates an independent slice of the cluster serving a round-robin
-  /// slice of the same arrival sequence (total arrivals are exactly equal to
-  /// the sequential run); per-shard metrics merge at the end. Shards are
-  /// clamped so every shard keeps at least one worker per pipeline task.
-  /// See README "Data-plane architecture" for determinism/merging caveats.
+  /// Event shards the run is split across (clamped so every shard keeps at
+  /// least one worker per pipeline task). Every run goes through the same
+  /// driver on sim::ParallelSimulation: each shard simulates a contiguous
+  /// slice of the cluster serving its dealt slice of one global arrival
+  /// sequence (so total arrivals equal the one-shard run's exactly), and
+  /// per-shard metrics merge at the end. With one shard the run is the
+  /// plain single-cluster simulation and keeps the configured seed. See
+  /// README "Data-plane architecture" for determinism/merging caveats.
   std::size_t sim_shards = 1;
-  /// Conservative synchronization window for parallel mode (seconds).
+  /// Conservative synchronization window (seconds): shards advance in
+  /// lockstep to each window barrier, where arrivals are dealt and the
+  /// coordinator (if any) plans.
   double sim_window_s = 0.25;
-  /// Coordinated parallel mode (requires sim_shards > 1): instead of one
-  /// independent allocator per shard (each planning its own sub-cluster),
-  /// ONE strategy plans from barrier-merged observations (summed demand
+  /// Where the planner runs when sim_shards > 1. Off: every shard owns a
+  /// strategy and plans its own sub-cluster on its own clock. On: ONE
+  /// strategy plans from barrier-merged observations (summed demand
   /// estimate, summed per-task arrival rates, averaged multiplicative
-  /// factors) at deterministic window-barrier times, solving once per
-  /// control epoch for the representative 1/K demand slice; the plan is
-  /// installed on every shard via ServingSystem::install_plan(). K× fewer
-  /// solves than plain sharded mode, where each shard runs its own
-  /// allocator on its own clock. The physical clamp (every shard still
-  /// hosts at least one worker per task) remains. Deterministic for a fixed
-  /// shard count regardless of sim_threads (differential-tested).
+  /// factors) at window barriers, once per control epoch for each shard's
+  /// demand slice, and installs the plans via ServingSystem::install_plan()
+  /// — K× fewer solves. Deterministic for a fixed shard count regardless of
+  /// sim_threads (differential-tested).
   bool sim_coordinated = false;
-  /// Worker threads for parallel mode (0 = min(shards, hw concurrency)).
+  /// Worker threads for the shards (0 = min(shards, hw concurrency)).
   std::size_t sim_threads = 0;
-  /// Weighted shard splits (parallel modes): partition arrivals across
-  /// shards by per-shard worker share via a deterministic weighted
-  /// interleave (WeightedInterleave below) instead of round-robin. With
-  /// cluster_size % sim_shards == 0 every share is equal and the partition
+  /// Deal arrivals to shards by worker share through a deterministic
+  /// weighted interleave (WeightedInterleave below) instead of round-robin.
+  /// With cluster_size % sim_shards == 0 every share is equal and the deal
   /// reduces exactly to round-robin (differential-tested bit-identical);
   /// with skewed shares a bigger shard receives proportionally more
   /// arrivals, and coordinated mode plans each distinct share for its own
-  /// share-proportional demand slice instead of assuming 1/K everywhere —
-  /// the per-shard demand-skew gap of ROADMAP item 2.
+  /// share-proportional demand slice instead of assuming 1/K everywhere.
   bool sim_weighted_split = false;
-  /// Re-weight the weighted split at every window barrier (requires a
-  /// parallel mode; implies the weighted interleave): each window's arrivals
-  /// are dealt to shards in proportion to their *surviving* worker counts
-  /// (share minus crashed workers), so a shard that loses workers to a
-  /// FaultPlan crash also sheds its proportional load to its peers — the
-  /// post-crash demand re-split of ROADMAP item 4. It also models drifting
-  /// demand splits generally: the interleave is rebuilt only when the
-  /// weights actually change, so with constant weights (no faults) the
-  /// assignment — and the run's metrics — are bit-identical to the upfront
-  /// partition (differential-tested).
+  /// Re-weight the deal at every window barrier (implies the weighted
+  /// split): arrivals go to shards in proportion to their *surviving*
+  /// worker counts (share minus crashed workers), so a shard that loses
+  /// workers to a FaultPlan crash also sheds its proportional load to its
+  /// peers. Arrivals are dealt one window ahead, so the first barrier after
+  /// a crash re-weights the arrivals from one window (0.25 s by default)
+  /// past that barrier on. The interleave is rebuilt only when the
+  /// weights change, so with constant weights (no faults) the run is
+  /// bit-identical to the weighted split (differential-tested).
   bool sim_reweight = false;
   /// Deterministic fault schedule (ROADMAP item 4), armed as first-class
-  /// simulation events. Worker ids are global cluster ids; the parallel
-  /// modes split the plan into per-shard local-id plans along the same
-  /// contiguous worker-share ranges the cluster split uses. An empty plan
-  /// arms nothing and is bit-identical to a run without the fault subsystem
-  /// (injection-off passivity, differential-tested in all three sim modes).
+  /// simulation events. Worker ids are global cluster ids, split into
+  /// per-shard local-id plans along the contiguous worker-share ranges of
+  /// the cluster split; an id outside the cluster makes run_experiment
+  /// throw CheckFailure before the run starts. An empty plan arms nothing
+  /// and is bit-identical to a run without the fault subsystem
+  /// (injection-off passivity, differential-tested at K = 1 and K > 1).
   fault::FaultPlan fault_plan;
   /// Failure-detector configuration (phi-style heartbeat suspicion).
   /// Disabled by default; enabling it turns on detection/quarantine/replan
@@ -123,7 +107,8 @@ struct ExperimentConfig {
   /// SLO-tier policy (graceful degradation, ROADMAP item 4). Disabled by
   /// default; forwarded to every serving system. With tiers disabled — or
   /// enabled over all-tier-0 traffic — runs are bit-identical to the
-  /// untiered system (differential-tested in all three sim modes).
+  /// untiered system (differential-tested sequential, sharded and
+  /// coordinated).
   serving::TierPolicy tiers;
   /// Per-tier arrival mix, e.g. {0.2, 0.4, 0.4}: each arrival's tier is
   /// drawn from these weights on a dedicated RNG substream, in global

@@ -98,16 +98,18 @@ std::vector<FaultPlan> split_by_shares(const FaultPlan& plan,
       for (auto& shard_plan : out) shard_plan.events.push_back(e);
       continue;
     }
+    LOKI_CHECK_MSG(e.worker < prefix.back(),
+                   "fault event for worker " << e.worker << " outside a "
+                                             << prefix.back()
+                                             << "-worker cluster");
     for (std::size_t s = 0; s < shares.size(); ++s) {
-      if (e.worker >= prefix[s] && e.worker < prefix[s + 1]) {
+      if (e.worker < prefix[s + 1]) {
         FaultEvent local = e;
         local.worker = e.worker - prefix[s];
         out[s].events.push_back(local);
         break;
       }
     }
-    // Ids past the cluster are dropped silently: the driver clamps shard
-    // counts, so a plan authored for a bigger cluster stays usable.
   }
   for (auto& shard_plan : out) shard_plan.normalize();
   return out;

@@ -96,6 +96,7 @@ FaultPlan random_plan(const RandomFaultConfig& cfg, std::uint64_t seed);
 /// Shard s owns the contiguous id range [prefix(s), prefix(s) + shares[s])
 /// — the same contiguous split the experiment driver uses for worker
 /// shares. Cluster-wide events (worker < 0) are broadcast to every shard.
+/// Throws CheckFailure for a worker id at or past the sum of the shares.
 std::vector<FaultPlan> split_by_shares(const FaultPlan& plan,
                                        const std::vector<int>& shares);
 

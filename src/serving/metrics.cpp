@@ -140,12 +140,17 @@ void Metrics::merge(const Metrics& other) {
   servers_.merge(other.servers_);
   // Shards share the window grid (same window_s_, windows anchored at 0), so
   // pointwise combination lines up. Count-like series sum; ratio series take
-  // the across-shard mean (see header caveat).
+  // the mean over all merged shards (see header caveat).
+  const auto w = static_cast<double>(shards_);
+  const auto w_other = static_cast<double>(other.shards_);
   demand_series_.combine(other.demand_series_, /*sum=*/true);
   servers_series_.combine(other.servers_series_, /*sum=*/true);
-  accuracy_series_.combine(other.accuracy_series_, /*sum=*/false);
-  violation_series_.combine(other.violation_series_, /*sum=*/false);
-  utilization_series_.combine(other.utilization_series_, /*sum=*/false);
+  accuracy_series_.combine(other.accuracy_series_, /*sum=*/false, w, w_other);
+  violation_series_.combine(other.violation_series_, /*sum=*/false, w,
+                            w_other);
+  utilization_series_.combine(other.utilization_series_, /*sum=*/false, w,
+                              w_other);
+  shards_ += other.shards_;
 }
 
 }  // namespace loki::serving

@@ -107,11 +107,12 @@ class Metrics {
   /// Folds another (flushed) Metrics into this one — the parallel-sim-mode
   /// reduction over per-shard serving systems. Counters and sample
   /// distributions merge exactly. Timeseries combine pointwise on the shared
-  /// window grid: count-like series (demand, servers, utilization·cluster)
-  /// sum; ratio series (accuracy, violation, utilization) take the
-  /// across-shard mean, which is exact only when shards carry equal weight —
-  /// round-robin arrival splitting makes them near-equal (documented
-  /// parallel-mode caveat in the README).
+  /// window grid: count-like series (demand, servers) sum; ratio series
+  /// (accuracy, violation, utilization) take the mean over every shard
+  /// folded in so far, each shard weighing one. That per-shard mean equals
+  /// the cluster-wide ratio only when shards carry equal load — round-robin
+  /// arrival splitting makes them near-equal (documented parallel-mode
+  /// caveat in the README).
   void merge(const Metrics& other);
 
  private:
@@ -122,6 +123,9 @@ class Metrics {
 
   double window_s_;
   double window_start_ = 0.0;
+  // Shard Metrics folded into this one by merge() (1 for a single system):
+  // the weight this side's ratio series carry in the next merge.
+  std::uint64_t shards_ = 1;
 
   // Totals.
   std::uint64_t arrivals_ = 0;

@@ -1,8 +1,7 @@
-// String-keyed factory registry for allocation strategies. Replaces the
-// closed exp::SystemKind enum + make_strategy switch: baselines, benches,
-// examples, and tests register and construct strategies by name, and the
-// registered key doubles as AllocationStrategy::name() — the single source
-// of truth for figure labels, CSV columns, and test expectations.
+// String-keyed factory registry for allocation strategies: baselines,
+// benches, examples, and tests register and construct strategies by name,
+// and the registered key doubles as AllocationStrategy::name() — the single
+// source of truth for figure labels, CSV columns, and test expectations.
 //
 // Built-in strategies ("loki-milp", "greedy", "inferline", "proteus") are
 // registered by exp::register_builtin_strategies(); custom strategies can be

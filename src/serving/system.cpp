@@ -1020,7 +1020,7 @@ void ServingSystem::run_heartbeat() {
   }
   // Per-task arrivals keep accumulating in task_window_arrivals_; they
   // reach the strategy as PlanRequest::task_arrivals_qps at the next plan
-  // request (the old observe_task_demand side-channel is gone).
+  // request.
   metrics_.record_utilization(now, plan_.servers_used,
                               cfg_.allocator.cluster_size);
   publish_stage_counters();

@@ -40,19 +40,6 @@ void SolverStats::add(const solver::MilpSolution& sol) {
   max_gap = std::max(max_gap, sol.gap);
 }
 
-AllocationPlan AllocationStrategy::allocate(
-    double demand_qps, const pipeline::MultFactorTable& mult) {
-  PlanRequest req;
-  req.demand_qps = demand_qps;
-  req.mult = mult;
-  req.epoch = shim_epochs_++;
-  req.previous_plan = shim_has_prev_ ? &shim_prev_plan_ : nullptr;
-  PlanResult result = plan(req);
-  shim_prev_plan_ = result.plan;
-  shim_has_prev_ = true;
-  return std::move(result.plan);
-}
-
 std::string to_string(ScalingMode m) {
   switch (m) {
     case ScalingMode::kHardware: return "hardware";

@@ -106,12 +106,17 @@ struct AllocationPlan {
 };
 
 /// Everything the Resource Manager knows when it asks for a plan (one
-/// control epoch, §4.2). Replaces the old positional allocate(demand, mult)
-/// call and the observe_task_demand() side-channel: all controller-observed
-/// state travels in the request, and all cross-epoch strategy state is
-/// either here (previous_plan) or explicitly owned by the strategy (e.g.
-/// MilpAllocator's EpochContext).
+/// control epoch, §4.2): all controller-observed state travels in the
+/// request, and all cross-epoch strategy state is either here
+/// (previous_plan) or explicitly owned by the strategy (e.g. MilpAllocator's
+/// EpochContext).
 struct PlanRequest {
+  PlanRequest() = default;
+  /// A first-epoch request (no observations, no previous plan): what
+  /// offline probes and single-shot tests ask for.
+  PlanRequest(double demand, pipeline::MultFactorTable mult_factors)
+      : demand_qps(demand), mult(std::move(mult_factors)) {}
+
   /// Frontend demand estimate (QPS) the plan must serve.
   double demand_qps = 0.0;
   /// Current multiplicative-factor estimates per (task, variant).
@@ -209,20 +214,6 @@ class AllocationStrategy {
   virtual PlanResult plan(const PlanRequest& request) = 0;
 
   virtual std::string name() const = 0;
-
-  /// Deprecated positional shim over plan() for pre-PlanRequest call sites.
-  /// Maintains its own epoch counter and previous-plan copy so repeated
-  /// calls behave like consecutive control epochs (matching the old
-  /// implicit prev_variants_ continuity). New code should build a
-  /// PlanRequest and call plan() directly.
-  AllocationPlan allocate(double demand_qps,
-                          const pipeline::MultFactorTable& mult);
-
- private:
-  // State for the allocate() deprecation shim only.
-  AllocationPlan shim_prev_plan_;
-  bool shim_has_prev_ = false;
-  int shim_epochs_ = 0;
 };
 
 }  // namespace loki::serving

@@ -1,5 +1,7 @@
-// Opt-in parallel simulation mode: K independent Simulation shards advanced
-// in lockstep over conservative synchronization windows.
+// Sharded simulation: K independent Simulation shards advanced in lockstep
+// over conservative synchronization windows. Every experiment runs on it
+// (exp::run_experiment); one shard is a plain sequential Simulation with a
+// barrier hook every window.
 //
 // Model: the caller partitions its workload into shards that do not interact
 // within a window (in this codebase: independent replica clusters serving
@@ -15,9 +17,8 @@
 // are bit-reproducible. Cross-shard posts go into per-source buffers (each
 // written only by the thread driving that shard) and are merged at the
 // barrier in (time, destination, source, issue-order) order — independent of
-// thread scheduling. Sequential mode (one shard) stays the bit-reproducible
-// reference; the differential suite (sim_parallel_test) checks K-shard runs
-// against it.
+// thread scheduling, and a fixed shard count gives bit-identical results on
+// any thread count (differential suite: sim_parallel_test).
 #pragma once
 
 #include <cstddef>

@@ -175,7 +175,7 @@ TEST(FeasibleConfigs, TightBudgetExcludesSlowVariants) {
 TEST(GreedyAllocator, ZeroDemandUsesMinimumServers) {
   auto f = traffic();
   GreedyAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(0.0, f.mult);
+  const auto plan = alloc.plan({0.0, f.mult}).plan;
   EXPECT_TRUE(plan.feasible);
   EXPECT_EQ(plan.servers_used, f.graph.num_tasks());  // one each
   EXPECT_NEAR(plan.expected_accuracy, 1.0, 1e-12);
@@ -187,7 +187,7 @@ TEST(GreedyAllocator, ServersGrowWithDemand) {
   GreedyAllocator alloc(f.cfg, &f.graph, f.profiles);
   int prev = 0;
   for (double d : {50.0, 150.0, 300.0}) {
-    const auto plan = alloc.allocate(d, f.mult);
+    const auto plan = alloc.plan({d, f.mult}).plan;
     EXPECT_GE(plan.servers_used, prev);
     prev = plan.servers_used;
     check_plan_validity(f, plan, d);
@@ -197,9 +197,9 @@ TEST(GreedyAllocator, ServersGrowWithDemand) {
 TEST(GreedyAllocator, DegradesAccuracyUnderPressure) {
   auto f = traffic();
   GreedyAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto low = alloc.allocate(100.0, f.mult);
+  const auto low = alloc.plan({100.0, f.mult}).plan;
   EXPECT_NEAR(low.expected_accuracy, 1.0, 1e-12);
-  const auto high = alloc.allocate(900.0, f.mult);
+  const auto high = alloc.plan({900.0, f.mult}).plan;
   EXPECT_LT(high.expected_accuracy, 1.0);
   EXPECT_EQ(high.mode, ScalingMode::kAccuracy);
   check_plan_validity(f, high, 900.0);
@@ -208,7 +208,7 @@ TEST(GreedyAllocator, DegradesAccuracyUnderPressure) {
 TEST(GreedyAllocator, OverloadShedsFraction) {
   auto f = traffic();
   GreedyAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(50000.0, f.mult);
+  const auto plan = alloc.plan({50000.0, f.mult}).plan;
   EXPECT_EQ(plan.mode, ScalingMode::kOverload);
   EXPECT_LT(plan.served_fraction, 1.0);
   EXPECT_GT(plan.served_fraction, 0.0);
@@ -218,7 +218,7 @@ TEST(GreedyAllocator, OverloadShedsFraction) {
 TEST(MilpAllocator, HardwareModeAtLowDemand) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(100.0, f.mult);
+  const auto plan = alloc.plan({100.0, f.mult}).plan;
   EXPECT_EQ(plan.mode, ScalingMode::kHardware);
   EXPECT_NEAR(plan.expected_accuracy, 1.0, 1e-9);
   EXPECT_LT(plan.servers_used, f.cfg.cluster_size);
@@ -228,7 +228,7 @@ TEST(MilpAllocator, HardwareModeAtLowDemand) {
 TEST(MilpAllocator, UsesFewServersAtTinyDemand) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(5.0, f.mult);
+  const auto plan = alloc.plan({5.0, f.mult}).plan;
   EXPECT_EQ(plan.servers_used, f.graph.num_tasks());
   check_plan_validity(f, plan, 5.0);
 }
@@ -237,7 +237,7 @@ TEST(MilpAllocator, AccuracyModeWhenClusterExhausted) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
   // Find a demand beyond hardware capacity but within accuracy capacity.
-  const auto plan = alloc.allocate(1200.0, f.mult);
+  const auto plan = alloc.plan({1200.0, f.mult}).plan;
   EXPECT_EQ(plan.mode, ScalingMode::kAccuracy);
   EXPECT_LT(plan.expected_accuracy, 1.0);
   EXPECT_GT(plan.expected_accuracy, 0.5);
@@ -248,7 +248,7 @@ TEST(MilpAllocator, AccuracyModeWhenClusterExhausted) {
 TEST(MilpAllocator, OverloadModeAtExtremeDemand) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(100000.0, f.mult);
+  const auto plan = alloc.plan({100000.0, f.mult}).plan;
   EXPECT_EQ(plan.mode, ScalingMode::kOverload);
   EXPECT_LT(plan.served_fraction, 0.2);
   check_plan_validity(f, plan, 100000.0);
@@ -259,8 +259,8 @@ TEST(MilpAllocator, AtLeastAsAccurateAsGreedy) {
   MilpAllocator milp(f.cfg, &f.graph, f.profiles);
   GreedyAllocator greedy(f.cfg, &f.graph, f.profiles);
   for (double d : {700.0, 1000.0, 1300.0}) {
-    const auto mp = milp.allocate(d, f.mult);
-    const auto gp = greedy.allocate(d, f.mult);
+    const auto mp = milp.plan({d, f.mult}).plan;
+    const auto gp = greedy.plan({d, f.mult}).plan;
     if (gp.mode != ScalingMode::kOverload) {
       EXPECT_GE(mp.expected_accuracy, gp.expected_accuracy - 1e-6)
           << "demand " << d;
@@ -273,8 +273,8 @@ TEST(MilpAllocator, HardwareStepMinimizesServersVsGreedy) {
   MilpAllocator milp(f.cfg, &f.graph, f.profiles);
   GreedyAllocator greedy(f.cfg, &f.graph, f.profiles);
   for (double d : {80.0, 200.0, 350.0}) {
-    const auto mp = milp.allocate(d, f.mult);
-    const auto gp = greedy.allocate(d, f.mult);
+    const auto mp = milp.plan({d, f.mult}).plan;
+    const auto gp = greedy.plan({d, f.mult}).plan;
     if (mp.mode == ScalingMode::kHardware &&
         gp.expected_accuracy >= 1.0 - 1e-9) {
       EXPECT_LE(mp.servers_used, gp.servers_used) << "demand " << d;
@@ -289,11 +289,11 @@ TEST(MilpAllocator, Fig1PhaseProgressionTwoTask) {
   auto f = traffic2();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
 
-  const auto low = alloc.allocate(200.0, f.mult);
+  const auto low = alloc.plan({200.0, f.mult}).plan;
   EXPECT_EQ(low.mode, ScalingMode::kHardware);
 
   // Mid-pressure: accuracy scaling begins with task 2 (classification).
-  const auto mid = alloc.allocate(1300.0, f.mult);
+  const auto mid = alloc.plan({1300.0, f.mult}).plan;
   if (mid.mode == ScalingMode::kAccuracy) {
     // Flow-weighted variant accuracy per task.
     double det_acc = 0.0, cls_acc = 0.0, wsum = 0.0;
@@ -316,7 +316,7 @@ TEST(MilpAllocator, SocialPipelinePlans) {
   auto f = social();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
   for (double d : {50.0, 400.0, 1500.0}) {
-    const auto plan = alloc.allocate(d, f.mult);
+    const auto plan = alloc.plan({d, f.mult}).plan;
     EXPECT_TRUE(plan.feasible);
     check_plan_validity(f, plan, d);
   }
@@ -325,7 +325,7 @@ TEST(MilpAllocator, SocialPipelinePlans) {
 TEST(MilpAllocator, MultiSinkConsistencyOfFlows) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(900.0, f.mult);
+  const auto plan = alloc.plan({900.0, f.mult}).plan;
   // The root-variant marginals must agree between the two sinks (a query
   // cannot use different detection variants for its two branches).
   std::map<int, double> marginal_car, marginal_face;
@@ -346,7 +346,7 @@ TEST(MilpAllocator, AccuracyMonotoneInDemand) {
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
   double prev_acc = 2.0;
   for (double d : {400.0, 900.0, 1400.0, 1900.0}) {
-    const auto plan = alloc.allocate(d, f.mult);
+    const auto plan = alloc.plan({d, f.mult}).plan;
     if (plan.mode == ScalingMode::kOverload) break;
     EXPECT_LE(plan.expected_accuracy, prev_acc + 1e-6) << "demand " << d;
     prev_acc = plan.expected_accuracy;
@@ -358,8 +358,8 @@ TEST(MilpAllocator, MultFactorChangesAllocation) {
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
   auto heavy = f.mult;
   for (auto& r : heavy[0]) r *= 2.0;  // detectors produce twice the objects
-  const auto base = alloc.allocate(600.0, f.mult);
-  const auto loaded = alloc.allocate(600.0, heavy);
+  const auto base = alloc.plan({600.0, f.mult}).plan;
+  const auto loaded = alloc.plan({600.0, heavy}).plan;
   // Twice the downstream load must cost servers or accuracy.
   EXPECT_TRUE(loaded.servers_used > base.servers_used ||
               loaded.expected_accuracy < base.expected_accuracy - 1e-9);
@@ -368,7 +368,7 @@ TEST(MilpAllocator, MultFactorChangesAllocation) {
 TEST(MilpAllocator, LatencyBudgetsExposedForRuntime) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(300.0, f.mult);
+  const auto plan = alloc.plan({300.0, f.mult}).plan;
   for (const auto& ic : plan.instances) {
     const auto it = plan.latency_budget_s.find({ic.task, ic.variant});
     ASSERT_NE(it, plan.latency_budget_s.end());
@@ -383,7 +383,7 @@ TEST(MilpAllocator, SolveTimeWithinPaperBudget) {
   // across the split grid should stay in that ballpark.
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  const auto plan = alloc.allocate(900.0, f.mult);
+  const auto plan = alloc.plan({900.0, f.mult}).plan;
   EXPECT_LT(plan.solve_time_s, 2.0 * test::timing_budget_scale());
 }
 
@@ -393,7 +393,7 @@ TEST_P(MilpDemandSweep, PlansAlwaysValid) {
   auto f = traffic();
   MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
   const double d = GetParam();
-  const auto plan = alloc.allocate(d, f.mult);
+  const auto plan = alloc.plan({d, f.mult}).plan;
   EXPECT_TRUE(plan.feasible);
   check_plan_validity(f, plan, d);
 }

@@ -23,8 +23,7 @@ struct Fixture {
   }
 };
 
-/// One plan() call with observed per-task arrivals riding in the request
-/// (the old observe_task_demand side-channel, now part of PlanRequest).
+/// One plan() call with observed per-task arrivals riding in the request.
 serving::AllocationPlan plan_with_arrivals(
     serving::AllocationStrategy& s, double demand_qps,
     const pipeline::MultFactorTable& mult,
@@ -39,7 +38,7 @@ serving::AllocationPlan plan_with_arrivals(
 TEST(InferLine, HostsOnlyMostAccurateVariants) {
   Fixture f;
   InferLineStrategy s(f.cfg, &f.graph, f.profiles);
-  const auto plan = s.allocate(200.0, f.mult);
+  const auto plan = s.plan({200.0, f.mult}).plan;
   for (const auto& ic : plan.instances) {
     EXPECT_EQ(ic.variant, f.graph.task(ic.task).catalog.most_accurate());
   }
@@ -49,8 +48,8 @@ TEST(InferLine, HostsOnlyMostAccurateVariants) {
 TEST(InferLine, ScalesServersWithDemand) {
   Fixture f;
   InferLineStrategy s(f.cfg, &f.graph, f.profiles);
-  const auto low = s.allocate(50.0, f.mult);
-  const auto high = s.allocate(400.0, f.mult);
+  const auto low = s.plan({50.0, f.mult}).plan;
+  const auto high = s.plan({400.0, f.mult}).plan;
   EXPECT_LT(low.servers_used, high.servers_used);
   EXPECT_EQ(low.mode, serving::ScalingMode::kHardware);
 }
@@ -58,7 +57,7 @@ TEST(InferLine, ScalesServersWithDemand) {
 TEST(InferLine, CannotServeBeyondFixedVariantCapacity) {
   Fixture f;
   InferLineStrategy s(f.cfg, &f.graph, f.profiles);
-  const auto plan = s.allocate(5000.0, f.mult);
+  const auto plan = s.plan({5000.0, f.mult}).plan;
   EXPECT_EQ(plan.mode, serving::ScalingMode::kOverload);
   EXPECT_LT(plan.served_fraction, 1.0);
   // Accuracy never degrades — InferLine has no accuracy scaling.
@@ -70,7 +69,7 @@ TEST(InferLine, RespectsPinnedVariants) {
   Fixture f;
   std::vector<int> pinned{0, 0, 0};  // cheapest everywhere
   InferLineStrategy s(f.cfg, &f.graph, f.profiles, pinned);
-  const auto plan = s.allocate(200.0, f.mult);
+  const auto plan = s.plan({200.0, f.mult}).plan;
   for (const auto& ic : plan.instances) {
     EXPECT_EQ(ic.variant, 0);
   }
@@ -84,8 +83,8 @@ TEST(InferLine, CapacityLowerThanLokiAccuracyScaling) {
   InferLineStrategy inferline(f.cfg, &f.graph, f.profiles);
   serving::MilpAllocator loki(f.cfg, &f.graph, f.profiles);
   const double demand = 1200.0;
-  const auto il = inferline.allocate(demand, f.mult);
-  const auto lk = loki.allocate(demand, f.mult);
+  const auto il = inferline.plan({demand, f.mult}).plan;
+  const auto lk = loki.plan({demand, f.mult}).plan;
   EXPECT_LT(il.served_fraction, 1.0);
   EXPECT_NEAR(lk.served_fraction, 1.0, 1e-9);
 }
@@ -94,7 +93,7 @@ TEST(Proteus, AlwaysUsesWholeCluster) {
   Fixture f;
   ProteusStrategy s(f.cfg, &f.graph, f.profiles);
   for (double d : {10.0, 200.0, 1500.0}) {
-    const auto plan = s.allocate(d, f.mult);
+    const auto plan = s.plan({d, f.mult}).plan;
     EXPECT_EQ(plan.servers_used, f.cfg.cluster_size) << "demand " << d;
     EXPECT_EQ(plan.total_replicas(), f.cfg.cluster_size);
   }
@@ -122,7 +121,7 @@ TEST(Proteus, UnderProvisionsDownstreamBeforeObservation) {
   // pathology of §2.2.1.
   Fixture f;
   ProteusStrategy s(f.cfg, &f.graph, f.profiles);
-  const auto plan = s.allocate(400.0, f.mult);
+  const auto plan = s.plan({400.0, f.mult}).plan;
   int detection_reps = 0, downstream_reps = 0;
   for (const auto& ic : plan.instances) {
     if (ic.task == 0) detection_reps += ic.replicas;

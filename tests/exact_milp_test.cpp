@@ -65,7 +65,7 @@ TEST(ExactMilp, HardwareStepMatchesProductionAllocator) {
   MilpAllocator production(f.cfg, &f.graph, f.profiles);
   for (double d : {20.0, 60.0, 120.0}) {
     const auto ex = exact.solve_hardware(d, f.mult);
-    const auto plan = production.allocate(d, f.mult);
+    const auto plan = production.plan({d, f.mult}).plan;
     ASSERT_TRUE(ex.feasible) << "demand " << d;
     ASSERT_EQ(plan.mode, ScalingMode::kHardware) << "demand " << d;
     // The exact model chooses the batch size freely; the split grid can
@@ -82,7 +82,7 @@ TEST(ExactMilp, AccuracyStepCloseToProductionAllocator) {
   // Demand beyond the hardware capacity of the 10-server cluster.
   for (double d : {400.0, 550.0}) {
     const auto ex = exact.solve_accuracy(d, f.mult);
-    const auto plan = production.allocate(d, f.mult);
+    const auto plan = production.plan({d, f.mult}).plan;
     if (!ex.feasible) continue;  // above even exact capacity: skip
     ASSERT_EQ(plan.mode, ScalingMode::kAccuracy) << "demand " << d;
     // Exact optimum bounds the split-grid optimum from above; the gap is
@@ -155,7 +155,7 @@ TEST(ExactMilp, MultiSinkTreeSolves) {
   EXPECT_LE(hw.servers_used, 12);
 
   MilpAllocator production(cfg, &g, profiles);
-  const auto plan = production.allocate(50.0, mult);
+  const auto plan = production.plan({50.0, mult}).plan;
   EXPECT_LE(plan.servers_used, hw.servers_used + 1);
 }
 

@@ -22,20 +22,6 @@ TEST(MakeStrategy, AllRegisteredNamesConstructible) {
   }
 }
 
-TEST(MakeStrategy, SystemKindShimMapsToRegistryKeys) {
-  const auto graph = pipeline::traffic_analysis_pipeline();
-  const auto profiles =
-      serving::build_profile_table(graph, profile::ModelProfiler());
-  serving::AllocatorConfig cfg;
-  for (auto kind : {SystemKind::kLoki, SystemKind::kInferLine,
-                    SystemKind::kProteus, SystemKind::kGreedy}) {
-    auto s = make_strategy(kind, cfg, &graph, profiles);
-    ASSERT_NE(s, nullptr);
-    // The registry key is the single source of truth for names.
-    EXPECT_EQ(s->name(), to_string(kind));
-  }
-}
-
 TEST(ProbePlan, ReportsModeAndTaskAccuracy) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto profiles =

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "exp/experiment.hpp"
 #include "fault/plan.hpp"
 #include "pipeline/pipelines.hpp"
@@ -239,6 +240,20 @@ TEST(FailureRecovery, ShardedAndCoordinatedCrashRunsStayAccounted) {
   expect_metrics_bit_identical(sharded, sharded2);
   const auto coord2 = exp::run_experiment(graph, curve, ccfg);
   expect_metrics_bit_identical(coord, coord2);
+}
+
+TEST(FailureRecovery, WorkerOutsideTheClusterIsRejectedInEveryMode) {
+  // An 8-worker cluster has no worker 8: the plan is refused when the run
+  // is built, alike for one shard and for two.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = fr_curve();
+  for (const std::size_t shards : {1, 2}) {
+    auto cfg = fr_config();
+    cfg.sim_shards = shards;
+    cfg.fault_plan = fault::crash_plan(8, 10.0, 0.0);
+    EXPECT_THROW(exp::run_experiment(graph, curve, cfg), CheckFailure)
+        << shards << " shards";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/worker.hpp"
+#include "common/check.hpp"
 #include "fault/detector.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -92,7 +93,6 @@ TEST(FaultPlan, SplitBySharesMapsGlobalIdsToShardLocal) {
   append(p, crash_plan(1, 5.0, 15.0));   // shard 0 local id 1
   append(p, crash_plan(4, 8.0, 0.0));    // shard 1 local id 2
   p.events.push_back({2.0, FaultKind::kNetworkDegradeStart, -1, 0.01, 0.1});
-  p.events.push_back({9.0, FaultKind::kCrash, 99, 0.0, 0.0});  // out of range
   p.normalize();
 
   const auto split = split_by_shares(p, {2, 3});
@@ -106,11 +106,20 @@ TEST(FaultPlan, SplitBySharesMapsGlobalIdsToShardLocal) {
   EXPECT_EQ(split[0].events[1].worker, 1);
   EXPECT_EQ(split[0].events[2].kind, FaultKind::kRecover);
 
-  // Shard 1: network broadcast + crash of local worker 4 - 2 = 2. The
-  // out-of-range worker 99 is dropped silently.
+  // Shard 1: network broadcast + crash of local worker 4 - 2 = 2.
   ASSERT_EQ(split[1].events.size(), 2u);
   EXPECT_EQ(split[1].events[1].kind, FaultKind::kCrash);
   EXPECT_EQ(split[1].events[1].worker, 2);
+}
+
+TEST(FaultPlan, SplitBySharesRejectsWorkersOutsideTheCluster) {
+  // Shares {2, 3} cover global workers [0, 5): id 5 and beyond belong to no
+  // shard, whatever the shard count, so the plan is rejected outright.
+  EXPECT_THROW(split_by_shares(crash_plan(99, 9.0, 0.0), {2, 3}),
+               CheckFailure);
+  EXPECT_THROW(split_by_shares(crash_plan(5, 9.0, 0.0), {5}), CheckFailure);
+  EXPECT_EQ(split_by_shares(crash_plan(4, 9.0, 0.0), {5})[0].events.size(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------

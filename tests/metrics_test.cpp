@@ -2,6 +2,8 @@
 // rolling, and utilization series.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "serving/metrics.hpp"
 
 namespace loki::serving {
@@ -100,6 +102,41 @@ TEST(Metrics, LatencyPercentiles) {
                      static_cast<double>(i) * 1e-3);
   }
   EXPECT_NEAR(m.p99_latency_s(), 0.099, 1e-3);
+}
+
+TEST(Metrics, MergeAveragesRatioSeriesOverEveryShard) {
+  // Four shards, one window each: only the last shard's query violates, so
+  // the window's violation ratios are 0, 0, 0, 1 and their mean is 0.25
+  // (pairwise averaging gave the last shard weight 1/2: 0.5).
+  std::vector<Metrics> shards;
+  for (int s = 0; s < 4; ++s) {
+    Metrics m(10.0);
+    m.record_arrival(1.0);
+    const bool violates = s == 3;
+    m.record_outcome(1.5,
+                     violates ? QueryOutcome::kDropped : QueryOutcome::kOnTime,
+                     violates ? 0.0 : 1.0, 0.1);
+    m.record_utilization(2.0, s, 4);
+    m.flush(10.0);
+    shards.push_back(m);
+  }
+  Metrics merged = shards[0];
+  for (int s = 1; s < 4; ++s) merged.merge(shards[s]);
+  const auto& v = merged.violation_series().points();
+  ASSERT_EQ(v.size(), shards[0].violation_series().size());
+  EXPECT_DOUBLE_EQ(v[0].v, 0.25);
+  // Utilizations 0, 1/4, 2/4, 3/4 average to 3/8; server counts sum.
+  ASSERT_EQ(merged.utilization_series().size(), 1u);
+  EXPECT_DOUBLE_EQ(merged.utilization_series().points()[0].v, 0.375);
+  EXPECT_DOUBLE_EQ(merged.servers_series().points()[0].v, 6.0);
+
+  // Folding one two-shard merge into another gives the same four-way mean.
+  Metrics left = shards[0];
+  left.merge(shards[1]);
+  Metrics right = shards[2];
+  right.merge(shards[3]);
+  left.merge(right);
+  EXPECT_DOUBLE_EQ(left.violation_series().points()[0].v, 0.25);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ struct Fixture {
     mult = pipeline::default_mult_factors(graph);
     AllocatorConfig cfg;
     MilpAllocator alloc(cfg, &graph, profiles);
-    plan = alloc.allocate(300.0, mult);
+    plan = alloc.plan({300.0, mult}).plan;
   }
 };
 

@@ -147,28 +147,6 @@ TEST(PlanResult, PreviousPlanViewDrivesContinuity) {
   EXPECT_EQ(comparable_text(pa), comparable_text(pb));
 }
 
-TEST(AllocateShim, MatchesManualRequestChain) {
-  // The deprecated allocate() shim behaves like consecutive epochs with the
-  // caller threading the previous plan through the request.
-  Fixture f;
-  serving::MilpAllocator via_shim(f.cfg, &f.graph, f.profiles);
-  serving::MilpAllocator via_requests(f.cfg, &f.graph, f.profiles);
-  serving::AllocationPlan prev;
-  const double demands[] = {300.0, 900.0, 900.0};
-  for (int e = 0; e < 3; ++e) {
-    const auto shim_plan = via_shim.allocate(demands[e], f.mult);
-    serving::PlanRequest req;
-    req.demand_qps = demands[e];
-    req.mult = f.mult;
-    req.epoch = e;
-    req.previous_plan = e > 0 ? &prev : nullptr;
-    auto result = via_requests.plan(req);
-    EXPECT_EQ(comparable_text(shim_plan), comparable_text(result.plan))
-        << "epoch " << e;
-    prev = std::move(result.plan);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Cross-epoch warm starts
 // ---------------------------------------------------------------------------

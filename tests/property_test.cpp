@@ -144,7 +144,7 @@ TEST_P(RandomTree, GreedyPlansAlwaysValid) {
   const auto mult = pipeline::default_mult_factors(g);
   serving::GreedyAllocator alloc(cfg, &g, profiles);
   for (double d : {0.0, 30.0, 200.0, 3000.0}) {
-    const auto plan = alloc.allocate(d, mult);
+    const auto plan = alloc.plan({d, mult}).plan;
     EXPECT_TRUE(plan.feasible);
     EXPECT_LE(plan.total_replicas(), cfg.cluster_size);
     EXPECT_GE(plan.served_fraction, 0.0);

@@ -512,6 +512,34 @@ TEST(Reweight, ConstantWeightsAreBitIdenticalCoordinated) {
   EXPECT_EQ(rw.allocations, rr.allocations);
 }
 
+TEST(Reweight, CoordinatedReweightPlansTheWeightedSlices) {
+  // 9 workers over 2 shards: shares {5, 4}. Re-weighting deals by share even
+  // without sim_weighted_split, so the coordinator must plan each shard for
+  // its share-proportional slice too, not one 1/K floor-share plan.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = diff_curve();
+
+  auto rcfg = coord_config(2, 0);
+  rcfg.system_cfg.allocator.cluster_size = 9;
+  rcfg.sim_reweight = true;
+  const auto rw = exp::run_experiment(graph, curve, rcfg);
+  auto wcfg = rcfg;
+  wcfg.sim_weighted_split = true;
+  const auto w = exp::run_experiment(graph, curve, wcfg);
+
+  EXPECT_EQ(rw.arrivals, w.arrivals);
+  EXPECT_EQ(rw.drops, w.drops);
+  EXPECT_EQ(rw.metrics.completions(), w.metrics.completions());
+  EXPECT_DOUBLE_EQ(rw.slo_violation_ratio, w.slo_violation_ratio);
+  EXPECT_DOUBLE_EQ(rw.mean_accuracy, w.mean_accuracy);
+  EXPECT_DOUBLE_EQ(rw.mean_latency_s, w.mean_latency_s);
+  EXPECT_DOUBLE_EQ(rw.p99_latency_s, w.p99_latency_s);
+  EXPECT_DOUBLE_EQ(rw.mean_servers_used, w.mean_servers_used);
+  EXPECT_EQ(rw.allocations, w.allocations);
+  EXPECT_EQ(rw.obs.counter_value("exp.shard0.arrivals"),
+            w.obs.counter_value("exp.shard0.arrivals"));
+}
+
 TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
   // Kill a worker in shard 0 (global id 1, shares {4, 4}) with no recovery:
   // from the next window barrier on, shard 0's weight drops to 3 vs 4, so
