@@ -713,5 +713,48 @@ TEST(ModeGoldens, CoordinatedThreeSkewedWeightedShards) {
                           0.21792781272143846, 2.1846153846153848});
 }
 
+/// Arms every optional plane on a sharded config: SLO tiers over a mixed
+/// tier stream, the fallback chain, and a crash plus recovery of global
+/// worker 5. With shares {4, 4} the crash lands on shard 1 only, so shard 0
+/// runs with no fault plane while the run as a whole is in fault mode.
+void arm_every_plane(exp::ExperimentConfig& cfg) {
+  cfg.tiers.enabled = true;
+  cfg.tier_mix = {0.2, 0.4, 0.4};
+  cfg.fallback.enabled = true;
+  cfg.fault_plan = fault::crash_plan(5, 20.0, 40.0);
+}
+
+TEST(ModeGoldens, PlainTwoShardsWithEveryPlane) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = diff_config(2);
+  arm_every_plane(cfg);
+  expect_golden(exp::run_experiment(graph, diff_curve(), cfg),
+                RunGolden{3180, 60, 3120, 3, 29,
+                          {{{653, 650, 3, 1}, {1201, 1190, 11, 1},
+                            {1326, 1280, 46, 1}}},
+                          {1590, 1590},
+                          0.020125786163522012, 0.99974647435897446,
+                          0.090088322508249302, 0.22252470340516892,
+                          2.4923076923076928});
+}
+
+TEST(ModeGoldens, CoordinatedTwoShardsReweightedWithEveryPlane) {
+  // The coordinator must plan in fault mode (one plan per shard, sized for
+  // the detected survivors) although only shard 1 is armed, and re-weight
+  // the deal toward shard 0 while worker 5 is down.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = coord_config(2, 0);
+  cfg.sim_reweight = true;
+  arm_every_plane(cfg);
+  expect_golden(exp::run_experiment(graph, diff_curve(), cfg),
+                RunGolden{3180, 35, 3145, 3, 28,
+                          {{{653, 651, 2, 1}, {1201, 1195, 6, 1},
+                            {1326, 1299, 27, 1}}},
+                          {1678, 1502},
+                          0.012264150943396227, 0.99951033386327492,
+                          0.090561558119771068, 0.21941130548387483,
+                          2.5230769230769226});
+}
+
 }  // namespace
 }  // namespace loki
