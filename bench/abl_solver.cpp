@@ -5,7 +5,8 @@
 // warm-started bound-overlay re-solve path (the branch-and-bound node access
 // pattern) against an equivalent cold solve, and full branch-and-bound runs
 // on structured MILPs. Every benchmark exports its pivot/node counters so
-// scripts/bench_solver.sh can track work counts, not just wall time.
+// scripts/bench.sh --suite solver can track work counts, not just wall
+// time.
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -1,9 +1,9 @@
 // Data-plane throughput suite (BM_DataPlane*): how much simulated traffic
 // the discrete-event core and the serving runtime can push per wall-clock
 // second on one host. Companion to the solver-side tab_runtime_overhead:
-// scripts/bench_dataplane.sh runs this binary and gates the JSON report
-// against bench/BENCH_dataplane_baseline.json, mirroring the solver pivot
-// gate.
+// scripts/bench.sh --suite dataplane runs this binary and gates the JSON
+// report against bench/BENCH_dataplane_baseline.json, mirroring the solver
+// pivot gate.
 //
 // Three altitudes:
 //   BM_DataPlaneArrivalIngest  - event core only: a self-rescheduling
@@ -17,7 +17,7 @@
 //     plan -> simulate -> metrics), the same shape as the e2e smoke test.
 // A fourth family, BM_Serving*, covers the serving hot path in isolation
 // (routing draws, forward hops, stage counters) and at scale (96-worker
-// e2e epoch); scripts/bench_serving.sh gates it separately.
+// e2e epoch); scripts/bench.sh --suite serving gates it separately.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -158,8 +158,8 @@ BENCHMARK(BM_DataPlaneE2EEpoch)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // ==========================================================================
 // Serving hot-path suite (BM_Serving*): micro- and macro-benchmarks of the
-// per-query serving path. scripts/bench_serving.sh runs this prefix and
-// gates it against bench/BENCH_serving_baseline.json (--suite serving).
+// per-query serving path. scripts/bench.sh --suite serving runs this prefix
+// and gates it against bench/BENCH_serving_baseline.json.
 // ==========================================================================
 
 // Builds an exhaustive frontend routing table with `n` groups of equal

@@ -103,7 +103,7 @@ void BM_FaultGate(benchmark::State& state) {
   const auto off_cfg = fault_config();
   auto armed_cfg = fault_config();
   armed_cfg.fault_plan = fault::crash_plan(0, 1e6, 0.0);  // never fires
-  armed_cfg.detector.enabled = true;
+  armed_cfg.system_cfg.detector.enabled = true;
 
   double off_wall = 0.0;
   double armed_wall = 0.0;

@@ -17,15 +17,16 @@ Two suites:
       Wall-clock throughput is host- and load-sensitive (the baseline host
       is a shared 1-vCPU VM where real time can run several times CPU
       time), so the default slack is much wider than the solver gate's and
-      the baseline should be regenerated (scripts/bench_dataplane.sh) when
-      moving to different hardware.
+      the baseline should be regenerated (scripts/bench.sh --suite
+      dataplane --rebaseline) when moving to different hardware.
 
   serving           - same throughput gate over the BM_Serving* suite
       (routing draws, forward hops, the 96-worker e2e epoch) against
-      bench/BENCH_serving_baseline.json. Run via scripts/bench_serving.sh.
+      bench/BENCH_serving_baseline.json. Run via scripts/bench.sh --suite
+      serving.
 
-  fault             - the fault-subsystem gate (scripts/bench_fault.sh,
-      BM_Fault* suite against bench/BENCH_fault_baseline.json). On top of
+  fault             - the fault-subsystem gate (scripts/bench.sh --suite
+      fault: BM_Fault* suite against bench/BENCH_fault_baseline.json). On top of
       the usual throughput comparison it reads BM_FaultGate.bit_identical
       (must be 1: an armed-but-inert fault plane left every simulation
       metric bit-identical — injection-off passivity) and bounds the
@@ -33,8 +34,9 @@ Two suites:
       against the baseline (deterministic under the pinned seed, so a tight
       10% bound is safe across hosts).
 
-  overload          - the graceful-degradation gate (scripts/bench_overload.sh,
-      BM_Overload* suite against bench/BENCH_overload_baseline.json). On top
+  overload          - the graceful-degradation gate (scripts/bench.sh
+      --suite overload: BM_Overload* suite against
+      bench/BENCH_overload_baseline.json). On top
       of the usual throughput comparison it reads BM_OverloadGate.
       bit_identical (must be 1: tiers armed with unreachable watermarks +
       fallback chain with no deadline left every simulation metric
@@ -46,8 +48,9 @@ Two suites:
       0.99 (the strict tier rides out the flash crowd and the mid-burst
       crash).
 
-  obs               - the observability overhead gate (scripts/bench_obs.sh,
-      BM_Obs* suite against bench/BENCH_obs_baseline.json). On top of the
+  obs               - the observability overhead gate (scripts/bench.sh
+      --suite obs: BM_Obs* suite against bench/BENCH_obs_baseline.json). On
+      top of the
       usual throughput comparison it reads the BM_ObsOverheadGate counters:
       bit_identical must be 1 (tracing on/off left every simulation metric
       bit-identical) and overhead_frac — the paired tracing-on vs
@@ -168,8 +171,8 @@ def run_solver_gate(args):
           f"[+{100 * args.max_regress:.0f}%] -> {verdict}")
     if cand_total > limit:
         print("If this increase is intended (e.g. a deliberate trade-off), "
-              "regenerate the baseline with scripts/bench_solver.sh and "
-              "commit bench/BENCH_solver_baseline.json.", file=sys.stderr)
+              "regenerate the baseline with scripts/bench.sh --suite solver "
+              "and commit bench/BENCH_solver_baseline.json.", file=sys.stderr)
         return 1
     return 0
 
@@ -254,7 +257,7 @@ def bench_counters(report_path, bench_name, required):
 
 def run_fault_gate(args):
     failed = run_throughput_gate(
-        args, FAULT_PREFIX, "scripts/bench_fault.sh --rebaseline") != 0
+        args, FAULT_PREFIX, "scripts/bench.sh --suite fault --rebaseline") != 0
 
     gate = bench_counters(args.candidate, FAULT_GATE_BENCH, "bit_identical")
     identical = gate["bit_identical"]
@@ -290,15 +293,16 @@ def run_fault_gate(args):
             print(f"Simulated {counter} regressed: failures are detected or "
                   f"recovered from more slowly than the committed baseline. "
                   f"If the detector/re-plan change is intended, regenerate "
-                  f"with scripts/bench_fault.sh --rebaseline and commit "
-                  f"bench/BENCH_fault_baseline.json.", file=sys.stderr)
+                  f"with scripts/bench.sh --suite fault --rebaseline and "
+                  f"commit bench/BENCH_fault_baseline.json.", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 
 
 def run_overload_gate(args):
     failed = run_throughput_gate(
-        args, OVERLOAD_PREFIX, "scripts/bench_overload.sh --rebaseline") != 0
+        args, OVERLOAD_PREFIX,
+        "scripts/bench.sh --suite overload --rebaseline") != 0
 
     gate = bench_counters(args.candidate, OVERLOAD_GATE_BENCH,
                           "bit_identical")
@@ -352,7 +356,7 @@ def run_overload_gate(args):
 def run_obs_gate(args):
     overhead, identical = overhead_counters(args.candidate)
     failed = run_throughput_gate(
-        args, OBS_PREFIX, "scripts/bench_obs.sh --rebaseline") != 0
+        args, OBS_PREFIX, "scripts/bench.sh --suite obs --rebaseline") != 0
 
     ident_ok = identical >= 1.0
     print(f"{OVERHEAD_BENCH}: bit_identical {identical:.0f} -> "
@@ -410,7 +414,8 @@ def main():
             return run_solver_gate(args)
         if args.suite == "serving":
             return run_throughput_gate(
-                args, SERVING_PREFIX, "scripts/bench_serving.sh --rebaseline")
+                args, SERVING_PREFIX,
+                "scripts/bench.sh --suite serving --rebaseline")
         if args.suite == "obs":
             return run_obs_gate(args)
         if args.suite == "fault":
@@ -418,7 +423,8 @@ def main():
         if args.suite == "overload":
             return run_overload_gate(args)
         return run_throughput_gate(
-            args, DATAPLANE_PREFIX, "scripts/bench_dataplane.sh --rebaseline")
+            args, DATAPLANE_PREFIX,
+            "scripts/bench.sh --suite dataplane --rebaseline")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"check_bench_regression: {e}", file=sys.stderr)
         return 2

@@ -101,10 +101,24 @@ double run_horizon(const trace::DemandCurve& curve,
   return std::max(curve.duration_s(), cfg.replay.duration_s()) + cfg.drain_s;
 }
 
+/// Rejects the system_cfg fields run_experiment overwrites per shard, which
+/// would otherwise be silently ignored.
+void check_run_level_knobs(const serving::SystemConfig& scfg) {
+  LOKI_CHECK_MSG(scfg.registry == nullptr,
+                 "system_cfg.registry is replaced by the per-run registry; "
+                 "read ExperimentResult::obs instead");
+  LOKI_CHECK_MSG(scfg.fault_plan.empty(),
+                 "system_cfg.fault_plan is replaced by each shard's split of "
+                 "the run's plan; set ExperimentConfig::fault_plan instead");
+  LOKI_CHECK_MSG(!scfg.tiers.enabled,
+                 "system_cfg.tiers is replaced by the run's tier policy; set "
+                 "ExperimentConfig::tiers instead");
+}
+
 /// The serving-system config of shard `s`: its slice of the cluster and of
-/// the fault plan, plus every run-wide plane. A single shard keeps the
-/// configured seed; with K > 1 each shard gets a decorrelated seed (shards
-/// model disjoint replica groups).
+/// the fault plan, plus the run's registry and tier policy. A single shard
+/// keeps the configured seed; with K > 1 each shard gets a decorrelated seed
+/// (shards model disjoint replica groups).
 serving::SystemConfig shard_config(const ExperimentConfig& cfg,
                                    const std::vector<int>& share,
                                    const std::vector<fault::FaultPlan>& faults,
@@ -113,41 +127,30 @@ serving::SystemConfig shard_config(const ExperimentConfig& cfg,
   scfg.allocator.cluster_size = share[s];
   if (share.size() > 1) scfg.seed = cfg.system_cfg.seed + 1000003 * (s + 1);
   scfg.registry = registry;
-  scfg.trace = cfg.obs_trace;
   scfg.fault_plan = faults[s];
-  scfg.detector = cfg.detector;
   scfg.tiers = cfg.tiers;
-  scfg.fallback = cfg.fallback;
   return scfg;
 }
 
-/// Driver-owned fallback rung strategies: when the chain is enabled but the
-/// caller left a rung pointer unset, build the standard rung for it — a
-/// near-warm MILP resolve and a greedy allocator — sized for this system's
-/// cluster slice. Instances must outlive the serving systems that hold the
-/// pointers (declare before the systems vector).
-struct FallbackRungs {
-  std::unique_ptr<serving::AllocationStrategy> near_warm;
-  std::unique_ptr<serving::AllocationStrategy> greedy;
-
-  void fill(serving::FallbackConfig& fb, const serving::AllocatorConfig& alloc,
-            const pipeline::PipelineGraph* graph,
-            const serving::ProfileTable& profiles) {
-    if (!fb.enabled) return;
-    if (fb.near_warm == nullptr) {
-      serving::AllocatorConfig near = alloc;
-      near.near_warm_start = true;
-      near_warm =
-          std::make_unique<serving::MilpAllocator>(near, graph, profiles);
-      fb.near_warm = near_warm.get();
-    }
-    if (fb.greedy == nullptr) {
-      greedy =
-          std::make_unique<serving::GreedyAllocator>(alloc, graph, profiles);
-      fb.greedy = greedy.get();
-    }
-  }
-};
+/// One planner: the run's strategy sized for `alloc`, wrapped in the
+/// fallback chain when cfg.fallback is enabled — with a near-warm MILP and a
+/// greedy allocator for the same slice as rungs 1 and 2, counting outcomes
+/// under `<prefix>.plan_*`. Every per-shard planner and every coordinator
+/// share is built here.
+std::unique_ptr<serving::AllocationStrategy> make_planner(
+    const ExperimentConfig& cfg, const serving::AllocatorConfig& alloc,
+    const pipeline::PipelineGraph& graph, const serving::ProfileTable& profiles,
+    obs::Registry& registry, const std::string& prefix) {
+  auto strategy = make_strategy(cfg.system, alloc, &graph, profiles);
+  if (!cfg.fallback.enabled) return strategy;
+  serving::AllocatorConfig near = alloc;
+  near.near_warm_start = true;
+  return std::make_unique<serving::PlanFallbackChain>(
+      std::move(strategy),
+      std::make_unique<serving::MilpAllocator>(near, &graph, profiles),
+      std::make_unique<serving::GreedyAllocator>(alloc, &graph, profiles),
+      cfg.fallback.deadline_s, &graph, alloc.cluster_size, registry, prefix);
+}
 
 using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
 
@@ -323,6 +326,8 @@ class ArrivalFeeder {
 /// replicas over 2 shards). Weighted, each distinct share gets a plan sized
 /// for exactly the share / cluster slice it receives. In fault mode every
 /// shard gets its own plan: two equal shares can lose different workers.
+/// Fault mode means some shard has a fault plane: every fault-plan event
+/// lands on some shard, and an enabled detector arms all of them.
 class Coordinator {
  public:
   Coordinator(const pipeline::PipelineGraph& graph, const ExperimentConfig& cfg,
@@ -333,7 +338,9 @@ class Coordinator {
         cfg_(cfg),
         share_(share),
         systems_(*systems),
-        fault_mode_(!cfg.fault_plan.empty() || cfg.detector.enabled) {
+        fault_mode_(std::any_of(
+            systems->begin(), systems->end(),
+            [](const auto& system) { return system->fault() != nullptr; })) {
     const std::size_t shards = share.size();
     const int cluster = cfg.system_cfg.allocator.cluster_size;
     shard_plan_.assign(shards, 0);
@@ -359,25 +366,12 @@ class Coordinator {
       plan_shares_.push_back(cluster / static_cast<int>(shards));
       plan_fracs_.push_back(1.0 / static_cast<double>(shards));
     }
-    // The coordinator owns the fallback chain (one per planned share): the
-    // shard systems carry no strategy, so chaining wraps the barrier-time
-    // plan() calls below.
-    rungs_.resize(plan_shares_.size());
-    for (std::size_t pi = 0; pi < plan_shares_.size(); ++pi) {
+    // One planner per planned share; the shard systems carry none.
+    for (const int planned : plan_shares_) {
       serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
-      alloc.cluster_size = plan_shares_[pi];
-      strategies_.push_back(make_strategy(cfg.system, alloc, &graph, profiles));
-      if (cfg.fallback.enabled) {
-        serving::FallbackConfig fb = cfg.fallback;
-        rungs_[pi].fill(fb, alloc, &graph, profiles);
-        chains_.push_back(std::make_unique<serving::PlanFallbackChain>(
-            strategies_.back().get(), fb, &graph, plan_shares_[pi]));
-      }
-    }
-    if (cfg.fallback.enabled) {
-      c_plan_fallbacks_ = registry->counter("exp.coord.plan_fallbacks");
-      c_plan_rejects_ = registry->counter("exp.coord.plan_rejects");
-      c_plan_retained_ = registry->counter("exp.coord.plan_retained");
+      alloc.cluster_size = planned;
+      strategies_.push_back(
+          make_planner(cfg, alloc, graph, profiles, *registry, "exp.coord"));
     }
     plans_.resize(plan_shares_.size());
   }
@@ -392,10 +386,9 @@ class Coordinator {
 
   void on_barrier(double now) {
     bool fault_due = false;
-    if (fault_mode_) {
-      for (const auto& system : systems_) {
-        fault_due = fault_due || system->fault_replan_pending();
-      }
+    for (const auto& system : systems_) {
+      const serving::FaultPlane* fault = system->fault();
+      fault_due = fault_due || (fault != nullptr && fault->replan_pending());
     }
     bool due = fault_due || now + 1e-9 >= next_replan_;
     if (!due && have_plan_) {
@@ -488,20 +481,11 @@ class Coordinator {
         // Plan over the survivors the controller has *detected* (plan index
         // == shard index in fault mode); the allocator clamps internally so
         // it never plans below one worker per task.
+        const serving::FaultPlane* fault = systems_[pi]->fault();
         req.available_workers =
-            share_[pi] - systems_[pi]->detector_dead_workers();
+            share_[pi] - (fault != nullptr ? fault->dead_workers() : 0);
       }
-      serving::PlanResult result;
-      if (!chains_.empty()) {
-        serving::FallbackOutcome fo = chains_[pi]->plan(req);
-        result = std::move(fo.result);
-        c_plan_fallbacks_.add(static_cast<std::uint64_t>(fo.fallbacks));
-        c_plan_rejects_.add(static_cast<std::uint64_t>(fo.rejects));
-        if (fo.retained_previous) c_plan_retained_.add(1);
-      } else {
-        result = strategies_[pi]->plan(req);
-      }
-      plans_[pi] = std::move(result.plan);
+      plans_[pi] = strategies_[pi]->plan(req).plan;
       solve_s_ += plans_[pi].solve_time_s;
       ++allocations_;
     }
@@ -522,10 +506,7 @@ class Coordinator {
   std::vector<int> plan_shares_;         // one plan each
   std::vector<double> plan_fracs_;       // demand fraction that plan serves
   std::vector<std::size_t> shard_plan_;  // shard -> plan index
-  std::vector<FallbackRungs> rungs_;     // outlive chains_
   std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies_;
-  std::vector<std::unique_ptr<serving::PlanFallbackChain>> chains_;
-  obs::Counter c_plan_fallbacks_, c_plan_rejects_, c_plan_retained_;
   std::vector<serving::AllocationPlan> plans_;
   double solve_s_ = 0.0;
   int allocations_ = 0;
@@ -574,10 +555,10 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   // cluster are rejected here, before anything runs.
   const std::vector<fault::FaultPlan> faults =
       fault::split_by_shares(cfg.fault_plan, share);
+  check_run_level_knobs(cfg.system_cfg);
 
-  // Uncoordinated shards each own a strategy and fallback rungs sized for
-  // their slice; both must outlive the systems holding pointers to them.
-  std::vector<FallbackRungs> rungs(shards);
+  // Uncoordinated shards each own a planner sized for their slice; it must
+  // outlive the system holding a pointer to it.
   std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
   Systems systems;
   for (std::size_t s = 0; s < shards; ++s) {
@@ -585,9 +566,9 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
         shard_config(cfg, share, faults, s, &registry);
     serving::AllocationStrategy* strategy = nullptr;
     if (!coordinated) {
-      rungs[s].fill(scfg.fallback, scfg.allocator, &graph, profiles);
-      strategies.push_back(
-          make_strategy(cfg.system, scfg.allocator, &graph, profiles));
+      strategies.push_back(make_planner(cfg, scfg.allocator, graph, profiles,
+                                        registry,
+                                        scfg.metric_prefix + ".degrade"));
       strategy = strategies.back().get();
     }
     systems.push_back(std::make_unique<serving::ServingSystem>(

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/detector.hpp"
 #include "fault/plan.hpp"
 #include "obs/registry.hpp"
 #include "pipeline/graph.hpp"
@@ -94,21 +93,17 @@ struct ExperimentConfig {
   /// throw CheckFailure before the run starts. An empty plan arms nothing
   /// and is bit-identical to a run without the fault subsystem
   /// (injection-off passivity, differential-tested at K = 1 and K > 1).
+  /// Setting system_cfg.fault_plan instead is rejected; the detector and
+  /// tracing are set in system_cfg.detector and system_cfg.trace.
   fault::FaultPlan fault_plan;
-  /// Failure-detector configuration (phi-style heartbeat suspicion).
-  /// Disabled by default; enabling it turns on detection/quarantine/replan
-  /// even with an empty fault plan.
-  fault::DetectorConfig detector;
-  /// Observability (src/obs): per-request trace sampling forwarded to every
-  /// serving system (always-on by default; the registry itself is created
-  /// per run), and an optional path to CSV-export the final snapshot.
-  obs::TraceOptions obs_trace;
+  /// Optional path to CSV-export the run's final registry snapshot (the
+  /// registry itself is created per run; system_cfg.registry is rejected).
   std::string obs_csv_path;
-  /// SLO-tier policy (graceful degradation, ROADMAP item 4). Disabled by
-  /// default; forwarded to every serving system. With tiers disabled — or
-  /// enabled over all-tier-0 traffic — runs are bit-identical to the
-  /// untiered system (differential-tested sequential, sharded and
-  /// coordinated).
+  /// SLO-tier policy (graceful degradation, ROADMAP item 4), given to
+  /// every serving system; setting system_cfg.tiers instead is rejected.
+  /// Disabled by default. With tiers disabled — or enabled over all-tier-0
+  /// traffic — runs are bit-identical to the untiered system
+  /// (differential-tested sequential, sharded and coordinated).
   serving::TierPolicy tiers;
   /// Per-tier arrival mix, e.g. {0.2, 0.4, 0.4}: each arrival's tier is
   /// drawn from these weights on a dedicated RNG substream, in global
@@ -117,12 +112,13 @@ struct ExperimentConfig {
   /// tier-less experiments stay bit-identical (passivity).
   std::vector<double> tier_mix;
   std::uint64_t tier_seed = 99;
-  /// Control-plane fallback chain around every epoch plan(): MILP within
-  /// the deadline -> near-warm resolve -> greedy -> retain previous plan,
-  /// each gated by plan validation. Disabled by default. The rung-strategy
-  /// pointers may be left null: run_experiment then builds a near-warm MILP
-  /// and a greedy allocator per system (sized for its cluster slice) and
-  /// owns them for the run.
+  /// Control-plane fallback chain around every planner's plan(): the
+  /// strategy within the deadline -> near-warm MILP resolve -> greedy ->
+  /// retain previous plan, each gated by plan validation. Disabled by
+  /// default. Each planner (a shard's, or the coordinator's per share) is
+  /// wrapped in its own serving::PlanFallbackChain with rungs sized for its
+  /// cluster slice; outcomes count under serving.degrade.plan_* (per-shard
+  /// planners) or exp.coord.plan_* (the coordinator).
   serving::FallbackConfig fallback;
   /// Replay-driven arrivals: when non-empty, the experiment ignores the
   /// demand curve's arrival sampling (and tier_mix) and feeds the replay's

@@ -1,8 +1,11 @@
 #include "serving/degrade.hpp"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace loki::serving {
 
@@ -42,6 +45,55 @@ std::array<double, kNumTiers> tier_shed_probs(
     }
   }
   return probs;
+}
+
+TierPlane::TierPlane(const TierPolicy& policy, obs::Registry& registry,
+                     const std::string& prefix)
+    : armed_(policy.enabled),
+      remainder_priority_(policy.enabled && policy.remainder_priority) {
+  watermark_.fill(std::numeric_limits<double>::infinity());
+  if (!armed_) return;
+  watermark_ = policy.depth_watermark;
+  const std::string dp = prefix + ".degrade.";
+  c_admission_shed_ = registry.counter(dp + "admission_shed");
+  c_overload_shed_ = registry.counter(dp + "overload_shed");
+  c_remainder_rescued_ = registry.counter(dp + "remainder_rescued");
+  c_retries_ = registry.counter(dp + "retries");
+  c_retry_given_up_ = registry.counter(dp + "retry_given_up");
+}
+
+void TierPlane::refresh(double served_fraction, double shed_fraction) {
+  double total = 0.0;
+  for (double v : window_) total += v;
+  if (total > 0.0) {
+    std::array<double, kNumTiers> obs{};
+    for (std::size_t k = 0; k < obs.size(); ++k) obs[k] = window_[k] / total;
+    if (!shares_seeded_) {
+      // Seed from the first non-empty window exactly (no blend with the
+      // {1, 0, 0} prior): an all-tier-0 run keeps shares at exactly
+      // {1, 0, 0} forever, which the shed fills rely on for passivity.
+      shares_ = obs;
+      shares_seeded_ = true;
+    } else if (obs != shares_) {
+      for (std::size_t k = 0; k < obs.size(); ++k) {
+        shares_[k] =
+            kShareEwmaAlpha * obs[k] + (1.0 - kShareEwmaAlpha) * shares_[k];
+      }
+    }
+    window_.fill(0.0);
+  }
+  fill(served_fraction, shed_fraction);
+}
+
+void TierPlane::fill(double served_fraction, double shed_fraction) {
+  if (armed_) {
+    serve_ = tier_serve_probs(served_fraction, shares_);
+    shed_ = tier_shed_probs(shed_fraction, shares_);
+  } else {
+    // Untiered: every tier draws against the raw fractions.
+    serve_.fill(served_fraction);
+    shed_.fill(shed_fraction);
+  }
 }
 
 const char* validate_plan(const AllocationPlan& plan,
@@ -88,24 +140,45 @@ const char* validate_plan(const AllocationPlan& plan,
   return nullptr;
 }
 
-FallbackOutcome PlanFallbackChain::plan(const PlanRequest& req) {
+PlanFallbackChain::PlanFallbackChain(
+    std::unique_ptr<AllocationStrategy> primary,
+    std::unique_ptr<AllocationStrategy> near_warm,
+    std::unique_ptr<AllocationStrategy> greedy, double deadline_s,
+    const pipeline::PipelineGraph* graph, int cluster_size,
+    obs::Registry& registry, const std::string& prefix)
+    : rungs_{std::move(primary), std::move(near_warm), std::move(greedy)},
+      deadline_s_(deadline_s),
+      graph_(graph),
+      cluster_size_(cluster_size),
+      c_fallbacks_(registry.counter(prefix + ".plan_fallbacks")),
+      c_rejects_(registry.counter(prefix + ".plan_rejects")),
+      c_retained_(registry.counter(prefix + ".plan_retained")) {
+  LOKI_CHECK(rungs_[0] != nullptr && graph_ != nullptr);
+}
+
+PlanResult PlanFallbackChain::plan(const PlanRequest& req) {
+  FallbackOutcome out = walk(req);
+  c_fallbacks_.add(static_cast<std::uint64_t>(out.fallbacks));
+  c_rejects_.add(static_cast<std::uint64_t>(out.rejects));
+  if (out.retained_previous) c_retained_.add(1);
+  return std::move(out.result);
+}
+
+FallbackOutcome PlanFallbackChain::walk(const PlanRequest& req) {
   FallbackOutcome out;
   const int cap =
       effective_cluster_size(cluster_size_, req, graph_->num_tasks());
-  AllocationStrategy* rungs[3] = {primary_, cfg_.near_warm, cfg_.greedy};
   for (int r = 0; r < 3; ++r) {
-    if (rungs[r] == nullptr) continue;
-    PlanResult res = rungs[r]->plan(req);
+    if (rungs_[r] == nullptr) continue;
+    PlanResult res = rungs_[r]->plan(req);
     // The deadline gates the solver rungs; greedy (rung 2) always completes
     // within any sane epoch and is exempt so the chain cannot livelock on a
     // slow host.
-    if (r < 2 && cfg_.deadline_s > 0.0 &&
-        res.plan.solve_time_s > cfg_.deadline_s) {
+    if (r < 2 && deadline_s_ > 0.0 && res.plan.solve_time_s > deadline_s_) {
       ++out.fallbacks;
       continue;
     }
-    if (const char* reason = validate_plan(res.plan, *graph_, cap)) {
-      (void)reason;
+    if (validate_plan(res.plan, *graph_, cap) != nullptr) {
       ++out.rejects;
       ++out.fallbacks;
       continue;

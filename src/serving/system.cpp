@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "fault/injector.hpp"
 
 namespace loki::serving {
 
@@ -37,7 +36,9 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
       rng_mult_(Rng(cfg.seed).stream("mult")),
       rng_jitter_(Rng(cfg.seed).stream("jitter")),
       rng_shed_(Rng(cfg.seed).stream("shed")),
-      rng_fault_(Rng(cfg.seed).stream("fault")) {
+      tiers_(cfg.tiers,
+             cfg.registry != nullptr ? *cfg.registry : obs::Registry::global(),
+             cfg.metric_prefix) {
   // strategy_ may be nullptr for externally-planned systems (coordinated
   // sharding); start() / run_resource_manager() check it.
   LOKI_CHECK(sim_ && graph_);
@@ -55,58 +56,8 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
   c_stage_swap_ns_ =
       reg.counter(cfg_.metric_prefix + ".stage.swap_stall_ns");
 
-  // Fault subsystem: armed only when the config asks for it. When inert,
-  // nothing below registers metrics, sizes state, or draws randomness —
-  // default-configured systems stay bit-identical to a build without it.
-  fault_active_ = !cfg_.fault_plan.empty() || cfg_.detector.enabled;
-  if (fault_active_) {
-    cfg_.fault_plan.normalize();
-    fault::DetectorConfig dc = cfg_.detector;
-    dc.enabled = true;
-    if (dc.heartbeat_period_s <= 0.0) {
-      dc.heartbeat_period_s = cfg_.heartbeat_period_s;
-    }
-    detector_ = fault::FailureDetector(dc, cfg_.allocator.cluster_size);
-    const std::size_t n =
-        static_cast<std::size_t>(cfg_.allocator.cluster_size);
-    worker_quarantined_.assign(n, 0);
-    hb_suppressed_.assign(n, 0);
-    crash_time_.assign(n, -1.0);
-    dead_since_.assign(n, -1.0);
-    stranded_.resize(n);
-    const std::string fp = cfg_.metric_prefix + ".fault.";
-    c_fault_crashes_ = reg.counter(fp + "crashes");
-    c_fault_recoveries_ = reg.counter(fp + "recoveries");
-    c_fault_suspects_ = reg.counter(fp + "suspects");
-    c_fault_dead_ = reg.counter(fp + "dead");
-    c_fault_stranded_retried_ = reg.counter(fp + "stranded_retried");
-    c_fault_stranded_dropped_ = reg.counter(fp + "stranded_dropped");
-    c_fault_degraded_shed_ = reg.counter(fp + "degraded_shed");
-    c_fault_net_drops_ = reg.counter(fp + "net_drops");
-    c_fault_replans_ = reg.counter(fp + "replans");
-    c_fault_stale_heartbeats_ = reg.counter(fp + "stale_heartbeats");
-    h_fault_detect_ns_ = reg.histogram(fp + "detect_ns");
-    h_fault_recovery_ns_ = reg.histogram(fp + "recovery_ns");
-  }
-
-  // Graceful degradation: counters armed only when tiers or the fallback
-  // chain are enabled — default-configured systems register nothing, size
-  // nothing, and draw nothing extra (passivity, like the fault subsystem).
-  tiers_active_ = cfg_.tiers.enabled;
-  if (tiers_active_ || cfg_.fallback.enabled) {
-    const std::string dp = cfg_.metric_prefix + ".degrade.";
-    c_degrade_admission_shed_ = reg.counter(dp + "admission_shed");
-    c_degrade_overload_shed_ = reg.counter(dp + "overload_shed");
-    c_degrade_remainder_rescued_ = reg.counter(dp + "remainder_rescued");
-    c_degrade_retries_ = reg.counter(dp + "retries");
-    c_degrade_retry_given_up_ = reg.counter(dp + "retry_given_up");
-    c_degrade_plan_fallbacks_ = reg.counter(dp + "plan_fallbacks");
-    c_degrade_plan_rejects_ = reg.counter(dp + "plan_rejects");
-    c_degrade_plan_retained_ = reg.counter(dp + "plan_retained");
-  }
-  if (cfg_.fallback.enabled && strategy != nullptr) {
-    fallback_chain_ = std::make_unique<PlanFallbackChain>(
-        strategy, cfg_.fallback, graph, cfg_.allocator.cluster_size);
+  if (!cfg_.fault_plan.empty() || cfg_.detector.enabled) {
+    fault_ = std::make_unique<FaultPlane>(*this, reg);
   }
 
   mult_estimates_ = pipeline::default_mult_factors(*graph_);
@@ -149,7 +100,7 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
     w->set_tracer(&tracer_);
     // Strict tiers jump best-effort backlog at batch formation; with tiers
     // off (or single-tier traffic) the formation order is plain FIFO.
-    w->set_tier_priority(tiers_active_);
+    w->set_tier_priority(tiers_.armed());
     w->set_batch_done([this](cluster::Worker& wk,
                              std::vector<cluster::WorkItem>& items,
                              const cluster::Worker::BatchContext& ctx) {
@@ -198,8 +149,6 @@ void ServingSystem::attach_metadata_store(MetadataStore* store) {
   }
 }
 
-ServingSystem::~ServingSystem() = default;
-
 void ServingSystem::schedule_control_loops(bool with_rm) {
   // Periodic control loops. Self-rescheduling keeps periods exact.
   auto schedule_periodic = [this](double period, std::function<void()> fn) {
@@ -233,7 +182,7 @@ void ServingSystem::start() {
   started_ = true;
   run_resource_manager();  // initial allocation + routing
   schedule_control_loops(/*with_rm=*/true);
-  arm_configured_faults();
+  if (fault_ != nullptr) fault_->arm();
 }
 
 void ServingSystem::start_external() {
@@ -244,76 +193,42 @@ void ServingSystem::start_external() {
   // heartbeat loops still run so routing tracks the local demand estimate
   // and mult observations between plan pushes.
   schedule_control_loops(/*with_rm=*/false);
-  arm_configured_faults();
-}
-
-void ServingSystem::arm_configured_faults() {
-  if (cfg_.fault_plan.empty()) return;
-  fault::FaultHooks hooks;
-  hooks.crash = [this](int w) { inject_worker_crash(w); };
-  hooks.recover = [this](int w) { inject_worker_recover(w); };
-  hooks.straggler = [this](int w, double m) { inject_straggler(w, m); };
-  hooks.heartbeat_loss = [this](int w, bool lost) {
-    inject_heartbeat_loss(w, lost);
-  };
-  hooks.network = [this](double d, double p) {
-    inject_network_degrade(d, p);
-  };
-  fault::arm_fault_plan(sim_, cfg_.fault_plan, std::move(hooks));
+  if (fault_ != nullptr) fault_->arm();
 }
 
 void ServingSystem::install_plan(AllocationPlan plan) {
+  const double demand = plan.demand_qps;
+  commit_plan(std::move(plan), demand);
+}
+
+void ServingSystem::commit_plan(AllocationPlan plan, double demand) {
   const double now = sim_->now();
   has_plan_ = true;
-  last_alloc_demand_ = plan.demand_qps;
+  last_alloc_demand_ = demand;
   ++allocations_;
   if (metadata_) {
-    metadata_->record_demand(now, plan.demand_qps);
+    metadata_->record_demand(now, demand);
     metadata_->record_plan(now, plan);
     metadata_->record_mult_factors(mult_estimates_);
   }
   apply_plan(std::move(plan));
-  run_load_balancer();
+  run_load_balancer();  // LB runs on every allocation change (§5.1)
   metrics_.record_allocation(now, plan_.solve_time_s,
                              static_cast<int>(plan_.mode));
-  if (fault_active_) {
-    planned_fault_epoch_ = fault_epoch_;
-    update_degraded();
-  }
+  if (fault_ != nullptr) fault_->on_plan();
 }
 
 void ServingSystem::finish(double t_end) {
-  if (fault_active_) {
-    // Queries still stranded on a crashed worker at the end of the run are
-    // shed-by-failure now, so arrivals == completions + drops reconciles
-    // exactly (no query is silently lost with its worker).
-    for (auto& held : stranded_) {
-      for (const auto& item : held) {
-        c_fault_stranded_dropped_.add(1);
-        drop_query_part(item.query_id, t_end, LossCause::kWorkerFailure);
-      }
-      held.clear();
-    }
-  }
+  if (fault_ != nullptr) fault_->on_finish(t_end);
   stopped_ = true;
   metrics_.flush(t_end);
   publish_stage_counters();
 }
 
-int ServingSystem::active_workers() const {
-  int n = 0;
-  for (const auto& w : workers_) {
-    if (w->active()) ++n;
-  }
-  return n;
-}
-
 int ServingSystem::crashed_workers() const {
-  int n = 0;
-  for (const auto& w : workers_) {
-    if (w->crashed()) ++n;
-  }
-  return n;
+  return static_cast<int>(
+      std::count_if(workers_.begin(), workers_.end(),
+                    [](const auto& w) { return w->crashed(); }));
 }
 
 cluster::StageCounters ServingSystem::stage_counters() const {
@@ -345,7 +260,7 @@ void ServingSystem::publish_stage_counters() {
 
 double ServingSystem::comm_delay() {
   double d = cfg_.allocator.comm_latency_s;
-  if (fault_active_ && net_extra_delay_s_ > 0.0) d += net_extra_delay_s_;
+  if (fault_ != nullptr) d += fault_->extra_delay_s();
   if (cfg_.comm_jitter_frac > 0.0) {
     d = std::max(0.0, rng_jitter_.normal(d, d * cfg_.comm_jitter_frac));
   }
@@ -385,74 +300,43 @@ void ServingSystem::rebuild_budget_lut() {
 // Frontend
 // ---------------------------------------------------------------------------
 
-void ServingSystem::submit() { submit(/*tier=*/0); }
-
 void ServingSystem::submit(int tier) {
-  if (tier < 0) tier = 0;
-  if (tier >= kNumTiers) tier = kNumTiers - 1;
+  tier = std::clamp(tier, 0, kNumTiers - 1);
   const double now = sim_->now();
   const bool metered = now >= cfg_.metrics_warmup_s;
   if (metered) metrics_.record_arrival(now, tier);
   demand_.record_arrival(now);
   task_window_arrivals_[static_cast<std::size_t>(root_task_)] += 1.0;
-  if (tiers_active_) {
-    tier_window_arrivals_[static_cast<std::size_t>(tier)] += 1.0;
-  }
+  tiers_.record_arrival(tier);
+  const auto shed = [&](LossCause cause) {
+    if (metered) {
+      metrics_.record_outcome(now, QueryOutcome::kShed, 0.0, 0.0, cause, tier);
+    }
+  };
 
-  // Degraded overload mode (fault subsystem): dead capacity the plan has
-  // not yet been rebuilt around — shed the lost-capacity fraction at the
+  // Degraded overload mode (fault plane): dead capacity the plan has not
+  // yet been rebuilt around — shed the lost-capacity fraction at the
   // frontend so the surviving workers keep meeting their latency budgets
   // instead of queueing everything into SLO violations. With tiers the
-  // fraction is filled lowest-tier-first (single-tier traffic draws the
-  // exact untiered probability — see tier_shed_probs).
-  if (fault_active_ && degraded_ &&
-      rng_fault_.bernoulli(tiers_active_
-                               ? tier_degraded_shed_[static_cast<std::size_t>(
-                                     tier)]
-                               : degraded_shed_frac_)) {
-    c_fault_degraded_shed_.add(1);
-    if (metered) {
-      metrics_.record_outcome(now, QueryOutcome::kShed, 0.0, 0.0,
-                              LossCause::kDegradedOverload, tier);
-    }
-    return;
+  // fraction is filled lowest-tier-first (see tier_shed_probs).
+  if (fault_ != nullptr && fault_->sheds_degraded(tiers_.shed_fill(tier))) {
+    return shed(LossCause::kDegradedOverload);
   }
-
   // Priority-aware admission control: a tier whose in-flight depth reached
   // its watermark sheds the new arrival (the newest arrival carries the
   // latest deadline of its tier, so admission-time shedding IS latest-
-  // deadline-first within the tier). Deterministic — no RNG drawn.
-  if (tiers_active_) {
-    const double cap =
-        cfg_.tiers.depth_watermark[static_cast<std::size_t>(tier)] *
-        static_cast<double>(std::max(1, plan_.servers_used));
-    if (static_cast<double>(tier_inflight_[static_cast<std::size_t>(tier)]) >=
-        cap) {
-      c_degrade_admission_shed_.add(1);
-      if (metered) {
-        metrics_.record_outcome(now, QueryOutcome::kShed, 0.0, 0.0,
-                                LossCause::kCapacity, tier);
-      }
-      return;
-    }
+  // deadline-first within the tier). Untiered, the watermark is unbounded.
+  if (!tiers_.admit(tier, plan_.servers_used)) {
+    return shed(LossCause::kCapacity);
   }
-
   // Overload shedding: the plan serves only served_fraction of demand.
-  // Tiered serving grants the fraction highest-tier-first; the single draw
-  // against the tier's serve probability keeps the RNG stream in lockstep
-  // with the untiered comparison.
-  if (plan_.served_fraction < 1.0) {
-    const double serve_p =
-        tiers_active_ ? tier_serve_probs_[static_cast<std::size_t>(tier)]
-                      : plan_.served_fraction;
-    if (rng_shed_.uniform() > serve_p) {
-      if (tiers_active_) c_degrade_overload_shed_.add(1);
-      if (metered) {
-        metrics_.record_outcome(now, QueryOutcome::kShed, 0.0, 0.0,
-                                LossCause::kCapacity, tier);
-      }
-      return;
-    }
+  // Tiered serving grants the fraction highest-tier-first; untiered, every
+  // tier's fill is the served fraction itself, so the single draw keeps the
+  // RNG stream in lockstep either way.
+  if (plan_.served_fraction < 1.0 &&
+      rng_shed_.uniform() > tiers_.serve_fill(tier)) {
+    tiers_.count_overload_shed();
+    return shed(LossCause::kCapacity);
   }
 
   const int group = pick_group(routing_.frontend_table());
@@ -462,20 +346,12 @@ void ServingSystem::submit(int tier) {
     // strict-tier arrival is force-routed instead — forward_item with no
     // group falls through to the least-loaded worker of the frontend task
     // (a bounded overcommit), and only sheds if no such worker exists.
-    const bool rescue = tiers_active_ && cfg_.tiers.remainder_priority &&
-                        tier == 0 &&
-                        pick_worker_for_task(root_task_) >= 0;
-    if (!rescue) {
-      if (metered) {
-        metrics_.record_outcome(now, QueryOutcome::kShed, 0.0, 0.0,
-                                any_worker_crashed()
-                                    ? LossCause::kWorkerFailure
-                                    : LossCause::kCapacity,
-                                tier);
-      }
-      return;
+    if (!tiers_.rescues_remainder(tier) ||
+        pick_worker_for_task(root_task_) < 0) {
+      return shed(any_worker_crashed() ? LossCause::kWorkerFailure
+                                       : LossCause::kCapacity);
     }
-    c_degrade_remainder_rescued_.add(1);
+    tiers_.count_remainder_rescue();
   }
   const std::uint64_t qid = queries_.emplace();
   QueryState& qs = queries_.get(qid);
@@ -484,7 +360,7 @@ void ServingSystem::submit(int tier) {
   qs.outstanding = 1;
   qs.metered = metered;
   qs.tier = tier;
-  ++tier_inflight_[static_cast<std::size_t>(tier)];
+  tiers_.on_admit(tier);
   c_admitted_.add(1);
   tracer_.on_admit(qid, now);
 
@@ -504,80 +380,69 @@ int ServingSystem::pick_group(const RoutingPlan::DrawTable& table) {
   return table.pick(rng_routing_.uniform());
 }
 
-int ServingSystem::scan_group(int group, bool skip_quarantined) const {
-  if (group < 0 || group >= static_cast<int>(group_workers_.size())) return -1;
-  // Least-loaded replica over the packed load cells; workers mid model-swap
-  // only as a last resort (their queue stalls for the whole load time).
-  // Tie-breaks (first minimum in group order) match the old per-Worker scan.
-  int best = -1;
-  std::uint32_t best_load = cluster::Worker::kLoadCellInactive;
-  int best_loading = -1;
-  std::uint32_t best_loading_load = cluster::Worker::kLoadCellInactive;
-  for (int wid : group_workers_[static_cast<std::size_t>(group)]) {
-    if (skip_quarantined &&
-        worker_quarantined_[static_cast<std::size_t>(wid)]) {
-      continue;
-    }
-    const std::uint32_t cell = worker_load_[static_cast<std::size_t>(wid)];
-    if (cell == cluster::Worker::kLoadCellInactive) continue;
+namespace {
+
+/// Least-loaded pick over packed load cells: the first minimum among ready
+/// workers, else among workers mid model-swap (a last resort — their queue
+/// stalls for the whole load time).
+struct LeastLoaded {
+  int ready = -1, loading = -1;
+  std::uint32_t ready_load = cluster::Worker::kLoadCellInactive;
+  std::uint32_t loading_load = cluster::Worker::kLoadCellInactive;
+
+  void offer(int wid, std::uint32_t cell) {
+    if (cell == cluster::Worker::kLoadCellInactive) return;
     if (cell & cluster::Worker::kLoadCellLoadingBit) {
       const std::uint32_t l = cell & ~cluster::Worker::kLoadCellLoadingBit;
-      if (l < best_loading_load) {
-        best_loading_load = l;
-        best_loading = wid;
+      if (l < loading_load) {
+        loading_load = l;
+        loading = wid;
       }
-    } else if (cell < best_load) {
-      best_load = cell;
-      best = wid;
+    } else if (cell < ready_load) {
+      ready_load = cell;
+      ready = wid;
     }
   }
-  return best >= 0 ? best : best_loading;
+  int pick() const { return ready >= 0 ? ready : loading; }
+};
+
+}  // namespace
+
+int ServingSystem::scan_group(int group, const char* skip) const {
+  if (group < 0 || group >= static_cast<int>(group_workers_.size())) return -1;
+  LeastLoaded best;
+  for (int wid : group_workers_[static_cast<std::size_t>(group)]) {
+    if (skip != nullptr && skip[wid]) continue;
+    best.offer(wid, worker_load_[static_cast<std::size_t>(wid)]);
+  }
+  return best.pick();
 }
 
 int ServingSystem::pick_worker(int group) const {
-  // Quarantine (fault subsystem): suspects take no new work; when an entire
-  // group is quarantined, fall back to whatever is alive rather than drop.
-  const int wid = scan_group(group, /*skip_quarantined=*/fault_active_);
-  if (wid >= 0 || !fault_active_) return wid;
-  return scan_group(group, /*skip_quarantined=*/false);
+  if (fault_ == nullptr) return scan_group(group, nullptr);
+  // Quarantine: suspects take no new work; when an entire group is
+  // quarantined, fall back to whatever is alive rather than drop.
+  const int wid = scan_group(group, fault_->quarantined());
+  return wid >= 0 ? wid : scan_group(group, nullptr);
 }
 
-int ServingSystem::scan_task(int task, bool skip_quarantined) const {
-  int best = -1;
-  std::uint32_t best_load = cluster::Worker::kLoadCellInactive;
-  int best_loading = -1;
-  std::uint32_t best_loading_load = cluster::Worker::kLoadCellInactive;
+int ServingSystem::scan_task(int task, const char* skip) const {
+  LeastLoaded best;
   for (std::size_t wid = 0; wid < worker_load_.size(); ++wid) {
-    if (worker_task_[wid] != task) continue;
-    if (skip_quarantined && worker_quarantined_[wid]) continue;
-    const std::uint32_t cell = worker_load_[wid];
-    if (cell == cluster::Worker::kLoadCellInactive) continue;
-    if (cell & cluster::Worker::kLoadCellLoadingBit) {
-      const std::uint32_t l = cell & ~cluster::Worker::kLoadCellLoadingBit;
-      if (l < best_loading_load) {
-        best_loading_load = l;
-        best_loading = static_cast<int>(wid);
-      }
-    } else if (cell < best_load) {
-      best_load = cell;
-      best = static_cast<int>(wid);
-    }
+    if (worker_task_[wid] != task || (skip != nullptr && skip[wid])) continue;
+    best.offer(static_cast<int>(wid), worker_load_[wid]);
   }
-  return best >= 0 ? best : best_loading;
+  return best.pick();
 }
 
 int ServingSystem::pick_worker_for_task(int task) const {
-  const int wid = scan_task(task, /*skip_quarantined=*/fault_active_);
-  if (wid >= 0 || !fault_active_) return wid;
-  return scan_task(task, /*skip_quarantined=*/false);
+  if (fault_ == nullptr) return scan_task(task, nullptr);
+  const int wid = scan_task(task, fault_->quarantined());
+  return wid >= 0 ? wid : scan_task(task, nullptr);
 }
 
 bool ServingSystem::any_worker_crashed() const {
-  if (!fault_active_) return false;
-  for (const auto& w : workers_) {
-    if (w->crashed()) return true;
-  }
-  return false;
+  return fault_ != nullptr && crashed_workers() > 0;
 }
 
 void ServingSystem::forward_item(cluster::WorkItem item, int group) {
@@ -594,9 +459,7 @@ void ServingSystem::forward_item(cluster::WorkItem item, int group) {
     return;
   }
   // Network fault injection: degraded links drop forwards outright.
-  if (fault_active_ && net_drop_prob_ > 0.0 &&
-      rng_fault_.bernoulli(net_drop_prob_)) {
-    c_fault_net_drops_.add(1);
+  if (fault_ != nullptr && fault_->drops_forward()) {
     drop_query_part(item.query_id, sim_->now(), LossCause::kWorkerFailure);
     return;
   }
@@ -644,6 +507,22 @@ void ServingSystem::on_dropped_items(cluster::Worker& /*w*/,
   const double now = sim_->now();
   for (const auto& item : items) drop_query_part(item.query_id, now);
 }
+
+namespace {
+
+/// The part of `parent`'s query that continues at `child`.
+cluster::WorkItem child_item(const cluster::WorkItem& parent, int child) {
+  cluster::WorkItem next;
+  next.query_id = parent.query_id;
+  next.task = child;
+  next.deadline = parent.deadline;
+  next.accuracy_so_far = parent.accuracy_so_far;
+  next.debt_s = parent.debt_s;
+  next.tier = parent.tier;
+  return next;
+}
+
+}  // namespace
 
 void ServingSystem::on_batch_done(cluster::Worker& w,
                                   std::vector<cluster::WorkItem>& items,
@@ -725,13 +604,7 @@ void ServingSystem::on_batch_done(cluster::Worker& w,
           // No table (stale plan): any worker of the child task.
           const int alt = pick_worker_for_task(child);
           if (alt >= 0) {
-            cluster::WorkItem next;
-            next.query_id = item.query_id;
-            next.task = child;
-            next.deadline = item.deadline;
-            next.accuracy_so_far = item.accuracy_so_far;
-            next.debt_s = item.debt_s;
-            next.tier = item.tier;
+            cluster::WorkItem next = child_item(item, child);
             metrics_.record_forwards(1);
             qstate->outstanding += 1;
             const double delay = comm_delay();
@@ -803,15 +676,8 @@ void ServingSystem::on_batch_done(cluster::Worker& w,
     // Commit the forwards.
     metrics_.record_forwards(scratch_forwards_.size());
     for (const auto& f : scratch_forwards_) {
-      cluster::WorkItem next;
-      next.query_id = item.query_id;
-      next.task = f.child_task;
-      next.deadline = item.deadline;
-      next.accuracy_so_far = item.accuracy_so_far;
-      next.debt_s = item.debt_s;
-      next.tier = item.tier;
       qstate->outstanding += 1;
-      forward_item(next, f.group);
+      forward_item(child_item(item, f.child_task), f.group);
     }
     complete_part(item.query_id, now);
   }
@@ -838,7 +704,7 @@ void ServingSystem::complete_part(std::uint64_t query_id, double now) {
   // not) so record slots recycle in lockstep with pool slots.
   tracer_.on_complete(query_id, now, qs.dropped);
 
-  --tier_inflight_[static_cast<std::size_t>(qs.tier)];
+  tiers_.on_finalize(qs.tier);
   const double latency = now - qs.arrival;
   if (!qs.metered) {
     queries_.erase(query_id);
@@ -911,93 +777,21 @@ void ServingSystem::run_resource_manager(bool force) {
   req.sim_time_s = now;
   req.epoch = allocations_;
   req.previous_plan = has_plan_ ? &plan_ : nullptr;
-  if (fault_active_) {
+  if (fault_ != nullptr) {
     req.available_workers =
-        cfg_.allocator.cluster_size - detector_.dead_count();
+        cfg_.allocator.cluster_size - fault_->dead_workers();
   }
-  PlanResult result;
-  if (fallback_chain_ != nullptr) {
-    // Deadline-enforced fallback chain (graceful degradation): a slow or
-    // invalid solve degrades plan quality rung by rung but never stalls
-    // the epoch loop or installs a corrupt plan.
-    FallbackOutcome fo = fallback_chain_->plan(req);
-    result = std::move(fo.result);
-    last_plan_rung_ = fo.rung;
-    if (fo.fallbacks > 0) {
-      plan_fallbacks_ += static_cast<std::uint64_t>(fo.fallbacks);
-      c_degrade_plan_fallbacks_.add(static_cast<std::uint64_t>(fo.fallbacks));
-    }
-    if (fo.rejects > 0) {
-      plan_rejects_ += static_cast<std::uint64_t>(fo.rejects);
-      c_degrade_plan_rejects_.add(static_cast<std::uint64_t>(fo.rejects));
-    }
-    if (fo.retained_previous) {
-      ++plans_retained_;
-      c_degrade_plan_retained_.add(1);
-    }
-  } else {
-    result = strategy_->plan(req);
-  }
-  AllocationPlan plan = std::move(result.plan);
-  has_plan_ = true;
-  last_alloc_demand_ = demand;
-  if (metadata_) {
-    metadata_->record_demand(now, demand);
-    metadata_->record_plan(now, plan);
-    metadata_->record_mult_factors(mult_estimates_);
-  }
+  AllocationPlan plan = strategy_->plan(req).plan;
   total_solve_time_s_ += plan.solve_time_s;
-  ++allocations_;
-  apply_plan(std::move(plan));
-  run_load_balancer();  // LB runs on every allocation change (§5.1)
-  metrics_.record_allocation(now, plan_.solve_time_s,
-                             static_cast<int>(plan_.mode));
-  if (fault_active_) {
-    planned_fault_epoch_ = fault_epoch_;
-    update_degraded();
-  }
+  commit_plan(std::move(plan), demand);
 }
 
 void ServingSystem::run_load_balancer() {
   const double now = sim_->now();
   routing_ =
       lb_.most_accurate_first(plan_, demand_.estimate(now), mult_estimates_);
-  refresh_tier_shares();
-}
-
-void ServingSystem::refresh_tier_shares() {
-  if (!tiers_active_) return;
-  double total = 0.0;
-  for (double v : tier_window_arrivals_) total += v;
-  if (total > 0.0) {
-    std::array<double, kNumTiers> obs{};
-    for (int k = 0; k < kNumTiers; ++k) {
-      obs[static_cast<std::size_t>(k)] =
-          tier_window_arrivals_[static_cast<std::size_t>(k)] / total;
-    }
-    if (!tier_shares_seeded_) {
-      // Seed from the first non-empty window exactly (no blend with the
-      // {1, 0, 0} prior): an all-tier-0 run keeps shares at exactly
-      // {1, 0, 0} forever, which the shed fills rely on for passivity.
-      tier_shares_ = obs;
-      tier_shares_seeded_ = true;
-    } else if (obs != tier_shares_) {
-      const double a = cfg_.tiers.share_ewma_alpha;
-      for (int k = 0; k < kNumTiers; ++k) {
-        tier_shares_[static_cast<std::size_t>(k)] =
-            a * obs[static_cast<std::size_t>(k)] +
-            (1.0 - a) * tier_shares_[static_cast<std::size_t>(k)];
-      }
-    }
-    tier_window_arrivals_.fill(0.0);
-  }
-  recompute_tier_probs();
-}
-
-void ServingSystem::recompute_tier_probs() {
-  if (!tiers_active_) return;
-  tier_serve_probs_ = tier_serve_probs(plan_.served_fraction, tier_shares_);
-  tier_degraded_shed_ = tier_shed_probs(degraded_shed_frac_, tier_shares_);
+  tiers_.refresh(plan_.served_fraction,
+                 fault_ != nullptr ? fault_->shed_fraction() : 0.0);
 }
 
 void ServingSystem::run_heartbeat() {
@@ -1026,9 +820,9 @@ void ServingSystem::run_heartbeat() {
   publish_stage_counters();
 
   // Failure detection runs on the heartbeat cadence for internal *and*
-  // externally-planned systems (the coordinator polls
-  // fault_replan_pending() at its barriers; detection itself is local).
-  if (fault_active_) run_failure_detection(now);
+  // externally-planned systems (the coordinator polls the plane's
+  // replan_pending() at its barriers; detection itself is local).
+  if (fault_ != nullptr) fault_->on_heartbeat(now);
 
   // §4.2: the Resource Manager reallocates between periodic invocations
   // when it detects a significant demand change (e.g. cold start or a
@@ -1222,234 +1016,6 @@ void ServingSystem::redistribute(std::vector<cluster::WorkItem>&& items) {
     }
     item.enqueue_time = now;
     workers_[static_cast<std::size_t>(wid)]->enqueue(item);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fault subsystem
-// ---------------------------------------------------------------------------
-
-namespace {
-std::uint64_t fault_ns(double seconds) {
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
-}
-}  // namespace
-
-void ServingSystem::inject_worker_crash(int worker) {
-  LOKI_CHECK_MSG(fault_active_, "fault injection on an inert system");
-  LOKI_CHECK(worker >= 0 && worker < static_cast<int>(workers_.size()));
-  const std::size_t wi = static_cast<std::size_t>(worker);
-  auto& w = *workers_[wi];
-  if (w.crashed()) return;
-  const double now = sim_->now();
-  c_fault_crashes_.add(1);
-  crash_time_[wi] = now;
-  // Stranded items are *held*, not retried immediately: the controller does
-  // not know about the crash until the detector declares the worker dead.
-  std::vector<cluster::WorkItem> lost = w.crash();
-  auto& held = stranded_[wi];
-  held.insert(held.end(), lost.begin(), lost.end());
-  worker_task_[wi] = -1;
-}
-
-void ServingSystem::inject_worker_recover(int worker) {
-  LOKI_CHECK_MSG(fault_active_, "fault injection on an inert system");
-  LOKI_CHECK(worker >= 0 && worker < static_cast<int>(workers_.size()));
-  const std::size_t wi = static_cast<std::size_t>(worker);
-  auto& w = *workers_[wi];
-  if (!w.crashed()) return;
-  const double now = sim_->now();
-  c_fault_recoveries_.add(1);
-  w.recover();
-  // Anything still stranded (the worker came back before the detector
-  // declared it dead) is retried or shed now.
-  resolve_stranded(worker, now);
-  if (dead_since_[wi] < 0.0) {
-    // Never declared dead: no detector transition will restore placement,
-    // so trigger the re-plan directly. The detector catches up at the next
-    // heartbeat via the bumped incarnation.
-    crash_time_[wi] = -1.0;
-    ++fault_epoch_;
-    update_degraded();
-    if (!external_ && strategy_ != nullptr) {
-      c_fault_replans_.add(1);
-      run_resource_manager(/*force=*/true);
-    }
-  }
-  // Declared-dead workers re-plan on the dead -> alive transition instead
-  // (next accepted heartbeat report), which also records recovery time.
-}
-
-void ServingSystem::inject_straggler(int worker, double mult) {
-  LOKI_CHECK_MSG(fault_active_, "fault injection on an inert system");
-  LOKI_CHECK(worker >= 0 && worker < static_cast<int>(workers_.size()));
-  auto& w = *workers_[static_cast<std::size_t>(worker)];
-  if (w.crashed()) return;  // crash already reset the multiplier
-  w.set_exec_multiplier(mult);
-}
-
-void ServingSystem::inject_heartbeat_loss(int worker, bool lost) {
-  LOKI_CHECK_MSG(fault_active_, "fault injection on an inert system");
-  LOKI_CHECK(worker >= 0 && worker < static_cast<int>(workers_.size()));
-  hb_suppressed_[static_cast<std::size_t>(worker)] = lost ? 1 : 0;
-}
-
-void ServingSystem::inject_network_degrade(double extra_delay_s,
-                                           double drop_prob) {
-  LOKI_CHECK_MSG(fault_active_, "fault injection on an inert system");
-  LOKI_CHECK(extra_delay_s >= 0.0 && drop_prob >= 0.0 && drop_prob < 1.0);
-  net_extra_delay_s_ = extra_delay_s;
-  net_drop_prob_ = drop_prob;
-}
-
-void ServingSystem::update_degraded() {
-  const int dead = detector_.dead_count();
-  degraded_ = dead > 0 && fault_epoch_ != planned_fault_epoch_;
-  degraded_shed_frac_ =
-      degraded_ ? std::min(0.9, static_cast<double>(dead) /
-                                    std::max(1.0, static_cast<double>(
-                                                      plan_.servers_used)))
-                : 0.0;
-  recompute_tier_probs();
-}
-
-void ServingSystem::resolve_stranded(int worker, double now) {
-  auto& held = stranded_[static_cast<std::size_t>(worker)];
-  if (held.empty()) return;
-  std::vector<cluster::WorkItem> items;
-  items.swap(held);
-  if (!tiers_active_) {
-    for (auto& item : items) {
-      // Bounded retry-with-deadline: re-dispatch while the end-to-end
-      // deadline still stands and the item has retries left; otherwise the
-      // query is shed-by-failure.
-      if (now <= item.deadline && item.retries < cfg_.fault_max_retries) {
-        const int alt = pick_worker_for_task(item.task);
-        if (alt >= 0) {
-          ++item.retries;
-          c_fault_stranded_retried_.add(1);
-          item.enqueue_time = now;
-          workers_[static_cast<std::size_t>(alt)]->enqueue(item);
-          continue;
-        }
-      }
-      c_fault_stranded_dropped_.add(1);
-      drop_query_part(item.query_id, now, LossCause::kWorkerFailure);
-    }
-    return;
-  }
-
-  // Tiered stranded recovery: strict tiers re-dispatch first (earliest
-  // deadline first within a tier — the resources freed by giving up on
-  // hopeless best-effort items go to strict ones), and the fixed
-  // immediate-retry budget becomes deterministic exponential backoff:
-  // attempt r waits retry_backoff_s * 2^r, and is only worth dispatching
-  // if it can still land with the tier's deadline headroom to spare.
-  std::stable_sort(items.begin(), items.end(),
-                   [](const cluster::WorkItem& a, const cluster::WorkItem& b) {
-                     if (a.tier != b.tier) return a.tier < b.tier;
-                     return a.deadline < b.deadline;
-                   });
-  for (auto& item : items) {
-    const int tier =
-        item.tier < 0 ? 0 : (item.tier >= kNumTiers ? kNumTiers - 1
-                                                    : item.tier);
-    const int shift = item.retries < 30 ? item.retries : 30;
-    const double delay =
-        cfg_.tiers.retry_backoff_s * static_cast<double>(1u << shift);
-    const double headroom =
-        cfg_.tiers.headroom_frac[static_cast<std::size_t>(tier)] *
-        cfg_.allocator.slo_s;
-    if (item.retries < cfg_.tiers.max_retries &&
-        now + delay + headroom <= item.deadline) {
-      ++item.retries;
-      c_fault_stranded_retried_.add(1);
-      c_degrade_retries_.add(1);
-      cluster::WorkItem copy = item;
-      sim_->schedule_after(delay, [this, copy]() mutable {
-        const double t = sim_->now();
-        const int alt = stopped_ ? -1 : pick_worker_for_task(copy.task);
-        if (alt < 0) {
-          // Run over, or still nowhere to go: shed-by-failure so the
-          // per-tier accounting reconciles exactly.
-          c_fault_stranded_dropped_.add(1);
-          c_degrade_retry_given_up_.add(1);
-          drop_query_part(copy.query_id, t, LossCause::kWorkerFailure);
-          return;
-        }
-        copy.enqueue_time = t;
-        workers_[static_cast<std::size_t>(alt)]->enqueue(copy);
-      });
-      continue;
-    }
-    c_fault_stranded_dropped_.add(1);
-    c_degrade_retry_given_up_.add(1);
-    drop_query_part(item.query_id, now, LossCause::kWorkerFailure);
-  }
-}
-
-void ServingSystem::run_failure_detection(double now) {
-  // Heartbeat reports from live, non-suppressed workers. Crashed workers
-  // stop reporting (that *is* the failure signal); heartbeat-loss injection
-  // suppresses reports while the worker keeps serving (false-positive
-  // material — the quarantine costs capacity until the reports resume).
-  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    auto& w = *workers_[wi];
-    if (w.crashed() || hb_suppressed_[wi]) continue;
-    if (detector_.report(static_cast<int>(wi), w.incarnation(), now) ==
-        fault::FailureDetector::ReportResult::kStale) {
-      c_fault_stale_heartbeats_.add(1);
-    }
-  }
-  detector_.evaluate(now);
-
-  bool dead_set_changed = false;
-  for (const auto& tr : detector_.drain_transitions()) {
-    const std::size_t wi = static_cast<std::size_t>(tr.worker);
-    if (metadata_ != nullptr) {
-      metadata_->record_worker_event(tr.t, tr.worker, tr.incarnation,
-                                     tr.from, tr.to);
-    }
-    switch (tr.to) {
-      case fault::WorkerHealth::kSuspect:
-        c_fault_suspects_.add(1);
-        worker_quarantined_[wi] = 1;
-        break;
-      case fault::WorkerHealth::kDead:
-        c_fault_dead_.add(1);
-        worker_quarantined_[wi] = 1;
-        dead_since_[wi] = now;
-        if (crash_time_[wi] >= 0.0) {
-          h_fault_detect_ns_.add(fault_ns(now - crash_time_[wi]));
-        }
-        // The controller now *knows*: retry/shed whatever was stranded.
-        resolve_stranded(tr.worker, now);
-        dead_set_changed = true;
-        break;
-      case fault::WorkerHealth::kAlive:
-        worker_quarantined_[wi] = 0;
-        if (tr.from == fault::WorkerHealth::kDead) {
-          if (crash_time_[wi] >= 0.0) {
-            h_fault_recovery_ns_.add(fault_ns(now - crash_time_[wi]));
-            crash_time_[wi] = -1.0;
-          }
-          dead_since_[wi] = -1.0;
-          dead_set_changed = true;
-        }
-        break;
-    }
-  }
-
-  if (dead_set_changed) {
-    ++fault_epoch_;
-    update_degraded();
-    // Event-driven re-planning over the surviving worker set. Externally-
-    // planned systems surface the pending epoch to their coordinator via
-    // fault_replan_pending() instead.
-    if (!external_ && strategy_ != nullptr) {
-      c_fault_replans_.add(1);
-      run_resource_manager(/*force=*/true);
-    }
   }
 }
 

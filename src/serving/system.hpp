@@ -14,6 +14,14 @@
 // injected (MilpAllocator, baselines::InferLineStrategy,
 // baselines::ProteusStrategy).
 //
+// This class is the serving core; optional planes plug into it instead of
+// branching through it. The FaultPlane (serving/fault_plane.hpp) exists only
+// when armed — fault() is nullptr otherwise. The TierPlane
+// (serving/degrade.hpp) is always present; unarmed, it fills every tier with
+// the untiered fractions and never sheds at admission, so the frontend reads
+// it with no tiers-on branch. The plan fallback chain is a strategy
+// decorator (PlanFallbackChain) wrapped around the injected strategy.
+//
 // Hot-path discipline (per arrival / per forwarded item): routing draws go
 // through RoutingPlan::DrawTable (flat cumulative thresholds, branchless
 // binary search — bit-identical to the linear scan); replica selection scans
@@ -33,12 +41,13 @@
 #include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "fault/detector.hpp"
-#include "serving/degrade.hpp"
 #include "fault/plan.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/graph.hpp"
 #include "serving/allocation.hpp"
+#include "serving/degrade.hpp"
+#include "serving/fault_plane.hpp"
 #include "serving/load_balancer.hpp"
 #include "serving/metadata_store.hpp"
 #include "serving/metrics.hpp"
@@ -102,25 +111,14 @@ struct SystemConfig {
   obs::Registry* registry = nullptr;
   std::string metric_prefix = "serving";
   obs::TraceOptions trace;
-  /// Fault injection schedule (src/fault). An *empty* plan with the detector
-  /// disabled keeps the whole fault subsystem inert: no counters registered,
-  /// no RNG drawn, no events armed — differential-tested bit-identical to a
-  /// build without it. A non-empty plan auto-enables the failure detector.
+  /// Fault injection schedule (src/fault) and heartbeat failure detection.
+  /// A non-empty plan or detector.enabled arms the FaultPlane; otherwise
+  /// there is none (differential-tested bit-identical).
   fault::FaultPlan fault_plan;
-  /// Heartbeat-timeout failure detection (phi thresholds / report period).
-  /// detector.enabled turns the subsystem on even with an empty plan (e.g.
-  /// when faults are injected via the inject_* entry points directly).
   fault::DetectorConfig detector;
-  /// Bounded retry for queries stranded on a dead worker: re-dispatched at
-  /// detection time while their deadline still stands and they have retries
-  /// left; shed-by-failure otherwise. When tiers are enabled the TierPolicy
-  /// backoff schedule replaces this fixed budget.
-  int fault_max_retries = 2;
-  /// Graceful degradation (src/serving/degrade.hpp). Tiers off keeps the
-  /// data plane bit-identical to the untiered system; fallback off keeps
-  /// plan() a direct strategy call. Differential-tested inert.
+  /// SLO tiers (serving/degrade.hpp). Off keeps the data plane bit-identical
+  /// to the untiered system (differential-tested).
   TierPolicy tiers;
-  FallbackConfig fallback;
 };
 
 class ServingSystem {
@@ -132,7 +130,6 @@ class ServingSystem {
   ServingSystem(sim::Simulation* sim, const pipeline::PipelineGraph* graph,
                 ProfileTable profiles, AllocationStrategy* strategy,
                 SystemConfig cfg);
-  ~ServingSystem();
 
   ServingSystem(const ServingSystem&) = delete;
   ServingSystem& operator=(const ServingSystem&) = delete;
@@ -156,7 +153,7 @@ class ServingSystem {
 
   /// Client query arriving now (drives one end-to-end pipeline execution).
   /// Equivalent to submit(0): untiered callers produce strict-tier traffic.
-  void submit();
+  void submit() { submit(/*tier=*/0); }
   /// Tiered submission (0 = strict, 1 = standard, 2 = best-effort; clamped).
   /// With cfg.tiers.enabled this runs priority-aware admission control and
   /// shedding; otherwise the tier only labels the per-tier accounting.
@@ -172,12 +169,9 @@ class ServingSystem {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const AllocationPlan& current_plan() const { return plan_; }
-  const RoutingPlan& current_routing() const { return routing_; }
   const pipeline::MultFactorTable& mult_estimates() const {
     return mult_estimates_;
   }
-  /// Workers currently hosting an instance.
-  int active_workers() const;
   /// Total allocation-solve wall time spent so far (RM overhead, §6.5).
   double total_solve_time_s() const { return total_solve_time_s_; }
   int allocations_performed() const { return allocations_; }
@@ -199,61 +193,15 @@ class ServingSystem {
   /// registry (<prefix>.stage.*) at every heartbeat and at finish().
   cluster::StageCounters stage_counters() const;
 
-  /// The sampled per-request tracer (for tests and coordinators).
-  const obs::QueryTracer& tracer() const { return tracer_; }
-
-  // --- Fault subsystem (src/fault) -------------------------------------
-  // Entry points invoked by the armed FaultPlan; tests and chaos drivers
-  // may also call them directly (requires fault_active()).
-
-  /// Worker dies now: queue + in-flight batch are stranded (held until the
-  /// detector declares the worker dead, or recovery — whichever first).
-  void inject_worker_crash(int worker);
-  /// Crashed worker returns empty with a bumped incarnation.
-  void inject_worker_recover(int worker);
-  /// Execute-time multiplier for batches started from now on (1 = healthy).
-  void inject_straggler(int worker, double mult);
-  /// Suppress (lost = true) or restore this worker's heartbeat reports; the
-  /// worker keeps serving (failure-detector false-positive material).
-  void inject_heartbeat_loss(int worker, bool lost);
-  /// Cluster-wide network degradation: extra forward delay + drop prob.
-  void inject_network_degrade(double extra_delay_s, double drop_prob);
-
-  /// True when the fault subsystem is armed (non-empty plan or detector
-  /// explicitly enabled). False = all fault state is inert (passivity).
-  bool fault_active() const { return fault_active_; }
+  /// Workers currently crashed (0 unless the fault plane injected some).
   int crashed_workers() const;
-  /// Workers the failure detector currently believes dead (0 if inert).
-  int detector_dead_workers() const {
-    return fault_active_ ? detector_.dead_count() : 0;
-  }
-  /// True when the detector's view of the dead set changed since the last
-  /// plan was produced — coordinators poll this at window barriers to
-  /// trigger event-driven re-planning.
-  bool fault_replan_pending() const {
-    return fault_active_ && fault_epoch_ != planned_fault_epoch_;
-  }
-  /// Degraded overload mode: dead capacity not yet re-planned around.
-  bool degraded() const { return degraded_; }
-  const fault::FailureDetector& failure_detector() const { return detector_; }
-
-  // --- Graceful degradation (src/serving/degrade.hpp) -------------------
-
-  /// True when tiered admission/shedding runs (cfg.tiers.enabled).
-  bool tiers_active() const { return tiers_active_; }
-  /// Current per-tier serve probabilities under overload ({1,1,1} at full
-  /// service). Diagnostics/tests.
-  const std::array<double, kNumTiers>& tier_serve_probabilities() const {
-    return tier_serve_probs_;
-  }
-  /// Fallback-chain accounting (all zero when the chain is disabled).
-  std::uint64_t plan_fallbacks() const { return plan_fallbacks_; }
-  std::uint64_t plan_rejects() const { return plan_rejects_; }
-  std::uint64_t plans_retained() const { return plans_retained_; }
-  /// Rung that produced the most recent plan (0 primary .. 3 retained).
-  int last_plan_rung() const { return last_plan_rung_; }
+  /// The fault plane; nullptr when unarmed.
+  FaultPlane* fault() { return fault_.get(); }
+  const FaultPlane* fault() const { return fault_.get(); }
 
  private:
+  friend class FaultPlane;
+
   struct QueryState {
     double arrival = 0.0;
     double deadline = 0.0;
@@ -286,24 +234,11 @@ class ServingSystem {
   /// `force` skips the demand hysteresis (failure re-plans must always
   /// produce a fresh plan over the surviving workers).
   void run_resource_manager(bool force = false);
+  /// Installs a plan (from the Resource Manager or a coordinator): worker
+  /// placement, routing refresh, Metadata Store and allocation metrics.
+  void commit_plan(AllocationPlan plan, double demand);
   void run_load_balancer();
   void run_heartbeat();
-  /// Folds heartbeat reports into the failure detector and handles health
-  /// transitions (quarantine, stranded-query resolution, re-planning).
-  void run_failure_detection(double now);
-  /// Retries or sheds the items stranded on a crashed worker.
-  void resolve_stranded(int worker, double now);
-  /// Recomputes degraded-mode state from the detector's dead count and the
-  /// pending-re-plan flag.
-  void update_degraded();
-  /// Folds the per-tier arrival window into the EWMA tier shares (no RNG;
-  /// no-op when tiers are off) and refreshes the shed probabilities.
-  void refresh_tier_shares();
-  /// Rebuilds the per-tier serve/shed probability fills from the plan's
-  /// served fraction, the degraded shed fraction and the current shares.
-  void recompute_tier_probs();
-  /// Arms cfg_.fault_plan as simulation events (no-op when empty).
-  void arm_configured_faults();
   /// Schedules the periodic control loops (RM only when `with_rm`).
   void schedule_control_loops(bool with_rm);
 
@@ -318,13 +253,14 @@ class ServingSystem {
   /// pre-table runtime did — bit-reproducibility).
   int pick_group(const RoutingPlan::DrawTable& table);
   /// Least-loaded active worker of a group; -1 if the group has none.
-  /// When the fault subsystem is active, quarantined (suspect/dead) workers
-  /// are skipped first and reconsidered only if nothing else is available.
+  /// With a fault plane, quarantined (suspect/dead) workers are skipped
+  /// first and reconsidered only if nothing else is available.
   int pick_worker(int group) const;
   /// Least-loaded active worker hosting `task` (any variant).
   int pick_worker_for_task(int task) const;
-  int scan_group(int group, bool skip_quarantined) const;
-  int scan_task(int task, bool skip_quarantined) const;
+  /// Scans skip workers whose `skip` entry is set (nullptr = skip none).
+  int scan_group(int group, const char* skip) const;
+  int scan_task(int task, const char* skip) const;
   /// True while any worker is crashed. Routing-gap losses (no staffed
   /// group / no worker for a task) during an outage are crash collateral
   /// and attributed to kWorkerFailure, not to shedding policy; only the
@@ -421,70 +357,10 @@ class ServingSystem {
   Rng rng_mult_;
   Rng rng_jitter_;
   Rng rng_shed_;
-  /// Fault-path randomness (degraded shedding, network drops). A dedicated
-  /// substream: drawing here never perturbs the four streams above, and it
-  /// is only drawn when the fault subsystem is active (passivity).
-  Rng rng_fault_;
 
-  // --- Fault subsystem state (all inert when fault_active_ is false) ----
-  bool fault_active_ = false;
-  fault::FailureDetector detector_;
-  std::vector<char> worker_quarantined_;  // suspect/dead: no new routing
-  std::vector<char> hb_suppressed_;       // heartbeat-loss injection
-  std::vector<double> crash_time_;        // -1 = not crashed (latency attr.)
-  std::vector<double> dead_since_;        // -1 = not declared dead
-  /// Items stranded per crashed worker, held until the detector declares
-  /// the worker dead (retry/shed) or the worker recovers first.
-  std::vector<std::vector<cluster::WorkItem>> stranded_;
-  double net_extra_delay_s_ = 0.0;
-  double net_drop_prob_ = 0.0;
-  bool degraded_ = false;
-  double degraded_shed_frac_ = 0.0;
-  /// Bumped whenever the detector's dead set changes; a plan produced at
-  /// epoch e records planned_fault_epoch_ = e. Mismatch = re-plan pending.
-  int fault_epoch_ = 0;
-  int planned_fault_epoch_ = 0;
-  obs::Counter c_fault_crashes_;
-  obs::Counter c_fault_recoveries_;
-  obs::Counter c_fault_suspects_;
-  obs::Counter c_fault_dead_;
-  obs::Counter c_fault_stranded_retried_;
-  obs::Counter c_fault_stranded_dropped_;
-  obs::Counter c_fault_degraded_shed_;
-  obs::Counter c_fault_net_drops_;
-  obs::Counter c_fault_replans_;
-  obs::Counter c_fault_stale_heartbeats_;
-  obs::Histogram h_fault_detect_ns_;
-  obs::Histogram h_fault_recovery_ns_;
-
-  // --- Graceful degradation (inert unless tiers/fallback enabled) -------
-  bool tiers_active_ = false;
-  /// EWMA per-tier arrival shares driving the shed-probability fills. The
-  /// first non-empty window seeds them exactly, and a bit-identical window
-  /// skips the blend — single-tier traffic stays at exactly {1, 0, 0} so
-  /// the tiered shed comparisons reproduce the untiered ones bit-for-bit.
-  std::array<double, kNumTiers> tier_shares_ = {1.0, 0.0, 0.0};
-  bool tier_shares_seeded_ = false;
-  std::array<double, kNumTiers> tier_window_arrivals_{};
-  /// In-flight admitted queries per tier (watermark admission control).
-  std::array<std::int64_t, kNumTiers> tier_inflight_{};
-  std::array<double, kNumTiers> tier_serve_probs_ = {1.0, 1.0, 1.0};
-  std::array<double, kNumTiers> tier_degraded_shed_{};
-  /// Deadline-enforced plan() fallback chain (built when cfg.fallback is
-  /// enabled and the system owns its Resource Manager).
-  std::unique_ptr<PlanFallbackChain> fallback_chain_;
-  std::uint64_t plan_fallbacks_ = 0;
-  std::uint64_t plan_rejects_ = 0;
-  std::uint64_t plans_retained_ = 0;
-  int last_plan_rung_ = 0;
-  obs::Counter c_degrade_admission_shed_;
-  obs::Counter c_degrade_overload_shed_;
-  obs::Counter c_degrade_remainder_rescued_;
-  obs::Counter c_degrade_retries_;
-  obs::Counter c_degrade_retry_given_up_;
-  obs::Counter c_degrade_plan_fallbacks_;
-  obs::Counter c_degrade_plan_rejects_;
-  obs::Counter c_degrade_plan_retained_;
+  /// Optional planes (see the header comment).
+  TierPlane tiers_;
+  std::unique_ptr<FaultPlane> fault_;
 
   /// Per-request stage attribution; shared with every worker via
   /// set_tracer(). Histograms land in the configured registry under

@@ -1,14 +1,18 @@
 // Graceful-degradation unit tests (ROADMAP item 4): the per-tier serve /
 // shed probability fills (including the exact single-tier identities the
 // passivity differentials rely on), the plan-validation gate, the
-// deadline-enforced fallback chain over stub strategies, and the per-tier
-// Metrics accounting with its merge.
+// deadline-enforced fallback chain over stub strategies (rung walk and its
+// AllocationStrategy decorator face), the TierPlane driven directly, and the
+// per-tier Metrics accounting with its merge.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 
+#include "obs/registry.hpp"
 #include "pipeline/pipelines.hpp"
 #include "serving/degrade.hpp"
 #include "serving/metrics.hpp"
@@ -180,17 +184,21 @@ class StubStrategy : public AllocationStrategy {
   int calls_ = 0;
 };
 
+std::unique_ptr<StubStrategy> stub(const char* name, AllocationPlan plan,
+                                   double solve_s) {
+  return std::make_unique<StubStrategy>(name, std::move(plan), solve_s);
+}
+
 TEST(PlanFallbackChain, PrimaryWithinDeadlineWins) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  StubStrategy primary("primary", sound_plan(), 0.01);
-  StubStrategy greedy("greedy", sound_plan(), 0.0);
-  FallbackConfig cfg;
-  cfg.enabled = true;
-  cfg.deadline_s = 1.0;
-  cfg.greedy = &greedy;
-  PlanFallbackChain chain(&primary, cfg, &graph, 8);
+  auto greedy_owned = stub("greedy", sound_plan(), 0.0);
+  StubStrategy& greedy = *greedy_owned;
+  obs::Registry registry;
+  PlanFallbackChain chain(stub("primary", sound_plan(), 0.01), nullptr,
+                          std::move(greedy_owned), /*deadline_s=*/1.0, &graph,
+                          8, registry, "t");
 
-  const auto out = chain.plan(PlanRequest{});
+  const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 0);
   EXPECT_EQ(out.fallbacks, 0);
   EXPECT_EQ(out.rejects, 0);
@@ -203,17 +211,18 @@ TEST(PlanFallbackChain, DeadlineMissWalksEveryRungToGreedy) {
   // from the deadline by design (the chain must never livelock), so it
   // terminates the chain at rung 2 with two fallbacks and no rejects.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  StubStrategy primary("primary", sound_plan(), 0.5);
-  StubStrategy near_warm("near", sound_plan(), 0.5);
-  StubStrategy greedy("greedy", sound_plan(), 0.5);
-  FallbackConfig cfg;
-  cfg.enabled = true;
-  cfg.deadline_s = 1e-12;
-  cfg.near_warm = &near_warm;
-  cfg.greedy = &greedy;
-  PlanFallbackChain chain(&primary, cfg, &graph, 8);
+  auto primary_owned = stub("primary", sound_plan(), 0.5);
+  auto near_warm_owned = stub("near", sound_plan(), 0.5);
+  auto greedy_owned = stub("greedy", sound_plan(), 0.5);
+  StubStrategy& primary = *primary_owned;
+  StubStrategy& near_warm = *near_warm_owned;
+  StubStrategy& greedy = *greedy_owned;
+  obs::Registry registry;
+  PlanFallbackChain chain(std::move(primary_owned), std::move(near_warm_owned),
+                          std::move(greedy_owned), /*deadline_s=*/1e-12,
+                          &graph, 8, registry, "t");
 
-  const auto out = chain.plan(PlanRequest{});
+  const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 2);
   EXPECT_EQ(out.fallbacks, 2);
   EXPECT_EQ(out.rejects, 0);
@@ -226,14 +235,12 @@ TEST(PlanFallbackChain, ValidationRejectFallsThrough) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto broken = sound_plan();
   broken.served_fraction = 2.0;  // fails the gate
-  StubStrategy primary("primary", broken, 0.0);
-  StubStrategy greedy("greedy", sound_plan(), 0.0);
-  FallbackConfig cfg;
-  cfg.enabled = true;
-  cfg.greedy = &greedy;
-  PlanFallbackChain chain(&primary, cfg, &graph, 8);
+  obs::Registry registry;
+  PlanFallbackChain chain(stub("primary", broken, 0.0), nullptr,
+                          stub("greedy", sound_plan(), 0.0), 0.0, &graph, 8,
+                          registry, "t");
 
-  const auto out = chain.plan(PlanRequest{});
+  const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 2);
   EXPECT_EQ(out.fallbacks, 1);
   EXPECT_EQ(out.rejects, 1);
@@ -244,12 +251,10 @@ TEST(PlanFallbackChain, AllRungsFailRetainsPreviousPlan) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto broken = sound_plan();
   broken.feasible = false;
-  StubStrategy primary("primary", broken, 0.0);
-  StubStrategy greedy("greedy", broken, 0.0);
-  FallbackConfig cfg;
-  cfg.enabled = true;
-  cfg.greedy = &greedy;
-  PlanFallbackChain chain(&primary, cfg, &graph, 8);
+  obs::Registry registry;
+  PlanFallbackChain chain(stub("primary", broken, 0.0), nullptr,
+                          stub("greedy", broken, 0.0), 0.0, &graph, 8,
+                          registry, "t");
 
   auto previous = sound_plan();
   previous.expected_accuracy = 0.77;
@@ -258,7 +263,7 @@ TEST(PlanFallbackChain, AllRungsFailRetainsPreviousPlan) {
   req.epoch = 9;
   req.previous_plan = &previous;
 
-  const auto out = chain.plan(req);
+  const auto out = chain.walk(req);
   EXPECT_EQ(out.rung, 3);
   EXPECT_TRUE(out.retained_previous);
   EXPECT_EQ(out.fallbacks, 2);
@@ -274,12 +279,11 @@ TEST(PlanFallbackChain, NoPreviousPlanYieldsInfeasiblePlaceholder) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto broken = sound_plan();
   broken.feasible = false;
-  StubStrategy primary("primary", broken, 0.0);
-  FallbackConfig cfg;
-  cfg.enabled = true;
-  PlanFallbackChain chain(&primary, cfg, &graph, 8);
+  obs::Registry registry;
+  PlanFallbackChain chain(stub("primary", broken, 0.0), nullptr, nullptr, 0.0,
+                          &graph, 8, registry, "t");
 
-  const auto out = chain.plan(PlanRequest{});
+  const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 3);
   EXPECT_TRUE(out.retained_previous);
   EXPECT_FALSE(out.result.plan.feasible);
@@ -290,16 +294,164 @@ TEST(PlanFallbackChain, CapacityGateTracksAvailableWorkers) {
   // for the full cluster: the gate runs against the effective capacity.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto full = sound_plan();  // 4 replicas
-  StubStrategy primary("primary", full, 0.0);
-  FallbackConfig cfg;
-  cfg.enabled = true;
-  PlanFallbackChain chain(&primary, cfg, &graph, 8);
+  obs::Registry registry;
+  PlanFallbackChain chain(stub("primary", full, 0.0), nullptr, nullptr, 0.0,
+                          &graph, 8, registry, "t");
 
   PlanRequest req;
   req.available_workers = 3;
-  const auto out = chain.plan(req);
+  const auto out = chain.walk(req);
   EXPECT_EQ(out.rung, 3);
   EXPECT_EQ(out.rejects, 1);
+}
+
+TEST(PlanFallbackChain, DecoratorForwardsNameAndCountsUnderPrefix) {
+  // As an AllocationStrategy the chain reports the primary's name, returns
+  // the winning rung's plan, and counts each outcome in the registry under
+  // the prefix it was given — and nowhere else.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto broken = sound_plan();
+  broken.served_fraction = 2.0;
+  auto greedy_plan = sound_plan();
+  greedy_plan.expected_accuracy = 0.5;
+  obs::Registry registry;
+  PlanFallbackChain chain(stub("primary", broken, 0.0),
+                          stub("near", sound_plan(), 0.5),
+                          stub("greedy", greedy_plan, 0.0),
+                          /*deadline_s=*/0.1, &graph, 8, registry, "p.q");
+  EXPECT_EQ(chain.name(), "primary");
+  AllocationStrategy& strategy = chain;
+
+  // Primary rejected, near-warm over the deadline: greedy's plan wins.
+  const PlanResult first = strategy.plan(PlanRequest{});
+  EXPECT_DOUBLE_EQ(first.plan.expected_accuracy, 0.5);
+  // At 3 workers the primary and greedy fail the capacity gate and
+  // near-warm misses the deadline again: the previous plan is retained.
+  PlanRequest degraded;
+  degraded.available_workers = 3;
+  degraded.previous_plan = &first.plan;
+  const PlanResult second = strategy.plan(degraded);
+  EXPECT_DOUBLE_EQ(second.plan.expected_accuracy, 0.5);
+
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("p.q.plan_fallbacks"), 2u + 3u);
+  EXPECT_EQ(snap.counter_value("p.q.plan_rejects"), 1u + 2u);
+  EXPECT_EQ(snap.counter_value("p.q.plan_retained"), 1u);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_TRUE(name.rfind("p.q.plan_", 0) == 0 ||
+                name.rfind("obs.self.", 0) == 0)
+        << "unexpected series " << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// TierPlane
+// ---------------------------------------------------------------------------
+
+TEST(TierPlane, UnarmedFillsEqualBothFractionsAndNeverSheds) {
+  // Tiers off: every tier draws against the raw fractions, bit-for-bit —
+  // including values tier_serve_probs would clamp — admission never sheds,
+  // and nothing is registered.
+  obs::Registry registry;
+  TierPlane plane(TierPolicy{}, registry, "serving");
+  EXPECT_FALSE(plane.armed());
+  const double cases[][2] = {
+      {1.0, 0.0}, {0.1237654321, 0.087654321}, {0.0, 0.9}, {1.5, -0.25}};
+  for (const auto& c : cases) {
+    plane.record_arrival(2);
+    plane.refresh(c[0], c[1]);
+    for (int k = 0; k < kNumTiers; ++k) {
+      EXPECT_EQ(plane.serve_fill(k), c[0]) << "tier " << k;
+      EXPECT_EQ(plane.shed_fill(k), c[1]) << "tier " << k;
+    }
+    plane.fill(c[1], c[0]);
+    for (int k = 0; k < kNumTiers; ++k) {
+      EXPECT_EQ(plane.serve_fill(k), c[1]) << "tier " << k;
+      EXPECT_EQ(plane.shed_fill(k), c[0]) << "tier " << k;
+    }
+  }
+  for (int k = 0; k < kNumTiers; ++k) {
+    for (int i = 0; i < 100000; ++i) plane.on_admit(k);
+    EXPECT_TRUE(plane.admit(k, 0));
+    EXPECT_TRUE(plane.admit(k, 1000));
+    EXPECT_FALSE(plane.rescues_remainder(k));
+  }
+  for (const auto& [name, value] : registry.snapshot().counters) {
+    EXPECT_EQ(name.find(".degrade."), std::string::npos) << name;
+  }
+}
+
+TEST(TierPlane, FirstWindowSeedsSharesExactly) {
+  obs::Registry registry;
+  TierPolicy policy;
+  policy.enabled = true;
+  TierPlane plane(policy, registry, "serving");
+  // An empty window leaves the {1, 0, 0} prior in place.
+  plane.refresh(0.5, 0.0);
+  EXPECT_EQ(plane.shares(), (std::array<double, kNumTiers>{1.0, 0.0, 0.0}));
+  // The first non-empty window is taken verbatim, with no blend.
+  plane.record_arrival(0);
+  plane.record_arrival(1);
+  plane.record_arrival(1);
+  plane.record_arrival(2);
+  plane.refresh(0.5, 0.3);
+  EXPECT_EQ(plane.shares(),
+            (std::array<double, kNumTiers>{0.25, 0.5, 0.25}));
+  EXPECT_EQ(plane.serve_fill(0), tier_serve_probs(0.5, plane.shares())[0]);
+  EXPECT_EQ(plane.serve_fill(1), tier_serve_probs(0.5, plane.shares())[1]);
+  EXPECT_EQ(plane.shed_fill(2), tier_shed_probs(0.3, plane.shares())[2]);
+  // A later, different window blends with the EWMA weight.
+  for (int i = 0; i < 4; ++i) plane.record_arrival(2);
+  plane.refresh(0.5, 0.0);
+  const double a = TierPlane::kShareEwmaAlpha;
+  EXPECT_EQ(plane.shares()[2], a * 1.0 + (1.0 - a) * 0.25);
+  EXPECT_EQ(plane.shares()[0], a * 0.0 + (1.0 - a) * 0.25);
+}
+
+TEST(TierPlane, BitEqualWindowSkipsTheBlend) {
+  // Single-tier traffic keeps the shares at exactly {1, 0, 0}: every window
+  // bit-matches the estimate, so no blend ever runs, and the tier-0 fills
+  // reproduce the untiered fractions exactly.
+  obs::Registry registry;
+  TierPolicy policy;
+  policy.enabled = true;
+  TierPlane plane(policy, registry, "serving");
+  for (int window = 0; window < 50; ++window) {
+    for (int i = 0; i < 7; ++i) plane.record_arrival(0);
+    plane.refresh(0.1237654321, 0.087654321);
+  }
+  EXPECT_EQ(plane.shares(), (std::array<double, kNumTiers>{1.0, 0.0, 0.0}));
+  EXPECT_EQ(plane.serve_fill(0), 0.1237654321);
+  EXPECT_EQ(plane.shed_fill(0), 0.087654321);
+}
+
+TEST(TierPlane, ArmedWatermarkShedsAtPlannedDepthAndCounts) {
+  obs::Registry registry;
+  TierPolicy policy;
+  policy.enabled = true;
+  policy.depth_watermark = {4.0, 2.0, 0.5};
+  policy.remainder_priority = true;
+  TierPlane plane(policy, registry, "serving");
+  // Tier 1 at 3 planned servers: cap 6 in flight.
+  for (int i = 0; i < 5; ++i) plane.on_admit(1);
+  EXPECT_TRUE(plane.admit(1, 3));
+  plane.on_admit(1);
+  EXPECT_FALSE(plane.admit(1, 3));
+  plane.on_finalize(1);
+  EXPECT_TRUE(plane.admit(1, 3));
+  // Zero planned servers still admit against a one-server cap.
+  EXPECT_TRUE(plane.admit(2, 0));
+  plane.on_admit(2);
+  EXPECT_FALSE(plane.admit(2, 0));
+  EXPECT_TRUE(plane.rescues_remainder(0));
+  EXPECT_FALSE(plane.rescues_remainder(1));
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("serving.degrade.admission_shed"), 2u);
+  std::size_t degrade_series = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind("serving.degrade.", 0) == 0) ++degrade_series;
+  }
+  EXPECT_EQ(degrade_series, 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 // and a full run_experiment smoke test.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/inferline.hpp"
+#include "common/check.hpp"
 #include "exp/experiment.hpp"
+#include "fault/plan.hpp"
+#include "obs/registry.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
 
@@ -99,6 +104,66 @@ TEST(RunExperiment, MetricsTimeseriesPopulated) {
   const auto result = run_experiment(graph, curve, cfg);
   EXPECT_GE(result.metrics.demand_series().size(), 7u);
   EXPECT_GE(result.metrics.utilization_series().size(), 30u);
+}
+
+// The fields run_experiment replaces per shard are rejected rather than
+// silently ignored; the error names the knob to set instead.
+
+ExperimentConfig small_config() {
+  ExperimentConfig cfg;
+  cfg.system = "greedy";
+  cfg.system_cfg.allocator.cluster_size = 8;
+  return cfg;
+}
+
+trace::DemandCurve small_curve() {
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kConstant;
+  tcfg.duration_s = 5.0;
+  tcfg.peak_qps = 50.0;
+  return trace::generate_trace(tcfg);
+}
+
+void expect_rejected(const ExperimentConfig& cfg, const std::string& knob) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  try {
+    run_experiment(graph, small_curve(), cfg);
+    ADD_FAILURE() << "run_experiment accepted an overwritten " << knob;
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RunExperiment, RejectsSystemCfgRegistry) {
+  obs::Registry registry;
+  auto cfg = small_config();
+  cfg.system_cfg.registry = &registry;
+  expect_rejected(cfg, "ExperimentResult::obs");
+}
+
+TEST(RunExperiment, RejectsSystemCfgFaultPlan) {
+  auto cfg = small_config();
+  cfg.system_cfg.fault_plan = fault::crash_plan(1, 2.0, 3.0);
+  expect_rejected(cfg, "ExperimentConfig::fault_plan");
+}
+
+TEST(RunExperiment, RejectsSystemCfgTiers) {
+  auto cfg = small_config();
+  cfg.system_cfg.tiers.enabled = true;
+  expect_rejected(cfg, "ExperimentConfig::tiers");
+}
+
+TEST(RunExperiment, FallbackChainReportsTheWrappedStrategy) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  for (const bool coordinated : {false, true}) {
+    auto cfg = small_config();
+    cfg.fallback.enabled = true;
+    cfg.sim_shards = 2;
+    cfg.sim_coordinated = coordinated;
+    const auto result = run_experiment(graph, small_curve(), cfg);
+    EXPECT_EQ(result.system_name, "greedy") << coordinated;
+  }
 }
 
 TEST(BaselinesHeader, IncludedTransitively) {

@@ -67,7 +67,7 @@ void expect_metrics_bit_identical(const exp::ExperimentResult& a,
 /// must be bit-identical to the default.
 exp::ExperimentConfig armed_inert(exp::ExperimentConfig cfg) {
   cfg.fault_plan = fault::crash_plan(0, 1e6, 0.0);
-  cfg.detector.enabled = true;
+  cfg.system_cfg.detector.enabled = true;
   return cfg;
 }
 
@@ -296,7 +296,7 @@ TEST(FailureAccounting, TracerFlushesExactlyOncePerQueryAtPeriodOne) {
   const auto curve = fr_curve();
   auto cfg = fr_config();
   cfg.fault_plan = fault::crash_plan(1, 30.0, 0.0);
-  cfg.obs_trace.sample_period = 1;
+  cfg.system_cfg.trace.sample_period = 1;
   const auto r = exp::run_experiment(graph, curve, cfg);
 
   const std::uint64_t sampled = r.obs.counter_value("serving.trace.sampled");

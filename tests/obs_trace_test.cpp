@@ -222,7 +222,7 @@ TEST(TracePassivity, SequentialMetricsAreBitIdenticalTracingOnOrOff) {
 
   auto on_cfg = obs_config(1);  // tracing defaults ON
   auto off_cfg = obs_config(1);
-  off_cfg.obs_trace.enabled = false;
+  off_cfg.system_cfg.trace.enabled = false;
 
   const auto on = exp::run_experiment(graph, curve, on_cfg);
   const auto off = exp::run_experiment(graph, curve, off_cfg);
@@ -239,7 +239,7 @@ TEST(TracePassivity, ShardedMetricsAreBitIdenticalTracingOnOrOff) {
 
   auto on_cfg = obs_config(2);
   auto off_cfg = obs_config(2);
-  off_cfg.obs_trace.enabled = false;
+  off_cfg.system_cfg.trace.enabled = false;
 
   const auto on = exp::run_experiment(graph, curve, on_cfg);
   const auto off = exp::run_experiment(graph, curve, off_cfg);
@@ -254,7 +254,7 @@ TEST(TracePassivity, CoordinatedMetricsAreBitIdenticalTracingOnOrOff) {
   auto on_cfg = obs_config(2);
   on_cfg.sim_coordinated = true;
   auto off_cfg = on_cfg;
-  off_cfg.obs_trace.enabled = false;
+  off_cfg.system_cfg.trace.enabled = false;
 
   const auto on = exp::run_experiment(graph, curve, on_cfg);
   const auto off = exp::run_experiment(graph, curve, off_cfg);
@@ -269,7 +269,7 @@ TEST(TracePassivity, SamplePeriodDoesNotPerturbMetrics) {
   const auto curve = obs_curve();
 
   auto dense = obs_config(1);
-  dense.obs_trace.sample_period = 1;
+  dense.system_cfg.trace.sample_period = 1;
   const auto a = exp::run_experiment(graph, curve, dense);
   const auto b = exp::run_experiment(graph, curve, obs_config(1));
   expect_bit_identical(a, b);
@@ -287,7 +287,8 @@ TEST(TraceAttribution, StageHistogramsPopulateAndReconcile) {
   const auto curve = obs_curve();
 
   auto cfg = obs_config(1);
-  cfg.obs_trace.sample_period = 1;  // trace everything: exact reconciliation
+  // Trace everything: exact reconciliation.
+  cfg.system_cfg.trace.sample_period = 1;
   const auto r = exp::run_experiment(graph, curve, cfg);
 
   const std::uint64_t admitted = r.obs.counter_value("serving.admitted");
@@ -345,7 +346,7 @@ TEST(TraceAttribution, ShardedRunsMergeIntoClusterWideSeries) {
   const auto curve = obs_curve();
 
   auto cfg = obs_config(2);
-  cfg.obs_trace.sample_period = 1;
+  cfg.system_cfg.trace.sample_period = 1;
   const auto r = exp::run_experiment(graph, curve, cfg);
 
   EXPECT_EQ(r.obs.counter_value("exp.shard0.arrivals") +

@@ -1,10 +1,16 @@
 // End-to-end integration tests of the serving runtime: query lifecycle,
 // SLO accounting, hardware scale-down, accuracy scaling under pressure,
-// drop-policy behaviour, determinism, and baseline execution.
+// drop-policy behaviour, determinism, baseline execution, and the optional
+// planes on a directly driven system (no experiment driver).
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/inferline.hpp"
 #include "baselines/proteus.hpp"
+#include "obs/registry.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
 #include "serving/system.hpp"
@@ -329,6 +335,195 @@ TEST(ModelSwap, SameModelReassignIsFree) {
   sim.run_until(15.0);
   system.finish(15.0);
   EXPECT_EQ(system.metrics().model_swaps(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Optional planes on a directly driven system
+// ---------------------------------------------------------------------------
+
+/// Wraps a strategy, recording (sim time, available_workers) per request.
+class RecordingStrategy : public AllocationStrategy {
+ public:
+  explicit RecordingStrategy(AllocationStrategy* inner) : inner_(inner) {}
+
+  PlanResult plan(const PlanRequest& request) override {
+    requests.push_back({request.sim_time_s, request.available_workers});
+    return inner_->plan(request);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  std::vector<std::pair<double, int>> requests;
+
+ private:
+  AllocationStrategy* inner_;
+};
+
+/// A two-task pipeline on six workers with its own registry, fed one
+/// arrival every 10 ms until `until`.
+struct PlaneRig {
+  pipeline::PipelineGraph graph = pipeline::traffic_analysis_two_task_pipeline();
+  ProfileTable profiles = build_profile_table(graph, profile::ModelProfiler());
+  obs::Registry registry;
+  SystemConfig cfg;
+  sim::Simulation sim;
+
+  PlaneRig() {
+    cfg.allocator.cluster_size = 6;
+    cfg.allocator.slo_s = 0.250;
+    cfg.registry = &registry;
+  }
+
+  void feed(ServingSystem& system, double until) {
+    for (double t = 0.005; t < until; t += 0.01) {
+      sim.schedule_at(t, [&system]() { system.submit(); });
+    }
+  }
+  std::uint64_t counter(const std::string& name) const {
+    return registry.snapshot().counter_value("serving." + name);
+  }
+};
+
+TEST(ServingPlanes, DefaultSystemHasNoFaultPlaneAndNoPlaneSeries) {
+  PlaneRig rig;
+  GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, &greedy, rig.cfg);
+  EXPECT_EQ(system.fault(), nullptr);
+  system.start();
+  rig.feed(system, 5.0);
+  rig.sim.run_until(6.0);
+  system.finish(6.0);
+  EXPECT_GT(system.metrics().arrivals(), 0u);
+  const obs::Snapshot snap = rig.registry.snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(name.find(".fault."), std::string::npos) << name;
+    EXPECT_EQ(name.find(".degrade."), std::string::npos) << name;
+  }
+  for (const auto& h : snap.histograms) {
+    EXPECT_EQ(h.name.find(".fault."), std::string::npos) << h.name;
+  }
+}
+
+TEST(FaultPlane, CrashSuspectDeadRetryReplanRecoverWithExactAccounting) {
+  // Detector on (1 s heartbeats, suspect after 2.5 missed, dead after 5.5)
+  // with no fault plan: the crash and recovery are injected directly.
+  // Worker 1 is one of three replicas of the second task and last reports
+  // at t = 10. The 8 s SLO keeps the stranded items' deadlines open past
+  // detection, so they are retried on the other two replicas.
+  PlaneRig rig;
+  rig.cfg.detector.enabled = true;
+  rig.cfg.allocator.slo_s = 8.0;
+  GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
+  RecordingStrategy strategy(&greedy);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, &strategy,
+                       rig.cfg);
+  FaultPlane* fault = system.fault();
+  ASSERT_NE(fault, nullptr);
+  system.start();
+  rig.feed(system, 40.0);
+  rig.sim.schedule_at(10.5, [fault]() { fault->inject_worker_crash(1); });
+  rig.sim.schedule_at(20.5, [fault]() { fault->inject_worker_recover(1); });
+  const auto health = [fault]() { return fault->detector().health(1); };
+
+  // Crashed, not yet suspected: its items are held, routing unchanged.
+  rig.sim.run_until(12.9);
+  EXPECT_EQ(rig.counter("fault.crashes"), 1u);
+  EXPECT_EQ(system.crashed_workers(), 1);
+  EXPECT_EQ(health(), fault::WorkerHealth::kAlive);
+  EXPECT_EQ(fault->quarantined()[1], 0);
+
+  // Suspect at t = 13 (phi 3): quarantined, nothing resolved yet.
+  rig.sim.run_until(13.5);
+  EXPECT_EQ(health(), fault::WorkerHealth::kSuspect);
+  EXPECT_EQ(rig.counter("fault.suspects"), 1u);
+  EXPECT_EQ(fault->quarantined()[1], 1);
+  EXPECT_EQ(rig.counter("fault.stranded_retried") +
+                rig.counter("fault.stranded_dropped"),
+            0u);
+  EXPECT_FALSE(fault->replan_pending());
+
+  // Dead at t = 16 (phi 6): the eight stranded items are retried, and a
+  // forced re-plan over the five survivors clears degraded mode at once.
+  const std::size_t requests_before = strategy.requests.size();
+  rig.sim.run_until(16.5);
+  EXPECT_EQ(health(), fault::WorkerHealth::kDead);
+  EXPECT_EQ(rig.counter("fault.dead"), 1u);
+  EXPECT_EQ(fault->dead_workers(), 1);
+  EXPECT_EQ(rig.counter("fault.stranded_retried"), 8u);
+  EXPECT_EQ(rig.counter("fault.stranded_dropped"), 0u);
+  EXPECT_EQ(rig.counter("fault.replans"), 1u);
+  ASSERT_EQ(strategy.requests.size(), requests_before + 1);
+  EXPECT_DOUBLE_EQ(strategy.requests.back().first, 16.0);
+  EXPECT_EQ(strategy.requests.back().second, 5);
+  EXPECT_FALSE(fault->replan_pending());
+  EXPECT_FALSE(fault->degraded());
+
+  // Recovered at t = 20.5, seen alive at the t = 21 heartbeat: released
+  // from quarantine and re-planned over the full cluster.
+  rig.sim.run_until(21.5);
+  EXPECT_EQ(rig.counter("fault.recoveries"), 1u);
+  EXPECT_EQ(health(), fault::WorkerHealth::kAlive);
+  EXPECT_EQ(system.crashed_workers(), 0);
+  EXPECT_EQ(fault->quarantined()[1], 0);
+  EXPECT_EQ(rig.counter("fault.replans"), 2u);
+  EXPECT_EQ(strategy.requests.back().second, 6);
+  const obs::Snapshot snap = rig.registry.snapshot();
+  ASSERT_NE(snap.find_histogram("serving.fault.detect_ns"), nullptr);
+  EXPECT_EQ(snap.find_histogram("serving.fault.detect_ns")->count, 1u);
+  EXPECT_EQ(snap.find_histogram("serving.fault.recovery_ns")->count, 1u);
+
+  rig.sim.run_until(45.0);
+  system.finish(45.0);
+  const Metrics& m = system.metrics();
+  EXPECT_EQ(m.arrivals(), 4000u);
+  EXPECT_EQ(m.arrivals(), m.completions() + m.drops());
+  for (int k = 0; k < kNumTiers; ++k) {
+    EXPECT_EQ(m.tier(k).arrivals, m.tier(k).completions + m.tier(k).drops);
+  }
+  // The stranded items were resolved exactly once.
+  EXPECT_EQ(rig.counter("fault.stranded_retried"), 8u);
+  EXPECT_EQ(rig.counter("fault.stranded_dropped"), 0u);
+}
+
+TEST(FaultPlane, ExternallyPlannedSystemStaysDegradedUntilItsCoordinator) {
+  // No Resource Manager: a detected death leaves a re-plan pending and
+  // sheds the lost capacity at the frontend until a plan is installed.
+  PlaneRig rig;
+  rig.cfg.detector.enabled = true;
+  GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, nullptr, rig.cfg);
+  FaultPlane* fault = system.fault();
+  ASSERT_NE(fault, nullptr);
+  system.start_external();
+  const auto mult = pipeline::default_mult_factors(rig.graph);
+  system.install_plan(greedy.plan(PlanRequest(100.0, mult)).plan);
+  const int servers = system.current_plan().servers_used;
+  ASSERT_GE(servers, 2);
+  rig.feed(system, 10.0);
+  rig.sim.schedule_at(0.5, [fault]() { fault->inject_worker_crash(0); });
+
+  rig.sim.run_until(6.5);
+  EXPECT_EQ(fault->dead_workers(), 1);
+  EXPECT_TRUE(fault->replan_pending());
+  EXPECT_TRUE(fault->degraded());
+  EXPECT_DOUBLE_EQ(fault->shed_fraction(),
+                   std::min(0.9, 1.0 / static_cast<double>(servers)));
+  EXPECT_EQ(rig.counter("fault.replans"), 0u);
+
+  rig.sim.run_until(8.0);
+  EXPECT_GT(rig.counter("fault.degraded_shed"), 0u);
+  const std::uint64_t shed_while_degraded = rig.counter("fault.degraded_shed");
+  PlanRequest req(100.0, mult);
+  req.available_workers = 5;
+  system.install_plan(greedy.plan(req).plan);
+  EXPECT_FALSE(fault->replan_pending());
+  EXPECT_FALSE(fault->degraded());
+  EXPECT_EQ(fault->shed_fraction(), 0.0);
+
+  rig.sim.run_until(12.0);
+  system.finish(12.0);
+  EXPECT_EQ(rig.counter("fault.degraded_shed"), shed_while_degraded);
+  const Metrics& m = system.metrics();
+  EXPECT_EQ(m.arrivals(), m.completions() + m.drops());
 }
 
 }  // namespace
