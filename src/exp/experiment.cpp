@@ -482,8 +482,8 @@ class Coordinator {
         // == shard index in fault mode); the allocator clamps internally so
         // it never plans below one worker per task.
         const serving::FaultPlane* fault = systems_[pi]->fault();
-        req.available_workers =
-            share_[pi] - (fault != nullptr ? fault->dead_workers() : 0);
+        const int dead = fault != nullptr ? fault->detector().dead_count() : 0;
+        req.available_workers = share_[pi] - dead;
       }
       plans_[pi] = strategies_[pi]->plan(req).plan;
       solve_s_ += plans_[pi].solve_time_s;

@@ -131,7 +131,7 @@ class TierPlane {
 
   bool armed_ = false;
   bool remainder_priority_ = false;
-  std::array<double, kNumTiers> watermark_;
+  std::array<double, kNumTiers> watermark_{};
   std::array<double, kNumTiers> shares_ = {1.0, 0.0, 0.0};
   bool shares_seeded_ = false;
   std::array<double, kNumTiers> window_{};

@@ -39,6 +39,9 @@ class FaultPlane {
   /// Registers the twelve <prefix>.fault.* series and sizes per-worker
   /// state for `system`'s cluster.
   FaultPlane(ServingSystem& system, obs::Registry& registry);
+  // Scheduled fault events and retries hold `this`.
+  FaultPlane(const FaultPlane&) = delete;
+  FaultPlane& operator=(const FaultPlane&) = delete;
 
   /// Schedules the configured FaultPlan's events (no-op when empty).
   void arm();
@@ -90,8 +93,6 @@ class FaultPlane {
   double shed_fraction() const { return degraded_shed_frac_; }
 
   const fault::FailureDetector& detector() const { return detector_; }
-  /// Workers the detector currently believes dead.
-  int dead_workers() const { return detector_.dead_count(); }
   /// True when the detector's dead set changed since the last installed
   /// plan — coordinators poll this at window barriers to re-plan.
   bool replan_pending() const { return epoch_ != planned_epoch_; }

@@ -779,7 +779,7 @@ void ServingSystem::run_resource_manager(bool force) {
   req.previous_plan = has_plan_ ? &plan_ : nullptr;
   if (fault_ != nullptr) {
     req.available_workers =
-        cfg_.allocator.cluster_size - fault_->dead_workers();
+        cfg_.allocator.cluster_size - fault_->detector().dead_count();
   }
   AllocationPlan plan = strategy_->plan(req).plan;
   total_solve_time_s_ += plan.solve_time_s;

@@ -20,7 +20,7 @@
 // (serving/degrade.hpp) is always present; unarmed, it fills every tier with
 // the untiered fractions and never sheds at admission, so the frontend reads
 // it with no tiers-on branch. The plan fallback chain is a strategy
-// decorator (PlanFallbackChain) wrapped around the injected strategy.
+// decorator (serving/degrade.hpp) wrapped around the injected strategy.
 //
 // Hot-path discipline (per arrival / per forwarded item): routing draws go
 // through RoutingPlan::DrawTable (flat cumulative thresholds, branchless

@@ -4,6 +4,7 @@
 // planes on a directly driven system (no experiment driver).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -447,7 +448,7 @@ TEST(FaultPlane, CrashSuspectDeadRetryReplanRecoverWithExactAccounting) {
   rig.sim.run_until(16.5);
   EXPECT_EQ(health(), fault::WorkerHealth::kDead);
   EXPECT_EQ(rig.counter("fault.dead"), 1u);
-  EXPECT_EQ(fault->dead_workers(), 1);
+  EXPECT_EQ(fault->detector().dead_count(), 1);
   EXPECT_EQ(rig.counter("fault.stranded_retried"), 8u);
   EXPECT_EQ(rig.counter("fault.stranded_dropped"), 0u);
   EXPECT_EQ(rig.counter("fault.replans"), 1u);
@@ -502,7 +503,7 @@ TEST(FaultPlane, ExternallyPlannedSystemStaysDegradedUntilItsCoordinator) {
   rig.sim.schedule_at(0.5, [fault]() { fault->inject_worker_crash(0); });
 
   rig.sim.run_until(6.5);
-  EXPECT_EQ(fault->dead_workers(), 1);
+  EXPECT_EQ(fault->detector().dead_count(), 1);
   EXPECT_TRUE(fault->replan_pending());
   EXPECT_TRUE(fault->degraded());
   EXPECT_DOUBLE_EQ(fault->shed_fraction(),
