@@ -351,9 +351,12 @@ TEST(PlanFallbackChain, DecoratorForwardsNameAndCountsUnderPrefix) {
 TEST(TierPlane, UnarmedFillsEqualBothFractionsAndNeverSheds) {
   // Tiers off: every tier draws against the raw fractions, bit-for-bit —
   // including values tier_serve_probs would clamp — admission never sheds,
-  // and nothing is registered.
+  // and nothing is registered, whatever the rest of the policy says.
   obs::Registry registry;
-  TierPlane plane(TierPolicy{}, registry, "serving");
+  TierPolicy policy;
+  policy.depth_watermark = {0.0, 0.0, 0.0};
+  policy.remainder_priority = true;
+  TierPlane plane(policy, registry, "serving");
   EXPECT_FALSE(plane.armed());
   const double cases[][2] = {
       {1.0, 0.0}, {0.1237654321, 0.087654321}, {0.0, 0.9}, {1.5, -0.25}};
