@@ -35,8 +35,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void RunningStats::reset() { *this = RunningStats{}; }
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_);
@@ -165,8 +163,7 @@ double TimeSeries::max() const {
   return points_.empty() ? 0.0 : m;
 }
 
-void TimeSeries::combine(const TimeSeries& other, bool sum, double weight,
-                         double other_weight) {
+void TimeSeries::combine(const TimeSeries& other) {
   constexpr double kEps = 1e-9;
   std::vector<Point> merged;
   merged.reserve(points_.size() + other.points_.size());
@@ -175,10 +172,7 @@ void TimeSeries::combine(const TimeSeries& other, bool sum, double weight,
     const Point& a = points_[i];
     const Point& b = other.points_[j];
     if (std::abs(a.t - b.t) <= kEps) {
-      merged.push_back(
-          {a.t, sum ? a.v + b.v
-                    : (a.v * weight + b.v * other_weight) /
-                          (weight + other_weight)});
+      merged.push_back({a.t, a.v + b.v});
       ++i;
       ++j;
     } else if (a.t < b.t) {

@@ -17,7 +17,6 @@ class RunningStats {
   void add(double x);
   /// Merges another accumulator (parallel reduction support).
   void merge(const RunningStats& other);
-  void reset();
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -103,13 +102,10 @@ class TimeSeries {
   double mean() const;
   double max() const;
 
-  /// Pointwise combination with another time-ordered series on a shared
-  /// window grid (parallel-shard reduction): points with matching
-  /// timestamps combine — summed when `sum`, else averaged with weight
-  /// `weight` on this series and `other_weight` on `other` — and unmatched
-  /// points pass through unchanged.
-  void combine(const TimeSeries& other, bool sum, double weight = 1.0,
-               double other_weight = 1.0);
+  /// Pointwise sum with another time-ordered series on a shared grid
+  /// (parallel-shard reduction): points with matching timestamps add, and
+  /// unmatched points pass through unchanged.
+  void combine(const TimeSeries& other);
 
  private:
   std::vector<Point> points_;

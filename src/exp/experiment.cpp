@@ -394,7 +394,7 @@ class Coordinator {
     if (!due && have_plan_) {
       double est = 0.0;
       for (const auto& system : systems_) est += system->demand_estimate_now();
-      due = est > last_demand_ * 1.25 + 1.0 || est < last_demand_ * 0.5 - 1.0;
+      due = serving::demand_shifted(est, last_demand_);
     }
     if (!due) return;
     replan(now, /*force=*/fault_due);
@@ -417,9 +417,8 @@ class Coordinator {
       for (const auto& p : plans_) {
         min_served = std::min(min_served, p.served_fraction);
       }
-      const double rel = std::abs(demand - last_demand_) /
-                         std::max(last_demand_, 10.0);
-      if (rel < cfg_.system_cfg.realloc_threshold && min_served >= 1.0) {
+      if (serving::keep_plan(demand, last_demand_, min_served,
+                             cfg_.system_cfg.realloc_threshold)) {
         return;
       }
     }

@@ -1,103 +1,78 @@
 #include "serving/metrics.hpp"
 
+#include "common/check.hpp"
+
 namespace loki::serving {
 
 void Metrics::roll(double t) {
   while (t >= window_start_ + window_s_) {
-    const double mid = window_start_ + window_s_ / 2.0;
-    demand_series_.add(mid,
-                       static_cast<double>(w_arrivals_) / window_s_);
-    if (w_done_ > 0) {
-      violation_series_.add(
-          mid, static_cast<double>(w_violations_) /
-                   static_cast<double>(w_done_));
-    } else {
-      violation_series_.add(mid, 0.0);
-    }
-    if (w_accuracy_.count() > 0) {
-      accuracy_series_.add(mid, w_accuracy_.mean());
-    } else if (!accuracy_series_.empty()) {
-      accuracy_series_.add(mid, accuracy_series_.points().back().v);
-    }
-    w_arrivals_ = 0;
-    w_done_ = 0;
-    w_violations_ = 0;
-    w_accuracy_.reset();
+    current_.t = window_start_ + window_s_ / 2.0;
+    derive(current_);
+    windows_.push_back(current_);
+    current_ = Window{};
     window_start_ += window_s_;
   }
 }
 
+void Metrics::derive(const Window& w) {
+  demand_series_.add(w.t, static_cast<double>(w.arrivals) / window_s_);
+  violation_series_.add(w.t, w.done > 0
+                                 ? static_cast<double>(w.violations) /
+                                       static_cast<double>(w.done)
+                                 : 0.0);
+  if (w.accuracy.count() > 0) {
+    accuracy_series_.add(w.t, w.accuracy.mean());
+  } else if (!accuracy_series_.empty()) {
+    accuracy_series_.add(w.t, accuracy_series_.points().back().v);
+  }
+}
+
+double Metrics::utilization(double servers) const {
+  return cluster_size_ > 0 ? servers / static_cast<double>(cluster_size_)
+                           : 0.0;
+}
+
 void Metrics::record_arrival(double t, int tier) {
   roll(t);
-  ++arrivals_;
-  ++w_arrivals_;
+  ++current_.arrivals;
   ++tiers_[clamp_tier(tier)].arrivals;
 }
 
 void Metrics::record_outcome(double t, QueryOutcome outcome, double accuracy,
                              double latency_s, LossCause cause, int tier) {
   roll(t);
-  ++w_done_;
+  ++current_.done;
+  if (outcome != QueryOutcome::kOnTime) ++current_.violations;
   TierCounts& tc = tiers_[clamp_tier(tier)];
   switch (outcome) {
     case QueryOutcome::kOnTime:
-      ++completions_;
-      ++tc.completions;
-      ++tc.on_time;
-      accuracy_.add(accuracy);
-      w_accuracy_.add(accuracy);
-      latency_.add(latency_s);
-      break;
     case QueryOutcome::kLate:
-      ++completions_;
-      ++violations_;
-      ++late_;
-      ++w_violations_;
       ++tc.completions;
-      ++tc.late;
+      ++(outcome == QueryOutcome::kLate ? tc.late : tc.on_time);
       accuracy_.add(accuracy);
-      w_accuracy_.add(accuracy);
+      current_.accuracy.add(accuracy);
       latency_.add(latency_s);
       break;
     case QueryOutcome::kShed:
-      ++shed_;
-      ++drops_;  // drops_ counts every lost query; shed_ is the subset
-      ++violations_;
-      ++w_violations_;
-      ++tc.drops;
+      ++tc.drops;  // drops counts every lost query; shed is the subset
       ++tc.shed;
-      if (cause == LossCause::kWorkerFailure) {
-        ++shed_failure_;
-        ++tc.shed_failure;
-      }
-      if (cause == LossCause::kDegradedOverload) ++shed_degraded_;
+      if (cause == LossCause::kWorkerFailure) ++tc.shed_failure;
+      if (cause == LossCause::kDegradedOverload) ++tc.shed_degraded;
       break;
     case QueryOutcome::kDropped:
-      ++drops_;
-      ++violations_;
-      ++w_violations_;
       ++tc.drops;
-      if (cause == LossCause::kWorkerFailure) ++drops_failure_;
+      if (cause == LossCause::kWorkerFailure) ++tc.drops_failure;
       break;
   }
 }
 
 void Metrics::record_utilization(double t, int servers_used,
                                  int cluster_size) {
-  servers_.add(static_cast<double>(servers_used));
-  servers_series_.add(t, static_cast<double>(servers_used));
-  utilization_series_.add(t, cluster_size > 0
-                                 ? static_cast<double>(servers_used) /
-                                       static_cast<double>(cluster_size)
-                                 : 0.0);
+  cluster_size_ = cluster_size;
+  const auto servers = static_cast<double>(servers_used);
+  servers_series_.add(t, servers);
+  utilization_series_.add(t, utilization(servers));
 }
-
-void Metrics::record_demand_estimate(double /*t*/, double /*qps*/) {
-  // Estimates are plotted from demand_series_; kept as a hook for tooling.
-}
-
-void Metrics::record_allocation(double /*t*/, double /*solve_time_s*/,
-                                int /*mode*/) {}
 
 double Metrics::tier_attainment(int t) const {
   const TierCounts& tc = tiers_[clamp_tier(t)];
@@ -107,50 +82,56 @@ double Metrics::tier_attainment(int t) const {
 }
 
 double Metrics::slo_violation_ratio() const {
-  const std::uint64_t total = completions_ + drops_;
+  const std::uint64_t total = completions() + drops();
   if (total == 0) return 0.0;
-  return static_cast<double>(violations_) / static_cast<double>(total);
+  return static_cast<double>(violations()) / static_cast<double>(total);
 }
 
 void Metrics::flush(double t) { roll(t + window_s_); }
 
 void Metrics::merge(const Metrics& other) {
-  arrivals_ += other.arrivals_;
-  completions_ += other.completions_;
-  violations_ += other.violations_;
-  drops_ += other.drops_;
-  shed_ += other.shed_;
-  late_ += other.late_;
-  shed_failure_ += other.shed_failure_;
-  shed_degraded_ += other.shed_degraded_;
-  drops_failure_ += other.drops_failure_;
+  LOKI_CHECK(window_s_ == other.window_s_);
+  for (int t = 0; t < kNumTiers; ++t) {
+    TierCounts& tc = tiers_[t];
+    const TierCounts& o = other.tiers_[t];
+    tc.arrivals += o.arrivals;
+    tc.completions += o.completions;
+    tc.on_time += o.on_time;
+    tc.late += o.late;
+    tc.drops += o.drops;
+    tc.shed += o.shed;
+    tc.shed_failure += o.shed_failure;
+    tc.shed_degraded += o.shed_degraded;
+    tc.drops_failure += o.drops_failure;
+  }
   forwards_ += other.forwards_;
   model_swaps_ += other.model_swaps_;
-  for (int t = 0; t < kNumTiers; ++t) {
-    tiers_[t].arrivals += other.tiers_[t].arrivals;
-    tiers_[t].completions += other.tiers_[t].completions;
-    tiers_[t].on_time += other.tiers_[t].on_time;
-    tiers_[t].late += other.tiers_[t].late;
-    tiers_[t].drops += other.tiers_[t].drops;
-    tiers_[t].shed += other.tiers_[t].shed;
-    tiers_[t].shed_failure += other.tiers_[t].shed_failure;
-  }
   accuracy_.merge(other.accuracy_);
   latency_.merge(other.latency_);
-  servers_.merge(other.servers_);
-  // Shards share the window grid (same window_s_, windows anchored at 0), so
-  // pointwise combination lines up. Count-like series sum; ratio series take
-  // the mean over all merged shards (see header caveat).
-  const auto w = static_cast<double>(shards_);
-  const auto w_other = static_cast<double>(other.shards_);
-  demand_series_.combine(other.demand_series_, /*sum=*/true);
-  servers_series_.combine(other.servers_series_, /*sum=*/true);
-  accuracy_series_.combine(other.accuracy_series_, /*sum=*/false, w, w_other);
-  violation_series_.combine(other.violation_series_, /*sum=*/false, w,
-                            w_other);
-  utilization_series_.combine(other.utilization_series_, /*sum=*/false, w,
-                              w_other);
-  shards_ += other.shards_;
+  // Windows are anchored at t = 0, so the i-th window of every shard covers
+  // the same span.
+  for (std::size_t i = 0; i < other.windows_.size(); ++i) {
+    if (i == windows_.size()) {
+      windows_.push_back(other.windows_[i]);
+      continue;
+    }
+    Window& w = windows_[i];
+    w.arrivals += other.windows_[i].arrivals;
+    w.done += other.windows_[i].done;
+    w.violations += other.windows_[i].violations;
+    w.accuracy.merge(other.windows_[i].accuracy);
+  }
+  servers_series_.combine(other.servers_series_);
+  cluster_size_ += other.cluster_size_;
+
+  demand_series_ = TimeSeries();
+  violation_series_ = TimeSeries();
+  accuracy_series_ = TimeSeries();
+  for (const Window& w : windows_) derive(w);
+  utilization_series_ = TimeSeries();
+  for (const TimeSeries::Point& p : servers_series_.points()) {
+    utilization_series_.add(p.t, utilization(p.v));
+  }
 }
 
 }  // namespace loki::serving

@@ -1,10 +1,13 @@
 // Metrics pipeline: per-query accounting plus the windowed timeseries that
 // reproduce the panels of Figs. 5 and 6 (demand, system accuracy, cluster
 // utilization, SLO violation ratio) and the summary numbers quoted in §6.
+// Each outcome is counted once, in its tier; totals and ratio series are
+// computed from sums, so merging shards is addition.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -38,6 +41,11 @@ struct TierCounts {
   /// policy. `shed == shed_failure` means the shedding policy never touched
   /// this tier — the invariant the strict tier holds under flash crowds.
   std::uint64_t shed_failure = 0;
+  /// Subset of `shed` taken by degraded-mode overload shedding.
+  std::uint64_t shed_degraded = 0;
+  /// Subset of `drops - shed` (queries dropped inside the pipeline) lost to
+  /// worker failure.
+  std::uint64_t drops_failure = 0;
 };
 
 class Metrics {
@@ -52,10 +60,9 @@ class Metrics {
   void record_outcome(double t, QueryOutcome outcome, double accuracy,
                       double latency_s,
                       LossCause cause = LossCause::kCapacity, int tier = 0);
-  /// Periodic cluster snapshot: servers in use / total.
+  /// Periodic cluster snapshot: servers in use / total. The cluster size is
+  /// fixed for a run.
   void record_utilization(double t, int servers_used, int cluster_size);
-  void record_demand_estimate(double t, double qps);
-  void record_allocation(double t, double solve_time_s, int mode);
   /// Intermediate-result forwards committed to downstream workers (fan-out
   /// volume; the per-batch bookkeeping that used to be computed and thrown
   /// away in the runtime).
@@ -63,18 +70,24 @@ class Metrics {
   /// A worker paid a model-load delay to change its hosted (task, variant).
   void record_model_swap() { ++model_swaps_; }
 
-  // --- Summary accessors ---
-  std::uint64_t arrivals() const { return arrivals_; }
-  std::uint64_t completions() const { return completions_; }
-  std::uint64_t violations() const { return violations_; }
-  std::uint64_t drops() const { return drops_; }
-  std::uint64_t shed() const { return shed_; }
-  std::uint64_t late() const { return late_; }
+  // --- Summary accessors: sums over the per-tier counts ---
+  std::uint64_t arrivals() const { return total(&TierCounts::arrivals); }
+  std::uint64_t completions() const { return total(&TierCounts::completions); }
+  std::uint64_t violations() const { return late() + drops(); }
+  std::uint64_t drops() const { return total(&TierCounts::drops); }
+  std::uint64_t shed() const { return total(&TierCounts::shed); }
+  std::uint64_t late() const { return total(&TierCounts::late); }
   /// Shed-by-cause attribution (the fault subsystem's reconciliation
   /// invariant: arrivals == completions + drops, with drops split by cause).
-  std::uint64_t shed_by_failure() const { return shed_failure_; }
-  std::uint64_t shed_by_degraded() const { return shed_degraded_; }
-  std::uint64_t drops_by_failure() const { return drops_failure_; }
+  std::uint64_t shed_by_failure() const {
+    return total(&TierCounts::shed_failure);
+  }
+  std::uint64_t shed_by_degraded() const {
+    return total(&TierCounts::shed_degraded);
+  }
+  std::uint64_t drops_by_failure() const {
+    return total(&TierCounts::drops_failure);
+  }
   std::uint64_t forwards() const { return forwards_; }
   std::uint64_t model_swaps() const { return model_swaps_; }
   /// Per-tier splits of the totals above (tier clamped into [0, kNumTiers)).
@@ -88,9 +101,11 @@ class Metrics {
   double mean_accuracy() const { return accuracy_.mean(); }
   double mean_latency_s() const { return latency_.mean(); }
   double p99_latency_s() const { return latency_.quantile(0.99); }
-  double mean_servers_used() const { return servers_.mean(); }
+  double mean_servers_used() const { return servers_series_.mean(); }
 
   // --- Timeseries (windowed by the runtime as events happen) ---
+  // Demand, violation and accuracy are derived from each window's raw sums,
+  // utilization from the servers series and the cluster size.
   const TimeSeries& demand_series() const { return demand_series_; }
   const TimeSeries& accuracy_series() const { return accuracy_series_; }
   const TimeSeries& violation_series() const { return violation_series_; }
@@ -104,57 +119,56 @@ class Metrics {
   /// run so the tail shows up).
   void flush(double t);
 
-  /// Folds another (flushed) Metrics into this one — the parallel-sim-mode
-  /// reduction over per-shard serving systems. Counters and sample
-  /// distributions merge exactly. Timeseries combine pointwise on the shared
-  /// window grid: count-like series (demand, servers) sum; ratio series
-  /// (accuracy, violation, utilization) take the mean over every shard
-  /// folded in so far, each shard weighing one. That per-shard mean equals
-  /// the cluster-wide ratio only when shards carry equal load — round-robin
-  /// arrival splitting makes them near-equal (documented parallel-mode
-  /// caveat in the README).
+  /// Folds another (flushed) Metrics with the same window into this one —
+  /// the parallel-sim-mode reduction over per-shard serving systems. Counts,
+  /// window sums, the servers series (pointwise on the shared heartbeat
+  /// grid) and cluster sizes add; sample distributions merge; the ratio
+  /// series are then derived again from the sums, so a K-shard merge is
+  /// exact.
   void merge(const Metrics& other);
 
  private:
+  /// Raw sums of one closed metrics window, stamped with its midpoint.
+  struct Window {
+    double t = 0.0;
+    std::uint64_t arrivals = 0;
+    std::uint64_t done = 0;
+    std::uint64_t violations = 0;
+    RunningStats accuracy;
+  };
+
   void roll(double t);
+  /// Appends one closed window's points to the demand, violation and
+  /// accuracy series.
+  void derive(const Window& w);
+  double utilization(double servers) const;
+  std::uint64_t total(std::uint64_t TierCounts::*field) const {
+    std::uint64_t n = 0;
+    for (const TierCounts& tc : tiers_) n += tc.*field;
+    return n;
+  }
   static int clamp_tier(int t) {
     return t < 0 ? 0 : (t >= kNumTiers ? kNumTiers - 1 : t);
   }
 
   double window_s_;
   double window_start_ = 0.0;
-  // Shard Metrics folded into this one by merge() (1 for a single system):
-  // the weight this side's ratio series carry in the next merge.
-  std::uint64_t shards_ = 1;
 
-  // Totals.
-  std::uint64_t arrivals_ = 0;
-  std::uint64_t completions_ = 0;
-  std::uint64_t violations_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t late_ = 0;
-  std::uint64_t shed_failure_ = 0;
-  std::uint64_t shed_degraded_ = 0;
-  std::uint64_t drops_failure_ = 0;
+  std::array<TierCounts, kNumTiers> tiers_{};
   std::uint64_t forwards_ = 0;
   std::uint64_t model_swaps_ = 0;
-  std::array<TierCounts, kNumTiers> tiers_{};
   RunningStats accuracy_;
   PercentileTracker latency_;
-  RunningStats servers_;
 
-  // Current window accumulators.
-  std::uint64_t w_arrivals_ = 0;
-  std::uint64_t w_done_ = 0;
-  std::uint64_t w_violations_ = 0;
-  RunningStats w_accuracy_;
+  std::vector<Window> windows_;
+  Window current_;
+  TimeSeries servers_series_;
+  int cluster_size_ = 0;
 
   TimeSeries demand_series_;
   TimeSeries accuracy_series_;
   TimeSeries violation_series_;
   TimeSeries utilization_series_;
-  TimeSeries servers_series_;
 };
 
 }  // namespace loki::serving

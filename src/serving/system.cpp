@@ -10,6 +10,15 @@
 
 namespace loki::serving {
 
+/// Load Balancer refresh period between RM runs (§5.1).
+constexpr double kLbPeriodS = 2.0;
+/// A straggler batch runs 1.5x..this much slower.
+constexpr double kStragglerScale = 3.0;
+/// Rolling-update bound on concurrent variant swaps (apply_plan pass 2b).
+constexpr int kMaxConcurrentSwaps = 5;
+/// EWMA weight for observed multiplicative factors.
+constexpr double kMultEwmaAlpha = 0.3;
+
 std::string to_string(DropPolicy p) {
   switch (p) {
     case DropPolicy::kNone: return "no-early-dropping";
@@ -130,7 +139,7 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
         // throttling) — the systematic part of a real cluster's noise.
         if (cfg_.straggler_prob > 0.0 &&
             rng_jitter_.bernoulli(cfg_.straggler_prob)) {
-          v *= rng_jitter_.uniform(1.5, cfg_.straggler_scale);
+          v *= rng_jitter_.uniform(1.5, kStragglerScale);
         }
         return v;
       });
@@ -170,7 +179,7 @@ void ServingSystem::schedule_control_loops(bool with_rm) {
   if (with_rm) {
     schedule_periodic(cfg_.rm_period_s, [this]() { run_resource_manager(); });
   }
-  schedule_periodic(cfg_.lb_period_s, [this]() { run_load_balancer(); });
+  schedule_periodic(kLbPeriodS, [this]() { run_load_balancer(); });
   schedule_periodic(cfg_.heartbeat_period_s, [this]() { run_heartbeat(); });
 }
 
@@ -213,8 +222,6 @@ void ServingSystem::commit_plan(AllocationPlan plan, double demand) {
   }
   apply_plan(std::move(plan));
   run_load_balancer();  // LB runs on every allocation change (§5.1)
-  metrics_.record_allocation(now, plan_.solve_time_s,
-                             static_cast<int>(plan_.mode));
   if (fault_ != nullptr) fault_->on_plan();
 }
 
@@ -759,16 +766,13 @@ void ServingSystem::run_resource_manager(bool force) {
   LOKI_CHECK(strategy_ != nullptr);
   const double now = sim_->now();
   const double demand = demand_.estimate(now);
-  // Hysteresis: skip the re-allocation when demand barely moved — swapping
-  // variants costs load time and the current plan still fits. Failure
-  // re-plans (`force`) always go through: the *capacity* moved, not demand.
-  if (has_plan_ && !force) {
-    const double rel = std::abs(demand - last_alloc_demand_) /
-                       std::max(last_alloc_demand_, 10.0);
-    if (rel < cfg_.realloc_threshold && plan_.served_fraction >= 1.0) {
-      run_load_balancer();
-      return;
-    }
+  // Failure re-plans (`force`) skip the hysteresis: the *capacity* moved,
+  // not demand.
+  if (has_plan_ && !force &&
+      keep_plan(demand, last_alloc_demand_, plan_.served_fraction,
+                cfg_.realloc_threshold)) {
+    run_load_balancer();
+    return;
   }
   PlanRequest req;
   req.demand_qps = demand;
@@ -805,7 +809,7 @@ void ServingSystem::run_heartbeat() {
       // Scale the EWMA weight by the window's sample count: a near-empty
       // window (trace tail, cold variant) is Poisson noise, not signal.
       const double alpha =
-          cfg_.mult_ewma_alpha * std::min(1.0, obs_in_[t][k] / 30.0);
+          kMultEwmaAlpha * std::min(1.0, obs_in_[t][k] / 30.0);
       mult_estimates_[t][k] =
           alpha * observed + (1.0 - alpha) * mult_estimates_[t][k];
       obs_in_[t][k] = 0.0;
@@ -829,10 +833,9 @@ void ServingSystem::run_heartbeat() {
   // burst arriving right after a periodic run). Externally-planned systems
   // leave surge handling to their coordinator (which sees all shards).
   if (external_) return;
-  const double est = demand_.estimate(now);
-  const bool surge = est > last_alloc_demand_ * 1.25 + 1.0;
-  const bool collapse = est < last_alloc_demand_ * 0.5 - 1.0;
-  if (surge || collapse) run_resource_manager();
+  if (demand_shifted(demand_.estimate(now), last_alloc_demand_)) {
+    run_resource_manager();
+  }
 }
 
 void ServingSystem::apply_plan(AllocationPlan plan) {
@@ -885,14 +888,14 @@ void ServingSystem::apply_plan(AllocationPlan plan) {
       if (worker_placed[wi] || w.active() || w.crashed()) continue;
       flush_into(w.assign(ic.task, ic.variant,
                           &graph_->task(ic.task).catalog.at(ic.variant),
-                          ic.batch, cfg_.model_swap_cost));
+                          ic.batch, /*swap_cost=*/true));
       new_group_workers[static_cast<std::size_t>(gi)].push_back(w.id());
       worker_placed[wi] = true;
       --slots_left[static_cast<std::size_t>(gi)];
     }
   }
   // Pass 2b: repurpose active workers — deferred behind the rolling-update
-  // bound so the cluster never loses more than max_concurrent_swaps
+  // bound so the cluster never loses more than kMaxConcurrentSwaps
   // workers' worth of capacity at once. Until their turn they keep serving
   // their old variant.
   for (int gi = 0; gi < ngroups; ++gi) {
@@ -943,7 +946,7 @@ void ServingSystem::apply_plan(AllocationPlan plan) {
 }
 
 void ServingSystem::kick_pending_swaps() {
-  while (swaps_in_flight_ < cfg_.max_concurrent_swaps &&
+  while (swaps_in_flight_ < kMaxConcurrentSwaps &&
          !pending_swaps_.empty()) {
     const auto [wid, gi] = pending_swaps_.front();
     pending_swaps_.pop_front();
@@ -956,9 +959,7 @@ void ServingSystem::kick_pending_swaps() {
     // pass 1 and Worker::assign. Comparing only the variant index let a
     // worker move to a *different task* whose variant happened to share the
     // index without paying the model-load cost.
-    const bool pays_swap =
-        cfg_.model_swap_cost &&
-        (w.task() != ic.task || w.variant() != ic.variant);
+    const bool pays_swap = w.task() != ic.task || w.variant() != ic.variant;
     auto items = w.assign(ic.task, ic.variant, model, ic.batch, pays_swap);
     group_workers_[static_cast<std::size_t>(gi)].push_back(wid);
     worker_group_[static_cast<std::size_t>(wid)] = gi;

@@ -32,6 +32,8 @@
 // performs no heap allocation outside pool growth.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -62,12 +64,24 @@ enum class DropPolicy { kNone, kLastTask, kPerTask, kOpportunisticReroute };
 
 std::string to_string(DropPolicy p);
 
+/// Re-planning policy (§4.2) of the Resource Manager and the coordinated
+/// control plane; `last` is the demand the current plan was sized for.
+/// Off-period trigger: the demand estimate surged or collapsed.
+inline bool demand_shifted(double estimate, double last) {
+  return estimate > last * 1.25 + 1.0 || estimate < last * 0.5 - 1.0;
+}
+/// Hysteresis: keep the plan while demand moved less than `threshold`
+/// (relative) and the plan serves all of it.
+inline bool keep_plan(double demand, double last, double served_fraction,
+                      double threshold) {
+  const double rel = std::abs(demand - last) / std::max(last, 10.0);
+  return rel < threshold && served_fraction >= 1.0;
+}
+
 struct SystemConfig {
   AllocatorConfig allocator;
   /// Resource Manager invocation period (§4.2 uses 10 s).
   double rm_period_s = 10.0;
-  /// Load Balancer refresh period between RM runs (§5.1).
-  double lb_period_s = 2.0;
   /// Worker heartbeat period (multiplicative-factor reports, §3).
   double heartbeat_period_s = 1.0;
   double metrics_window_s = 10.0;
@@ -77,19 +91,9 @@ struct SystemConfig {
   double exec_noise_frac = 0.0;
   /// Relative jitter on network hops.
   double comm_jitter_frac = 0.0;
-  /// Straggler batches: with this probability a batch runs 1.5x..scale
-  /// slower (models contention/throttling on a physical cluster).
+  /// Straggler batches: with this probability a batch runs 1.5x..3x slower
+  /// (models contention/throttling on a physical cluster).
   double straggler_prob = 0.0;
-  double straggler_scale = 3.0;
-  /// Pay model-load latency when a worker changes variant.
-  bool model_swap_cost = true;
-  /// Rolling-update bound: at most this many *serving* workers swap their
-  /// variant concurrently after a plan change. The rest keep serving their
-  /// old variant (same task, different accuracy point) until their turn, so
-  /// a re-allocation never craters cluster capacity.
-  int max_concurrent_swaps = 5;
-  /// EWMA weight for observed multiplicative factors.
-  double mult_ewma_alpha = 0.3;
   /// Re-allocation hysteresis: the Resource Manager keeps the current plan
   /// when the demand estimate moved less than this relative amount since the
   /// last allocation. Prevents variant-flapping (and the model-swap storms

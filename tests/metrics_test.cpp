@@ -2,6 +2,7 @@
 // rolling, and utilization series.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "serving/metrics.hpp"
@@ -137,6 +138,92 @@ TEST(Metrics, MergeAveragesRatioSeriesOverEveryShard) {
   right.merge(shards[3]);
   left.merge(right);
   EXPECT_DOUBLE_EQ(left.violation_series().points()[0].v, 0.25);
+}
+
+TEST(Metrics, MergePoolsRatioSeriesFromWindowSums) {
+  // Unequal load in one window. Shard A: 3 on-time queries at accuracy 0.9,
+  // 2 of 4 servers in use. Shard B: 1 on-time query at 0.5, 1 dropped, 0 of
+  // 12 servers. The merged ratios pool the shards' sums; a mean of the two
+  // shards' ratios would give 0.25, 0.7 and 0.25.
+  Metrics a(10.0), b(10.0);
+  for (int i = 0; i < 3; ++i) {
+    a.record_arrival(1.0);
+    a.record_outcome(1.5, QueryOutcome::kOnTime, 0.9, 0.1);
+  }
+  a.record_utilization(2.0, 2, 4);
+  b.record_arrival(1.0);
+  b.record_outcome(1.5, QueryOutcome::kOnTime, 0.5, 0.1);
+  b.record_arrival(1.0);
+  b.record_outcome(1.5, QueryOutcome::kDropped, 0.0, 0.0);
+  b.record_utilization(2.0, 0, 12);
+  a.flush(9.0);
+  b.flush(9.0);
+  a.merge(b);
+
+  ASSERT_EQ(a.violation_series().size(), 1u);
+  EXPECT_DOUBLE_EQ(a.violation_series().points()[0].v, 0.2);
+  ASSERT_EQ(a.accuracy_series().size(), 1u);
+  EXPECT_DOUBLE_EQ(a.accuracy_series().points()[0].v, 0.8);
+  ASSERT_EQ(a.utilization_series().size(), 1u);
+  EXPECT_DOUBLE_EQ(a.utilization_series().points()[0].v, 0.125);
+  ASSERT_EQ(a.demand_series().size(), 1u);
+  EXPECT_DOUBLE_EQ(a.demand_series().points()[0].v, 0.5);
+  EXPECT_DOUBLE_EQ(a.mean_servers_used(), 2.0);
+}
+
+TEST(Metrics, MergedTotalsAreTierSums) {
+  // Every outcome and loss cause on some tier of one shard or the other.
+  Metrics a(10.0), b(10.0);
+  a.record_arrival(1.0, 0);
+  a.record_outcome(1.1, QueryOutcome::kOnTime, 1.0, 0.1, LossCause::kCapacity,
+                   0);
+  a.record_arrival(1.0, 1);
+  a.record_outcome(1.2, QueryOutcome::kShed, 0.0, 0.0,
+                   LossCause::kWorkerFailure, 1);
+  a.record_arrival(1.0, 2);
+  a.record_outcome(1.3, QueryOutcome::kDropped, 0.0, 0.2,
+                   LossCause::kWorkerFailure, 2);
+  b.record_arrival(1.0, 0);
+  b.record_outcome(1.4, QueryOutcome::kLate, 0.9, 0.4, LossCause::kCapacity,
+                   0);
+  b.record_arrival(1.0, 1);
+  b.record_outcome(1.5, QueryOutcome::kShed, 0.0, 0.0,
+                   LossCause::kDegradedOverload, 1);
+  b.record_arrival(1.0, 2);
+  b.record_outcome(1.6, QueryOutcome::kShed, 0.0, 0.0, LossCause::kCapacity,
+                   2);
+  b.record_arrival(1.0, 2);
+  b.record_outcome(1.7, QueryOutcome::kDropped, 0.0, 0.2, LossCause::kCapacity,
+                   2);
+  a.flush(9.0);
+  b.flush(9.0);
+  a.merge(b);
+
+  const auto sum = [&a](std::uint64_t TierCounts::*field) {
+    std::uint64_t n = 0;
+    for (const TierCounts& tc : a.tiers()) n += tc.*field;
+    return n;
+  };
+  EXPECT_EQ(a.arrivals(), 7u);
+  EXPECT_EQ(a.arrivals(), sum(&TierCounts::arrivals));
+  EXPECT_EQ(a.completions(), 2u);
+  EXPECT_EQ(a.completions(), sum(&TierCounts::completions));
+  EXPECT_EQ(a.late(), 1u);
+  EXPECT_EQ(a.late(), sum(&TierCounts::late));
+  EXPECT_EQ(a.drops(), 5u);
+  EXPECT_EQ(a.drops(), sum(&TierCounts::drops));
+  EXPECT_EQ(a.shed(), 3u);
+  EXPECT_EQ(a.shed(), sum(&TierCounts::shed));
+  EXPECT_EQ(a.shed_by_failure(), 1u);
+  EXPECT_EQ(a.shed_by_failure(), sum(&TierCounts::shed_failure));
+  EXPECT_EQ(a.shed_by_degraded(), 1u);
+  EXPECT_EQ(a.shed_by_degraded(), sum(&TierCounts::shed_degraded));
+  EXPECT_EQ(a.drops_by_failure(), 1u);
+  EXPECT_EQ(a.drops_by_failure(), sum(&TierCounts::drops_failure));
+  EXPECT_EQ(a.violations(), 6u);
+  EXPECT_EQ(a.tier(1).shed_degraded, 1u);
+  EXPECT_EQ(a.tier(2).drops_failure, 1u);
+  EXPECT_DOUBLE_EQ(a.slo_violation_ratio(), 6.0 / 7.0);
 }
 
 }  // namespace

@@ -316,6 +316,22 @@ TEST(ParallelExperiment, ShardCountIsClampedToClusterSize) {
   EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);
 }
 
+TEST(ParallelExperiment, MeanServersUsedIsClusterWide) {
+  // The merged servers series sums the shards' heartbeats, and
+  // mean_servers_used is its time average in every sharded mode: a plain
+  // two-shard run and a coordinated, weighted three-shard run.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = diff_curve();
+  auto weighted = coord_config(3, 0);
+  weighted.system_cfg.allocator.cluster_size = 10;
+  weighted.sim_weighted_split = true;
+  for (const auto& cfg : {diff_config(2), weighted}) {
+    SCOPED_TRACE(cfg.sim_shards);
+    const auto r = exp::run_experiment(graph, curve, cfg);
+    EXPECT_DOUBLE_EQ(r.mean_servers_used, r.metrics.servers_series().mean());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Weighted shard splits (satellite of the observability PR; closes the
 // per-shard demand-skew gap of ROADMAP item 2)
@@ -685,7 +701,7 @@ TEST(ModeGoldens, PlainShardedTwoShards) {
                           {1590, 1590},
                           0.011949685534591196, 0.99975047740292777,
                           0.092251549524716508, 0.22941097646271069,
-                          2.4923076923076928});
+                          4.9846153846153847});
 }
 
 TEST(ModeGoldens, CoordinatedTwoShards) {
@@ -696,7 +712,7 @@ TEST(ModeGoldens, CoordinatedTwoShards) {
                           {1590, 1590},
                           0.012264150943396227, 0.99950971028334878,
                           0.092131595595809163, 0.23083910543265201,
-                          2.4923076923076914});
+                          4.9846153846153847});
 }
 
 TEST(ModeGoldens, CoordinatedThreeSkewedWeightedShards) {
@@ -710,7 +726,7 @@ TEST(ModeGoldens, CoordinatedThreeSkewedWeightedShards) {
                           {{{3180, 3166, 14, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
                           {1272, 954, 954},
                           0.0044025157232704401, 1.0, 0.087638297597336073,
-                          0.21792781272143846, 2.1846153846153848});
+                          0.21792781272143846, 6.5538461538461537});
 }
 
 /// Arms every optional plane on a sharded config: SLO tiers over a mixed
@@ -735,7 +751,7 @@ TEST(ModeGoldens, PlainTwoShardsWithEveryPlane) {
                           {1590, 1590},
                           0.020125786163522012, 0.99974647435897446,
                           0.090088322508249302, 0.22252470340516892,
-                          2.4923076923076928});
+                          4.9846153846153847});
 }
 
 TEST(ModeGoldens, CoordinatedTwoShardsReweightedWithEveryPlane) {
@@ -753,7 +769,7 @@ TEST(ModeGoldens, CoordinatedTwoShardsReweightedWithEveryPlane) {
                           {1678, 1502},
                           0.012264150943396227, 0.99951033386327492,
                           0.090561558119771068, 0.21941130548387483,
-                          2.5230769230769226});
+                          5.046153846153846});
 }
 
 }  // namespace
