@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -45,9 +44,13 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 void PercentileTracker::add(double x) {
   samples_.push_back(x);
   sorted_ = false;
+  sum_ += x;
 }
 
 void PercentileTracker::merge(const PercentileTracker& other) {
+  // One sample at a time, not sum_ += other.sum_: the sum keeps the exact
+  // bits of adding every sample in insertion order.
+  for (const double x : other.samples_) sum_ += x;
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
   sorted_ = false;
@@ -69,8 +72,7 @@ double PercentileTracker::quantile(double q) const {
 
 double PercentileTracker::mean() const {
   if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
+  return sum_ / static_cast<double>(samples_.size());
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -50,12 +50,16 @@ class PercentileTracker {
   double p50() const { return quantile(0.50); }
   double p90() const { return quantile(0.90); }
   double p99() const { return quantile(0.99); }
+  /// Mean of the samples summed in insertion order (merged trackers' samples
+  /// follow this one's), so it does not depend on whether a quantile query
+  /// reordered the stored samples first.
   double mean() const;
 
  private:
   // Sorted lazily on query; `sorted_` tracks validity.
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
+  double sum_ = 0.0;
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the

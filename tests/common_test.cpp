@@ -201,6 +201,26 @@ TEST(PercentileTracker, MergeAndInterleavedAdd) {
   EXPECT_NEAR(a.p50(), 49.5, 1e-9);
 }
 
+TEST(PercentileTracker, MeanDoesNotDependOnAQuantileQuery) {
+  // Regression: mean() used to sum the samples in their stored order, which
+  // a quantile query rearranges, so the same tracker reported two means a
+  // few ULP apart. It must sum in insertion order, merged trackers included.
+  Rng rng(11);
+  PercentileTracker a, b, merged;
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = rng.exponential(10.0);
+    (i < 600000 ? a : b).add(x);
+  }
+  merged.merge(a);
+  merged.merge(b);
+  const double before = merged.mean();
+  EXPECT_GT(merged.quantile(0.99), merged.quantile(0.5));
+  EXPECT_EQ(merged.mean(), before);  // bit-identical, not merely close
+  const double a_before = a.mean();
+  a.quantile(0.99);
+  EXPECT_EQ(a.mean(), a_before);
+}
+
 TEST(Histogram, BinningAndClamping) {
   Histogram h(0.0, 10.0, 10);
   h.add(0.5);
