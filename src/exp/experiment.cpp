@@ -614,6 +614,10 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   out.mean_servers_used = m.mean_servers_used();
   out.arrivals = m.arrivals();
   out.drops = m.drops();
+  // Deterministic event-core work, summed over shards.
+  std::uint64_t events = 0;
+  for (std::size_t s = 0; s < shards; ++s) events += psim.shard(s).processed();
+  registry.counter("exp.sim.events").add(events);
   out.obs = registry.snapshot();
   if (!cfg.obs_csv_path.empty()) out.obs.write_csv(cfg.obs_csv_path);
   return out;

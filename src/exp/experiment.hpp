@@ -141,8 +141,9 @@ struct ExperimentResult {
   serving::Metrics metrics;  // full timeseries for figure output
   /// Final snapshot of the run's metric registry: cluster-wide stage
   /// counters (serving.stage.*), per-request stage latency histograms
-  /// (serving.lat.*), per-shard observed demand (exp.shard<k>.arrivals) and
-  /// the registry's self-measured snapshot cost (obs.self.*).
+  /// (serving.lat.*), per-shard observed demand (exp.shard<k>.arrivals),
+  /// the event core's work summed over shards (exp.sim.events: events
+  /// fired) and the registry's self-measured snapshot cost (obs.self.*).
   obs::Snapshot obs;
 };
 

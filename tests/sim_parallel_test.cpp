@@ -624,6 +624,61 @@ TEST(SequentialGoldens, SmokeWorkloadMetricsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Event-core work pins: the number of events a run fires is deterministic
+// for a fixed seed and shard count, so these exact counts catch a hot-path
+// change that does more (or less) simulation work, independent of the host.
+// ---------------------------------------------------------------------------
+
+struct WorkPin {
+  std::uint64_t arrivals, forwards, batches, events;
+};
+
+void expect_work(const exp::ExperimentResult& r, const WorkPin& pin) {
+  EXPECT_EQ(r.arrivals, pin.arrivals);
+  EXPECT_EQ(r.metrics.forwards(), pin.forwards);
+  EXPECT_EQ(r.obs.counter_value("serving.stage.batches"), pin.batches);
+  EXPECT_EQ(r.obs.counter_value("exp.sim.events"), pin.events);
+}
+
+TEST(EventCoreWork, SmokeWorkloadEventCounts) {
+  // The SequentialGoldens smoke workload.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kAzureDiurnal;
+  tcfg.duration_s = 60.0;
+  tcfg.peak_qps = 120.0;
+  tcfg.seed = test::test_seed("e2e_smoke_curve");
+  exp::ExperimentConfig cfg;
+  cfg.system = "loki-milp";
+  cfg.system_cfg.allocator.cluster_size = 8;
+  cfg.system_cfg.allocator.slo_s = 0.250;
+  cfg.arrivals.seed = test::test_seed("e2e_smoke_arrivals");
+  const auto r =
+      exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
+  expect_work(r, {3070, 4176, 4971, 15382});
+}
+
+TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
+  // A short diurnal day on 96 workers of the three-task traffic pipeline:
+  // the benchmark's diurnal shape at a tenth of its length.
+  const auto graph = pipeline::traffic_analysis_pipeline();
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kAzureDiurnal;
+  tcfg.duration_s = 30.0;
+  tcfg.peak_qps = 5300.0;
+  tcfg.seed = 5;
+  exp::ExperimentConfig cfg;
+  cfg.system = "loki-milp";
+  cfg.system_cfg.allocator.cluster_size = 96;
+  cfg.system_cfg.allocator.slo_s = 0.250;
+  cfg.system_cfg.seed = 11;
+  cfg.arrivals.seed = 12;
+  const auto r =
+      exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
+  expect_work(r, {68567, 96479, 55202, 288293});
+}
+
+// ---------------------------------------------------------------------------
 // Per-mode bit-identity goldens: one pinned run for each way the driver can
 // be configured (sequential with every optional plane armed, plain sharded,
 // coordinated, coordinated with skewed weighted shares). Differential tests
