@@ -50,17 +50,81 @@ bool Simulation::fire_front() {
   return true;
 }
 
+Simulation::LaneId Simulation::add_lane(std::string name) {
+  lanes_.emplace_back();
+  lanes_.back().stats.name = std::move(name);
+  return LaneId{static_cast<std::uint32_t>(lanes_.size() - 1)};
+}
+
+std::size_t Simulation::pending() const {
+  std::size_t n = heap_.size();
+  for (const Lane& lane : lanes_) n += lane.ring.size();
+  return n;
+}
+
+int Simulation::earliest(Time* t) const {
+  // A lazily re-keyed heap root carries a key no later than its real one,
+  // so when it wins here fire_front() only re-keys it and the caller asks
+  // again; when a lane front wins, the real key is later still.
+  int src = kNothing;
+  Time best_t = 0.0;
+  std::uint64_t best_seq = 0;
+  if (!heap_.empty()) {
+    src = kHeapRoot;
+    best_t = heap_.front().t;
+    best_seq = heap_.front().seq;
+  }
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const RingBuffer<LaneEntry>& ring = lanes_[i].ring;
+    if (ring.empty()) continue;
+    const LaneEntry& front = ring.front();
+    if (src == kNothing || front.t < best_t ||
+        (front.t == best_t && front.seq < best_seq)) {
+      src = static_cast<int>(i);
+      best_t = front.t;
+      best_seq = front.seq;
+    }
+  }
+  *t = best_t;
+  return src;
+}
+
+void Simulation::fire_lane(std::size_t i) {
+  RingBuffer<LaneEntry>& ring = lanes_[i].ring;
+  now_ = ring.front().t;
+  ++processed_;
+  ++lanes_[i].stats.fired;
+  // Move the callback out first: it may push onto this lane and grow (move)
+  // the ring while it runs.
+  Callback cb = std::move(ring.front().cb);
+  ring.pop_front();
+  cb();
+}
+
 bool Simulation::step() {
-  while (!heap_.empty()) {
+  for (;;) {
+    Time t = 0.0;
+    const int src = earliest(&t);
+    if (src == kNothing) return false;
+    if (src != kHeapRoot) {
+      fire_lane(static_cast<std::size_t>(src));
+      return true;
+    }
     if (fire_front()) return true;
   }
-  return false;
 }
 
 void Simulation::run_until(Time t_end) {
   LOKI_CHECK(t_end >= now_);
-  while (!heap_.empty() && heap_.front().t <= t_end) {
-    fire_front();
+  for (;;) {
+    Time t = 0.0;
+    const int src = earliest(&t);
+    if (src == kNothing || t > t_end) break;
+    if (src == kHeapRoot) {
+      fire_front();
+    } else {
+      fire_lane(static_cast<std::size_t>(src));
+    }
   }
   now_ = t_end;
 }
