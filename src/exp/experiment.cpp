@@ -183,6 +183,7 @@ class ArrivalFeeder {
         sampler_(cfg.tier_mix, cfg.tier_seed),
         shards_(share.size()) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s].lane = psim_->shard(s).add_lane("arrival");
       shards_[s].arrivals =
           registry->counter("exp.shard" + std::to_string(s) + ".arrivals");
     }
@@ -217,6 +218,7 @@ class ArrivalFeeder {
     std::vector<Arrival> dealt;  // ascending t
     std::size_t head = 0;        // next arrival to fire
     bool pumping = false;        // an arrival event is pending
+    sim::Simulation::LaneId lane;  // the pump's time-ordered events
     obs::Counter arrivals;
   };
 
@@ -290,8 +292,8 @@ class ArrivalFeeder {
     Shard& sh = shards_[s];
     sh.pumping = sh.head < sh.dealt.size();
     if (sh.pumping) {
-      psim_->shard(s).schedule_at(sh.dealt[sh.head].t,
-                                  [this, s]() { fire(s); });
+      psim_->shard(s).push(sh.lane, sh.dealt[sh.head].t,
+                           [this, s]() { fire(s); });
     }
   }
 
@@ -614,10 +616,18 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   out.mean_servers_used = m.mean_servers_used();
   out.arrivals = m.arrivals();
   out.drops = m.drops();
-  // Deterministic event-core work, summed over shards.
-  std::uint64_t events = 0;
-  for (std::size_t s = 0; s < shards; ++s) events += psim.shard(s).processed();
-  registry.counter("exp.sim.events").add(events);
+  // Deterministic event-core work, summed over shards: events fired, and
+  // per lane the events it fired and the pushes that fell back to the heap.
+  for (std::size_t s = 0; s < shards; ++s) {
+    const sim::Simulation& sim = psim.shard(s);
+    registry.counter("exp.sim.events").add(sim.processed());
+    for (std::uint32_t l = 0; l < sim.num_lanes(); ++l) {
+      const auto& lane = sim.lane_stats(sim::Simulation::LaneId{l});
+      const std::string prefix = "exp.sim.lane." + lane.name;
+      registry.counter(prefix + ".events").add(lane.fired);
+      registry.counter(prefix + ".fallbacks").add(lane.fallbacks);
+    }
+  }
   out.obs = registry.snapshot();
   if (!cfg.obs_csv_path.empty()) out.obs.write_csv(cfg.obs_csv_path);
   return out;

@@ -143,7 +143,9 @@ struct ExperimentResult {
   /// counters (serving.stage.*), per-request stage latency histograms
   /// (serving.lat.*), per-shard observed demand (exp.shard<k>.arrivals),
   /// the event core's work summed over shards (exp.sim.events: events
-  /// fired) and the registry's self-measured snapshot cost (obs.self.*).
+  /// fired; exp.sim.lane.<arrival|hop>.events: fired from that lane;
+  /// exp.sim.lane.<name>.fallbacks: lane pushes that went to the heap) and
+  /// the registry's self-measured snapshot cost (obs.self.*).
   obs::Snapshot obs;
 };
 

@@ -51,6 +51,7 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
   // strategy_ may be nullptr for externally-planned systems (coordinated
   // sharding); start() / run_resource_manager() check it.
   LOKI_CHECK(sim_ && graph_);
+  hop_lane_ = sim_->add_lane("hop");
   obs::Registry& reg =
       cfg_.registry != nullptr ? *cfg_.registry : obs::Registry::global();
   tracer_ = obs::QueryTracer(&reg, cfg_.metric_prefix, cfg_.trace);
@@ -472,7 +473,7 @@ void ServingSystem::forward_item(cluster::WorkItem item, int group) {
   }
   const double delay = comm_delay();
   tracer_.add_comm(item.query_id, delay);
-  sim_->schedule_after(delay, [this, item, wid]() mutable {
+  sim_->push_after(hop_lane_, delay, [this, item, wid]() mutable {
     auto& w = *workers_[static_cast<std::size_t>(wid)];
     if (!w.active()) {
       // Reassigned (or crashed) while in flight: any worker of the task.
@@ -616,7 +617,7 @@ void ServingSystem::on_batch_done(cluster::Worker& w,
             qstate->outstanding += 1;
             const double delay = comm_delay();
             tracer_.add_comm(next.query_id, delay);
-            sim_->schedule_after(delay, [this, next, alt]() mutable {
+            sim_->push_after(hop_lane_, delay, [this, next, alt]() mutable {
               auto& aw = *workers_[static_cast<std::size_t>(alt)];
               if (!aw.active()) {
                 drop_query_part(next.query_id, sim_->now());

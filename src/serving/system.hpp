@@ -292,6 +292,9 @@ class ServingSystem {
   void publish_stage_counters();
 
   sim::Simulation* sim_;
+  /// Network hops: a constant comm delay (plus the fault plane's current
+  /// extra delay) makes them time-ordered, so they skip the event heap.
+  sim::Simulation::LaneId hop_lane_;
   const pipeline::PipelineGraph* graph_;
   ProfileTable profiles_;
   AllocationStrategy* strategy_;

@@ -640,6 +640,17 @@ void expect_work(const exp::ExperimentResult& r, const WorkPin& pin) {
   EXPECT_EQ(r.obs.counter_value("exp.sim.events"), pin.events);
 }
 
+/// Events fired from the arrival and hop lanes; no push falls back to the
+/// heap, since arrivals are dealt in time order and every hop takes the
+/// same comm delay.
+void expect_lanes(const exp::ExperimentResult& r, std::uint64_t arrival,
+                  std::uint64_t hop) {
+  EXPECT_EQ(r.obs.counter_value("exp.sim.lane.arrival.events"), arrival);
+  EXPECT_EQ(r.obs.counter_value("exp.sim.lane.hop.events"), hop);
+  EXPECT_EQ(r.obs.counter_value("exp.sim.lane.arrival.fallbacks"), 0u);
+  EXPECT_EQ(r.obs.counter_value("exp.sim.lane.hop.fallbacks"), 0u);
+}
+
 TEST(EventCoreWork, SmokeWorkloadEventCounts) {
   // The SequentialGoldens smoke workload.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
@@ -656,6 +667,7 @@ TEST(EventCoreWork, SmokeWorkloadEventCounts) {
   const auto r =
       exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
   expect_work(r, {3070, 4176, 4971, 15382});
+  expect_lanes(r, 3070, 7228);
 }
 
 TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
@@ -676,6 +688,7 @@ TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
   const auto r =
       exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
   expect_work(r, {68567, 96479, 55202, 288293});
+  expect_lanes(r, 68567, 163756);
 }
 
 // ---------------------------------------------------------------------------
