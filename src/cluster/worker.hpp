@@ -294,4 +294,30 @@ class Worker {
   StageCounters stage_;
 };
 
+/// Least-loaded pick over packed load cells, without branches: the first
+/// position whose cell is smallest, or -1 when every cell is
+/// Worker::kLoadCellInactive. One unsigned comparison of the raw cells is
+/// the two-tier rule (ready workers first, workers mid model-swap only as a
+/// last resort, inactive never): a ready cell is its load, always below
+/// kLoadCellLoadingBit; a loading cell is that bit plus its load; and
+/// kLoadCellInactive is the largest value. `cell(i)` returns position i's
+/// cell; masked_load_cell() leaves a position out.
+template <typename CellAt>
+int least_loaded(std::size_t n, CellAt cell) {
+  int best = -1;
+  std::uint32_t best_cell = Worker::kLoadCellInactive;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t c = cell(i);
+    const bool better = c < best_cell;
+    best_cell = better ? c : best_cell;
+    best = better ? static_cast<int>(i) : best;
+  }
+  return best;
+}
+
+/// `cell`, or Worker::kLoadCellInactive when `out` is set.
+inline std::uint32_t masked_load_cell(std::uint32_t cell, bool out) {
+  return cell | (0u - static_cast<std::uint32_t>(out));
+}
+
 }  // namespace loki::cluster

@@ -388,42 +388,19 @@ int ServingSystem::pick_group(const RoutingPlan::DrawTable& table) {
   return table.pick(rng_routing_.uniform());
 }
 
-namespace {
-
-/// Least-loaded pick over packed load cells: the first minimum among ready
-/// workers, else among workers mid model-swap (a last resort — their queue
-/// stalls for the whole load time).
-struct LeastLoaded {
-  int ready = -1, loading = -1;
-  std::uint32_t ready_load = cluster::Worker::kLoadCellInactive;
-  std::uint32_t loading_load = cluster::Worker::kLoadCellInactive;
-
-  void offer(int wid, std::uint32_t cell) {
-    if (cell == cluster::Worker::kLoadCellInactive) return;
-    if (cell & cluster::Worker::kLoadCellLoadingBit) {
-      const std::uint32_t l = cell & ~cluster::Worker::kLoadCellLoadingBit;
-      if (l < loading_load) {
-        loading_load = l;
-        loading = wid;
-      }
-    } else if (cell < ready_load) {
-      ready_load = cell;
-      ready = wid;
-    }
-  }
-  int pick() const { return ready >= 0 ? ready : loading; }
-};
-
-}  // namespace
-
 int ServingSystem::scan_group(int group, const char* skip) const {
   if (group < 0 || group >= static_cast<int>(group_workers_.size())) return -1;
-  LeastLoaded best;
-  for (int wid : group_workers_[static_cast<std::size_t>(group)]) {
-    if (skip != nullptr && skip[wid]) continue;
-    best.offer(wid, worker_load_[static_cast<std::size_t>(wid)]);
-  }
-  return best.pick();
+  const std::vector<int>& ids = group_workers_[static_cast<std::size_t>(group)];
+  const std::uint32_t* cells = worker_load_.data();
+  const int pos =
+      skip == nullptr
+          ? cluster::least_loaded(
+                ids.size(), [&](std::size_t i) { return cells[ids[i]]; })
+          : cluster::least_loaded(ids.size(), [&](std::size_t i) {
+              return cluster::masked_load_cell(cells[ids[i]],
+                                               skip[ids[i]] != 0);
+            });
+  return pos < 0 ? -1 : ids[static_cast<std::size_t>(pos)];
 }
 
 int ServingSystem::pick_worker(int group) const {
@@ -435,12 +412,12 @@ int ServingSystem::pick_worker(int group) const {
 }
 
 int ServingSystem::scan_task(int task, const char* skip) const {
-  LeastLoaded best;
-  for (std::size_t wid = 0; wid < worker_load_.size(); ++wid) {
-    if (worker_task_[wid] != task || (skip != nullptr && skip[wid])) continue;
-    best.offer(static_cast<int>(wid), worker_load_[wid]);
-  }
-  return best.pick();
+  const std::uint32_t* cells = worker_load_.data();
+  const int* tasks = worker_task_.data();
+  return cluster::least_loaded(worker_load_.size(), [&](std::size_t wid) {
+    const bool out = tasks[wid] != task || (skip != nullptr && skip[wid] != 0);
+    return cluster::masked_load_cell(cells[wid], out);
+  });
 }
 
 int ServingSystem::pick_worker_for_task(int task) const {

@@ -1,6 +1,10 @@
 // Worker model tests: batching behaviour, queue handling, model-swap costs,
-// drop filters, and reassignment flushing.
+// drop filters, reassignment flushing, and the least-loaded replica pick.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "cluster/worker.hpp"
 #include "profile/zoo.hpp"
@@ -297,6 +301,100 @@ TEST(Worker, LoadCellPublishesEveryStateChange) {
 
   h.worker.deactivate();
   EXPECT_EQ(cell, Worker::kLoadCellInactive);
+}
+
+/// The two-tier least-loaded rule least_loaded() replaced, kept as the
+/// reference: the first minimum among ready workers, else the first
+/// minimum among workers mid model-swap; inactive and skipped workers are
+/// never picked. Returns a position in `ids`, or -1.
+int reference_least_loaded(const std::vector<std::uint32_t>& cells,
+                           const std::vector<int>& ids,
+                           const std::vector<char>* skip) {
+  int ready = -1, loading = -1;
+  std::uint32_t ready_load = Worker::kLoadCellInactive;
+  std::uint32_t loading_load = Worker::kLoadCellInactive;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto wid = static_cast<std::size_t>(ids[i]);
+    if (skip != nullptr && (*skip)[wid]) continue;
+    const std::uint32_t cell = cells[wid];
+    if (cell == Worker::kLoadCellInactive) continue;
+    if (cell & Worker::kLoadCellLoadingBit) {
+      const std::uint32_t l = cell & ~Worker::kLoadCellLoadingBit;
+      if (l < loading_load) {
+        loading_load = l;
+        loading = static_cast<int>(i);
+      }
+    } else if (cell < ready_load) {
+      ready_load = cell;
+      ready = static_cast<int>(i);
+    }
+  }
+  return ready >= 0 ? ready : loading;
+}
+
+TEST(LeastLoaded, MatchesTheTwoTierRuleOnRandomCells) {
+  // Seeded differential over the shapes the serving core scans: a group's
+  // member list (ids into the cell array) with and without the quarantine
+  // mask. Small loads make ties common; the edge values are the largest
+  // ready load and a loading cell one below the inactive sentinel's load
+  // (a load of 2^31 - 1 would alias the sentinel; no queue gets there).
+  std::mt19937_64 rng(77);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  const auto random_cell = [&]() -> std::uint32_t {
+    switch (pick(8)) {
+      case 0: return Worker::kLoadCellInactive;
+      case 1: return Worker::kLoadCellLoadingBit |
+                     static_cast<std::uint32_t>(pick(4));
+      case 2: return Worker::kLoadCellLoadingBit - 1;  // largest ready
+      case 3: return Worker::kLoadCellInactive - 1;    // largest loading
+      default: return static_cast<std::uint32_t>(pick(4));
+    }
+  };
+  int picked_loading = 0, picked_none = 0, skip_changed = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t workers = 1 + pick(12);
+    std::vector<std::uint32_t> cells(workers);
+    std::vector<char> skip(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      cells[w] = random_cell();
+      skip[w] = pick(4) == 0 ? 1 : 0;
+    }
+    std::vector<int> ids;
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (pick(3) != 0) ids.push_back(static_cast<int>(w));
+    }
+    const int plain = least_loaded(ids.size(), [&](std::size_t i) {
+      return cells[static_cast<std::size_t>(ids[i])];
+    });
+    const int masked = least_loaded(ids.size(), [&](std::size_t i) {
+      const auto wid = static_cast<std::size_t>(ids[i]);
+      return masked_load_cell(cells[wid], skip[wid] != 0);
+    });
+    ASSERT_EQ(plain, reference_least_loaded(cells, ids, nullptr))
+        << "trial " << trial;
+    ASSERT_EQ(masked, reference_least_loaded(cells, ids, &skip))
+        << "trial " << trial;
+    if (plain < 0) {
+      ++picked_none;
+    } else {
+      const auto wid =
+          static_cast<std::size_t>(ids[static_cast<std::size_t>(plain)]);
+      picked_loading += cells[wid] >= Worker::kLoadCellLoadingBit ? 1 : 0;
+    }
+    skip_changed += plain != masked ? 1 : 0;
+  }
+  // The draw reached every branch of the reference rule.
+  EXPECT_GT(picked_loading, 0);
+  EXPECT_GT(picked_none, 0);
+  EXPECT_GT(skip_changed, 0);
+}
+
+TEST(LeastLoaded, MaskedCellIsInactiveOnlyWhenOut) {
+  EXPECT_EQ(masked_load_cell(7u, false), 7u);
+  EXPECT_EQ(masked_load_cell(7u, true), Worker::kLoadCellInactive);
+  EXPECT_EQ(masked_load_cell(Worker::kLoadCellLoadingBit | 3u, true),
+            Worker::kLoadCellInactive);
+  EXPECT_EQ(least_loaded(0, [](std::size_t) { return 0u; }), -1);
 }
 
 }  // namespace
