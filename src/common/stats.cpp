@@ -43,7 +43,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void PercentileTracker::add(double x) {
   samples_.push_back(x);
-  sorted_ = false;
   sum_ += x;
 }
 
@@ -53,21 +52,25 @@ void PercentileTracker::merge(const PercentileTracker& other) {
   for (const double x : other.samples_) sum_ += x;
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  sorted_ = false;
 }
 
 double PercentileTracker::quantile(double q) const {
   if (samples_.empty()) return 0.0;
   LOKI_CHECK(q >= 0.0 && q <= 1.0);
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   const double pos = q * static_cast<double>(samples_.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // Select the two order statistics the interpolation needs instead of
+  // sorting (O(n), not O(n log n)): nth_element puts the lo-th smallest at
+  // lo and only samples no smaller after it, so the hi-th smallest is the
+  // minimum of that tail.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double lo_v = *nth;
+  const double hi_v =
+      hi == lo ? lo_v : *std::min_element(nth + 1, samples_.end());
+  return lo_v * (1.0 - frac) + hi_v * frac;
 }
 
 double PercentileTracker::mean() const {

@@ -44,8 +44,8 @@ class PercentileTracker {
   void reserve(std::size_t n) { samples_.reserve(n); }
   std::size_t count() const { return samples_.size(); }
 
-  /// Exact quantile with linear interpolation, q in [0, 1].
-  /// Returns 0 when empty.
+  /// Exact quantile with linear interpolation, q in [0, 1], by selection
+  /// (the stored samples are reordered). Returns 0 when empty.
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p90() const { return quantile(0.90); }
@@ -56,9 +56,8 @@ class PercentileTracker {
   double mean() const;
 
  private:
-  // Sorted lazily on query; `sorted_` tracks validity.
+  // Partially reordered by every quantile query.
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
   double sum_ = 0.0;
 };
 

@@ -2,9 +2,11 @@
 // thread pool, and the check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
@@ -219,6 +221,33 @@ TEST(PercentileTracker, MeanDoesNotDependOnAQuantileQuery) {
   const double a_before = a.mean();
   a.quantile(0.99);
   EXPECT_EQ(a.mean(), a_before);
+}
+
+TEST(PercentileTracker, SelectionMatchesSortedInterpolation) {
+  // quantile() selects its two order statistics; the reference sorts every
+  // sample and interpolates. Small sets repeat values (ties); the large one
+  // has distinct values, so the upper neighbour is not found by luck. Each
+  // query runs on the order the previous one left behind.
+  Rng rng(5);
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 1001u, 100000u}) {
+    PercentileTracker p;
+    std::vector<double> sorted;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = rng.uniform();
+      const double x = n > 1001u ? u : std::floor(u * 20.0) / 4.0;
+      p.add(x);
+      sorted.push_back(x);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const double pos = q * static_cast<double>(n - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, n - 1);
+      const double frac = pos - static_cast<double>(lo);
+      const double want = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      EXPECT_EQ(p.quantile(q), want) << "n=" << n << " q=" << q;
+    }
+  }
 }
 
 TEST(Histogram, BinningAndClamping) {
