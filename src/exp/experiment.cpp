@@ -167,9 +167,11 @@ using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
 /// Dealing runs one window ahead of the simulation, so a shard's chained
 /// pump finds its next arrival in its buffer whenever that arrival is less
 /// than a window away, and schedules it as the previous one fires — the
-/// same event order as an unbuffered pump, ties included. A pump that runs
-/// dry is restarted by the barrier that deals its next arrival. Memory is
-/// two windows of arrivals, whatever the trace length.
+/// same event order as an unbuffered pump, ties included. The pump's
+/// events come in time order, so they go on a FIFO lane of the shard's
+/// simulation instead of its heap. A pump that runs dry is restarted by the
+/// barrier that deals its next arrival. Memory is two windows of arrivals,
+/// whatever the trace length.
 class ArrivalFeeder {
  public:
   ArrivalFeeder(const trace::DemandCurve& curve, const ExperimentConfig& cfg,

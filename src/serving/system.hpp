@@ -24,12 +24,14 @@
 //
 // Hot-path discipline (per arrival / per forwarded item): routing draws go
 // through RoutingPlan::DrawTable (flat cumulative thresholds, branchless
-// binary search — bit-identical to the linear scan); replica selection scans
-// the packed per-worker load-cell array instead of dereferencing Worker
-// objects; latency budgets read a dense per-(task, variant) LUT rebuilt at
-// plan install (AllocationPlan keeps the map as its serialization form);
-// fan-out bookkeeping reuses member scratch buffers. Steady-state query flow
-// performs no heap allocation outside pool growth.
+// binary search — bit-identical to the linear scan); replica selection is
+// one branchless argmin over the packed per-worker load-cell array
+// (cluster::least_loaded) instead of dereferencing Worker objects; latency
+// budgets read a dense per-(task, variant) LUT rebuilt at plan install
+// (AllocationPlan keeps the map as its serialization form); fan-out
+// bookkeeping reuses member scratch buffers; network hops go on a FIFO
+// lane of the simulation, not its heap. Steady-state query flow performs
+// no heap allocation outside pool growth.
 #pragma once
 
 #include <algorithm>
@@ -292,8 +294,9 @@ class ServingSystem {
   void publish_stage_counters();
 
   sim::Simulation* sim_;
-  /// Network hops: a constant comm delay (plus the fault plane's current
-  /// extra delay) makes them time-ordered, so they skip the event heap.
+  /// Every network hop goes on this FIFO lane: hops all wait the same comm
+  /// delay, so they are created in time order. (Comm jitter, or a fault
+  /// plane delay that shrinks, sends an out-of-order hop to the heap.)
   sim::Simulation::LaneId hop_lane_;
   const pipeline::PipelineGraph* graph_;
   ProfileTable profiles_;
