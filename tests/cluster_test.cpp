@@ -334,8 +334,8 @@ int reference_least_loaded(const std::vector<std::uint32_t>& cells,
 
 TEST(LeastLoaded, MatchesTheTwoTierRuleOnRandomCells) {
   // Seeded differential over the shapes the serving core scans: a group's
-  // member list (ids into the cell array) with and without the quarantine
-  // mask. Small loads make ties common; the edge values are the largest
+  // member list (ids into the cell array, possibly empty) with and without
+  // the quarantine mask. Small loads make ties common; the edge values are the largest
   // ready load and a loading cell one below the inactive sentinel's load
   // (a load of 2^31 - 1 would alias the sentinel; no queue gets there).
   std::mt19937_64 rng(77);
@@ -387,14 +387,6 @@ TEST(LeastLoaded, MatchesTheTwoTierRuleOnRandomCells) {
   EXPECT_GT(picked_loading, 0);
   EXPECT_GT(picked_none, 0);
   EXPECT_GT(skip_changed, 0);
-}
-
-TEST(LeastLoaded, MaskedCellIsInactiveOnlyWhenOut) {
-  EXPECT_EQ(masked_load_cell(7u, false), 7u);
-  EXPECT_EQ(masked_load_cell(7u, true), Worker::kLoadCellInactive);
-  EXPECT_EQ(masked_load_cell(Worker::kLoadCellLoadingBit | 3u, true),
-            Worker::kLoadCellInactive);
-  EXPECT_EQ(least_loaded(0, [](std::size_t) { return 0u; }), -1);
 }
 
 }  // namespace
