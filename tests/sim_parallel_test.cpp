@@ -651,8 +651,8 @@ void expect_lanes(const exp::ExperimentResult& r, std::uint64_t arrival,
   EXPECT_EQ(r.obs.counter_value("exp.sim.lane.hop.fallbacks"), 0u);
 }
 
-TEST(EventCoreWork, SmokeWorkloadEventCounts) {
-  // The SequentialGoldens smoke workload.
+/// The SequentialGoldens smoke workload on `shards` event shards.
+exp::ExperimentResult run_smoke_workload(std::size_t shards) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   trace::TraceConfig tcfg;
   tcfg.shape = trace::TraceShape::kAzureDiurnal;
@@ -664,15 +664,27 @@ TEST(EventCoreWork, SmokeWorkloadEventCounts) {
   cfg.system_cfg.allocator.cluster_size = 8;
   cfg.system_cfg.allocator.slo_s = 0.250;
   cfg.arrivals.seed = test::test_seed("e2e_smoke_arrivals");
-  const auto r =
-      exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
+  cfg.sim_shards = shards;
+  return exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
+}
+
+TEST(EventCoreWork, SmokeWorkloadEventCounts) {
+  const auto r = run_smoke_workload(1);
   expect_work(r, {3070, 4176, 4971, 15382});
   expect_lanes(r, 3070, 7228);
 }
 
+TEST(EventCoreWork, TwoShardCountsSumOverShards) {
+  // Both shards' pumps together fire every arrival of the one global
+  // sequence, so the arrival lane's total is the arrival count.
+  const auto r = run_smoke_workload(2);
+  expect_work(r, {3070, 4293, 5352, 15996});
+  expect_lanes(r, 3070, 7358);
+}
+
 TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
   // A short diurnal day on 96 workers of the three-task traffic pipeline:
-  // the benchmark's diurnal shape at a tenth of its length.
+  // the benchmark's diurnal shape at a twentieth of its length.
   const auto graph = pipeline::traffic_analysis_pipeline();
   trace::TraceConfig tcfg;
   tcfg.shape = trace::TraceShape::kAzureDiurnal;
