@@ -335,9 +335,10 @@ int reference_least_loaded(const std::vector<std::uint32_t>& cells,
 TEST(LeastLoaded, MatchesTheTwoTierRuleOnRandomCells) {
   // Seeded differential over the shapes the serving core scans: a group's
   // member list (ids into the cell array, possibly empty) with and without
-  // the quarantine mask. Small loads make ties common; the edge values are the largest
-  // ready load and a loading cell one below the inactive sentinel's load
-  // (a load of 2^31 - 1 would alias the sentinel; no queue gets there).
+  // the quarantine mask. Small loads make ties common; the edge values are
+  // the largest ready load and a loading cell one below the inactive
+  // sentinel's load (a load of 2^31 - 1 would alias the sentinel; no queue
+  // gets there).
   std::mt19937_64 rng(77);
   const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
   const auto random_cell = [&]() -> std::uint32_t {

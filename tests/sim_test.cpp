@@ -282,7 +282,7 @@ TEST(SimulationLane, OutOfOrderPushFallsBackToTheHeapInOrder) {
   EXPECT_EQ(sim.pending(), 4u);
   sim.run_all();
   EXPECT_EQ(fired, (std::vector<double>{2.0, 2.5, 3.0, 3.0}));
-  EXPECT_EQ(sim.lane_stats(lane).fired, 2u);  // the fallback fired from the heap
+  EXPECT_EQ(sim.lane_stats(lane).fired, 2u);  // the fallback fired off-lane
   EXPECT_EQ(sim.processed(), 4u);
 }
 
