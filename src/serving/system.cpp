@@ -392,14 +392,11 @@ int ServingSystem::scan_group(int group, const char* skip) const {
   if (group < 0 || group >= static_cast<int>(group_workers_.size())) return -1;
   const std::vector<int>& ids = group_workers_[static_cast<std::size_t>(group)];
   const std::uint32_t* cells = worker_load_.data();
-  const int pos =
-      skip == nullptr
-          ? cluster::least_loaded(
-                ids.size(), [&](std::size_t i) { return cells[ids[i]]; })
-          : cluster::least_loaded(ids.size(), [&](std::size_t i) {
-              return cluster::masked_load_cell(cells[ids[i]],
-                                               skip[ids[i]] != 0);
-            });
+  const int pos = cluster::least_loaded(ids.size(), [&](std::size_t i) {
+    const int wid = ids[i];
+    return cluster::masked_load_cell(cells[wid],
+                                     skip != nullptr && skip[wid] != 0);
+  });
   return pos < 0 ? -1 : ids[static_cast<std::size_t>(pos)];
 }
 
