@@ -1,8 +1,8 @@
 // Fixed-size thread pool used to parallelize experiment sweeps (e.g. the SLO
 // sensitivity sweep runs one full simulation per SLO value on its own core)
-// and, since the data-plane overhaul, the opt-in parallel simulation mode
-// (sim::ParallelSimulation drives its per-shard sequential simulators over
-// this pool in conservative lockstep windows).
+// and the planner's parallel split solves. (sim::ParallelSimulation runs its
+// shards on a team of its own: its windows are too short for a task queue
+// whose idle workers sleep.)
 //
 // Each individual simulator remains single-threaded and deterministic;
 // parallelism lives between experiments or between shards, which keeps

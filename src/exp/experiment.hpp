@@ -66,7 +66,8 @@ struct ExperimentConfig {
   /// — K× fewer solves. Deterministic for a fixed shard count regardless of
   /// sim_threads (differential-tested).
   bool sim_coordinated = false;
-  /// Worker threads for the shards (0 = min(shards, hw concurrency)).
+  /// Threads that run the shards, the driving thread included (0 =
+  /// min(shards, hw concurrency)).
   std::size_t sim_threads = 0;
   /// Deal arrivals to shards by worker share through a deterministic
   /// weighted interleave (WeightedInterleave below) instead of round-robin.

@@ -1,7 +1,8 @@
 // Differential suite for the opt-in parallel simulation mode (tentpole 4):
 //
 //  1. ParallelSimulation primitives: lockstep windows, deterministic
-//     cross-shard post merging, conservative-lookahead enforcement.
+//     cross-shard post merging, conservative-lookahead enforcement, team
+//     sizes that leave every shard's events unchanged, shard failures.
 //  2. Experiment-level differential checks: a K-shard run against the
 //     sequential reference — the total arrival count must match *exactly*
 //     (round-robin partition of one arrival sequence), aggregate accounting
@@ -14,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,78 @@ TEST(ParallelSim, PostBeforeBarrierIsRejected) {
   });
   psim.run_until(0.5);
   EXPECT_TRUE(threw);
+}
+
+/// A shard's event stream that logs every firing and posts one event into
+/// the next shard a window later.
+struct Ticker {
+  sim::ParallelSimulation* psim;
+  std::vector<std::vector<double>>* log;
+  std::size_t shard;
+  double period;
+  double window;
+
+  void operator()() const {
+    sim::Simulation& s = psim->shard(shard);
+    (*log)[shard].push_back(s.now());
+    const std::size_t dst = (shard + 1) % log->size();
+    std::vector<std::vector<double>>* l = log;
+    sim::ParallelSimulation* p = psim;
+    psim->post(shard, dst, s.now() + window,
+               [l, p, dst]() { (*l)[dst].push_back(-p->shard(dst).now()); });
+    s.schedule_after(period, *this);
+  }
+};
+
+TEST(ParallelSim, TeamSizeDoesNotChangeAnyShardsEvents) {
+  // Five shards over 400 short windows on teams of one to eight threads:
+  // counts that do not divide the shard count, and more threads than
+  // shards. Whichever team member runs a shard in a window, every shard
+  // must fire the same events in the same order.
+  constexpr std::size_t kShards = 5;
+  constexpr double kWindow = 0.005;
+  auto run = [&](std::size_t threads) {
+    sim::ParallelSimulation::Config cfg;
+    cfg.shards = kShards;
+    cfg.window_s = kWindow;
+    cfg.threads = threads;
+    sim::ParallelSimulation psim(cfg);
+    std::vector<std::vector<double>> log(kShards);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const double period = 0.0007 * static_cast<double>(s + 1);
+      psim.shard(s).schedule_at(
+          period, Ticker{&psim, &log, s, period, kWindow});
+    }
+    psim.run_until(2.0);
+    return log;
+  };
+  const std::vector<std::vector<double>> one = run(1);
+  for (const std::vector<double>& shard : one) EXPECT_GT(shard.size(), 500u);
+  for (const std::size_t threads : {2, 3, 8}) {
+    EXPECT_EQ(run(threads), one) << threads << " threads";
+  }
+}
+
+TEST(ParallelSim, ShardFailureRethrowsLowestShardAfterEveryShardRan) {
+  sim::ParallelSimulation::Config cfg;
+  cfg.shards = 4;
+  cfg.window_s = 0.25;
+  cfg.threads = 2;
+  sim::ParallelSimulation psim(cfg);
+  std::array<bool, 4> ran{};
+  for (std::size_t s = 0; s < 4; ++s) {
+    psim.shard(s).schedule_at(0.1, [&ran, s]() {
+      ran[s] = true;
+      if (s % 2 == 1) throw std::runtime_error("shard " + std::to_string(s));
+    });
+  }
+  try {
+    psim.run_until(1.0);
+    ADD_FAILURE() << "the shard failure did not propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 1");
+  }
+  EXPECT_EQ(ran, (std::array<bool, 4>{true, true, true, true}));
 }
 
 // ---------------------------------------------------------------------------
