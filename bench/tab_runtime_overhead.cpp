@@ -135,8 +135,7 @@ void BM_MostAccurateFirst(benchmark::State& state) {
   auto& s = setup();
   serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
   const auto plan = alloc.plan({900.0, s.mult}).plan;
-  serving::LoadBalancer lb(&s.graph, &s.profiles,
-                           s.cfg.utilization_target);
+  serving::LoadBalancer lb(&s.graph, &s.profiles, serving::kUtilizationTarget);
   for (auto _ : state) {
     auto routing = lb.most_accurate_first(plan, 900.0, s.mult);
     benchmark::DoNotOptimize(routing.frontend.size());
@@ -185,7 +184,7 @@ void BM_RoutingPick(benchmark::State& state) {
   auto& s = setup();
   serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
   const auto plan = alloc.plan({900.0, s.mult}).plan;
-  serving::LoadBalancer lb(&s.graph, &s.profiles, s.cfg.utilization_target);
+  serving::LoadBalancer lb(&s.graph, &s.profiles, serving::kUtilizationTarget);
   const auto routing = lb.most_accurate_first(plan, 900.0, s.mult);
   Rng rng(7);
   for (auto _ : state) {

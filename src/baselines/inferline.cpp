@@ -85,7 +85,8 @@ serving::PlanResult InferLineStrategy::plan(
       serving::VariantConfig vc;
       vc.variant = k;
       vc.batch = batch;
-      vc.throughput_qps = prof.throughput_for(batch) * cfg_.utilization_target;
+      vc.throughput_qps =
+          prof.throughput_for(batch) * serving::kUtilizationTarget;
       vc.latency_s = prof.latency_for(batch);
       chosen[static_cast<std::size_t>(t)] = vc;
       unit_servers += (load[static_cast<std::size_t>(t)] /

@@ -85,7 +85,7 @@ serving::PlanResult ProteusStrategy::plan(
   const int levels = g.max_depth() + 1;
   const double hops = static_cast<double>(levels + 1);
   const double per_task_budget =
-      (cfg_.slo_s * cfg_.queue_factor - cfg_.comm_latency_s * hops) /
+      (cfg_.slo_s * serving::kQueueFactor - serving::kCommLatencyS * hops) /
       static_cast<double>(levels);
   LOKI_CHECK(per_task_budget > 0.0);
 
@@ -102,7 +102,8 @@ serving::PlanResult ProteusStrategy::plan(
       VariantConfig vc;
       vc.variant = k;
       vc.batch = batch;
-      vc.throughput_qps = prof.throughput_for(batch) * cfg_.utilization_target;
+      vc.throughput_qps =
+          prof.throughput_for(batch) * serving::kUtilizationTarget;
       vc.latency_s = prof.latency_for(batch);
       configs[static_cast<std::size_t>(t)].push_back(vc);
     }

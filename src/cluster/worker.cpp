@@ -53,10 +53,6 @@ std::vector<WorkItem> Worker::assign(int task, int variant,
     sim_->cancel(load_event_);
     load_event_ = {};
   }
-  if (wait_event_.valid()) {
-    sim_->cancel(wait_event_);
-    wait_event_ = {};
-  }
   task_ = task;
   variant_ = variant;
   model_ = model;
@@ -88,10 +84,6 @@ std::vector<WorkItem> Worker::deactivate() {
     sim_->cancel(load_event_);
     load_event_ = {};
   }
-  if (wait_event_.valid()) {
-    sim_->cancel(wait_event_);
-    wait_event_ = {};
-  }
   task_ = -1;
   variant_ = -1;
   model_ = nullptr;
@@ -102,23 +94,6 @@ std::vector<WorkItem> Worker::deactivate() {
 
 void Worker::maybe_start_batch() {
   if (busy_ || loading_ || !active() || queue_.empty()) return;
-  // Micro-batching: briefly hold a partial batch to let it fill.
-  if (batch_wait_s_ > 0.0 &&
-      queue_.size() < static_cast<std::size_t>(max_batch_)) {
-    if (!wait_event_.valid()) {
-      wait_event_ = sim_->schedule_after(batch_wait_s_, [this]() {
-        wait_event_ = {};
-        if (!busy_ && !loading_ && active() && !queue_.empty()) {
-          start_batch();
-        }
-      });
-    }
-    return;
-  }
-  if (wait_event_.valid()) {
-    sim_->cancel(wait_event_);
-    wait_event_ = {};
-  }
   start_batch();
 }
 
@@ -251,10 +226,6 @@ std::vector<WorkItem> Worker::crash() {
   if (load_event_.valid()) {
     sim_->cancel(load_event_);
     load_event_ = {};
-  }
-  if (wait_event_.valid()) {
-    sim_->cancel(wait_event_);
-    wait_event_ = {};
   }
   if (batch_event_.valid()) {
     sim_->cancel(batch_event_);

@@ -129,13 +129,6 @@ class Worker {
   void set_drop_filter(DropFilterFn fn) { drop_filter_ = std::move(fn); }
   void set_dropped_sink(DroppedFn fn) { on_dropped_ = std::move(fn); }
   void set_jitter(JitterFn fn) { jitter_ = std::move(fn); }
-  /// Micro-batching: when the queue holds fewer than max_batch items, wait
-  /// up to this long for more before executing (0 = execute immediately).
-  /// Larger batches raise throughput at the cost of queueing latency —
-  /// the same trade-off the Resource Manager's batch-size choice makes at
-  /// planning time, exposed here at the worker level.
-  void set_batch_wait(double seconds) { batch_wait_s_ = seconds; }
-  double batch_wait_s() const { return batch_wait_s_; }
 
   /// Tier-priority batch formation (SLO tiers): when on, batches are formed
   /// strict-tier-first, FIFO within a tier, instead of globally FIFO — a
@@ -262,7 +255,6 @@ class Worker {
   int incarnation_ = 0;
   double exec_mult_ = 1.0;
   std::size_t inflight_ = 0;
-  double batch_wait_s_ = 0.0;
   RingBuffer<WorkItem> queue_;
   /// Index ordering scratch for tier-priority batch formation (recycled;
   /// empty and unused on the FIFO path).
@@ -274,7 +266,6 @@ class Worker {
   /// closure) so crash() can strand it; batch_event_ is its completion.
   std::vector<WorkItem> inflight_items_;
   sim::Simulation::EventId load_event_{};
-  sim::Simulation::EventId wait_event_{};
   sim::Simulation::EventId batch_event_{};
   std::uint32_t* load_cell_ = nullptr;
 

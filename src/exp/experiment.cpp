@@ -200,13 +200,13 @@ class ArrivalFeeder {
   void arm(const Systems* systems) {
     systems_ = systems;
     refresh_weights();
-    deal_until(2.0 * cfg_.sim_window_s);
+    deal_until(2.0 * kSimWindowS);
   }
 
   /// Barrier hook: deals the window after the next one.
   void on_barrier(double now) {
     if (cfg_.sim_reweight) refresh_weights();
-    deal_until(now + 2.0 * cfg_.sim_window_s);
+    deal_until(now + 2.0 * kSimWindowS);
   }
 
  private:
@@ -549,7 +549,7 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
 
   sim::ParallelSimulation::Config pcfg;
   pcfg.shards = shards;
-  pcfg.window_s = cfg.sim_window_s;
+  pcfg.window_s = kSimWindowS;
   pcfg.threads = cfg.sim_threads;
   sim::ParallelSimulation psim(pcfg);
   ArrivalFeeder feeder(curve, cfg, share, weighted, &psim, &registry);
@@ -569,9 +569,9 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
         shard_config(cfg, share, faults, s, &registry);
     serving::AllocationStrategy* strategy = nullptr;
     if (!coordinated) {
-      strategies.push_back(make_planner(cfg, scfg.allocator, graph, profiles,
-                                        registry,
-                                        scfg.metric_prefix + ".degrade"));
+      strategies.push_back(
+          make_planner(cfg, scfg.allocator, graph, profiles, registry,
+                       std::string(serving::kMetricPrefix) + ".degrade"));
       strategy = strategies.back().get();
     }
     systems.push_back(std::make_unique<serving::ServingSystem>(

@@ -34,6 +34,11 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
     const pipeline::PipelineGraph* graph,
     const serving::ProfileTable& profiles);
 
+/// Conservative synchronization window (seconds) of every run: shards
+/// advance in lockstep to each window barrier, where arrivals are dealt and
+/// the coordinator (if any) plans.
+inline constexpr double kSimWindowS = 0.25;
+
 struct ExperimentConfig {
   /// Registry key of the strategy to run (serving/strategy_registry.hpp).
   std::string system = "loki-milp";
@@ -53,10 +58,6 @@ struct ExperimentConfig {
   /// plain single-cluster simulation and keeps the configured seed. See
   /// README "Data-plane architecture" for determinism/merging caveats.
   std::size_t sim_shards = 1;
-  /// Conservative synchronization window (seconds): shards advance in
-  /// lockstep to each window barrier, where arrivals are dealt and the
-  /// coordinator (if any) plans.
-  double sim_window_s = 0.25;
   /// Where the planner runs when sim_shards > 1. Off: every shard owns a
   /// strategy and plans its own sub-cluster on its own clock. On: ONE
   /// strategy plans from barrier-merged observations (summed demand
@@ -82,8 +83,8 @@ struct ExperimentConfig {
   /// worker counts (share minus crashed workers), so a shard that loses
   /// workers to a FaultPlan crash also sheds its proportional load to its
   /// peers. Arrivals are dealt one window ahead, so the first barrier after
-  /// a crash re-weights the arrivals from one window (0.25 s by default)
-  /// past that barrier on. The interleave is rebuilt only when the
+  /// a crash re-weights the arrivals from one window (kSimWindowS) past
+  /// that barrier on. The interleave is rebuilt only when the
   /// weights change, so with constant weights (no faults) the run is
   /// bit-identical to the weighted split (differential-tested).
   bool sim_reweight = false;

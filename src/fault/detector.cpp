@@ -16,7 +16,6 @@ std::string to_string(WorkerHealth h) {
 FailureDetector::FailureDetector(DetectorConfig cfg, int num_workers)
     : cfg_(cfg) {
   LOKI_CHECK(num_workers >= 0);
-  LOKI_CHECK(cfg_.suspect_phi > 0.0 && cfg_.dead_phi >= cfg_.suspect_phi);
   states_.resize(static_cast<std::size_t>(num_workers));
 }
 
@@ -36,21 +35,19 @@ FailureDetector::ReportResult FailureDetector::report(int worker,
 
 void FailureDetector::evaluate(double now) {
   if (!cfg_.enabled) return;
-  const double period =
-      cfg_.heartbeat_period_s > 0.0 ? cfg_.heartbeat_period_s : 1.0;
   for (int w = 0; w < num_workers(); ++w) {
     State& st = states_[static_cast<std::size_t>(w)];
-    const double phi = (now - st.last_report) / period;
-    if (phi >= cfg_.dead_phi) {
+    const double phi = (now - st.last_report) / kHeartbeatPeriodS;
+    if (phi >= kDeadPhi) {
       if (st.health != WorkerHealth::kDead) {
         transition(w, WorkerHealth::kDead, now);
       }
-    } else if (phi >= cfg_.suspect_phi) {
+    } else if (phi >= kSuspectPhi) {
       if (st.health == WorkerHealth::kAlive) {
         transition(w, WorkerHealth::kSuspect, now);
       }
     }
-    // phi below suspect_phi never downgrades suspicion here: only an
+    // phi below kSuspectPhi never downgrades suspicion here: only an
     // accepted report (new evidence of life) transitions back to alive.
   }
 }
@@ -73,10 +70,8 @@ int FailureDetector::incarnation(int worker) const {
 
 double FailureDetector::phi(int worker, double now) const {
   LOKI_CHECK(worker >= 0 && worker < num_workers());
-  const double period =
-      cfg_.heartbeat_period_s > 0.0 ? cfg_.heartbeat_period_s : 1.0;
   return (now - states_[static_cast<std::size_t>(worker)].last_report) /
-         period;
+         kHeartbeatPeriodS;
 }
 
 void FailureDetector::transition(int worker, WorkerHealth to, double now) {

@@ -4,9 +4,9 @@
 //   alive -> suspect -> dead -> (new report) -> alive
 //
 // where the suspicion level phi is the number of heartbeat periods elapsed
-// since the worker last reported. Crossing suspect_phi quarantines the
+// since the worker last reported. Crossing kSuspectPhi quarantines the
 // worker (the load balancer stops routing new work to it); crossing
-// dead_phi declares it dead (stranded queries are retried or shed, and the
+// kDeadPhi declares it dead (stranded queries are retried or shed, and the
 // Resource Manager re-plans over the survivors).
 //
 // Incarnation numbers make recovery safe against stale state: a recovered
@@ -30,19 +30,20 @@ enum class WorkerHealth { kAlive, kSuspect, kDead };
 
 std::string to_string(WorkerHealth h);
 
+/// Worker heartbeat period (multiplicative-factor reports, §3): the serving
+/// system's heartbeat loop runs at it, and the detector counts phi in it.
+inline constexpr double kHeartbeatPeriodS = 1.0;
+/// Suspicion thresholds in heartbeat periods elapsed since the last
+/// accepted report (phi): quarantine after 2.5 missed beats, declare dead
+/// after 5.5.
+inline constexpr double kSuspectPhi = 2.5;
+inline constexpr double kDeadPhi = 5.5;
+
 struct DetectorConfig {
   /// Master switch. Auto-enabled by the serving runtime when a non-empty
   /// FaultPlan is armed; off by default so default-configured systems are
   /// bit-identical to a build without the fault subsystem.
   bool enabled = false;
-  /// Expected report period. <= 0 means "use the system heartbeat period"
-  /// (the serving runtime substitutes its own).
-  double heartbeat_period_s = 0.0;
-  /// Suspicion thresholds in units of heartbeat periods elapsed since the
-  /// last accepted report (phi). Defaults: quarantine after ~2.5 missed
-  /// beats, declare dead after ~5.5.
-  double suspect_phi = 2.5;
-  double dead_phi = 5.5;
 };
 
 /// One health-state transition, in detection order.

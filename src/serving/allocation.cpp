@@ -358,8 +358,8 @@ std::vector<double> task_budgets_for_split(
   for (int s : g.sinks()) {
     const auto path = g.task_path_to(s);
     const int hops = static_cast<int>(path.size()) + 1;  // fe -> ... -> fe
-    const double total = cfg.slo_s * cfg.queue_factor -
-                         cfg.comm_latency_s * static_cast<double>(hops);
+    const double total =
+        cfg.slo_s * kQueueFactor - kCommLatencyS * static_cast<double>(hops);
     LOKI_CHECK_MSG(total > 0.0, "SLO too small for communication latency");
     double denom = 0.0;
     for (std::size_t i = 0; i < path.size(); ++i) denom += level_weights.at(i);
@@ -427,7 +427,7 @@ GreedyAllocator::split_configs() {
       SplitConfigs sc;
       sc.budgets = task_budgets_for_split(cfg_, *graph_, split);
       sc.configs = feasible_configs(*graph_, profiles_, sc.budgets,
-                                    cfg_.utilization_target);
+                                    kUtilizationTarget);
       split_configs_.push_back(std::move(sc));
     }
     split_configs_ready_ = true;
@@ -685,7 +685,7 @@ void MilpAllocator::ensure_epoch_context() {
     auto& sc = ctx->per_split[i];
     sc.budgets = task_budgets_for_split(cfg_, g, ctx->splits[i]);
     sc.configs =
-        feasible_configs(g, profiles_, sc.budgets, cfg_.utilization_target);
+        feasible_configs(g, profiles_, sc.budgets, kUtilizationTarget);
     sc.configs_hw.resize(sc.configs.size());
     for (int t = 0; t < g.num_tasks(); ++t) {
       sc.configs_hw[static_cast<std::size_t>(t)] =
@@ -718,7 +718,7 @@ void MilpAllocator::update_profile(int task, int variant,
     // solver sessions keep warm-starting.
     auto fresh = task_feasible_configs(g, profiles_, task,
                                        sc.budgets[static_cast<std::size_t>(task)],
-                                       cfg_.utilization_target);
+                                       kUtilizationTarget);
     if (fresh == sc.configs[static_cast<std::size_t>(task)]) continue;
 
     sc.configs[static_cast<std::size_t>(task)] = std::move(fresh);
@@ -914,7 +914,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
   auto continuity = [&](int task, int variant) {
     if (prev_variants.empty()) return 0.0;
     const auto& pv = prev_variants[static_cast<std::size_t>(task)];
-    return pv[static_cast<std::size_t>(variant)] ? cfg_.continuity_bonus : 0.0;
+    return pv[static_cast<std::size_t>(variant)] ? kContinuityBonus : 0.0;
   };
   auto set_accuracy_objective = [&]() {
     lp.set_sense(Sense::kMaximize);

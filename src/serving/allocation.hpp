@@ -24,27 +24,28 @@
 
 namespace loki::serving {
 
+/// Homogeneous per-hop network latency between workers (§4.2 subtracts
+/// hop-count * comm from the SLO before allocating).
+inline constexpr double kCommLatencyS = 0.002;
+/// Queueing headroom rule from §4.1: plan within SLO * kQueueFactor (the
+/// paper divides the SLO by two).
+inline constexpr double kQueueFactor = 0.5;
+/// Per-replica objective bonus for keeping a variant that the previous plan
+/// already hosts (avoids swap storms). In system-accuracy units.
+inline constexpr double kContinuityBonus = 2e-4;
+/// Provisioning utilization target: capacity constraints use
+/// q_eff = kUtilizationTarget * q so queues stay stable. Planning to 100% of
+/// profiled throughput leaves no queueing headroom and the SLO/2 rule no
+/// longer holds under stochastic arrivals; 0.85 keeps single-replica groups
+/// (the low-demand regime) out of the heavy-queueing region.
+inline constexpr double kUtilizationTarget = 0.85;
+
 struct AllocatorConfig {
   int cluster_size = 20;
   /// End-to-end pipeline latency SLO (seconds).
   double slo_s = 0.250;
-  /// Homogeneous per-hop network latency between workers (§4.2 subtracts
-  /// hop-count * comm from the SLO before allocating).
-  double comm_latency_s = 0.002;
-  /// Queueing headroom rule from §4.1: plan within SLO * queue_factor
-  /// (the paper divides the SLO by two).
-  double queue_factor = 0.5;
   /// Grid resolution for splitting the latency budget across depth levels.
   int budget_grid = 7;
-  /// Per-replica objective bonus for keeping a variant that the previous
-  /// plan already hosts (avoids swap storms). In system-accuracy units.
-  double continuity_bonus = 2e-4;
-  /// Provisioning utilization target: capacity constraints use
-  /// q_eff = utilization_target * q so queues stay stable. Planning to 100%
-  /// of profiled throughput leaves no queueing headroom and the SLO/2 rule
-  /// no longer holds under stochastic arrivals; 0.85 keeps single-replica
-  /// groups (the low-demand regime) out of the heavy-queueing region.
-  double utilization_target = 0.85;
   /// Cross-epoch warm starts: when a step's MILP model is bit-identical to
   /// the previous epoch's (steady demand within the re-allocation
   /// hysteresis), re-solve it from the previous epoch's retained basis
@@ -103,7 +104,7 @@ std::vector<std::vector<double>> budget_splits(const AllocatorConfig& cfg,
 
 /// Per-task latency budget for one split: the task at depth d on a path to
 /// sink s gets weight[d] / (sum of weights on that path) of the path's
-/// planning budget (SLO * queue_factor - hops * comm); tasks shared by
+/// planning budget (SLO * kQueueFactor - hops * comm); tasks shared by
 /// several sinks take the minimum.
 std::vector<double> task_budgets_for_split(
     const AllocatorConfig& cfg, const pipeline::PipelineGraph& g,

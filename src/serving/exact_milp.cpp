@@ -76,7 +76,7 @@ ExactMilpResult ExactMilpFormulation::solve(
         c.variant = k;
         c.batch = prof.batches[static_cast<std::size_t>(bi)];
         c.q = prof.throughput_qps[static_cast<std::size_t>(bi)] *
-              cfg_.utilization_target;
+              kUtilizationTarget;
         c.lat = prof.latency_s[static_cast<std::size_t>(bi)];
         c.z = lp.add_variable(
             "z_" + std::to_string(t) + "_" + std::to_string(k) + "_" +
@@ -214,12 +214,12 @@ ExactMilpResult ExactMilpFormulation::solve(
   }
 
   // Latency (Eq. 5-7): big-M over used paths, l(t,k) = sum_b z*lat.
-  const double budget = cfg_.slo_s * cfg_.queue_factor;
+  const double budget = cfg_.slo_s * kQueueFactor;
   const double kBigM = max_lat_sum + budget;
   for (std::size_t si = 0; si < sinks.size(); ++si) {
     const auto tpath = g.task_path_to(sinks[si]);
     const double hops = static_cast<double>(tpath.size()) + 1.0;
-    const double limit = budget - cfg_.comm_latency_s * hops;
+    const double limit = budget - kCommLatencyS * hops;
     for (std::size_t pi = 0; pi < sink_paths[si].size(); ++pi) {
       const auto& p = sink_paths[si][pi];
       Constraint c;  // sum l(t,k) + M*I(p) <= limit + M

@@ -22,16 +22,14 @@ std::uint64_t fault_ns(double seconds) {
 FaultPlane::FaultPlane(ServingSystem& system, obs::Registry& registry)
     : sys_(system), rng_(Rng(system.cfg_.seed).stream("fault")) {
   const SystemConfig& cfg = sys_.cfg_;
-  fault::DetectorConfig dc = cfg.detector;
-  dc.enabled = true;
-  if (dc.heartbeat_period_s <= 0.0) dc.heartbeat_period_s = cfg.heartbeat_period_s;
-  detector_ = fault::FailureDetector(dc, cfg.allocator.cluster_size);
+  detector_ = fault::FailureDetector(fault::DetectorConfig{/*enabled=*/true},
+                                     cfg.allocator.cluster_size);
   const std::size_t n = static_cast<std::size_t>(cfg.allocator.cluster_size);
   quarantined_.assign(n, 0);
   hb_suppressed_.assign(n, 0);
   crash_time_.assign(n, -1.0);
   stranded_.resize(n);
-  const std::string fp = cfg.metric_prefix + ".fault.";
+  const std::string fp = std::string(kMetricPrefix) + ".fault.";
   c_crashes_ = registry.counter(fp + "crashes");
   c_recoveries_ = registry.counter(fp + "recoveries");
   c_suspects_ = registry.counter(fp + "suspects");
@@ -247,10 +245,6 @@ void FaultPlane::on_heartbeat(double now) {
   bool dead_set_changed = false;
   for (const auto& tr : detector_.drain_transitions()) {
     const std::size_t wi = static_cast<std::size_t>(tr.worker);
-    if (sys_.metadata_ != nullptr) {
-      sys_.metadata_->record_worker_event(tr.t, tr.worker, tr.incarnation,
-                                          tr.from, tr.to);
-    }
     switch (tr.to) {
       case fault::WorkerHealth::kSuspect:
         c_suspects_.add(1);

@@ -1,162 +1,15 @@
 #include "serving/plan_io.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 
 namespace loki::serving {
-
-namespace {
-const std::string& variant_name(const pipeline::PipelineGraph& g, int task,
-                                int variant) {
-  return g.task(task).catalog.at(variant).name;
-}
-}  // namespace
-
-std::string plan_to_string(const pipeline::PipelineGraph& g,
-                           const AllocationPlan& plan) {
-  std::ostringstream os;
-  os << "plan[" << to_string(plan.mode) << "] demand=" << plan.demand_qps
-     << " qps, servers=" << plan.servers_used
-     << ", accuracy=" << plan.expected_accuracy
-     << ", served=" << plan.served_fraction << "\n";
-  for (const auto& ic : plan.instances) {
-    os << "  " << g.task(ic.task).name << ": "
-       << variant_name(g, ic.task, ic.variant) << " x" << ic.replicas
-       << " (batch " << ic.batch;
-    const auto it = plan.latency_budget_s.find({ic.task, ic.variant});
-    if (it != plan.latency_budget_s.end()) {
-      os << ", budget " << it->second * 1e3 << " ms";
-    }
-    os << ")\n";
-  }
-  for (const auto& flow : plan.flows) {
-    os << "  path->" << g.task(flow.path.sink).name << " [";
-    for (std::size_t i = 0; i < flow.path.tasks.size(); ++i) {
-      if (i) os << " -> ";
-      os << variant_name(g, flow.path.tasks[i], flow.path.variants[i]);
-    }
-    os << "] " << flow.fraction * 100.0 << "%\n";
-  }
-  return os.str();
-}
-
-CsvTable plan_to_csv(const pipeline::PipelineGraph& g,
-                     const AllocationPlan& plan) {
-  CsvTable t({"task", "variant", "replicas", "batch", "budget_ms", "mode",
-              "demand_qps"});
-  for (const auto& ic : plan.instances) {
-    const auto it = plan.latency_budget_s.find({ic.task, ic.variant});
-    t.add_row({g.task(ic.task).name, variant_name(g, ic.task, ic.variant),
-               static_cast<std::int64_t>(ic.replicas),
-               static_cast<std::int64_t>(ic.batch),
-               it != plan.latency_budget_s.end() ? it->second * 1e3 : 0.0,
-               std::string(to_string(plan.mode)), plan.demand_qps});
-  }
-  return t;
-}
-
-std::string routing_to_string(const pipeline::PipelineGraph& g,
-                              const AllocationPlan& plan,
-                              const RoutingPlan& routing) {
-  std::ostringstream os;
-  auto group_name = [&](int gi) {
-    const auto& ic = plan.instances.at(static_cast<std::size_t>(gi));
-    return g.task(ic.task).name + "/" + variant_name(g, ic.task, ic.variant);
-  };
-  os << "frontend:\n";
-  for (const auto& r : routing.frontend) {
-    os << "  -> " << group_name(r.group) << "  " << r.probability * 100.0
-       << "%\n";
-  }
-  for (std::size_t gi = 0; gi < routing.group_routes.size(); ++gi) {
-    if (routing.group_routes[gi].empty()) continue;
-    os << group_name(static_cast<int>(gi)) << ":\n";
-    for (const auto& [child, routes] : routing.group_routes[gi]) {
-      for (const auto& r : routes) {
-        os << "  [" << g.task(child).name << "] -> " << group_name(r.group)
-           << "  " << r.probability * 100.0 << "%\n";
-      }
-    }
-  }
-  for (std::size_t t = 0; t < routing.backup_per_task.size(); ++t) {
-    if (routing.backup_per_task[t].empty()) continue;
-    os << "backup[" << g.task(static_cast<int>(t)).name << "]:";
-    for (const auto& be : routing.backup_per_task[t]) {
-      os << " " << group_name(be.group) << "(" << be.leftover_qps << " qps)";
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable serialization
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kPlanMagic = "loki-plan";
-constexpr int kPlanVersion = 1;
-
-ScalingMode mode_from_string(const std::string& s) {
-  for (ScalingMode m : {ScalingMode::kHardware, ScalingMode::kAccuracy,
-                        ScalingMode::kOverload}) {
-    if (to_string(m) == s) return m;
-  }
-  throw std::runtime_error("plan_from_text: unknown scaling mode \"" + s +
-                           "\"");
-}
-
-// Tokenized line with parse helpers that carry the line number in errors.
-struct LineParser {
-  int lineno;
-  std::vector<std::string> tokens;
-  std::size_t next = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("plan_from_text: line " +
-                             std::to_string(lineno) + ": " + what);
-  }
-  const std::string& token(const char* what) {
-    if (next >= tokens.size()) fail(std::string("missing ") + what);
-    return tokens[next++];
-  }
-  double number(const char* what) {
-    const std::string& t = token(what);
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(t, &pos);
-      if (pos != t.size()) throw std::invalid_argument(t);
-      return v;
-    } catch (const std::exception&) {
-      fail(std::string("bad ") + what + " \"" + t + "\"");
-    }
-  }
-  int integer(const char* what) {
-    const std::string& t = token(what);
-    try {
-      std::size_t pos = 0;
-      const int v = std::stoi(t, &pos);
-      if (pos != t.size()) throw std::invalid_argument(t);
-      return v;
-    } catch (const std::exception&) {
-      fail(std::string("bad ") + what + " \"" + t + "\"");
-    }
-  }
-  void done() {
-    if (next != tokens.size()) fail("trailing tokens after record");
-  }
-};
-
-}  // namespace
 
 std::string plan_to_text(const AllocationPlan& plan) {
   std::ostringstream os;
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << kPlanMagic << " v" << kPlanVersion << "\n";
+  os << "loki-plan v1\n";
   os << "mode " << to_string(plan.mode) << "\n";
   os << "expected_accuracy " << plan.expected_accuracy << "\n";
   os << "served_fraction " << plan.served_fraction << "\n";
@@ -181,129 +34,6 @@ std::string plan_to_text(const AllocationPlan& plan) {
        << "\n";
   }
   return os.str();
-}
-
-AllocationPlan plan_from_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-
-  auto next_parser = [&](LineParser& p) -> bool {
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      std::istringstream ls(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (ls >> tok) tokens.push_back(tok);
-      if (tokens.empty()) continue;  // blank lines are fine
-      p = LineParser{lineno, std::move(tokens), 0};
-      return true;
-    }
-    return false;
-  };
-
-  LineParser p{0, {}, 0};
-  if (!next_parser(p)) {
-    throw std::runtime_error("plan_from_text: empty input");
-  }
-  if (p.token("magic") != kPlanMagic ||
-      p.token("version") != "v" + std::to_string(kPlanVersion)) {
-    p.fail(std::string("expected header \"") + kPlanMagic + " v" +
-           std::to_string(kPlanVersion) + "\"");
-  }
-  p.done();
-
-  AllocationPlan plan;
-  while (next_parser(p)) {
-    const std::string directive = p.token("directive");
-    if (directive == "mode") {
-      plan.mode = mode_from_string(p.token("mode"));
-    } else if (directive == "expected_accuracy") {
-      plan.expected_accuracy = p.number("expected_accuracy");
-    } else if (directive == "served_fraction") {
-      // The allocator emits raw LP values, which can overshoot 1 by simplex
-      // rounding error; accept that while still rejecting real garbage.
-      plan.served_fraction = p.number("served_fraction");
-      if (plan.served_fraction < 0.0 || plan.served_fraction > 1.0 + 1e-6) {
-        p.fail("served_fraction out of [0,1]");
-      }
-    } else if (directive == "servers_used") {
-      plan.servers_used = p.integer("servers_used");
-    } else if (directive == "demand_qps") {
-      plan.demand_qps = p.number("demand_qps");
-    } else if (directive == "solve_time_s") {
-      plan.solve_time_s = p.number("solve_time_s");
-    } else if (directive == "feasible") {
-      plan.feasible = p.integer("feasible") != 0;
-    } else if (directive == "instance") {
-      InstanceConfig ic;
-      ic.task = p.integer("task");
-      ic.variant = p.integer("variant");
-      ic.batch = p.integer("batch");
-      ic.replicas = p.integer("replicas");
-      if (ic.task < 0 || ic.variant < 0 || ic.batch < 1 || ic.replicas < 0) {
-        p.fail("instance fields out of range");
-      }
-      plan.instances.push_back(ic);
-    } else if (directive == "flow") {
-      PathFlow flow;
-      flow.path.sink = p.integer("sink");
-      flow.fraction = p.number("fraction");
-      if (flow.fraction < 0.0 || flow.fraction > 1.0 + 1e-6) {
-        p.fail("flow fraction out of [0,1]");
-      }
-      if (flow.path.sink < 0) p.fail("negative flow sink");
-      const int n = p.integer("path length");
-      if (n < 1) p.fail("flow path must have at least one hop");
-      for (int i = 0; i < n; ++i) {
-        const int task = p.integer("path task");
-        const int variant = p.integer("path variant");
-        if (task < 0 || variant < 0) p.fail("negative path task/variant");
-        flow.path.tasks.push_back(task);
-        flow.path.variants.push_back(variant);
-      }
-      if (flow.path.tasks.back() != flow.path.sink) {
-        p.fail("flow path must end at its sink");
-      }
-      plan.flows.push_back(std::move(flow));
-    } else if (directive == "budget") {
-      const int task = p.integer("task");
-      const int variant = p.integer("variant");
-      if (task < 0 || variant < 0) p.fail("negative budget task/variant");
-      const double budget = p.number("budget seconds");
-      if (budget < 0.0) p.fail("negative latency budget");
-      if (!plan.latency_budget_s.emplace(std::make_pair(task, variant), budget)
-               .second) {
-        p.fail("duplicate budget key");
-      }
-    } else {
-      p.fail("unknown directive \"" + directive + "\"");
-    }
-    p.done();
-  }
-  return plan;
-}
-
-void save_plan(const AllocationPlan& plan, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    throw std::runtime_error("save_plan: cannot open " + path);
-  }
-  out << plan_to_text(plan);
-  if (!out.good()) {
-    throw std::runtime_error("save_plan: write failed for " + path);
-  }
-}
-
-AllocationPlan load_plan(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    throw std::runtime_error("load_plan: cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return plan_from_text(buf.str());
 }
 
 }  // namespace loki::serving

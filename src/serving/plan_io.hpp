@@ -1,50 +1,17 @@
-// Human-readable and CSV renderings of allocation plans and routing plans —
-// the operational tooling a deployed serving system needs for inspection
-// ("what is the cluster running right now, and why").
+// Canonical text rendering of an allocation plan: the digest form that the
+// planner goldens hash and the allocator ablation compares.
 #pragma once
 
 #include <string>
 
-#include "common/csv.hpp"
-#include "pipeline/graph.hpp"
-#include "serving/load_balancer.hpp"
 #include "serving/types.hpp"
 
 namespace loki::serving {
 
-/// Multi-line dump: mode, demand, servers, accuracy, then one line per
-/// instance group (task, variant name, replicas, batch, latency budget) and
-/// one per flow (sink, path variants, fraction).
-std::string plan_to_string(const pipeline::PipelineGraph& g,
-                           const AllocationPlan& plan);
-
-/// Instance groups as a CSV table (for logging plans over time).
-CsvTable plan_to_csv(const pipeline::PipelineGraph& g,
-                     const AllocationPlan& plan);
-
-/// Routing tables as text: frontend distribution plus each group's
-/// per-child distribution and the backup tables.
-std::string routing_to_string(const pipeline::PipelineGraph& g,
-                              const AllocationPlan& plan,
-                              const RoutingPlan& routing);
-
-/// Machine-readable plan serialization (versioned line format). Doubles are
-/// printed with round-trip precision, so
-///   plan_from_text(plan_to_text(p)) == p
-/// field for field, including instance groups, path flows, and the
-/// per-(task,variant) latency budgets.
+/// Versioned line format with every field of the plan: mode, the scalars,
+/// then one line per instance group, path flow and (task, variant) latency
+/// budget. Doubles are printed with round-trip precision, so two plans print
+/// the same text only if they are equal field for field.
 std::string plan_to_text(const AllocationPlan& plan);
-
-/// Parses a plan produced by plan_to_text. Throws std::runtime_error with a
-/// line-numbered message on any malformed input: wrong magic/version,
-/// unknown directive or mode, short/overlong records, non-numeric fields,
-/// out-of-range fractions, or duplicate budget keys.
-AllocationPlan plan_from_text(const std::string& text);
-
-/// File convenience wrappers around the text format. save_plan throws
-/// std::runtime_error on I/O failure; load_plan additionally throws on
-/// parse errors, like plan_from_text.
-void save_plan(const AllocationPlan& plan, const std::string& path);
-AllocationPlan load_plan(const std::string& path);
 
 }  // namespace loki::serving

@@ -38,33 +38,31 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
       profiles_(std::move(profiles)),
       strategy_(strategy),
       cfg_(cfg),
-      lb_(graph, &profiles_, cfg.allocator.utilization_target),
+      lb_(graph, &profiles_, kUtilizationTarget),
       metrics_(cfg.metrics_window_s),
-      demand_(cfg.demand),
       rng_routing_(Rng(cfg.seed).stream("routing")),
       rng_mult_(Rng(cfg.seed).stream("mult")),
       rng_jitter_(Rng(cfg.seed).stream("jitter")),
       rng_shed_(Rng(cfg.seed).stream("shed")),
       tiers_(cfg.tiers,
              cfg.registry != nullptr ? *cfg.registry : obs::Registry::global(),
-             cfg.metric_prefix) {
+             kMetricPrefix) {
   // strategy_ may be nullptr for externally-planned systems (coordinated
   // sharding); start() / run_resource_manager() check it.
   LOKI_CHECK(sim_ && graph_);
   hop_lane_ = sim_->add_lane("hop");
   obs::Registry& reg =
       cfg_.registry != nullptr ? *cfg_.registry : obs::Registry::global();
-  tracer_ = obs::QueryTracer(&reg, cfg_.metric_prefix, cfg_.trace);
-  c_admitted_ = reg.counter(cfg_.metric_prefix + ".admitted");
-  c_stage_enqueued_ = reg.counter(cfg_.metric_prefix + ".stage.enqueued");
-  c_stage_queue_ns_ = reg.counter(cfg_.metric_prefix + ".stage.queue_wait_ns");
-  c_stage_batches_ = reg.counter(cfg_.metric_prefix + ".stage.batches");
-  c_stage_batch_items_ =
-      reg.counter(cfg_.metric_prefix + ".stage.batch_items");
-  c_stage_execute_ns_ = reg.counter(cfg_.metric_prefix + ".stage.execute_ns");
-  c_stage_swaps_ = reg.counter(cfg_.metric_prefix + ".stage.swaps");
-  c_stage_swap_ns_ =
-      reg.counter(cfg_.metric_prefix + ".stage.swap_stall_ns");
+  const std::string prefix = kMetricPrefix;
+  tracer_ = obs::QueryTracer(&reg, prefix, cfg_.trace);
+  c_admitted_ = reg.counter(prefix + ".admitted");
+  c_stage_enqueued_ = reg.counter(prefix + ".stage.enqueued");
+  c_stage_queue_ns_ = reg.counter(prefix + ".stage.queue_wait_ns");
+  c_stage_batches_ = reg.counter(prefix + ".stage.batches");
+  c_stage_batch_items_ = reg.counter(prefix + ".stage.batch_items");
+  c_stage_execute_ns_ = reg.counter(prefix + ".stage.execute_ns");
+  c_stage_swaps_ = reg.counter(prefix + ".stage.swaps");
+  c_stage_swap_ns_ = reg.counter(prefix + ".stage.swap_stall_ns");
 
   if (!cfg_.fault_plan.empty() || cfg_.detector.enabled) {
     fault_ = std::make_unique<FaultPlane>(*this, reg);
@@ -145,18 +143,9 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
         return v;
       });
     }
-    if (cfg_.batch_wait_s > 0.0) w->set_batch_wait(cfg_.batch_wait_s);
     workers_.push_back(std::move(w));
   }
   worker_group_.assign(workers_.size(), -1);
-}
-
-void ServingSystem::attach_metadata_store(MetadataStore* store) {
-  LOKI_CHECK(store != nullptr);
-  metadata_ = store;
-  if (!metadata_->registered()) {
-    metadata_->register_pipeline(graph_, profiles_, cfg_.allocator.slo_s);
-  }
 }
 
 void ServingSystem::schedule_control_loops(bool with_rm) {
@@ -181,7 +170,7 @@ void ServingSystem::schedule_control_loops(bool with_rm) {
     schedule_periodic(cfg_.rm_period_s, [this]() { run_resource_manager(); });
   }
   schedule_periodic(kLbPeriodS, [this]() { run_load_balancer(); });
-  schedule_periodic(cfg_.heartbeat_period_s, [this]() { run_heartbeat(); });
+  schedule_periodic(fault::kHeartbeatPeriodS, [this]() { run_heartbeat(); });
 }
 
 void ServingSystem::start() {
@@ -212,15 +201,9 @@ void ServingSystem::install_plan(AllocationPlan plan) {
 }
 
 void ServingSystem::commit_plan(AllocationPlan plan, double demand) {
-  const double now = sim_->now();
   has_plan_ = true;
   last_alloc_demand_ = demand;
   ++allocations_;
-  if (metadata_) {
-    metadata_->record_demand(now, demand);
-    metadata_->record_plan(now, plan);
-    metadata_->record_mult_factors(mult_estimates_);
-  }
   apply_plan(std::move(plan));
   run_load_balancer();  // LB runs on every allocation change (§5.1)
   if (fault_ != nullptr) fault_->on_plan();
@@ -267,7 +250,7 @@ void ServingSystem::publish_stage_counters() {
 }
 
 double ServingSystem::comm_delay() {
-  double d = cfg_.allocator.comm_latency_s;
+  double d = kCommLatencyS;
   if (fault_ != nullptr) d += fault_->extra_delay_s();
   if (cfg_.comm_jitter_frac > 0.0) {
     d = std::max(0.0, rng_jitter_.normal(d, d * cfg_.comm_jitter_frac));
@@ -617,8 +600,7 @@ void ServingSystem::on_batch_done(cluster::Worker& w,
             cfg_.drop_policy == DropPolicy::kOpportunisticReroute;
         if (checks_forward && over > 0.0) {
           const double slack = item.deadline - now;
-          const double tail =
-              cfg_.allocator.comm_latency_s + descendant_budget(child);
+          const double tail = kCommLatencyS + descendant_budget(child);
           const double y =
               group >= 0
                   ? routing_.group_exec_s[static_cast<std::size_t>(group)]
@@ -974,7 +956,7 @@ void ServingSystem::recompute_descendant_budgets() {
     const int t = *it;
     double worst = 0.0;
     for (int c : g.children(t)) {
-      worst = std::max(worst, cfg_.allocator.comm_latency_s +
+      worst = std::max(worst, kCommLatencyS +
                                   mean_budget[static_cast<std::size_t>(c)] +
                                   desc_budget_[static_cast<std::size_t>(c)]);
     }

@@ -53,7 +53,6 @@
 #include "serving/degrade.hpp"
 #include "serving/fault_plane.hpp"
 #include "serving/load_balancer.hpp"
-#include "serving/metadata_store.hpp"
 #include "serving/metrics.hpp"
 #include "serving/types.hpp"
 #include "sim/simulation.hpp"
@@ -80,12 +79,15 @@ inline bool keep_plan(double demand, double last, double served_fraction,
   return rel < threshold && served_fraction >= 1.0;
 }
 
+/// Name prefix of every registry series a serving system publishes
+/// (<prefix>.admitted, <prefix>.stage.*, <prefix>.lat.*, <prefix>.fault.*,
+/// <prefix>.degrade.*).
+inline constexpr char kMetricPrefix[] = "serving";
+
 struct SystemConfig {
   AllocatorConfig allocator;
   /// Resource Manager invocation period (§4.2 uses 10 s).
   double rm_period_s = 10.0;
-  /// Worker heartbeat period (multiplicative-factor reports, §3).
-  double heartbeat_period_s = 1.0;
   double metrics_window_s = 10.0;
   DropPolicy drop_policy = DropPolicy::kOpportunisticReroute;
   /// Relative jitter on worker execution times (0 = deterministic; the
@@ -104,18 +106,14 @@ struct SystemConfig {
   /// Queries arriving before this time are served but not counted in the
   /// metrics (deployment warm-up; the cluster starts empty).
   double metrics_warmup_s = 0.0;
-  /// Worker micro-batching wait (0 = serve immediately).
-  double batch_wait_s = 0.0;
-  trace::DemandEstimatorConfig demand;
   std::uint64_t seed = 1234;
   /// Observability (src/obs): registry receiving this system's counters and
   /// histograms (nullptr = obs::Registry::global(); experiment drivers pass
-  /// a per-run registry so concurrent runs never mix series), the metric
-  /// name prefix, and sampled per-request stage attribution. Tracing
-  /// defaults ON — the always-on discipline of ROADMAP item 5 — and is
-  /// differential-tested to leave every simulation metric bit-identical.
+  /// a per-run registry so concurrent runs never mix series) and sampled
+  /// per-request stage attribution. Tracing defaults ON — the always-on
+  /// discipline of ROADMAP item 5 — and is differential-tested to leave
+  /// every simulation metric bit-identical.
   obs::Registry* registry = nullptr;
-  std::string metric_prefix = "serving";
   obs::TraceOptions trace;
   /// Fault injection schedule (src/fault) and heartbeat failure detection.
   /// A non-empty plan or detector.enabled arms the FaultPlane; otherwise
@@ -167,10 +165,6 @@ class ServingSystem {
 
   /// Stops periodic events and flushes metrics windows at `t_end`.
   void finish(double t_end);
-
-  /// Attaches a Metadata Store (§3) that records demand estimates, plan
-  /// history and multiplicative-factor estimates as the controller works.
-  void attach_metadata_store(MetadataStore* store);
 
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
@@ -241,7 +235,7 @@ class ServingSystem {
   /// produce a fresh plan over the surviving workers).
   void run_resource_manager(bool force = false);
   /// Installs a plan (from the Resource Manager or a coordinator): worker
-  /// placement, routing refresh, Metadata Store and allocation metrics.
+  /// placement, routing refresh and allocation metrics.
   void commit_plan(AllocationPlan plan, double demand);
   void run_load_balancer();
   void run_heartbeat();
@@ -305,6 +299,8 @@ class ServingSystem {
 
   LoadBalancer lb_;
   Metrics metrics_;
+  /// Frontend demand estimate at the estimator's defaults (1 s windows,
+  /// EWMA weight 0.35, headroom 1.10).
   trace::DemandEstimator demand_;
 
   AllocationPlan plan_;
@@ -374,7 +370,7 @@ class ServingSystem {
 
   /// Per-request stage attribution; shared with every worker via
   /// set_tracer(). Histograms land in the configured registry under
-  /// cfg_.metric_prefix.
+  /// kMetricPrefix.
   obs::QueryTracer tracer_;
   /// Stage totals already pushed to the registry (delta publication).
   cluster::StageCounters published_stage_;
@@ -387,7 +383,6 @@ class ServingSystem {
   obs::Counter c_stage_swaps_;
   obs::Counter c_stage_swap_ns_;
 
-  MetadataStore* metadata_ = nullptr;
   /// Owners of the self-rescheduling control-loop callbacks. The scheduled
   /// lambdas hold weak_ptrs into these, so destroying the system breaks the
   /// reschedule cycle instead of leaking it.

@@ -1,23 +1,48 @@
 #include "trace/replay.hpp"
 
 #include <cmath>
-#include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
-
-#include "common/csv.hpp"
+#include <type_traits>
 
 namespace loki::trace {
 
-void save_replay_csv(const QueryReplay& replay, const std::string& path) {
-  CsvTable t({"t_s", "task", "tier"});
-  for (const ReplayRow& r : replay.rows) {
-    t.add_row({r.t_s, static_cast<std::int64_t>(r.task),
-               static_cast<std::int64_t>(r.tier)});
+namespace {
+
+constexpr const char* kReplayHeader = "t_s,task,tier";
+
+std::vector<std::string> split_fields(const std::string& line) {
+  std::vector<std::string> fields(1);
+  for (char c : line) {
+    if (c == ',') {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
   }
-  t.write(path);
+  return fields;
 }
+
+/// std::stod and std::stoi stop at the first character they cannot read;
+/// the number must use up the whole field, or "0.5abc" would load as 0.5.
+template <typename T>
+T parse_field(const std::string& field, const std::string& line) {
+  try {
+    std::size_t pos = 0;
+    T v{};
+    if constexpr (std::is_same_v<T, double>) {
+      v = std::stod(field, &pos);
+    } else {
+      v = std::stoi(field, &pos);
+    }
+    if (pos == field.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw std::runtime_error("load_replay_csv: non-numeric field \"" + field +
+                           "\" in row: " + line);
+}
+
+}  // namespace
 
 QueryReplay load_replay_csv(const std::string& path) {
   std::ifstream f(path);
@@ -26,24 +51,21 @@ QueryReplay load_replay_csv(const std::string& path) {
   if (!std::getline(f, line)) {
     throw std::runtime_error("load_replay_csv: empty file " + path);
   }
+  if (line != kReplayHeader) {
+    throw std::runtime_error(std::string("load_replay_csv: expected header ") +
+                             kReplayHeader + ", got: " + line);
+  }
   QueryReplay replay;
   while (std::getline(f, line)) {
     if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string t_str, task_str, tier_str;
-    if (!std::getline(row, t_str, ',') ||
-        !std::getline(row, task_str, ',') ||
-        !std::getline(row, tier_str, ',')) {
-      throw std::runtime_error("load_replay_csv: malformed row: " + line);
+    const std::vector<std::string> fields = split_fields(line);
+    if (fields.size() != 3) {
+      throw std::runtime_error("load_replay_csv: expected 3 fields: " + line);
     }
     ReplayRow r;
-    try {
-      r.t_s = std::stod(t_str);
-      r.task = std::stoi(task_str);
-      r.tier = std::stoi(tier_str);
-    } catch (const std::exception&) {
-      throw std::runtime_error("load_replay_csv: non-numeric row: " + line);
-    }
+    r.t_s = parse_field<double>(fields[0], line);
+    r.task = parse_field<int>(fields[1], line);
+    r.tier = parse_field<int>(fields[2], line);
     if (r.t_s < 0.0 || !std::isfinite(r.t_s)) {
       throw std::runtime_error("load_replay_csv: bad timestamp: " + line);
     }

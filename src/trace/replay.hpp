@@ -30,12 +30,11 @@ struct QueryReplay {
   double duration_s() const { return rows.empty() ? 0.0 : rows.back().t_s; }
 };
 
-/// Writes "t_s,task,tier" rows. Throws std::runtime_error on I/O failure.
-void save_replay_csv(const QueryReplay& replay, const std::string& path);
-
-/// Reads a replay saved by save_replay_csv. Validates non-decreasing
-/// timestamps, task >= 0 and tier in [0, 8). Throws std::runtime_error on
-/// malformed input.
+/// Reads a replay CSV: the header line "t_s,task,tier", then one
+/// "t_s,task,tier" row per query (blank lines skipped). Each field must be
+/// a number with nothing after it. Validates non-decreasing timestamps,
+/// task >= 0 and tier in [0, 8). Throws std::runtime_error on malformed
+/// input.
 QueryReplay load_replay_csv(const std::string& path);
 
 /// Bins the replay into a DemandCurve at `interval_s` (arrivals per second

@@ -79,7 +79,7 @@ void check_plan_validity(const Fixture& f, const AllocationPlan& plan,
             f.profiles[static_cast<std::size_t>(ic.task)]
                       [static_cast<std::size_t>(ic.variant)];
         cap += ic.replicas * prof.throughput_for(ic.batch) *
-               f.cfg.utilization_target;
+               kUtilizationTarget;
       }
     }
     EXPECT_LE(qps, cap * (1.0 + 1e-6))
@@ -103,8 +103,7 @@ void check_plan_validity(const Fixture& f, const AllocationPlan& plan,
       }
     }
     const double hops = static_cast<double>(flow.path.tasks.size()) + 1.0;
-    EXPECT_LE(exec, f.cfg.slo_s * f.cfg.queue_factor -
-                        f.cfg.comm_latency_s * hops + 1e-9);
+    EXPECT_LE(exec, f.cfg.slo_s * kQueueFactor - kCommLatencyS * hops + 1e-9);
   }
 }
 
@@ -134,8 +133,7 @@ TEST(TaskBudgets, SharedRootTakesMinimum) {
   const auto f = traffic();
   const auto budgets = task_budgets_for_split(f.cfg, f.graph, {0.5, 0.5});
   // Both sinks are at depth 1 with 3 hops; root budget = leaf budgets.
-  const double total = f.cfg.slo_s * f.cfg.queue_factor -
-                       3.0 * f.cfg.comm_latency_s;
+  const double total = f.cfg.slo_s * kQueueFactor - 3.0 * kCommLatencyS;
   EXPECT_NEAR(budgets[0], total / 2.0, 1e-12);
   EXPECT_NEAR(budgets[1], total / 2.0, 1e-12);
   EXPECT_NEAR(budgets[2], total / 2.0, 1e-12);

@@ -178,54 +178,6 @@ TEST(Worker, LoadMetricCountsQueueAndInflight) {
   EXPECT_EQ(h.worker.queue_length(), 1u);
 }
 
-TEST(Worker, BatchWaitAccumulatesItems) {
-  Harness h;
-  h.worker.set_batch_wait(0.050);
-  h.worker.assign(0, 0, &h.catalog.at(0), 8, false);
-  h.worker.enqueue(h.item(1));
-  // Second item arrives within the wait window.
-  h.sim.schedule_at(0.010, [&]() { h.worker.enqueue(h.item(2)); });
-  h.sim.run_all();
-  ASSERT_EQ(h.batches.size(), 1u);
-  EXPECT_EQ(h.batches[0].size(), 2u);  // both served in one batch
-}
-
-TEST(Worker, BatchWaitStartsEarlyWhenFull) {
-  Harness h;
-  h.worker.set_batch_wait(10.0);  // absurdly long: must not matter
-  h.worker.assign(0, 0, &h.catalog.at(0), 2, false);
-  h.worker.enqueue(h.item(1));
-  h.worker.enqueue(h.item(2));  // batch full -> starts immediately
-  h.sim.run_all();
-  ASSERT_EQ(h.batches.size(), 1u);
-  EXPECT_EQ(h.batches[0].size(), 2u);
-  EXPECT_LT(h.sim.now(), 1.0);  // did not wait the 10 s
-}
-
-TEST(Worker, BatchWaitTimerFiresForPartialBatch) {
-  Harness h;
-  h.worker.set_batch_wait(0.030);
-  h.worker.assign(0, 0, &h.catalog.at(0), 8, false);
-  h.worker.enqueue(h.item(1));
-  h.sim.run_all();
-  ASSERT_EQ(h.batches.size(), 1u);
-  EXPECT_EQ(h.batches[0].size(), 1u);
-  // Started only after the wait elapsed.
-  EXPECT_NEAR(h.sim.now(), 0.030 + h.catalog.at(0).latency.latency_s(1),
-              1e-9);
-}
-
-TEST(Worker, BatchWaitCancelledOnDeactivate) {
-  Harness h;
-  h.worker.set_batch_wait(0.050);
-  h.worker.assign(0, 0, &h.catalog.at(0), 8, false);
-  h.worker.enqueue(h.item(1));
-  const auto flushed = h.worker.deactivate();
-  EXPECT_EQ(flushed.size(), 1u);
-  h.sim.run_all();  // pending wait timer must not fire a batch
-  EXPECT_TRUE(h.batches.empty());
-}
-
 // ---------------------------------------------------------------------------
 // Stage counters and the external load cell
 // ---------------------------------------------------------------------------

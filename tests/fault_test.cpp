@@ -129,9 +129,6 @@ TEST(FaultPlan, SplitBySharesRejectsWorkersOutsideTheCluster) {
 DetectorConfig detector_config() {
   DetectorConfig cfg;
   cfg.enabled = true;
-  cfg.heartbeat_period_s = 1.0;
-  cfg.suspect_phi = 2.5;
-  cfg.dead_phi = 5.5;
   return cfg;
 }
 

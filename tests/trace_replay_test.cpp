@@ -1,5 +1,5 @@
-// Trace-replay tests (ROADMAP item 4 generator gap): CSV round-trip of a
-// pinned (timestamp, task, tier) sequence, strict load-time validation of
+// Trace-replay tests (ROADMAP item 4 generator gap): loading a pinned
+// (timestamp, task, tier) CSV exactly, strict load-time validation of
 // malformed input, and the demand-curve binning controllers consume.
 #include <gtest/gtest.h>
 
@@ -22,26 +22,34 @@ QueryReplay pinned_replay() {
   return r;
 }
 
-TEST(QueryReplayIo, RoundTripPreservesPinnedSequenceExactly) {
+TEST(QueryReplayIo, LoadsPinnedSequenceExactly) {
   test::TempDir dir("loki_replay");
   const auto path = dir.file("replay.csv");
-  const QueryReplay original = pinned_replay();
-  save_replay_csv(original, path);
+  test::write_file(path,
+                   "t_s,task,tier\n"
+                   "0,0,0\n"
+                   "0.125,0,2\n"
+                   "0.125,1,1\n"
+                   "1.5,0,0\n"
+                   "9.75,1,2\n"
+                   "1234.5678901234501,0,1\n");
+  QueryReplay expected = pinned_replay();
+  expected.rows.push_back({1234.5678901234501, 0, 1});
   const QueryReplay loaded = load_replay_csv(path);
 
-  ASSERT_EQ(loaded.rows.size(), original.rows.size());
-  for (std::size_t i = 0; i < original.rows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded.rows[i].t_s, original.rows[i].t_s) << "row " << i;
-    EXPECT_EQ(loaded.rows[i].task, original.rows[i].task) << "row " << i;
-    EXPECT_EQ(loaded.rows[i].tier, original.rows[i].tier) << "row " << i;
+  ASSERT_EQ(loaded.rows.size(), expected.rows.size());
+  for (std::size_t i = 0; i < expected.rows.size(); ++i) {
+    EXPECT_EQ(loaded.rows[i].t_s, expected.rows[i].t_s) << "row " << i;
+    EXPECT_EQ(loaded.rows[i].task, expected.rows[i].task) << "row " << i;
+    EXPECT_EQ(loaded.rows[i].tier, expected.rows[i].tier) << "row " << i;
   }
-  EXPECT_DOUBLE_EQ(loaded.duration_s(), 9.75);
+  EXPECT_EQ(loaded.duration_s(), 1234.5678901234501);
 }
 
-TEST(QueryReplayIo, EmptyReplayRoundTrips) {
+TEST(QueryReplayIo, HeaderOnlyFileLoadsEmpty) {
   test::TempDir dir("loki_replay");
   const auto path = dir.file("empty.csv");
-  save_replay_csv(QueryReplay{}, path);
+  test::write_file(path, "t_s,task,tier\n");
   const QueryReplay loaded = load_replay_csv(path);
   EXPECT_TRUE(loaded.empty());
   EXPECT_DOUBLE_EQ(loaded.duration_s(), 0.0);
@@ -65,6 +73,14 @@ TEST(QueryReplayIo, RejectsMalformedInput) {
   expect_reject("tier_range.csv", "t_s,task,tier\n1.0,0,9\n");
   expect_reject("negative_tier.csv", "t_s,task,tier\n1.0,0,-1\n");
   expect_reject("unsorted.csv", "t_s,task,tier\n2.0,0,0\n1.0,0,0\n");
+  expect_reject("trailing_t.csv", "t_s,task,tier\n0.5abc,0,1\n");
+  expect_reject("trailing_task.csv", "t_s,task,tier\n0.5,0x,1\n");
+  expect_reject("trailing_tier.csv", "t_s,task,tier\n0.5,0,1junk\n");
+  expect_reject("extra_column.csv", "t_s,task,tier\n0.5,0,1,extra\n");
+  expect_reject("trailing_comma.csv", "t_s,task,tier\n0.5,0,1,\n");
+  expect_reject("all_defects.csv",
+                "t_s,task,tier\n0.5abc,0x,1junk,extra,cols\n");
+  expect_reject("missing_header.csv", "0.5,0,2\n1.0,0,0\n");
 }
 
 TEST(ReplayDemandCurve, BinsArrivalsAtInterval) {
