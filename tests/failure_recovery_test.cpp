@@ -13,6 +13,7 @@
 //     exactly once even when its worker dies under it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,12 @@
 namespace loki {
 namespace {
 
-trace::DemandCurve fr_curve() {
+// Fixed literal seeds for the scenarios whose exact outcomes are pinned
+// below; every other case derives its seeds from test_seed().
+constexpr std::uint64_t kPinnedCurveSeed = 9001;
+constexpr std::uint64_t kPinnedArrivalSeed = 9002;
+
+trace::DemandCurve fr_curve(std::uint64_t seed) {
   trace::TraceConfig cfg;
   cfg.shape = trace::TraceShape::kConstant;
   cfg.duration_s = 60.0;
@@ -34,17 +40,25 @@ trace::DemandCurve fr_curve() {
   // then shows up unambiguously as extra drops/violations in the crash runs.
   cfg.peak_qps = 40.0;
   cfg.noise_frac = 0.0;
-  cfg.seed = test::test_seed("failure_recovery_curve");
+  cfg.seed = seed;
   return trace::generate_trace(cfg);
 }
 
-exp::ExperimentConfig fr_config() {
+trace::DemandCurve fr_curve() {
+  return fr_curve(test::test_seed("failure_recovery_curve"));
+}
+
+exp::ExperimentConfig fr_config(std::uint64_t arrival_seed) {
   exp::ExperimentConfig cfg;
   cfg.system = "greedy";  // fast allocator keeps the suite cheap
   cfg.system_cfg.allocator.cluster_size = 8;
   cfg.system_cfg.allocator.slo_s = 0.250;
-  cfg.arrivals.seed = test::test_seed("failure_recovery_arrivals");
+  cfg.arrivals.seed = arrival_seed;
   return cfg;
+}
+
+exp::ExperimentConfig fr_config() {
+  return fr_config(test::test_seed("failure_recovery_arrivals"));
 }
 
 void expect_metrics_bit_identical(const exp::ExperimentResult& a,
@@ -55,11 +69,11 @@ void expect_metrics_bit_identical(const exp::ExperimentResult& a,
   EXPECT_EQ(a.metrics.shed(), b.metrics.shed());
   EXPECT_EQ(a.metrics.late(), b.metrics.late());
   EXPECT_EQ(a.metrics.violations(), b.metrics.violations());
-  EXPECT_DOUBLE_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(a.mean_accuracy, b.mean_accuracy);
-  EXPECT_DOUBLE_EQ(a.mean_latency_s, b.mean_latency_s);
-  EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
-  EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
+  EXPECT_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
+  EXPECT_EQ(a.mean_accuracy, b.mean_accuracy);
+  EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
+  EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
+  EXPECT_EQ(a.mean_servers_used, b.mean_servers_used);
 }
 
 /// Armed-but-inert fault config: one crash scheduled far beyond the end of
@@ -101,6 +115,18 @@ TEST(FaultPassivity, ArmedInertSequentialIsBitIdentical) {
   EXPECT_EQ(off.allocations, armed.allocations);
   expect_snapshot_superset(off.obs, armed.obs);
   // The machinery was armed (series exist) but nothing fired.
+  EXPECT_EQ(armed.obs.counter_value("serving.fault.crashes"), 0u);
+}
+
+TEST(FaultPassivity, ArmedInertSequentialOnPinnedSeedsIsBitIdentical) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = fr_curve(kPinnedCurveSeed);
+  const auto cfg = fr_config(kPinnedArrivalSeed);
+  const auto off = exp::run_experiment(graph, curve, cfg);
+  const auto armed = exp::run_experiment(graph, curve, armed_inert(cfg));
+  expect_metrics_bit_identical(off, armed);
+  EXPECT_EQ(off.allocations, armed.allocations);
+  expect_snapshot_superset(off.obs, armed.obs);
   EXPECT_EQ(armed.obs.counter_value("serving.fault.crashes"), 0u);
 }
 
@@ -146,8 +172,7 @@ TEST(FaultPassivity, DefaultSnapshotHasNoFaultSeries) {
 // Crash -> detect -> re-plan -> recover
 // ---------------------------------------------------------------------------
 
-exp::ExperimentConfig crash_config() {
-  auto cfg = fr_config();
+exp::ExperimentConfig crash_config(exp::ExperimentConfig cfg = fr_config()) {
   // Worker 0 dies at t = 20 and returns at t = 40. Default detector: 1 s
   // heartbeats, dead after phi >= 5.5 periods -> detection ~6 s after the
   // last accepted report.
@@ -196,6 +221,24 @@ TEST(FailureRecovery, CrashDetectReplanRecoverUnderPinnedSeed) {
             0.9 * static_cast<double>(r.arrivals));
   EXPECT_LT(r.slo_violation_ratio, 0.15);
   EXPECT_GT(r.slo_violation_ratio, off.slo_violation_ratio);
+}
+
+TEST(FailureRecovery, PinnedSeedDetectionAndRecoveryTimes) {
+  // The simulated detection latency and recovery time of the crash cycle
+  // are deterministic, so both histograms are pinned exactly: one crash,
+  // detected 5 s after it happened and seen alive again 20 s after it.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto r =
+      exp::run_experiment(graph, fr_curve(kPinnedCurveSeed),
+                          crash_config(fr_config(kPinnedArrivalSeed)));
+  const auto* detect = r.obs.find_histogram("serving.fault.detect_ns");
+  const auto* recovery = r.obs.find_histogram("serving.fault.recovery_ns");
+  ASSERT_NE(detect, nullptr);
+  ASSERT_NE(recovery, nullptr);
+  EXPECT_EQ(detect->count, 1u);
+  EXPECT_EQ(detect->sum, 5'000'000'000ull);
+  EXPECT_EQ(recovery->count, 1u);
+  EXPECT_EQ(recovery->sum, 20'000'000'000ull);
 }
 
 TEST(FailureRecovery, CrashRunIsDeterministic) {
