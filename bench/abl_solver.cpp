@@ -4,9 +4,8 @@
 // built from: raw bounded-variable simplex solves across problem sizes, the
 // warm-started bound-overlay re-solve path (the branch-and-bound node access
 // pattern) against an equivalent cold solve, and full branch-and-bound runs
-// on structured MILPs. Every benchmark exports its pivot/node counters so
-// scripts/bench.sh --suite solver can track work counts, not just wall
-// time.
+// on structured MILPs. Every benchmark exports its pivot/node counters, so
+// a run reports work counts next to wall time.
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -16,8 +16,9 @@
 // (checked, not just printed): exact per-tier accounting, zero strict-tier
 // *policy* shed in every tiered run (the only strict-tier losses are
 // crash-stranded queries whose deadline had already passed), and
-// strict-tier SLO attainment >= 99% in the tiered greedy run (the gated
-// configuration of BM_OverloadTiered).
+// strict-tier SLO attainment >= 99% in the tiered greedy run (the bound
+// TieredOverload.FlashCrowdKeepsStrictTierWhole pins on an 8-worker
+// cluster).
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -68,8 +69,8 @@ int main(int argc, char** argv) {
   // and the crash would break SLOs for everyone, and priority-aware
   // shedding decides who actually feels it. (Deep sustained saturation is
   // a different regime — no admission policy can save the strict tier when
-  // the serve budget drops below its share; BM_Overload's integration
-  // tests cover that separately.)
+  // the serve budget drops below its share; overload_degradation_test
+  // covers that separately.)
   trace::TraceConfig tcfg;
   tcfg.shape = trace::TraceShape::kStep;
   tcfg.duration_s = duration_s;
@@ -117,10 +118,11 @@ int main(int argc, char** argv) {
       cfg.tiers.enabled = true;
       cfg.tier_mix = {0.2, 0.4, 0.4};
       cfg.fallback.enabled = true;
-      // Same standard/best-effort watermark tuning as BM_OverloadTiered:
-      // tight watermarks hold queue depth down so the strict tier (which
-      // jumps the remaining backlog at batch formation) keeps its p99
-      // under SLO. The strict tier itself is effectively admission-exempt
+      // Same standard/best-effort watermark tuning as
+      // TieredOverload.FlashCrowdKeepsStrictTierWhole: tight watermarks
+      // hold queue depth down so the strict tier (which jumps the
+      // remaining backlog at batch formation) keeps its p99 under SLO.
+      // The strict tier itself is effectively admission-exempt
       // here — with a long multi-worker outage the backlog can cross a
       // depth-64 watermark, and the figure's invariant is that only crash
       // losses ever touch tier 0.
