@@ -264,6 +264,7 @@ MilpSolution BranchAndBound::solve(
 
   double best_open_bound = -kInf;  // for gap reporting
   bool truncated = false;
+  bool deadline_hit = false;  // the wall clock, not a work budget, stopped it
   bool root_unbounded = false;
   bool root_lp_pending = true;  // the first LP solved is always the root
   // Post-root tableau for node re-anchoring: when a node leaves the shared
@@ -275,8 +276,13 @@ MilpSolution BranchAndBound::solve(
   SimplexContext::Snapshot root_anchor;
 
   while (!open.empty()) {
-    if (out.nodes_explored >= options_.max_nodes || Clock::now() >= deadline) {
+    if (out.nodes_explored >= options_.max_nodes) {
       truncated = true;
+      break;
+    }
+    if (Clock::now() >= deadline) {
+      truncated = true;
+      deadline_hit = true;
       break;
     }
     std::pop_heap(open.begin(), open.end(), node_cmp);
@@ -474,12 +480,13 @@ MilpSolution BranchAndBound::solve(
   }
   // Retain the solution for the cross-run fast path only when re-running
   // the search would provably reproduce it: either it is optimal (within
-  // gap_tol), or any truncation was driven by the deterministic node budget
-  // (deadline ignored). A *wall-clock*-truncated kFeasible incumbent is
-  // machine-speed dependent and could pin a gap > tol plan forever, so it
-  // is re-solved with a full budget on the next run instead.
+  // gap_tol), or the search ended without the deadline firing (a stop by
+  // the node budget or an LP iteration cap is deterministic). A
+  // *wall-clock*-truncated kFeasible incumbent is machine-speed dependent
+  // and could pin a gap > tol plan forever, so it is re-solved with a full
+  // budget on the next run instead.
   if (session != nullptr && session->root_state.valid() &&
-      (out.status == MilpStatus::kOptimal || ignore_deadline)) {
+      (out.status == MilpStatus::kOptimal || !deadline_hit)) {
     session->solution = out;
     session->has_solution = true;
   }

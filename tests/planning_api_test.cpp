@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -493,22 +494,13 @@ constexpr GoldenEpoch kGoldenTrajectory[] = {
     {2250, 0xccd86d35ca5b8d6full, 1277, 167, 9, 158, 0, 0},
 };
 
-}  // namespace
-
-TEST(PlannerTrajectory, GoldenPlansAndSolverWork) {
-  // The MILP planner is deterministic down to the last pivot: every plan
-  // and every work counter of this 50-epoch run is pinned. A change to the
-  // simplex or branch-and-bound kernels that claims to be a pure speedup
-  // must leave this table untouched. The table is pinned under the
-  // deterministic node budget (also what the repository benchmark runs):
-  // with the wall-clock budget armed, truncated incumbents are not cached
-  // across epochs, so later plans differ.
-  setenv("LOKI_MILP_NO_TIME_LIMIT", "1", /*overwrite=*/1);
+/// Plans the golden trajectory with `cfg` on 96 workers of the traffic
+/// pipeline and checks every epoch against kGoldenTrajectory.
+void expect_golden_trajectory(serving::AllocatorConfig cfg) {
   const pipeline::PipelineGraph graph = pipeline::traffic_analysis_pipeline();
   const serving::ProfileTable profiles =
       serving::build_profile_table(graph, profile::ModelProfiler());
   const pipeline::MultFactorTable mult = pipeline::default_mult_factors(graph);
-  serving::AllocatorConfig cfg;
   cfg.cluster_size = 96;
   cfg.slo_s = 0.250;
   serving::MilpAllocator alloc(cfg, &graph, profiles);
@@ -540,6 +532,48 @@ TEST(PlannerTrajectory, GoldenPlansAndSolverWork) {
   EXPECT_GT(modes[static_cast<int>(serving::ScalingMode::kHardware)], 0);
   EXPECT_GT(modes[static_cast<int>(serving::ScalingMode::kAccuracy)], 0);
   EXPECT_GT(modes[static_cast<int>(serving::ScalingMode::kOverload)], 0);
+}
+
+/// Unsets an environment variable for one scope and restores it after.
+class ScopedUnsetEnv {
+ public:
+  explicit ScopedUnsetEnv(const char* name) : name_(name) {
+    if (const char* value = std::getenv(name)) saved_ = value;
+    unsetenv(name);
+  }
+  ~ScopedUnsetEnv() {
+    if (saved_) setenv(name_, saved_->c_str(), /*overwrite=*/1);
+  }
+  ScopedUnsetEnv(const ScopedUnsetEnv&) = delete;
+  ScopedUnsetEnv& operator=(const ScopedUnsetEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+}  // namespace
+
+TEST(PlannerTrajectory, GoldenPlansAndSolverWork) {
+  // The MILP planner is deterministic down to the last pivot: every plan
+  // and every work counter of this 50-epoch run is pinned. A change to the
+  // simplex or branch-and-bound kernels that claims to be a pure speedup
+  // must leave this table untouched. The table is pinned under the
+  // deterministic node budget (also what the repository benchmark runs);
+  // ArmedClockReproducesGoldens checks that an armed wall-clock budget
+  // that never fires reproduces it too.
+  setenv("LOKI_MILP_NO_TIME_LIMIT", "1", /*overwrite=*/1);
+  expect_golden_trajectory(serving::AllocatorConfig{});
+}
+
+TEST(PlannerTrajectory, ArmedClockReproducesGoldens) {
+  // A wall-clock budget only changes plans when it fires. Searches that the
+  // node budget or an LP iteration cap truncated are as reproducible as
+  // finished ones, so the next epoch reuses them either way.
+  const ScopedUnsetEnv no_override("LOKI_MILP_NO_TIME_LIMIT");
+  serving::AllocatorConfig cfg;
+  cfg.milp.time_limit_s = 600.0;
+  expect_golden_trajectory(cfg);
 }
 
 // ---------------------------------------------------------------------------
