@@ -101,9 +101,11 @@ double run_horizon(const trace::DemandCurve& curve,
   return std::max(curve.duration_s(), cfg.replay.duration_s()) + cfg.drain_s;
 }
 
-/// Rejects the system_cfg fields run_experiment overwrites per shard, which
-/// would otherwise be silently ignored.
-void check_run_level_knobs(const serving::SystemConfig& scfg) {
+/// Rejects the knobs run_experiment would otherwise silently ignore: the
+/// system_cfg fields it overwrites per shard, and a tier mix next to a
+/// replay.
+void check_run_level_knobs(const ExperimentConfig& cfg) {
+  const serving::SystemConfig& scfg = cfg.system_cfg;
   LOKI_CHECK_MSG(scfg.registry == nullptr,
                  "system_cfg.registry is replaced by the per-run registry; "
                  "read ExperimentResult::obs instead");
@@ -113,6 +115,9 @@ void check_run_level_knobs(const serving::SystemConfig& scfg) {
   LOKI_CHECK_MSG(!scfg.tiers.enabled,
                  "system_cfg.tiers is replaced by the run's tier policy; set "
                  "ExperimentConfig::tiers instead");
+  LOKI_CHECK_MSG(cfg.replay.empty() || cfg.tier_mix.empty(),
+                 "ExperimentConfig::tier_mix is ignored with a replay, which "
+                 "stamps each arrival's tier itself; clear one of the two");
 }
 
 /// The serving-system config of shard `s`: its slice of the cluster and of
@@ -558,7 +563,7 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   // cluster are rejected here, before anything runs.
   const std::vector<fault::FaultPlan> faults =
       fault::split_by_shares(cfg.fault_plan, share);
-  check_run_level_knobs(cfg.system_cfg);
+  check_run_level_knobs(cfg);
 
   // Uncoordinated shards each own a planner sized for their slice; it must
   // outlive the system holding a pointer to it.

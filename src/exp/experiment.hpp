@@ -123,9 +123,10 @@ struct ExperimentConfig {
   /// planners) or exp.coord.plan_* (the coordinator).
   serving::FallbackConfig fallback;
   /// Replay-driven arrivals: when non-empty, the experiment ignores the
-  /// demand curve's arrival sampling (and tier_mix) and feeds the replay's
-  /// exact (timestamp, tier) sequence instead — the curve still drives the
+  /// demand curve's arrival sampling and feeds the replay's exact
+  /// (timestamp, tier) sequence instead — the curve still drives the
   /// controllers' demand view, so pass trace::replay_demand_curve(replay).
+  /// Setting tier_mix as well is rejected.
   trace::QueryReplay replay;
 };
 

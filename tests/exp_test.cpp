@@ -106,8 +106,9 @@ TEST(RunExperiment, MetricsTimeseriesPopulated) {
   EXPECT_GE(result.metrics.utilization_series().size(), 30u);
 }
 
-// The fields run_experiment replaces per shard are rejected rather than
-// silently ignored; the error names the knob to set instead.
+// Knobs run_experiment would ignore (the fields it replaces per shard, a
+// tier mix next to a replay) are rejected rather than silently ignored; the
+// error names the knob.
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
@@ -128,7 +129,7 @@ void expect_rejected(const ExperimentConfig& cfg, const std::string& knob) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   try {
     run_experiment(graph, small_curve(), cfg);
-    ADD_FAILURE() << "run_experiment accepted an overwritten " << knob;
+    ADD_FAILURE() << "run_experiment accepted an ignored " << knob;
   } catch (const CheckFailure& e) {
     EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
         << e.what();
@@ -152,6 +153,13 @@ TEST(RunExperiment, RejectsSystemCfgTiers) {
   auto cfg = small_config();
   cfg.system_cfg.tiers.enabled = true;
   expect_rejected(cfg, "ExperimentConfig::tiers");
+}
+
+TEST(RunExperiment, RejectsTierMixWithReplay) {
+  auto cfg = small_config();
+  cfg.replay.rows.push_back({0.5, 0, 1});
+  cfg.tier_mix = {0.2, 0.4, 0.4};
+  expect_rejected(cfg, "ExperimentConfig::tier_mix");
 }
 
 TEST(RunExperiment, FallbackChainReportsTheWrappedStrategy) {
