@@ -40,29 +40,28 @@ import argparse
 import json
 import sys
 
+from stamp_bench_version import SCHEMA_VERSION
+
 DATAPLANE_PREFIX = "BM_DataPlane"
 SERVING_PREFIX = "BM_Serving"
 OBS_PREFIX = "BM_Obs"
 OVERHEAD_BENCH = "BM_ObsOverheadGate"
 
-# Bump when the meaning of the gated quantities changes (counter renames,
-# unit changes, ...). Baselines are regenerated by the bench_*.sh scripts.
-SCHEMA_VERSION = 1
 
-
-def load_report(report_path):
+def load_report(report_path, suite):
     with open(report_path) as f:
         report = json.load(f)
     version = report.get("version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"{report_path}: bench JSON schema version {version!r} != "
-            f"expected {SCHEMA_VERSION}; regenerate with the matching "
-            f"scripts/bench_*.sh")
+            f"expected {SCHEMA_VERSION}; regenerate it with "
+            f"scripts/bench.sh --suite {suite} (add --rebaseline for the "
+            f"committed baseline)")
     return report
 
 
-def suite_throughputs(report_path, prefix):
+def suite_throughputs(report_path, suite, prefix):
     """name -> items_per_second for each benchmark matching `prefix`.
 
     Prefers the *_mean aggregate when the report was generated with
@@ -70,7 +69,7 @@ def suite_throughputs(report_path, prefix):
     suffix is stripped so candidate and baseline match regardless of how
     either was generated.
     """
-    report = load_report(report_path)
+    report = load_report(report_path, suite)
     plain = {}
     means = {}
     for bench in report.get("benchmarks", []):
@@ -92,9 +91,9 @@ def suite_throughputs(report_path, prefix):
     return merged
 
 
-def run_throughput_gate(args, prefix, rebaseline_hint):
-    base = suite_throughputs(args.baseline, prefix)
-    cand = suite_throughputs(args.candidate, prefix)
+def run_throughput_gate(args, prefix):
+    base = suite_throughputs(args.baseline, args.suite, prefix)
+    cand = suite_throughputs(args.candidate, args.suite, prefix)
     failed = []
     for name in sorted(base):
         if name not in cand:
@@ -111,19 +110,20 @@ def run_throughput_gate(args, prefix, rebaseline_hint):
             failed.append(name)
     if failed:
         print(f"Throughput regressed. If the drop is intended or the host "
-              f"changed, regenerate the baseline with {rebaseline_hint} "
-              f"and commit it.", file=sys.stderr)
+              f"changed, regenerate the baseline with scripts/bench.sh "
+              f"--suite {args.suite} --rebaseline and commit it.",
+              file=sys.stderr)
         return 1
     return 0
 
 
-def overhead_counters(report_path):
+def overhead_counters(report_path, suite):
     """(overhead_frac, bit_identical) from the BM_ObsOverheadGate rows.
 
     Prefers the _mean aggregate (repetitions average overhead_frac and leave
     bit_identical at 1.0 only when every repetition matched).
     """
-    report = load_report(report_path)
+    report = load_report(report_path, suite)
     plain = None
     mean = None
     for bench in report.get("benchmarks", []):
@@ -145,9 +145,8 @@ def overhead_counters(report_path):
 
 
 def run_obs_gate(args):
-    overhead, identical = overhead_counters(args.candidate)
-    failed = run_throughput_gate(
-        args, OBS_PREFIX, "scripts/bench.sh --suite obs --rebaseline") != 0
+    overhead, identical = overhead_counters(args.candidate, args.suite)
+    failed = run_throughput_gate(args, OBS_PREFIX) != 0
 
     ident_ok = identical >= 1.0
     print(f"{OVERHEAD_BENCH}: bit_identical {identical:.0f} -> "
@@ -195,9 +194,7 @@ def main():
             return run_obs_gate(args)
         prefix = {"dataplane": DATAPLANE_PREFIX,
                   "serving": SERVING_PREFIX}[args.suite]
-        return run_throughput_gate(
-            args, prefix,
-            f"scripts/bench.sh --suite {args.suite} --rebaseline")
+        return run_throughput_gate(args, prefix)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"check_bench_regression: {e}", file=sys.stderr)
         return 2

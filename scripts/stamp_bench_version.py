@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Stamp a bench JSON report with the gate schema version.
 
-google-benchmark has no hook for custom top-level fields, so every
-bench_*.sh runs this after generating its report. check_bench_regression.py
-refuses candidate or baseline reports whose "version" does not match its
-SCHEMA_VERSION, so renamed counters / changed units fail loudly instead of
-being compared across meanings.
+google-benchmark has no hook for custom top-level fields, so
+scripts/bench.sh runs this after generating each report.
+check_bench_regression.py imports SCHEMA_VERSION from here and refuses
+candidate or baseline reports whose "version" does not match it, so renamed
+counters / changed units fail loudly instead of being compared across
+meanings.
 
 Usage: stamp_bench_version.py REPORT.json [REPORT2.json ...]
 """
@@ -13,6 +14,9 @@ Usage: stamp_bench_version.py REPORT.json [REPORT2.json ...]
 import json
 import sys
 
+# Bump when the meaning of the gated quantities changes (counter renames,
+# unit changes, ...), then regenerate the baselines with
+# scripts/bench.sh --suite <name> --rebaseline.
 SCHEMA_VERSION = 1
 
 
