@@ -618,23 +618,18 @@ TEST(ColdAllocationWork, FirstEpochSolvesArePinnedPerRegime) {
   const pipeline::MultFactorTable mult = pipeline::default_mult_factors(graph);
   serving::MilpAllocator alloc(cfg, &graph, profiles);
   for (const ColdSolve& c : kColdSolves) {
+    SCOPED_TRACE("demand " + std::to_string(c.demand_qps));
     const serving::PlanRequest req{c.demand_qps, mult};
     // Nothing carries over between first-epoch requests, so a repeat on
     // the same allocator does the same work.
     for (int repeat = 0; repeat < 2; ++repeat) {
       const serving::PlanResult r = alloc.plan(req);
-      EXPECT_EQ(static_cast<int>(r.plan.mode), static_cast<int>(c.mode))
-          << "demand " << c.demand_qps;
-      EXPECT_EQ(r.solver.lp_iterations, c.lp_iterations)
-          << "demand " << c.demand_qps;
-      EXPECT_EQ(r.solver.nodes_explored, c.nodes_explored)
-          << "demand " << c.demand_qps;
-      EXPECT_EQ(r.solver.milp_solves, c.milp_solves)
-          << "demand " << c.demand_qps;
-      EXPECT_EQ(r.solver.warm_start_hits, c.warm_start_hits)
-          << "demand " << c.demand_qps;
-      EXPECT_EQ(r.solver.cold_solves, c.cold_solves)
-          << "demand " << c.demand_qps;
+      EXPECT_EQ(static_cast<int>(r.plan.mode), static_cast<int>(c.mode));
+      EXPECT_EQ(r.solver.lp_iterations, c.lp_iterations);
+      EXPECT_EQ(r.solver.nodes_explored, c.nodes_explored);
+      EXPECT_EQ(r.solver.milp_solves, c.milp_solves);
+      EXPECT_EQ(r.solver.warm_start_hits, c.warm_start_hits);
+      EXPECT_EQ(r.solver.cold_solves, c.cold_solves);
     }
   }
 }
