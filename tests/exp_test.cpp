@@ -73,6 +73,60 @@ TEST(FindCapacity, InferLineCapacityBelowLoki) {
   EXPECT_GT(cap_loki, cap_il * 2.0);
 }
 
+/// Forwards to a strategy and sums what its plans cost.
+class CountingStrategy : public serving::AllocationStrategy {
+ public:
+  explicit CountingStrategy(serving::AllocationStrategy* inner)
+      : inner_(inner) {}
+  serving::PlanResult plan(const serving::PlanRequest& request) override {
+    serving::PlanResult r = inner_->plan(request);
+    ++calls;
+    solver += r.solver;
+    return r;
+  }
+  std::string name() const override { return inner_->name(); }
+
+  int calls = 0;
+  serving::SolverStats solver;
+
+ private:
+  serving::AllocationStrategy* inner_;
+};
+
+// The repository benchmark's capacity probe (benchmark/loki_bench.cpp's
+// set-up: traffic-analysis pipeline, the run's profiler, the default mult
+// table, bisection over [10, 30000] qps to 10 qps). setup_s times it and
+// planned_capacity_qps reports it, so its answer and its solver work are
+// pinned exactly on both benchmark cluster sizes.
+TEST(FindCapacity, BenchmarkClustersArePinned) {
+  const auto graph = pipeline::traffic_analysis_pipeline();
+  const profile::ModelProfiler profiler(profile::default_batch_set(),
+                                        /*repetitions=*/5,
+                                        /*noise_frac=*/0.0, /*seed=*/1);
+  const auto profiles = serving::build_profile_table(graph, profiler);
+  const auto mult = pipeline::default_mult_factors(graph);
+  struct Case {
+    int workers;
+    double capacity_qps;
+    int calls, lp_iterations, nodes, milp_solves;
+  };
+  for (const Case& c : {Case{96, 6592.27783203125, 14, 34558, 12874, 216},
+                        Case{32, 2140.63720703125, 14, 37750, 13496, 228}}) {
+    SCOPED_TRACE(c.workers);
+    serving::AllocatorConfig acfg;
+    acfg.cluster_size = c.workers;
+    acfg.slo_s = 0.250;
+    auto probe = make_strategy("loki-milp", acfg, &graph, profiles);
+    CountingStrategy counted(probe.get());
+    EXPECT_EQ(find_capacity(counted, 10.0, 30000.0, mult, 10.0),
+              c.capacity_qps);
+    EXPECT_EQ(counted.calls, c.calls);
+    EXPECT_EQ(counted.solver.lp_iterations, c.lp_iterations);
+    EXPECT_EQ(counted.solver.nodes_explored, c.nodes);
+    EXPECT_EQ(counted.solver.milp_solves, c.milp_solves);
+  }
+}
+
 TEST(RunExperiment, SmokeAllSystems) {
   const auto graph = pipeline::social_media_pipeline();
   trace::TraceConfig tcfg;
