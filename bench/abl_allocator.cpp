@@ -1,4 +1,4 @@
-// Allocator ablation (DESIGN.md §5): MILP vs greedy allocation quality and
+// Allocator ablation: MILP vs greedy allocation quality and
 // latency across the demand range, the effect of the latency-budget grid
 // resolution, and the cross-epoch warm-start ablation (steady-state
 // re-planning with EpochContext vs cold re-solves), which is exported to

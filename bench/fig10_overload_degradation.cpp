@@ -24,7 +24,7 @@
 #include "bench/bench_util.hpp"
 #include "common/check.hpp"
 #include "common/flags.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "fault/plan.hpp"
 #include "pipeline/pipelines.hpp"
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
                       {"loki-milp", false}, {"loki-milp", true}};
   const std::size_t n = sizeof(arms) / sizeof(arms[0]);
   std::vector<exp::ExperimentResult> results(n);
-  ThreadPool pool(n);
-  pool.parallel_for(n, [&](std::size_t i) {
+  Team team(n);
+  team.run(n, [&](std::size_t i) {
     exp::ExperimentConfig cfg;
     cfg.system = arms[i].system;
     cfg.system_cfg.allocator = acfg;

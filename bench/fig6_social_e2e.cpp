@@ -9,7 +9,7 @@
 #include "bench/bench_util.hpp"
 #include "common/flags.hpp"
 #include "baselines/inferline.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
 
   const char* kinds[] = {"loki-milp", "inferline", "proteus"};
   std::vector<exp::ExperimentResult> results(3);
-  ThreadPool pool(3);
-  pool.parallel_for(3, [&](std::size_t i) {
+  Team team(3);
+  team.run(3, [&](std::size_t i) {
     exp::ExperimentConfig cfg;
     cfg.system = kinds[i];
     cfg.system_cfg.allocator = acfg;

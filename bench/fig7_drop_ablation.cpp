@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/flags.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
       serving::DropPolicy::kPerTask,
       serving::DropPolicy::kOpportunisticReroute};
   std::vector<exp::ExperimentResult> results(4);
-  ThreadPool pool(4);
-  pool.parallel_for(4, [&](std::size_t i) {
+  Team team(4);
+  team.run(4, [&](std::size_t i) {
     exp::ExperimentConfig cfg;
     cfg.system = "loki-milp";
     cfg.system_cfg.allocator = acfg;

@@ -7,7 +7,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/flags.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
 
   const std::vector<double> slos_ms{200, 250, 300, 350, 400};
   std::vector<exp::ExperimentResult> results(slos_ms.size());
-  ThreadPool pool(slos_ms.size());
-  pool.parallel_for(slos_ms.size(), [&](std::size_t i) {
+  Team team(slos_ms.size());
+  team.run(slos_ms.size(), [&](std::size_t i) {
     exp::ExperimentConfig cfg;
     cfg.system = "loki-milp";
     cfg.system_cfg.allocator = ref_cfg;

@@ -18,7 +18,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/flags.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "fault/plan.hpp"
 #include "pipeline/pipelines.hpp"
@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
 
   const char* kinds[] = {"loki-milp", "greedy", "inferline", "proteus"};
   std::vector<exp::ExperimentResult> results(4);
-  ThreadPool pool(4);
-  pool.parallel_for(4, [&](std::size_t i) {
+  Team team(4);
+  team.run(4, [&](std::size_t i) {
     exp::ExperimentConfig cfg;
     cfg.system = kinds[i];
     cfg.system_cfg.allocator = acfg;

@@ -13,7 +13,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/flags.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "trace/generator.hpp"
@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   prototype.profiler_seed = 1234;
 
   exp::ExperimentResult sim_r, proto_r;
-  ThreadPool pool(2);
-  pool.parallel_for(2, [&](std::size_t i) {
+  Team team(2);
+  team.run(2, [&](std::size_t i) {
     if (i == 0) sim_r = exp::run_experiment(graph, curve, ideal);
     else proto_r = exp::run_experiment(graph, curve, prototype);
   });
@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
               slo_diff);
   std::printf("abs. difference, servers    : %.2f%%  [paper 1.5%%]\n",
               srv_diff);
-  std::printf("(*prototype = simulator + exec/network jitter + profile "
-              "noise; see DESIGN.md)\n");
+  std::printf("(*prototype = simulator + exec/network jitter, stragglers "
+              "and profile noise)\n");
 
   CsvTable csv({"metric", "simulator", "prototype", "abs_diff_pct",
                 "paper_diff_pct"});

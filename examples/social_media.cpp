@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/flags.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
               curve.peak(), capacity);
 
   exp::ExperimentResult loki_r, il_r;
-  ThreadPool pool(2);
-  pool.parallel_for(2, [&](std::size_t i) {
+  Team team(2);
+  team.run(2, [&](std::size_t i) {
     exp::ExperimentConfig cfg;
     cfg.system = i == 0 ? "loki-milp" : "inferline";
     cfg.system_cfg.allocator = acfg;

@@ -102,9 +102,9 @@ double run_horizon(const trace::DemandCurve& curve,
 }
 
 /// Rejects the knobs run_experiment would otherwise silently ignore: the
-/// system_cfg fields it overwrites per shard, and a tier mix next to a
-/// replay.
-void check_run_level_knobs(const ExperimentConfig& cfg) {
+/// system_cfg fields it overwrites per shard, a tier mix next to a replay,
+/// and shard threads for a run that has one shard after the clamp.
+void check_run_level_knobs(const ExperimentConfig& cfg, std::size_t shards) {
   const serving::SystemConfig& scfg = cfg.system_cfg;
   LOKI_CHECK_MSG(scfg.registry == nullptr,
                  "system_cfg.registry is replaced by the per-run registry; "
@@ -118,6 +118,13 @@ void check_run_level_knobs(const ExperimentConfig& cfg) {
   LOKI_CHECK_MSG(cfg.replay.empty() || cfg.tier_mix.empty(),
                  "ExperimentConfig::tier_mix is ignored with a replay, which "
                  "stamps each arrival's tier itself; clear one of the two");
+  LOKI_CHECK_MSG(shards > 1 || cfg.sim_threads <= 1,
+                 "ExperimentConfig::sim_threads = "
+                     << cfg.sim_threads
+                     << " is ignored: the run has one shard (sim_shards = "
+                     << cfg.sim_shards
+                     << ", at most cluster_size / num_tasks), which runs on "
+                        "the driving thread alone; set sim_threads to 0 or 1");
 }
 
 /// The serving-system config of shard `s`: its slice of the cluster and of
@@ -547,7 +554,7 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   const bool coordinated = cfg.sim_coordinated && shards > 1;
 
   // One registry per run: concurrent run_experiment calls (e.g. the fig5
-  // bench runs three systems on a thread pool) must not mix series. All of
+  // bench runs three systems on a team) must not mix series. All of
   // a run's shard systems share it, so stage histograms and counters merge
   // cluster-wide.
   obs::Registry registry;
@@ -563,7 +570,7 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   // cluster are rejected here, before anything runs.
   const std::vector<fault::FaultPlan> faults =
       fault::split_by_shares(cfg.fault_plan, share);
-  check_run_level_knobs(cfg);
+  check_run_level_knobs(cfg, shards);
 
   // Uncoordinated shards each own a planner sized for their slice; it must
   // outlive the system holding a pointer to it.

@@ -68,7 +68,10 @@ struct ExperimentConfig {
   /// sim_threads (differential-tested).
   bool sim_coordinated = false;
   /// Threads that run the shards, the driving thread included (0 =
-  /// min(shards, hw concurrency)).
+  /// min(shards, hw concurrency)). A run with one shard (after the clamp
+  /// to cluster_size / num_tasks) rejects a value of 2 or more. It does not
+  /// size the planner's team: MilpAllocator solves its budget splits on
+  /// min(splits, hardware threads) threads whatever this says.
   std::size_t sim_threads = 0;
   /// Deal arrivals to shards by worker share through a deterministic
   /// weighted interleave (WeightedInterleave below) instead of round-robin.

@@ -17,8 +17,11 @@ struct VariantPath {
   std::vector<int> variants;  // variants[i] = variant index for tasks[i]
 };
 
-/// A variant assignment along a root->`tasks.back()` prefix (used for the
-/// multi-sink routing-consistency constraints; see DESIGN.md §2).
+/// A variant assignment along a root->`tasks.back()` prefix. The MILP uses
+/// prefixes for its multi-sink routing-consistency constraints: sinks that
+/// share an upstream task must send the same flow through each variant
+/// prefix of it, because hop-by-hop routing cannot split a shared prefix
+/// differently per sink.
 using VariantPrefix = VariantPath;  // same shape; "sink" = last task
 
 /// The augmented graph itself (§4.1): one vertex per (task, variant), an

@@ -4,9 +4,11 @@
 // phases of Fig. 1 (hardware scaling to ~560 QPS, accuracy scaling of the
 // classification task to ~1550 QPS, then detection accuracy scaling).
 //
-// Throughput design points are per-GPU QPS at batch 8 (GTX-1080Ti-class);
-// DESIGN.md documents the substitution of these synthetic profiles for the
-// authors' ONNX-runtime measurements.
+// Throughput design points are per-GPU QPS at batch 8 (GTX-1080Ti-class).
+// These synthetic profiles stand in for the authors' ONNX-runtime
+// measurements, which are not published: accuracies follow the models'
+// published numbers, and the latency curves are fitted to the capacity
+// phases above rather than measured on hardware.
 #pragma once
 
 #include "profile/variant.hpp"

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -1191,9 +1192,10 @@ PlanResult MilpAllocator::plan(const PlanRequest& request) {
   ensure_epoch_context();
   const double demand_qps = request.demand_qps;
   const auto& splits = epoch_->splits;
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(
-        std::min<std::size_t>(splits.size(), 8));
+  if (!team_) {
+    team_ = std::make_unique<Team>(std::min<std::size_t>(
+        splits.size(),
+        std::max<std::size_t>(1, std::thread::hardware_concurrency())));
   }
 
   // Previous-plan view -> hosted-variant bitmap. The accuracy objective
@@ -1243,7 +1245,7 @@ PlanResult MilpAllocator::plan(const PlanRequest& request) {
     step.step = step_name;
     step.splits_attempted = static_cast<int>(splits.size());
     std::vector<MilpResult> results(splits.size());
-    pool_->parallel_for(splits.size(), [&](std::size_t i) {
+    team_->run(splits.size(), [&](std::size_t i) {
       results[i] = solve_step(i, demand_qps, request.mult, prev_variants,
                               hardware_only, served_fraction_mode);
     });

@@ -2,12 +2,12 @@
 // accuracy scaling as MILPs over the augmented pipeline graph and solves
 // them with the branch-and-bound solver, seeded by a greedy incumbent.
 //
-// Linearization (DESIGN.md §2): the paper's q(i,k,y(i,k)) term is nonlinear
-// in the batch variable y. We enumerate a small grid of latency-budget
-// splits across pipeline depth levels; a split fixes the best feasible
-// batch per (task, variant), after which the model is a pure MILP with
-// integer instance counts n(i,k) and continuous path flows c(p). Taking the
-// best solution across splits recovers the batch-size degree of freedom.
+// Linearization: the paper's q(i,k,y(i,k)) term is nonlinear in the batch
+// variable y. We enumerate a small grid of latency-budget splits across
+// pipeline depth levels; a split fixes the best feasible batch per (task,
+// variant), after which the model is a pure MILP with integer instance
+// counts n(i,k) and continuous path flows c(p). Taking the best solution
+// across splits recovers the batch-size degree of freedom.
 // The same budget split yields the per-task latency budgets that §5.2's
 // early-dropping policies consume.
 #pragma once
@@ -16,7 +16,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 #include "pipeline/paths.hpp"
 #include "profile/profiler.hpp"
 #include "serving/types.hpp"
@@ -221,9 +221,10 @@ class MilpAllocator : public AllocationStrategy {
   const pipeline::PipelineGraph* graph_;
   ProfileTable profiles_;
   std::unique_ptr<EpochContext> epoch_;
-  /// Budget-split MILPs are independent; they solve concurrently. The pool
-  /// is lazily sized to the split count.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Budget-split MILPs are independent; each step solves them on this
+  /// team of min(splits, hardware threads) members, the planning thread
+  /// included. Built on the first plan().
+  std::unique_ptr<Team> team_;
 };
 
 }  // namespace loki::serving

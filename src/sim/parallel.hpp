@@ -14,15 +14,13 @@
 // shards.
 //
 // Threads: the calling thread and Config::threads - 1 helper threads form
-// one team. Each window every member first runs its own shards (member m
-// owns shards m, m + T, m + 2T, ... of a T-thread team), so a shard's state
-// stays in one core's cache from window to window, and then claims any
-// shard no other member has started, so a late member delays nobody. A
-// window is short (about a millisecond of host time on the benchmark's
-// sharded workload), so members wait for the next window, and the caller
-// for the last shard, by spinning for a bounded time before they block: a
-// thread that slept at every barrier would pay an OS wake-up per window,
-// and on a virtual machine that cost depends on what the host is doing.
+// one team (common/team.hpp) that runs every window's shards. Member m owns
+// shards m, m + T, m + 2T, ... of a T-thread team, so a shard's state stays
+// in one core's cache from window to window, and claims any shard no other
+// member has started once its own are done, so a late member delays
+// nobody. A window is short (about a millisecond of host time on the
+// benchmark's sharded workload), so members wait for the next window by
+// spinning for a bounded time before they block.
 //
 // Determinism: each shard is a full sequential Simulation, so per-shard runs
 // are bit-reproducible. Cross-shard posts go into per-source buffers (each
@@ -32,17 +30,12 @@
 // any thread count (differential suite: sim_parallel_test).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
+#include "common/team.hpp"
 #include "sim/simulation.hpp"
 
 namespace loki::sim {
@@ -63,7 +56,6 @@ class ParallelSimulation {
   };
 
   explicit ParallelSimulation(Config cfg);
-  ~ParallelSimulation();
   ParallelSimulation(const ParallelSimulation&) = delete;
   ParallelSimulation& operator=(const ParallelSimulation&) = delete;
 
@@ -93,15 +85,6 @@ class ParallelSimulation {
 
  private:
   void apply_posts();
-  /// Advances every shard to window_end_ on the team; rethrows the first
-  /// (lowest shard) exception after all shards have run.
-  void run_window();
-  /// Team member `member` claims and runs shards of window `epoch`, its own
-  /// first, until none is left.
-  void run_claimed(std::size_t member, std::uint32_t epoch);
-  void helper_loop(std::size_t member);
-  /// Stops and joins the helpers.
-  void stop_helpers();
 
   struct Post {
     std::size_t dst = 0;
@@ -115,21 +98,7 @@ class ParallelSimulation {
   BarrierFn barrier_cb_;
   Time now_ = 0.0;
   Time window_end_ = 0.0;
-
-  // Team state. Windows are numbered by `epoch_`; a member claims shard i
-  // for window e by moving claimed_[i] from e - 1 to e, so a member that
-  // lags behind can never claim a shard of a later window. Members read
-  // epoch_, done_ and stop_ while they spin, but change them only under
-  // mu_, so a member that stopped spinning and blocks misses no change.
-  std::vector<std::atomic<std::uint32_t>> claimed_;
-  std::vector<std::exception_ptr> errors_;  // per shard, this window
-  std::mutex mu_;
-  std::atomic<std::uint32_t> epoch_{0};
-  std::atomic<std::size_t> done_{0};  // shards finished this window
-  std::atomic<bool> stop_{false};
-  std::condition_variable work_cv_;  // helpers: a new window, or stop_
-  std::condition_variable done_cv_;  // caller: done_ reached the shards
-  std::vector<std::thread> helpers_;  // last: they use everything above
+  Team team_;  // last: its helpers run the shards above
 };
 
 }  // namespace loki::sim

@@ -3,41 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "common/check.hpp"
 
 namespace loki::solver {
-
-namespace {
-
-// d[j] -= row[j] != 0.0 ? y * row[j] : 0.0 for j in [0, n). Masked instead
-// of branched: x - (+0.0) == x for every x, so a zero entry leaves d[j]
-// bit-identical. Under the default -ftrapping-math GCC will not if-convert
-// the scalar form (the compare might trap), so where SSE2 is available
-// (baseline on x86-64) the loop is written with it: cmpneq is true exactly
-// where `!=` is, NaN included, and each lane does the same IEEE multiply
-// and subtract as the scalar tail.
-void masked_row_update(double* d, const double* row, double y, int n) {
-  int j = 0;
-#if defined(__SSE2__)
-  const __m128d yv = _mm_set1_pd(y);
-  const __m128d zero = _mm_setzero_pd();
-  for (; j + 2 <= n; j += 2) {
-    const __m128d r = _mm_loadu_pd(row + j);
-    const __m128d t = _mm_and_pd(_mm_mul_pd(yv, r), _mm_cmpneq_pd(r, zero));
-    _mm_storeu_pd(d + j, _mm_sub_pd(_mm_loadu_pd(d + j), t));
-  }
-#endif
-  for (; j < n; ++j) {
-    const double t = y * row[j];
-    d[j] -= row[j] != 0.0 ? t : 0.0;
-  }
-}
-
-}  // namespace
 
 std::string to_string(LpStatus s) {
   switch (s) {
@@ -65,6 +33,11 @@ std::string to_string(LpStatus s) {
 // price in, block a ratio test nor move a reduced cost or devex weight:
 // skipping them changes no bit. reset_cold widens the range to n_ when it
 // adds an artificial; the next raw tableau rebuild narrows it again.
+//
+// The row kernels (elimination, the reduced-cost rebuild, pricing, the dual
+// ratio test, the basic values) run through solver/kernels.hpp, which picks
+// a four-lane AVX2 build on CPUs that have it; both builds give the same
+// bits, so the pivot sequence does not depend on the CPU.
 
 SimplexContext::SimplexContext(const LpProblem& p, SimplexOptions options)
     : opt_(options) {
@@ -110,7 +83,7 @@ SimplexContext::SimplexContext(const LpProblem& p, SimplexOptions options)
   state_.assign(static_cast<std::size_t>(n_), VarState::kAtLower);
   devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
   row_nz_.assign(static_cast<std::size_t>(n_), 0);
-  elim_rows_.assign(static_cast<std::size_t>(m_), 0);
+  rows_.assign(static_cast<std::size_t>(m_), 0);
   nonbasic_nz_.reserve(static_cast<std::size_t>(n_));
   live_n_ = nv_ + m_;
 }
@@ -169,8 +142,8 @@ void SimplexContext::recompute_reduced_costs() {
     if (!row_active_[i]) continue;
     const double y = cost_[basis_[i]];
     if (y == 0.0) continue;
-    masked_row_update(d_.data(), &a_[static_cast<std::size_t>(i) * n_], y,
-                      live_n_);
+    k_->row_update(d_.data(), &a_[static_cast<std::size_t>(i) * n_], y,
+                   live_n_);
   }
   for (int i = 0; i < m_; ++i) {
     if (row_active_[i]) d_[basis_[i]] = 0.0;
@@ -186,13 +159,14 @@ void SimplexContext::recompute_basic_values() {
       nonbasic_nz_.push_back(j);
     }
   }
+  int nrows = 0;
   for (int i = 0; i < m_; ++i) {
-    if (!row_active_[i]) continue;
-    double s = bvec_[i];
-    const double* row = &a_[static_cast<std::size_t>(i) * n_];
-    for (int j : nonbasic_nz_) s -= row[j] * val_[j];
-    xb_[i] = s;
+    if (row_active_[i]) rows_[nrows++] = i;
   }
+  k_->basic_values(a_.data(), static_cast<std::size_t>(n_), rows_.data(),
+                   nrows, bvec_.data(), nonbasic_nz_.data(),
+                   static_cast<int>(nonbasic_nz_.size()), val_.data(),
+                   xb_.data());
 }
 
 void SimplexContext::pivot(int r, int q, double entering_delta,
@@ -224,56 +198,18 @@ void SimplexContext::pivot(int r, int q, double entering_delta,
   for (int j = 0; j < live_n_; ++j) rowr[j] *= inv;
   rowr[q] = 1.0;  // exact
   bvec_[r] *= inv;
-  // The pivot row's nonzero pattern, gathered once and applied to every
-  // eliminated row and to d. The gather is branch-free: each index is
-  // written and the cursor advances only past a nonzero.
-  int* nz = row_nz_.data();
-  int nnz = 0;
-  for (int j = 0; j < live_n_; ++j) {
-    nz[nnz] = j;
-    nnz += rowr[j] != 0.0;
-  }
-  // Rows with a nonzero pivot-column entry are eliminated four at a time,
-  // so each pattern index and pivot-row value is loaded once per block;
-  // every element still gets exactly one a_ij -= f_i * a_rj.
-  int* rows = elim_rows_.data();
+  int* rows = rows_.data();
   int nrows = 0;
   for (int i = 0; i < m_; ++i) {
-    if (i != r && row_active_[i] && at(i, q) != 0.0) rows[nrows++] = i;
-  }
-  int k = 0;
-  for (; k + 4 <= nrows; k += 4) {
-    double* r0 = &a_[static_cast<std::size_t>(rows[k]) * n_];
-    double* r1 = &a_[static_cast<std::size_t>(rows[k + 1]) * n_];
-    double* r2 = &a_[static_cast<std::size_t>(rows[k + 2]) * n_];
-    double* r3 = &a_[static_cast<std::size_t>(rows[k + 3]) * n_];
-    const double f0 = r0[q], f1 = r1[q], f2 = r2[q], f3 = r3[q];
-    for (int t = 0; t < nnz; ++t) {
-      const int j = nz[t];
-      const double v = rowr[j];
-      r0[j] -= f0 * v;
-      r1[j] -= f1 * v;
-      r2[j] -= f2 * v;
-      r3[j] -= f3 * v;
+    if (i != r && row_active_[i] && at(i, q) != 0.0) {
+      rows[nrows++] = i;
+      bvec_[i] -= at(i, q) * bvec_[r];
     }
-    r0[q] = r1[q] = r2[q] = r3[q] = 0.0;  // exact
-    bvec_[rows[k]] -= f0 * bvec_[r];
-    bvec_[rows[k + 1]] -= f1 * bvec_[r];
-    bvec_[rows[k + 2]] -= f2 * bvec_[r];
-    bvec_[rows[k + 3]] -= f3 * bvec_[r];
   }
-  for (; k < nrows; ++k) {
-    double* rowi = &a_[static_cast<std::size_t>(rows[k]) * n_];
-    const double f = rowi[q];
-    for (int t = 0; t < nnz; ++t) rowi[nz[t]] -= f * rowr[nz[t]];
-    rowi[q] = 0.0;  // exact
-    bvec_[rows[k]] -= f * bvec_[r];
-  }
-  // Incremental reduced-cost update: d stays equal to cost - y·(B^-1 A).
-  const double dq = d_[q];
-  if (dq != 0.0) {
-    for (int t = 0; t < nnz; ++t) d_[nz[t]] -= dq * rowr[nz[t]];
-  }
+  // Eliminate column q from those rows, and update d incrementally so it
+  // stays equal to cost - y·(B^-1 A).
+  k_->eliminate(a_.data(), static_cast<std::size_t>(n_), rows, nrows, rowr, q,
+                live_n_, d_.data(), d_[q], row_nz_.data());
   d_[q] = 0.0;  // exact
   basis_[r] = q;
   state_[q] = VarState::kBasic;
@@ -299,27 +235,10 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
     // the merit of an improving column is d^2 / w instead of |d|; the
     // anti-cycling Bland fallback ignores weights entirely and takes the
     // lowest improving index.
-    int q = -1;
     int dir = 0;
-    double best = 0.0;  // Dantzig: |d|; devex: d^2 / w
-    for (int j = 0; j < live_n_; ++j) {
-      if (state_[j] == VarState::kBasic || fixed(j)) continue;
-      const double dj = d_[j];
-      int cand_dir = 0;
-      if (state_[j] == VarState::kAtLower) {
-        if (dj < -opt_.tol) cand_dir = +1;
-      } else {
-        if (dj > opt_.tol) cand_dir = -1;
-      }
-      if (cand_dir == 0) continue;
-      if (bland) { q = j; dir = cand_dir; break; }
-      const double merit = devex ? dj * dj / devex_w_[j] : std::abs(dj);
-      if (merit > best) {
-        best = merit;
-        q = j;
-        dir = cand_dir;
-      }
-    }
+    const int q = k_->price(d_.data(), state_.data(), lo_.data(), hi_.data(),
+                            devex ? devex_w_.data() : nullptr, live_n_,
+                            opt_.tol, bland, &dir);
     if (q < 0) {
       // Confirm optimality against an exactly rebuilt reduced-cost row so
       // incremental drift can never terminate us early.
@@ -499,22 +418,8 @@ SimplexContext::DualResult SimplexContext::dual_repair(LpSolution& out,
     const int bvar = basis_[r];
     const double target = below ? lo_[bvar] : hi_[bvar];
     const double* rowr = &a_[static_cast<std::size_t>(r) * n_];
-    int q = -1;
-    double best_ratio = 0.0;
-    for (int j = 0; j < live_n_; ++j) {
-      if (state_[j] == VarState::kBasic || fixed(j)) continue;
-      const double arj = rowr[j];
-      if (std::abs(arj) <= opt_.tol) continue;
-      const bool at_lower = state_[j] == VarState::kAtLower;
-      const bool ok = below ? (at_lower ? arj < 0.0 : arj > 0.0)
-                            : (at_lower ? arj > 0.0 : arj < 0.0);
-      if (!ok) continue;
-      const double ratio = std::abs(d_[j]) / std::abs(arj);
-      if (q < 0 || ratio < best_ratio - opt_.tol) {
-        q = j;
-        best_ratio = ratio;
-      }
-    }
+    const int q = k_->dual_ratio(rowr, d_.data(), state_.data(), lo_.data(),
+                                 hi_.data(), live_n_, below, opt_.tol);
     if (q < 0) return DualResult::kInfeasible;
 
     const double dx = (xb_[r] - target) / rowr[q];

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "solver/kernels.hpp"
 #include "solver/lp.hpp"
 
 namespace loki::solver {
@@ -90,7 +91,7 @@ struct SimplexOptions {
 /// next solve_with_bounds() warm-starts from it.
 class SimplexContext {
  private:
-  enum class VarState : unsigned char { kAtLower, kAtUpper, kBasic };
+  using VarState = kernels::ColumnState;
 
  public:
   explicit SimplexContext(const LpProblem& problem,
@@ -260,6 +261,7 @@ class SimplexContext {
   void extract(LpSolution& out);
 
   SimplexOptions opt_;
+  const kernels::Kernels* k_ = &kernels::active();
   // Problem statement (immutable after construction).
   double sign_ = 1.0;  // +1 minimize, -1 maximize (internal form minimizes)
   double obj_offset_ = 0.0;
@@ -292,7 +294,8 @@ class SimplexContext {
   int since_refresh_ = 0;
   // Scratch reused across pivots and solves so node LPs do not allocate.
   std::vector<int> row_nz_;       // pivot-row nonzero pattern (pivot)
-  std::vector<int> elim_rows_;    // rows eliminated by a pivot
+  std::vector<int> rows_;         // rows a pivot eliminates, or the active
+                                  // rows (recompute_basic_values)
   std::vector<int> nonbasic_nz_;  // nonzero nonbasic columns
                                   // (recompute_basic_values)
   std::vector<std::pair<int, double>> shifts_;  // repair_and_finish

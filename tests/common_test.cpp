@@ -1,10 +1,13 @@
 // Unit tests for the common substrate: RNG, statistics, EWMA, CSV, flags,
-// thread pool, and the check macros.
+// the fork-join team, and the check macros.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,7 +19,7 @@
 #include "common/rng.hpp"
 #include "common/small_function.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
+#include "common/team.hpp"
 
 namespace loki {
 namespace {
@@ -360,30 +363,68 @@ TEST(Flags, RejectsBadNumbers) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// Team
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  pool.parallel_for(100, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 100);
+TEST(Team, RunsEveryIndexOnceForEverySizeAndCount) {
+  // Teams of one to eight members over index counts below, at and above the
+  // team size (and zero), back to back on one team, growing and shrinking.
+  // Each index reads what the caller wrote before the run and writes its own
+  // slot, which the caller reads after it: plain memory, so a missing
+  // happens-before edge or a doubly run index shows under TSan. Every fifth
+  // run sleeps in each index, so a caller that returned before the last
+  // index finished would read a stale slot.
+  for (const std::size_t members : {1, 2, 3, 8}) {
+    Team team(members);
+    EXPECT_EQ(team.size(), members);
+    std::vector<int> in, out;
+    int round = 0;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, members - 1, members, members + 1,
+          3 * members + 2, std::size_t{2}, std::size_t{100}, members}) {
+      for (int rep = 0; rep < 20; ++rep, ++round) {
+        in.assign(n, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          in[i] = round * 1000 + static_cast<int>(i);
+        }
+        out.assign(n, -1);
+        const bool slow = rep % 5 == 0;
+        team.run(n, [&](std::size_t i) {
+          if (slow) std::this_thread::sleep_for(std::chrono::microseconds(50));
+          out[i] = in[i] + 1;
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], in[i] + 1)
+              << members << " members, n " << n << ", index " << i;
+        }
+      }
+    }
+  }
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(8,
-                        [&](std::size_t i) {
-                          if (i == 3) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+TEST(Team, RethrowsLowestIndexAfterEveryIndexRan) {
+  for (const std::size_t members : {1, 2, 3, 8}) {
+    Team team(members);
+    for (int rep = 0; rep < 10; ++rep) {
+      std::vector<char> ran(9, 0);
+      try {
+        team.run(9, [&](std::size_t i) {
+          ran[i] = 1;
+          if (i == 2 || i == 5 || i == 8) {
+            throw std::runtime_error("index " + std::to_string(i));
+          }
+        });
+        ADD_FAILURE() << "the failure did not propagate";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index 2") << members << " members";
+      }
+      EXPECT_EQ(ran, std::vector<char>(9, 1)) << members << " members";
+      // A failed run leaves no error behind for the next one.
+      std::vector<char> again(9, 0);
+      team.run(9, [&](std::size_t i) { again[i] = 1; });
+      EXPECT_EQ(again, std::vector<char>(9, 1)) << members << " members";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -216,6 +216,22 @@ TEST(RunExperiment, RejectsTierMixWithReplay) {
   expect_rejected(cfg, "ExperimentConfig::tier_mix");
 }
 
+TEST(RunExperiment, RejectsSimThreadsWithOneShard) {
+  // Two tasks on 8 workers allow four shards; one shard (asked for, or
+  // clamped from more than the cluster holds) has no helper to run.
+  for (const std::size_t shards : {1, 0}) {
+    auto cfg = small_config();
+    cfg.sim_shards = shards;
+    cfg.sim_threads = 2;
+    expect_rejected(cfg, "ExperimentConfig::sim_threads");
+  }
+  auto cfg = small_config();
+  cfg.system_cfg.allocator.cluster_size = 3;  // one shard after the clamp
+  cfg.sim_shards = 4;
+  cfg.sim_threads = 4;
+  expect_rejected(cfg, "ExperimentConfig::sim_threads");
+}
+
 TEST(RunExperiment, FallbackChainReportsTheWrappedStrategy) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   for (const bool coordinated : {false, true}) {

@@ -1,11 +1,15 @@
 // Simplex solver tests: known LPs, edge cases (infeasible / unbounded /
-// degenerate / equality-only), and a property sweep comparing against a
-// brute-force active-set reference on random 2- and 3-variable problems.
+// degenerate / equality-only), a property sweep comparing against a
+// brute-force active-set reference on random 2- and 3-variable problems,
+// and the row kernels' AVX2 build against the portable one, bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "solver/kernels.hpp"
 #include "solver/simplex.hpp"
 
 namespace loki::solver {
@@ -225,6 +229,182 @@ TEST_P(SimplexRandomLp, MatchesGridReferenceOn2D) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomLp, ::testing::Range(0, 40));
+
+// ---------------------------------------------------------------------------
+// Row kernels: the AVX2 build must give the portable build's bits. The
+// entries include signed zeros (often, as in the sparse tableau rows),
+// subnormal, tiny and huge magnitudes, so a fused multiply-subtract or an
+// unmasked zero entry (d = -0.0 minus a -0.0 product is +0.0) shows.
+// ---------------------------------------------------------------------------
+
+double kernel_entry(Rng& rng) {
+  const double sign = rng.bernoulli(0.5) ? -1.0 : 1.0;
+  switch (rng.uniform_index(8)) {
+    case 0:
+    case 1: return sign * 0.0;
+    case 2:  // subnormal
+      return sign * 4.9e-324 * static_cast<double>(rng.uniform_int(1, 1 << 20));
+    case 3: return sign * rng.uniform(1e-308, 1e-290);   // tiny
+    case 4: return sign * rng.uniform(1e290, 1e300);     // huge
+    default: return sign * rng.uniform(1e-3, 1e3);       // ordinary
+  }
+}
+
+std::vector<double> kernel_entries(Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (double& x : v) x = kernel_entry(rng);
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+const kernels::Kernels* avx2_or_skip() {
+  const kernels::Kernels* v = kernels::avx2();
+  EXPECT_EQ(&kernels::active(), v != nullptr ? v : &kernels::portable());
+  return v;
+}
+
+TEST(SimplexKernels, RowUpdatesMatchPortableBitForBit) {
+  const kernels::Kernels* v = avx2_or_skip();
+  if (v == nullptr) GTEST_SKIP() << "no AVX2 on this CPU";
+  const kernels::Kernels& p = kernels::portable();
+  Rng rng(0x5eed01);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(0, 71));
+    const int nrows = static_cast<int>(rng.uniform_int(0, 9));
+    std::vector<std::vector<double>> rows;
+    std::vector<const double*> ptrs;
+    const std::vector<double> ys = kernel_entries(rng, nrows);
+    for (int k = 0; k < nrows; ++k) rows.push_back(kernel_entries(rng, n));
+    for (const auto& r : rows) ptrs.push_back(r.data());
+    const std::vector<double> d0 = kernel_entries(rng, n);
+    for (int k = 0; k < nrows; ++k) {
+      std::vector<double> a = d0, b = d0;
+      p.row_update(a.data(), ptrs[k], ys[k], n);
+      v->row_update(b.data(), ptrs[k], ys[k], n);
+      ASSERT_TRUE(same_bits(a, b)) << "row_update, trial " << trial;
+    }
+    // The rebuild: every row in turn on one d.
+    std::vector<double> a = d0, b = d0;
+    for (int k = 0; k < nrows; ++k) {
+      p.row_update(a.data(), ptrs[k], ys[k], n);
+      v->row_update(b.data(), ptrs[k], ys[k], n);
+    }
+    ASSERT_TRUE(same_bits(a, b)) << "rebuild, trial " << trial;
+  }
+}
+
+TEST(SimplexKernels, EliminationMatchesPortableBitForBit) {
+  const kernels::Kernels* v = avx2_or_skip();
+  if (v == nullptr) GTEST_SKIP() << "no AVX2 on this CPU";
+  const kernels::Kernels& p = kernels::portable();
+  Rng rng(0x5eed02);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 71));
+    const std::size_t stride = static_cast<std::size_t>(n) + 3;
+    const int m = static_cast<int>(rng.uniform_int(1, 13));
+    const int q = static_cast<int>(rng.uniform_index(n));
+    std::vector<double> rowr = kernel_entries(rng, n);
+    rowr[q] = 1.0;  // a scaled pivot row
+    const std::vector<double> a0 = kernel_entries(rng, stride * m);
+    std::vector<int> rows;
+    for (int i = 0; i < m; ++i) {
+      if (rng.bernoulli(0.7)) rows.push_back(i);
+    }
+    const std::vector<double> d0 = kernel_entries(rng, n);
+    const double dq = rng.bernoulli(0.2) ? 0.0 : kernel_entry(rng);
+    std::vector<double> a1 = a0, a2 = a0, d1 = d0, d2 = d0;
+    std::vector<int> nz(n);
+    p.eliminate(a1.data(), stride, rows.data(), static_cast<int>(rows.size()),
+                rowr.data(), q, n, d1.data(), dq, nz.data());
+    v->eliminate(a2.data(), stride, rows.data(), static_cast<int>(rows.size()),
+                 rowr.data(), q, n, d2.data(), dq, nz.data());
+    ASSERT_TRUE(same_bits(a1, a2)) << "tableau, trial " << trial;
+    ASSERT_TRUE(same_bits(d1, d2)) << "reduced costs, trial " << trial;
+  }
+}
+
+TEST(SimplexKernels, BasicValuesMatchPortableBitForBit) {
+  const kernels::Kernels* v = avx2_or_skip();
+  if (v == nullptr) GTEST_SKIP() << "no AVX2 on this CPU";
+  const kernels::Kernels& p = kernels::portable();
+  Rng rng(0x5eed03);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 71));
+    const int m = static_cast<int>(rng.uniform_int(1, 13));
+    const std::size_t stride = static_cast<std::size_t>(n) + 1;
+    const std::vector<double> a = kernel_entries(rng, stride * m);
+    const std::vector<double> bvec = kernel_entries(rng, m);
+    const std::vector<double> val = kernel_entries(rng, n);
+    std::vector<int> rows, cols;
+    for (int i = 0; i < m; ++i) {
+      if (rng.bernoulli(0.8)) rows.push_back(i);
+    }
+    for (int j = 0; j < n; ++j) {
+      if (rng.bernoulli(0.4)) cols.push_back(j);
+    }
+    std::vector<double> x1 = kernel_entries(rng, m), x2 = x1;
+    p.basic_values(a.data(), stride, rows.data(), static_cast<int>(rows.size()),
+                   bvec.data(), cols.data(), static_cast<int>(cols.size()),
+                   val.data(), x1.data());
+    v->basic_values(a.data(), stride, rows.data(),
+                    static_cast<int>(rows.size()), bvec.data(), cols.data(),
+                    static_cast<int>(cols.size()), val.data(), x2.data());
+    ASSERT_TRUE(same_bits(x1, x2)) << "trial " << trial;
+  }
+}
+
+TEST(SimplexKernels, RatioTestAndPricingPickThePortableColumn) {
+  const kernels::Kernels* v = avx2_or_skip();
+  if (v == nullptr) GTEST_SKIP() << "no AVX2 on this CPU";
+  const kernels::Kernels& p = kernels::portable();
+  Rng rng(0x5eed04);
+  // Half the trials draw from a few values, so ties and near-ties within
+  // the tolerance decide the pick.
+  const double coarse[] = {0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e-10, -1e-10};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const bool ties = trial % 2 == 0;
+    const int n = static_cast<int>(rng.uniform_int(0, 71));
+    auto entry = [&]() {
+      return ties ? coarse[rng.uniform_index(8)] : kernel_entry(rng);
+    };
+    std::vector<double> rowr(n), d(n), lo(n), hi(n), w(n);
+    std::vector<kernels::ColumnState> state(n);
+    for (int j = 0; j < n; ++j) {
+      rowr[j] = entry();
+      d[j] = entry();
+      state[j] = static_cast<kernels::ColumnState>(rng.uniform_index(3));
+      lo[j] = rng.bernoulli(0.5) ? 0.0 : -1.0;
+      hi[j] = rng.bernoulli(0.15) ? lo[j] : 4.0;  // some fixed columns
+      w[j] = rng.bernoulli(0.5) ? 1.0 : rng.uniform(1.0, 1e4);
+    }
+    for (const double tol : {1e-9, 0.0}) {
+      for (const bool below : {false, true}) {
+        EXPECT_EQ(p.dual_ratio(rowr.data(), d.data(), state.data(), lo.data(),
+                               hi.data(), n, below, tol),
+                  v->dual_ratio(rowr.data(), d.data(), state.data(), lo.data(),
+                                hi.data(), n, below, tol))
+            << "trial " << trial;
+      }
+      for (const double* weights : {static_cast<const double*>(nullptr),
+                                    static_cast<const double*>(w.data())}) {
+        for (const bool bland : {false, true}) {
+          int dir_p = 0, dir_v = 0;
+          EXPECT_EQ(p.price(d.data(), state.data(), lo.data(), hi.data(),
+                            weights, n, tol, bland, &dir_p),
+                    v->price(d.data(), state.data(), lo.data(), hi.data(),
+                             weights, n, tol, bland, &dir_v))
+              << "trial " << trial;
+          EXPECT_EQ(dir_p, dir_v) << "trial " << trial;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace loki::solver
