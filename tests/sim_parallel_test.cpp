@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -775,6 +776,67 @@ TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
       exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
   expect_work(r, {68567, 96479, 55202, 288293});
   expect_lanes(r, 68567, 163756);
+}
+
+// ---------------------------------------------------------------------------
+// Tracer work pins: the tracer samples by pool-handle slot and never draws
+// randomness, so the queries it samples and the records it flushes are as
+// deterministic as the event counts above. A tracer change that does more
+// work per arrival fails here by name, on any host.
+// ---------------------------------------------------------------------------
+
+struct TracePin {
+  std::uint64_t sampled, completed, dropped;
+  /// Sample count of each serving.lat.* stage histogram, by stage name.
+  std::map<std::string, std::uint64_t> lat;
+};
+
+void expect_trace(const exp::ExperimentResult& r, const TracePin& pin) {
+  EXPECT_EQ(r.obs.counter_value("serving.trace.sampled"), pin.sampled);
+  EXPECT_EQ(r.obs.counter_value("serving.trace.completed"), pin.completed);
+  EXPECT_EQ(r.obs.counter_value("serving.trace.dropped"), pin.dropped);
+  const std::string prefix = "serving.lat.";
+  std::map<std::string, std::uint64_t> lat;
+  for (const auto& h : r.obs.histograms) {
+    if (h.name.rfind(prefix, 0) == 0) {
+      lat[h.name.substr(prefix.size())] = h.count;
+    }
+  }
+  EXPECT_EQ(lat, pin.lat);
+}
+
+/// Every stage histogram takes one sample per flushed record.
+std::map<std::string, std::uint64_t> lat_counts(std::uint64_t flushed) {
+  std::map<std::string, std::uint64_t> lat;
+  for (const char* stage :
+       {"queue", "batch", "execute", "swap_stall", "comm", "e2e"}) {
+    lat[stage] = flushed;
+  }
+  return lat;
+}
+
+TEST(TracerWork, SmokeWorkloadTraceCounts) {
+  const auto r = run_smoke_workload(1);
+  expect_trace(r, {91, 83, 8, lat_counts(91)});
+}
+
+TEST(TracerWork, DiurnalNinetySixWorkersTraceCounts) {
+  // The EventCoreWork 96-worker diurnal run.
+  const auto graph = pipeline::traffic_analysis_pipeline();
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kAzureDiurnal;
+  tcfg.duration_s = 30.0;
+  tcfg.peak_qps = 5300.0;
+  tcfg.seed = 5;
+  exp::ExperimentConfig cfg;
+  cfg.system = "loki-milp";
+  cfg.system_cfg.allocator.cluster_size = 96;
+  cfg.system_cfg.allocator.slo_s = 0.250;
+  cfg.system_cfg.seed = 11;
+  cfg.arrivals.seed = 12;
+  const auto r =
+      exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
+  expect_trace(r, {867, 534, 333, lat_counts(867)});
 }
 
 // ---------------------------------------------------------------------------
