@@ -104,8 +104,6 @@ int main(int argc, char** argv) {
   // bit-identical, and report pivot counts + steady-state re-plan latency.
   // -------------------------------------------------------------------------
   bench::banner("Ablation — cross-epoch warm starts (steady-state re-plan)");
-  // Deterministic node budget so warm and cold cannot diverge by wall clock.
-  setenv("LOKI_MILP_NO_TIME_LIMIT", "1", /*overwrite=*/0);
 
   std::vector<double> epochs;
   for (int i = 0; i < 20; ++i) epochs.push_back(600.0);   // hardware regime

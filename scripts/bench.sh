@@ -5,10 +5,10 @@
 # scripts/check_bench_regression.py --suite <suite> against
 # bench/BENCH_<suite>_baseline.json.
 #
-#   suite      binary (filter)               MILP node budget  --quick
-#   dataplane  bm_dataplane (^BM_DataPlane)  no                skips the gate
-#   serving    bm_dataplane (^BM_Serving)    no                skips the gate
-#   obs        bm_obs (^BM_Obs)              yes               lifts the floor
+#   suite      binary (filter)               --quick
+#   dataplane  bm_dataplane (^BM_DataPlane)  skips the gate
+#   serving    bm_dataplane (^BM_Serving)    skips the gate
+#   obs        bm_obs (^BM_Obs)              lifts the floor
 #
 # What each gate checks is documented in check_bench_regression.py. The
 # wall-clock throughput floors ship with a wide default slack (-35%),
@@ -16,8 +16,6 @@
 # rebaseline when moving hardware. "Lifts the floor" means --quick still
 # gates the host-independent checks (bit_identical passivity and the
 # overhead ratio) and only disables the cross-run throughput comparison.
-# The MILP node budget (LOKI_MILP_NO_TIME_LIMIT=1) makes the solves
-# deterministic, so the paired gate arms reproduce across hosts.
 #
 # Usage: scripts/bench.sh --suite <name> [--quick] [--rebaseline] [out.json]
 #   --quick       one repetition, short min-time (CI smoke; noisy numbers)
@@ -50,15 +48,12 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
-# Per-suite table: binary, benchmark filter, MILP node budget, and whether
-# --quick keeps the gate (lifting only the throughput floor) or skips it.
-milp_budget=1
+# Per-suite table: binary, benchmark filter, and whether --quick keeps the
+# gate (lifting only the throughput floor) or skips it.
 quick_gates=1
 case "$suite" in
-  dataplane) binary=bm_dataplane filter='^BM_DataPlane' milp_budget=0
-             quick_gates=0 ;;
-  serving)   binary=bm_dataplane filter='^BM_Serving' milp_budget=0
-             quick_gates=0 ;;
+  dataplane) binary=bm_dataplane filter='^BM_DataPlane' quick_gates=0 ;;
+  serving)   binary=bm_dataplane filter='^BM_Serving' quick_gates=0 ;;
   obs)       binary=bm_obs       filter='^BM_Obs' ;;
   *) usage ;;
 esac
@@ -72,9 +67,6 @@ fi
 if ! cmake --build "$build_dir" -j "$jobs" --target "$binary" 2>/dev/null; then
   echo "bench targets unavailable (Google Benchmark not installed?)" >&2
   exit 3
-fi
-if [[ "$milp_budget" == 1 ]]; then
-  export LOKI_MILP_NO_TIME_LIMIT=1
 fi
 
 # bm_dataplane hosts both the BM_DataPlane* and BM_Serving* suites; the

@@ -103,7 +103,8 @@ double run_horizon(const trace::DemandCurve& curve,
 
 /// Rejects the knobs run_experiment would otherwise silently ignore: the
 /// system_cfg fields it overwrites per shard, a tier mix next to a replay,
-/// and shard threads for a run that has one shard after the clamp.
+/// tier-policy fields while tiers are off, and the sharding knobs for a run
+/// that has one shard after the clamp.
 void check_run_level_knobs(const ExperimentConfig& cfg, std::size_t shards) {
   const serving::SystemConfig& scfg = cfg.system_cfg;
   LOKI_CHECK_MSG(scfg.registry == nullptr,
@@ -125,6 +126,26 @@ void check_run_level_knobs(const ExperimentConfig& cfg, std::size_t shards) {
                      << cfg.sim_shards
                      << ", at most cluster_size / num_tasks), which runs on "
                         "the driving thread alone; set sim_threads to 0 or 1");
+  // One shard receives every arrival and plans for itself, so the deal and
+  // the coordinator have nothing to split.
+  for (const auto& [set, field] :
+       {std::pair{cfg.sim_coordinated, "sim_coordinated"},
+        std::pair{cfg.sim_weighted_split, "sim_weighted_split"},
+        std::pair{cfg.sim_reweight, "sim_reweight"}}) {
+    LOKI_CHECK_MSG(shards > 1 || !set,
+                   "ExperimentConfig::"
+                       << field << " is ignored: the run has one shard "
+                       << "(sim_shards = " << cfg.sim_shards
+                       << ", at most cluster_size / num_tasks); unset it");
+  }
+  const serving::TierPolicy off;
+  LOKI_CHECK_MSG(cfg.tiers.enabled ||
+                     cfg.tiers.depth_watermark == off.depth_watermark,
+                 "ExperimentConfig::tiers.depth_watermark is ignored while "
+                 "tiers.enabled is false; enable tiers or keep the default");
+  LOKI_CHECK_MSG(cfg.tiers.enabled || !cfg.tiers.remainder_priority,
+                 "ExperimentConfig::tiers.remainder_priority is ignored while "
+                 "tiers.enabled is false; enable tiers or unset it");
 }
 
 /// The serving-system config of shard `s`: its slice of the cluster and of
@@ -161,7 +182,7 @@ std::unique_ptr<serving::AllocationStrategy> make_planner(
       std::move(strategy),
       std::make_unique<serving::MilpAllocator>(near, &graph, profiles),
       std::make_unique<serving::GreedyAllocator>(alloc, &graph, profiles),
-      cfg.fallback.deadline_s, &graph, alloc.cluster_size, registry, prefix);
+      &graph, alloc.cluster_size, registry, prefix);
 }
 
 using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;

@@ -65,7 +65,8 @@ struct ExperimentConfig {
   /// factors) at window barriers, once per control epoch for each shard's
   /// demand slice, and installs the plans via ServingSystem::install_plan()
   /// — K× fewer solves. Deterministic for a fixed shard count regardless of
-  /// sim_threads (differential-tested).
+  /// sim_threads (differential-tested). A run with one shard (after the
+  /// clamp) rejects it, as it does sim_weighted_split and sim_reweight.
   bool sim_coordinated = false;
   /// Threads that run the shards, the driving thread included (0 =
   /// min(shards, hw concurrency)). A run with one shard (after the clamp
@@ -108,7 +109,9 @@ struct ExperimentConfig {
   /// every serving system; setting system_cfg.tiers instead is rejected.
   /// Disabled by default. With tiers disabled — or enabled over all-tier-0
   /// traffic — runs are bit-identical to the untiered system
-  /// (differential-tested sequential, sharded and coordinated).
+  /// (differential-tested sequential, sharded and coordinated). While
+  /// disabled, a non-default depth_watermark or remainder_priority is
+  /// rejected.
   serving::TierPolicy tiers;
   /// Per-tier arrival mix, e.g. {0.2, 0.4, 0.4}: each arrival's tier is
   /// drawn from these weights on a dedicated RNG substream, in global
@@ -118,8 +121,8 @@ struct ExperimentConfig {
   std::vector<double> tier_mix;
   std::uint64_t tier_seed = 99;
   /// Control-plane fallback chain around every planner's plan(): the
-  /// strategy within the deadline -> near-warm MILP resolve -> greedy ->
-  /// retain previous plan, each gated by plan validation. Disabled by
+  /// strategy -> near-warm MILP resolve -> greedy -> retain previous plan,
+  /// a plan that fails validation falling to the next rung. Disabled by
   /// default. Each planner (a shard's, or the coordinator's per share) is
   /// wrapped in its own serving::PlanFallbackChain with rungs sized for its
   /// cluster slice; outcomes count under serving.degrade.plan_* (per-shard

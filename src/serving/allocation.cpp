@@ -294,13 +294,10 @@ solver::MilpOptions AllocatorConfig::default_milp_options() {
   // hard enough to keep a full 3-step allocation within the paper's ~500 ms
   // Gurobi budget (§6.5).
   o.gap_tol = 5e-4;
-  // Truncation is node-driven (deterministic); the wall-clock limit is a
-  // safety net only, so results do not depend on machine load. The greedy
-  // warm start is already near-optimal; the node budget buys improvement
-  // attempts, not an optimality proof (the LP bound of this formulation
-  // stays fractionally above the best integer point).
+  // The greedy warm start is already near-optimal; the node budget buys
+  // improvement attempts, not an optimality proof (the LP bound of this
+  // formulation stays fractionally above the best integer point).
   o.max_nodes = 120;
-  o.time_limit_s = 5.0;
   // Allocation LPs have ~150 rows and solve in a few hundred pivots; a
   // degenerate node crawling through Bland's rule must not eat the whole
   // budget (a capped node is dropped conservatively).

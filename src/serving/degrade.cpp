@@ -143,15 +143,13 @@ const char* validate_plan(const AllocationPlan& plan,
 PlanFallbackChain::PlanFallbackChain(
     std::unique_ptr<AllocationStrategy> primary,
     std::unique_ptr<AllocationStrategy> near_warm,
-    std::unique_ptr<AllocationStrategy> greedy, double deadline_s,
+    std::unique_ptr<AllocationStrategy> greedy,
     const pipeline::PipelineGraph* graph, int cluster_size,
     obs::Registry& registry, const std::string& prefix)
     : rungs_{std::move(primary), std::move(near_warm), std::move(greedy)},
-      deadline_s_(deadline_s),
       graph_(graph),
       cluster_size_(cluster_size),
       c_fallbacks_(registry.counter(prefix + ".plan_fallbacks")),
-      c_rejects_(registry.counter(prefix + ".plan_rejects")),
       c_retained_(registry.counter(prefix + ".plan_retained")) {
   LOKI_CHECK(rungs_[0] != nullptr && graph_ != nullptr);
 }
@@ -159,7 +157,6 @@ PlanFallbackChain::PlanFallbackChain(
 PlanResult PlanFallbackChain::plan(const PlanRequest& req) {
   FallbackOutcome out = walk(req);
   c_fallbacks_.add(static_cast<std::uint64_t>(out.fallbacks));
-  c_rejects_.add(static_cast<std::uint64_t>(out.rejects));
   if (out.retained_previous) c_retained_.add(1);
   return std::move(out.result);
 }
@@ -171,15 +168,7 @@ FallbackOutcome PlanFallbackChain::walk(const PlanRequest& req) {
   for (int r = 0; r < 3; ++r) {
     if (rungs_[r] == nullptr) continue;
     PlanResult res = rungs_[r]->plan(req);
-    // The deadline gates the solver rungs; greedy (rung 2) always completes
-    // within any sane epoch and is exempt so the chain cannot livelock on a
-    // slow host.
-    if (r < 2 && deadline_s_ > 0.0 && res.plan.solve_time_s > deadline_s_) {
-      ++out.fallbacks;
-      continue;
-    }
     if (validate_plan(res.plan, *graph_, cap) != nullptr) {
-      ++out.rejects;
       ++out.fallbacks;
       continue;
     }

@@ -1,5 +1,5 @@
 // Graceful degradation: SLO tiers with priority-aware shedding on the data
-// plane (TierPlane), and a deadline-enforced fallback chain decorating the
+// plane (TierPlane), and a validation-gated fallback chain decorating the
 // planner's strategy on the control plane (PlanFallbackChain). Both are off
 // by default and bit-identical to the untiered, unwrapped system; the shed
 // helpers reproduce the untiered comparisons exactly for single-tier
@@ -41,17 +41,11 @@ struct TierPolicy {
   bool remainder_priority = false;
 };
 
-/// Control-plane fallback chain configuration: primary strategy within the
-/// epoch budget, near-warm resolve, greedy, retain previous plan — each rung
-/// gated by plan validation before install.
+/// Control-plane fallback chain configuration: primary strategy, near-warm
+/// resolve, greedy, retain previous plan — each rung gated by plan
+/// validation before install.
 struct FallbackConfig {
   bool enabled = false;
-  /// Epoch plan deadline (seconds of reported solve wall time). Rungs 0-1
-  /// whose solve exceeds it fall through; <= 0 disables the deadline. The
-  /// check is post-hoc (the solve is not preempted) and wall-clock, so a
-  /// tight deadline trades reproducibility for responsiveness — tests force
-  /// a miss with an epsilon deadline instead of relying on host speed.
-  double deadline_s = 0.0;
 };
 
 /// Per-tier serve probabilities for overload shedding: the serve budget
@@ -158,21 +152,21 @@ const char* validate_plan(const AllocationPlan& plan,
 struct FallbackOutcome {
   PlanResult result;
   int rung = 0;
-  /// Rungs fallen through (deadline misses + validation rejects).
+  /// Rungs fallen through, each on a validation-gate reject.
   int fallbacks = 0;
-  /// Validation-gate rejections among those.
-  int rejects = 0;
   bool retained_previous = false;
 };
 
-/// Deadline-enforced fallback chain decorating an allocation strategy. A
-/// pathological solve can degrade plan quality but can never stall the
-/// epoch loop (rungs 2-3 are cheap and always complete) or corrupt serving
-/// (every rung passes the validation gate; the terminal rung reuses the
-/// already-validated previous plan). A null rung is skipped. plan() counts
-/// each outcome into the registry under <prefix>.plan_fallbacks,
-/// <prefix>.plan_rejects and <prefix>.plan_retained; name() is the primary
-/// strategy's, so a wrapped run reports the strategy it runs.
+/// Validation-gated fallback chain decorating an allocation strategy: a
+/// rung whose plan fails validate_plan falls through to the next. Only the
+/// gate moves the walk, and every solver rung is bounded by its work
+/// budgets, so the outcome is the same on every host. A bad plan can
+/// degrade plan quality but can never corrupt serving (every installed plan
+/// passed the gate; the terminal rung reuses the already-validated previous
+/// plan). A null rung is skipped. plan() counts each outcome into the
+/// registry under <prefix>.plan_fallbacks and <prefix>.plan_retained;
+/// name() is the primary strategy's, so a wrapped run reports the strategy
+/// it runs.
 class PlanFallbackChain : public AllocationStrategy {
  public:
   /// Owns its rungs. `cluster_size` is the configured cluster; the per-call
@@ -180,9 +174,8 @@ class PlanFallbackChain : public AllocationStrategy {
   PlanFallbackChain(std::unique_ptr<AllocationStrategy> primary,
                     std::unique_ptr<AllocationStrategy> near_warm,
                     std::unique_ptr<AllocationStrategy> greedy,
-                    double deadline_s, const pipeline::PipelineGraph* graph,
-                    int cluster_size, obs::Registry& registry,
-                    const std::string& prefix);
+                    const pipeline::PipelineGraph* graph, int cluster_size,
+                    obs::Registry& registry, const std::string& prefix);
 
   PlanResult plan(const PlanRequest& req) override;
   std::string name() const override { return rungs_[0]->name(); }
@@ -192,11 +185,9 @@ class PlanFallbackChain : public AllocationStrategy {
 
  private:
   std::unique_ptr<AllocationStrategy> rungs_[3];
-  double deadline_s_;
   const pipeline::PipelineGraph* graph_;
   int cluster_size_;
   obs::Counter c_fallbacks_;
-  obs::Counter c_rejects_;
   obs::Counter c_retained_;
 };
 

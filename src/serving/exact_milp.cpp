@@ -303,7 +303,6 @@ ExactMilpResult ExactMilpFormulation::solve(
 
   solver::MilpOptions opts;
   opts.max_nodes = 60000;
-  opts.time_limit_s = 30.0;
   opts.gap_tol = 1e-6;
   solver::BranchAndBound bnb(opts);
   const auto sol = bnb.solve(lp);

@@ -1,9 +1,7 @@
 #include "solver/milp.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -88,23 +86,6 @@ MilpSolution BranchAndBound::solve(
 MilpSolution BranchAndBound::solve(
     const LpProblem& base, const std::optional<std::vector<double>>& warm_start,
     ResolveSession* session, WarmTier tier) const {
-  using Clock = std::chrono::steady_clock;
-  const auto t_start = Clock::now();
-  // The wall-clock budget makes results depend on machine speed: a slow host
-  // can truncate the search where a fast one proves optimality. Tests set
-  // LOKI_MILP_NO_TIME_LIMIT=1 (see CMakeLists) so every suite is
-  // bit-reproducible across runs and hosts; the deterministic max_nodes
-  // budget still bounds the search.
-  const bool ignore_deadline = [] {
-    const char* env = std::getenv("LOKI_MILP_NO_TIME_LIMIT");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
-  const auto deadline =
-      ignore_deadline
-          ? Clock::time_point::max()
-          : t_start + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(options_.time_limit_s));
-
   MilpSolution out;
   const double sense_sign = base.sense() == Sense::kMinimize ? 1.0 : -1.0;
   const int nv_orig = base.num_variables();
@@ -264,7 +245,6 @@ MilpSolution BranchAndBound::solve(
 
   double best_open_bound = -kInf;  // for gap reporting
   bool truncated = false;
-  bool deadline_hit = false;  // the wall clock, not a work budget, stopped it
   bool root_unbounded = false;
   bool root_lp_pending = true;  // the first LP solved is always the root
   // Post-root tableau for node re-anchoring: when a node leaves the shared
@@ -278,11 +258,6 @@ MilpSolution BranchAndBound::solve(
   while (!open.empty()) {
     if (out.nodes_explored >= options_.max_nodes) {
       truncated = true;
-      break;
-    }
-    if (Clock::now() >= deadline) {
-      truncated = true;
-      deadline_hit = true;
       break;
     }
     std::pop_heap(open.begin(), open.end(), node_cmp);
@@ -478,15 +453,10 @@ MilpSolution BranchAndBound::solve(
     out.status = out.gap <= options_.gap_tol ? MilpStatus::kOptimal
                                              : MilpStatus::kFeasible;
   }
-  // Retain the solution for the cross-run fast path only when re-running
-  // the search would provably reproduce it: either it is optimal (within
-  // gap_tol), or the search ended without the deadline firing (a stop by
-  // the node budget or an LP iteration cap is deterministic). A
-  // *wall-clock*-truncated kFeasible incumbent is machine-speed dependent
-  // and could pin a gap > tol plan forever, so it is re-solved with a full
-  // budget on the next run instead.
-  if (session != nullptr && session->root_state.valid() &&
-      (out.status == MilpStatus::kOptimal || !deadline_hit)) {
+  // Retain the solution for the cross-run fast path: every stop (the node
+  // budget, an LP iteration cap, or a finished tree) is a deterministic
+  // function of the model, so re-running the search reproduces it.
+  if (session != nullptr && session->root_state.valid()) {
     session->solution = out;
     session->has_solution = true;
   }

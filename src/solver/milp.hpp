@@ -3,8 +3,10 @@
 // The Resource Manager's allocation models have tens of integer variables;
 // an exact best-first branch-and-bound with incumbent seeding solves them in
 // well under the paper's reported ~500 ms Gurobi budget (see
-// bench/tab_runtime_overhead). Time/node limits make the worst case bounded:
-// on limit the solver returns the best incumbent with its optimality gap.
+// bench/tab_runtime_overhead). The node budget and the node-LP iteration cap
+// bound the worst case in work, never in host time, so a solve returns the
+// same result on every host: on a budget stop the solver returns the best
+// incumbent with its optimality gap.
 //
 // Node representation: a node is a chain of bound deltas over ONE shared
 // standard-form instance (SimplexContext) — no per-node LpProblem copy, no
@@ -50,7 +52,6 @@ struct MilpOptions {
   double int_tol = 1e-6;        // |x - round(x)| below this counts as integral
   double gap_tol = 1e-9;        // absolute bound-vs-incumbent pruning slack
   int max_nodes = 200000;       // branch-and-bound node budget
-  double time_limit_s = 10.0;   // wall-clock budget
   NodeOrder node_order = NodeOrder::kBestFirst;
   /// Presolve + scale the model before the shared simplex instance is
   /// built; the search runs in the reduced space and solutions are

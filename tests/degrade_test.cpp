@@ -1,7 +1,7 @@
 // Graceful-degradation unit tests (ROADMAP item 4): the per-tier serve /
 // shed probability fills (including the exact single-tier identities the
 // passivity differentials rely on), the plan-validation gate, the
-// deadline-enforced fallback chain over stub strategies (rung walk and its
+// validation-gated fallback chain over stub strategies (rung walk and its
 // AllocationStrategy decorator face), the TierPlane driven directly, and the
 // per-tier Metrics accounting with its merge.
 #include <gtest/gtest.h>
@@ -160,17 +160,16 @@ TEST(ValidatePlan, ZeroServedPlanMayPlaceNothing) {
 // PlanFallbackChain
 // ---------------------------------------------------------------------------
 
-/// Strategy stub returning a fixed plan with a fixed reported solve time.
+/// Strategy stub returning a fixed plan.
 class StubStrategy : public AllocationStrategy {
  public:
-  StubStrategy(std::string name, AllocationPlan plan, double solve_s)
-      : name_(std::move(name)), plan_(std::move(plan)), solve_s_(solve_s) {}
+  StubStrategy(std::string name, AllocationPlan plan)
+      : name_(std::move(name)), plan_(std::move(plan)) {}
 
   PlanResult plan(const PlanRequest& request) override {
     ++calls_;
     PlanResult r;
     r.plan = plan_;
-    r.plan.solve_time_s = solve_s_;
     r.epoch = request.epoch;
     return r;
   }
@@ -180,52 +179,49 @@ class StubStrategy : public AllocationStrategy {
  private:
   std::string name_;
   AllocationPlan plan_;
-  double solve_s_;
   int calls_ = 0;
 };
 
-std::unique_ptr<StubStrategy> stub(const char* name, AllocationPlan plan,
-                                   double solve_s) {
-  return std::make_unique<StubStrategy>(name, std::move(plan), solve_s);
+std::unique_ptr<StubStrategy> stub(const char* name, AllocationPlan plan) {
+  return std::make_unique<StubStrategy>(name, std::move(plan));
 }
 
-TEST(PlanFallbackChain, PrimaryWithinDeadlineWins) {
+TEST(PlanFallbackChain, ValidPrimaryWins) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  auto greedy_owned = stub("greedy", sound_plan(), 0.0);
+  auto greedy_owned = stub("greedy", sound_plan());
   StubStrategy& greedy = *greedy_owned;
   obs::Registry registry;
-  PlanFallbackChain chain(stub("primary", sound_plan(), 0.01), nullptr,
-                          std::move(greedy_owned), /*deadline_s=*/1.0, &graph,
-                          8, registry, "t");
+  PlanFallbackChain chain(stub("primary", sound_plan()), nullptr,
+                          std::move(greedy_owned), &graph, 8, registry, "t");
 
   const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 0);
   EXPECT_EQ(out.fallbacks, 0);
-  EXPECT_EQ(out.rejects, 0);
   EXPECT_FALSE(out.retained_previous);
   EXPECT_EQ(greedy.calls(), 0);
 }
 
-TEST(PlanFallbackChain, DeadlineMissWalksEveryRungToGreedy) {
-  // Primary and near-warm both blow the epsilon deadline; greedy is exempt
-  // from the deadline by design (the chain must never livelock), so it
-  // terminates the chain at rung 2 with two fallbacks and no rejects.
+TEST(PlanFallbackChain, RejectsWalkEveryRungToGreedy) {
+  // Primary and near-warm both fail the validation gate, so greedy
+  // terminates the chain at rung 2 with two fallbacks.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  auto primary_owned = stub("primary", sound_plan(), 0.5);
-  auto near_warm_owned = stub("near", sound_plan(), 0.5);
-  auto greedy_owned = stub("greedy", sound_plan(), 0.5);
+  auto broken = sound_plan();
+  broken.served_fraction = 2.0;
+  auto infeasible = sound_plan();
+  infeasible.feasible = false;
+  auto primary_owned = stub("primary", broken);
+  auto near_warm_owned = stub("near", infeasible);
+  auto greedy_owned = stub("greedy", sound_plan());
   StubStrategy& primary = *primary_owned;
   StubStrategy& near_warm = *near_warm_owned;
   StubStrategy& greedy = *greedy_owned;
   obs::Registry registry;
   PlanFallbackChain chain(std::move(primary_owned), std::move(near_warm_owned),
-                          std::move(greedy_owned), /*deadline_s=*/1e-12,
-                          &graph, 8, registry, "t");
+                          std::move(greedy_owned), &graph, 8, registry, "t");
 
   const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 2);
   EXPECT_EQ(out.fallbacks, 2);
-  EXPECT_EQ(out.rejects, 0);
   EXPECT_EQ(primary.calls(), 1);
   EXPECT_EQ(near_warm.calls(), 1);
   EXPECT_EQ(greedy.calls(), 1);
@@ -236,14 +232,13 @@ TEST(PlanFallbackChain, ValidationRejectFallsThrough) {
   auto broken = sound_plan();
   broken.served_fraction = 2.0;  // fails the gate
   obs::Registry registry;
-  PlanFallbackChain chain(stub("primary", broken, 0.0), nullptr,
-                          stub("greedy", sound_plan(), 0.0), 0.0, &graph, 8,
-                          registry, "t");
+  PlanFallbackChain chain(stub("primary", broken), nullptr,
+                          stub("greedy", sound_plan()), &graph, 8, registry,
+                          "t");
 
   const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 2);
   EXPECT_EQ(out.fallbacks, 1);
-  EXPECT_EQ(out.rejects, 1);
   EXPECT_DOUBLE_EQ(out.result.plan.served_fraction, 1.0);
 }
 
@@ -252,9 +247,8 @@ TEST(PlanFallbackChain, AllRungsFailRetainsPreviousPlan) {
   auto broken = sound_plan();
   broken.feasible = false;
   obs::Registry registry;
-  PlanFallbackChain chain(stub("primary", broken, 0.0), nullptr,
-                          stub("greedy", broken, 0.0), 0.0, &graph, 8,
-                          registry, "t");
+  PlanFallbackChain chain(stub("primary", broken), nullptr,
+                          stub("greedy", broken), &graph, 8, registry, "t");
 
   auto previous = sound_plan();
   previous.expected_accuracy = 0.77;
@@ -267,7 +261,6 @@ TEST(PlanFallbackChain, AllRungsFailRetainsPreviousPlan) {
   EXPECT_EQ(out.rung, 3);
   EXPECT_TRUE(out.retained_previous);
   EXPECT_EQ(out.fallbacks, 2);
-  EXPECT_EQ(out.rejects, 2);
   EXPECT_EQ(out.result.epoch, 9);
   EXPECT_TRUE(out.result.plan.feasible);
   EXPECT_DOUBLE_EQ(out.result.plan.expected_accuracy, 0.77);
@@ -280,8 +273,8 @@ TEST(PlanFallbackChain, NoPreviousPlanYieldsInfeasiblePlaceholder) {
   auto broken = sound_plan();
   broken.feasible = false;
   obs::Registry registry;
-  PlanFallbackChain chain(stub("primary", broken, 0.0), nullptr, nullptr, 0.0,
-                          &graph, 8, registry, "t");
+  PlanFallbackChain chain(stub("primary", broken), nullptr, nullptr, &graph,
+                          8, registry, "t");
 
   const auto out = chain.walk(PlanRequest{});
   EXPECT_EQ(out.rung, 3);
@@ -295,14 +288,14 @@ TEST(PlanFallbackChain, CapacityGateTracksAvailableWorkers) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto full = sound_plan();  // 4 replicas
   obs::Registry registry;
-  PlanFallbackChain chain(stub("primary", full, 0.0), nullptr, nullptr, 0.0,
-                          &graph, 8, registry, "t");
+  PlanFallbackChain chain(stub("primary", full), nullptr, nullptr, &graph, 8,
+                          registry, "t");
 
   PlanRequest req;
   req.available_workers = 3;
   const auto out = chain.walk(req);
   EXPECT_EQ(out.rung, 3);
-  EXPECT_EQ(out.rejects, 1);
+  EXPECT_EQ(out.fallbacks, 1);
 }
 
 TEST(PlanFallbackChain, DecoratorForwardsNameAndCountsUnderPrefix) {
@@ -312,21 +305,22 @@ TEST(PlanFallbackChain, DecoratorForwardsNameAndCountsUnderPrefix) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto broken = sound_plan();
   broken.served_fraction = 2.0;
+  auto infeasible = sound_plan();
+  infeasible.feasible = false;
   auto greedy_plan = sound_plan();
   greedy_plan.expected_accuracy = 0.5;
   obs::Registry registry;
-  PlanFallbackChain chain(stub("primary", broken, 0.0),
-                          stub("near", sound_plan(), 0.5),
-                          stub("greedy", greedy_plan, 0.0),
-                          /*deadline_s=*/0.1, &graph, 8, registry, "p.q");
+  PlanFallbackChain chain(stub("primary", broken), stub("near", infeasible),
+                          stub("greedy", greedy_plan), &graph, 8, registry,
+                          "p.q");
   EXPECT_EQ(chain.name(), "primary");
   AllocationStrategy& strategy = chain;
 
-  // Primary rejected, near-warm over the deadline: greedy's plan wins.
+  // Primary and near-warm rejected: greedy's plan wins.
   const PlanResult first = strategy.plan(PlanRequest{});
   EXPECT_DOUBLE_EQ(first.plan.expected_accuracy, 0.5);
-  // At 3 workers the primary and greedy fail the capacity gate and
-  // near-warm misses the deadline again: the previous plan is retained.
+  // At 3 workers greedy fails the capacity gate as well: the previous plan
+  // is retained.
   PlanRequest degraded;
   degraded.available_workers = 3;
   degraded.previous_plan = &first.plan;
@@ -335,7 +329,6 @@ TEST(PlanFallbackChain, DecoratorForwardsNameAndCountsUnderPrefix) {
 
   const obs::Snapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value("p.q.plan_fallbacks"), 2u + 3u);
-  EXPECT_EQ(snap.counter_value("p.q.plan_rejects"), 1u + 2u);
   EXPECT_EQ(snap.counter_value("p.q.plan_retained"), 1u);
   for (const auto& [name, value] : snap.counters) {
     EXPECT_TRUE(name.rfind("p.q.plan_", 0) == 0 ||

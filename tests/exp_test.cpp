@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "baselines/inferline.hpp"
 #include "common/check.hpp"
@@ -230,6 +231,36 @@ TEST(RunExperiment, RejectsSimThreadsWithOneShard) {
   cfg.sim_shards = 4;
   cfg.sim_threads = 4;
   expect_rejected(cfg, "ExperimentConfig::sim_threads");
+}
+
+TEST(RunExperiment, RejectsShardingKnobsWithOneShard) {
+  // One shard (asked for, or clamped from more than the cluster holds)
+  // receives every arrival and plans for itself. Pairs of (cluster_size,
+  // sim_shards); two tasks on 3 workers leave one shard.
+  const std::pair<int, std::size_t> one_shard[] = {{8, 1}, {8, 0}, {3, 4}};
+  for (const auto& [workers, shards] : one_shard) {
+    auto base = small_config();
+    base.system_cfg.allocator.cluster_size = workers;
+    base.sim_shards = shards;
+    auto coordinated = base;
+    coordinated.sim_coordinated = true;
+    expect_rejected(coordinated, "ExperimentConfig::sim_coordinated");
+    auto weighted = base;
+    weighted.sim_weighted_split = true;
+    expect_rejected(weighted, "ExperimentConfig::sim_weighted_split");
+    auto reweight = base;
+    reweight.sim_reweight = true;
+    expect_rejected(reweight, "ExperimentConfig::sim_reweight");
+  }
+}
+
+TEST(RunExperiment, RejectsTierFieldsWithTiersDisabled) {
+  auto watermark = small_config();
+  watermark.tiers.depth_watermark = {1e18, 1e18, 1e18};
+  expect_rejected(watermark, "ExperimentConfig::tiers.depth_watermark");
+  auto remainder = small_config();
+  remainder.tiers.remainder_priority = true;
+  expect_rejected(remainder, "ExperimentConfig::tiers.remainder_priority");
 }
 
 TEST(RunExperiment, FallbackChainReportsTheWrappedStrategy) {

@@ -2,10 +2,10 @@
 //
 //  1. Degradation-off passivity differentials: arming the tier machinery
 //     with inert watermarks over all-tier-0 traffic, plus the fallback
-//     chain with no deadline, must leave every simulation metric
-//     bit-identical to the default run in all three sim modes, and must
-//     only ever *add* zero-valued serving.degrade.* (and coordinated
-//     exp.coord.*) series to the obs snapshot.
+//     chain over a primary whose plans all validate, must leave every
+//     simulation metric bit-identical to the default run in all three sim
+//     modes, and must only ever *add* zero-valued serving.degrade.* (and
+//     coordinated exp.coord.*) series to the obs snapshot.
 //  2. Tiered overload under a pinned seed: per-tier accounting reconciles
 //     exactly (arrivals == completions + drops per tier), tier splits sum
 //     to the totals, and shedding falls strictly lowest-tier-first — the
@@ -14,9 +14,8 @@
 //  3. Tier stamping is mode-invariant: the same seed produces the same
 //     per-tier arrival counts in sequential, sharded, and coordinated
 //     runs (tiers are drawn in global arrival order, before partitioning).
-//  4. A forced planner deadline miss walks every fallback rung down to
-//     greedy without stalling the epoch loop, in sequential and
-//     coordinated modes.
+//  4. A primary whose every plan fails validation falls to the near-warm
+//     rung, which lands each plan, in sequential and coordinated modes.
 //  5. Tiers composed with a worker crash: stranded queries go through the
 //     deterministic-backoff retry path and the run stays exactly
 //     accounted.
@@ -26,12 +25,14 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "exp/experiment.hpp"
 #include "fault/plan.hpp"
 #include "pipeline/pipelines.hpp"
 #include "serving/metrics.hpp"
+#include "serving/strategy_registry.hpp"
 #include "tests/test_support.hpp"
 #include "trace/generator.hpp"
 #include "trace/replay.hpp"
@@ -104,9 +105,9 @@ void expect_metrics_bit_identical(const exp::ExperimentResult& a,
 
 /// Armed-but-inert degradation config: tiers enabled with watermarks no
 /// queue can reach, over all-tier-0 traffic (empty tier_mix draws no RNG);
-/// fallback chain enabled with no deadline, so the primary plan always
-/// passes through. Nothing ever fires, so the run must be bit-identical to
-/// the default.
+/// fallback chain enabled over a primary whose plans always validate, so the
+/// primary plan always passes through. Nothing ever fires, so the run must
+/// be bit-identical to the default.
 exp::ExperimentConfig armed_inert(exp::ExperimentConfig cfg) {
   cfg.tiers.enabled = true;
   cfg.tiers.depth_watermark = {1e18, 1e18, 1e18};
@@ -346,44 +347,87 @@ TEST(TieredOverload, TierStampingIsModeInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-plane fallback chain: forced deadline miss
+// Control-plane fallback chain: a primary whose plans fail validation
 // ---------------------------------------------------------------------------
 
-TEST(FallbackChain, ForcedDeadlineMissWalksEveryRungToGreedy) {
-  // An epsilon deadline no real solve can meet: the primary misses, the
-  // near-warm rung misses, and the deadline-exempt greedy rung lands every
-  // plan. The epoch loop never stalls and accounting stays exact.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = od_curve();
+constexpr const char* kRejectedStrategy = "test-rejected";
+
+/// A strategy whose every plan is infeasible, so the fallback chain's
+/// validation gate rejects it at rung 0.
+class RejectedStrategy : public serving::AllocationStrategy {
+ public:
+  serving::PlanResult plan(const serving::PlanRequest& req) override {
+    serving::PlanResult r;
+    r.plan.feasible = false;
+    r.epoch = req.epoch;
+    return r;
+  }
+  std::string name() const override { return kRejectedStrategy; }
+};
+
+/// od_config() planning with RejectedStrategy inside the fallback chain.
+exp::ExperimentConfig rejected_primary_config() {
+  serving::StrategyRegistry::global().add(
+      kRejectedStrategy,
+      [](const serving::AllocatorConfig&, const pipeline::PipelineGraph*,
+         const serving::ProfileTable&) {
+        return std::make_unique<RejectedStrategy>();
+      });
   auto cfg = od_config();
+  cfg.system = kRejectedStrategy;
   cfg.fallback.enabled = true;
-  cfg.fallback.deadline_s = 1e-12;
-  const auto r = exp::run_experiment(graph, curve, cfg);
+  return cfg;
+}
+
+/// The chain's rung 1 planning on its own: od_config() with the near-warm
+/// MILP as the strategy and no chain.
+exp::ExperimentConfig near_warm_config() {
+  auto cfg = od_config();
+  cfg.system = "loki-milp";
+  cfg.system_cfg.allocator.near_warm_start = true;
+  return cfg;
+}
+
+TEST(FallbackChain, RejectedPrimaryLandsNearWarmRung) {
+  // Every primary plan fails validation and the near-warm MILP rung lands
+  // it: one fallback per planning event, the previous plan never retained,
+  // and the run bit-identical to the near-warm MILP planning alone. Under
+  // this overload greedy plans differently, so a plan that greedy landed
+  // would break the identity. The run serves with exact accounting.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = overload_curve();
+  const auto r = exp::run_experiment(graph, curve, rejected_primary_config());
+  const auto near = exp::run_experiment(graph, curve, near_warm_config());
 
   EXPECT_GT(r.allocations, 0);
-  const std::uint64_t fallbacks =
-      r.obs.counter_value("serving.degrade.plan_fallbacks");
-  // Two rungs fall through per planning event (primary + near-warm).
-  EXPECT_EQ(fallbacks, 2u * static_cast<std::uint64_t>(r.allocations));
-  EXPECT_EQ(r.obs.counter_value("serving.degrade.plan_rejects"), 0u);
+  EXPECT_EQ(r.obs.counter_value("serving.degrade.plan_fallbacks"),
+            static_cast<std::uint64_t>(r.allocations));
   EXPECT_EQ(r.obs.counter_value("serving.degrade.plan_retained"), 0u);
-  // The run still serves: greedy plans are sound.
+  EXPECT_EQ(r.allocations, near.allocations);
+  expect_metrics_bit_identical(r, near);
   EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);
   EXPECT_GT(r.metrics.completions(), 0u);
 }
 
-TEST(FallbackChain, CoordinatedDeadlineMissIsAccountedByCoordinator) {
+TEST(FallbackChain, CoordinatedRejectedPrimaryLandsNearWarmRung) {
+  // The coordinator owns the chain and counts one fallback per share plan.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = od_curve();
-  auto cfg = od_config();
+  const auto curve = overload_curve();
+  auto cfg = rejected_primary_config();
   cfg.sim_shards = 2;
   cfg.sim_coordinated = true;
-  cfg.fallback.enabled = true;
-  cfg.fallback.deadline_s = 1e-12;
   const auto r = exp::run_experiment(graph, curve, cfg);
+  auto near_cfg = near_warm_config();
+  near_cfg.sim_shards = 2;
+  near_cfg.sim_coordinated = true;
+  const auto near = exp::run_experiment(graph, curve, near_cfg);
 
   EXPECT_GT(r.obs.counter_value("exp.coord.plan_fallbacks"), 0u);
+  EXPECT_EQ(r.obs.counter_value("exp.coord.plan_fallbacks"),
+            static_cast<std::uint64_t>(r.allocations));
   EXPECT_EQ(r.obs.counter_value("exp.coord.plan_retained"), 0u);
+  EXPECT_EQ(r.allocations, near.allocations);
+  expect_metrics_bit_identical(r, near);
   EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);
   EXPECT_GT(r.metrics.completions(), 0u);
 }

@@ -8,10 +8,7 @@
 // Reproducibility audit (PR 1): every Rng in this suite and the other
 // randomized sweeps (solver_lp/milp/edge) is seeded from a fixed literal or
 // a pure function of GetParam(); no std::random_device, time-based, or
-// default-constructed generators remain. The one machine-dependent input —
-// the MILP wall-clock budget — is disabled under ctest via
-// LOKI_MILP_NO_TIME_LIMIT so runs are bit-identical across hosts
-// (e2e_smoke_test asserts this end to end).
+// default-constructed generators remain.
 #include <gtest/gtest.h>
 
 #include <cmath>

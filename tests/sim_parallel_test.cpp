@@ -666,8 +666,7 @@ TEST(SequentialGoldens, SmokeWorkloadMetricsAreBitIdentical) {
   // Full-precision goldens for the e2e smoke workload, captured from the
   // pre-overhaul data plane (std::function callbacks, tombstone heap,
   // unordered_map query states). The rebuilt hot path must replay the exact
-  // same event sequence. Requires LOKI_MILP_NO_TIME_LIMIT=1 (ctest sets it)
-  // so the MILP search is host-speed independent.
+  // same event sequence.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   trace::TraceConfig tcfg;
   tcfg.shape = trace::TraceShape::kAzureDiurnal;
@@ -785,10 +784,10 @@ TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
 // work per arrival fails here by name, on any host.
 // ---------------------------------------------------------------------------
 
+/// Queries sampled, records flushed as completed or dropped, and the
+/// samples each serving.lat.* stage histogram took.
 struct TracePin {
-  std::uint64_t sampled, completed, dropped;
-  /// Sample count of each serving.lat.* stage histogram, by stage name.
-  std::map<std::string, std::uint64_t> lat;
+  std::uint64_t sampled, completed, dropped, per_stage;
 };
 
 void expect_trace(const exp::ExperimentResult& r, const TracePin& pin) {
@@ -796,28 +795,23 @@ void expect_trace(const exp::ExperimentResult& r, const TracePin& pin) {
   EXPECT_EQ(r.obs.counter_value("serving.trace.completed"), pin.completed);
   EXPECT_EQ(r.obs.counter_value("serving.trace.dropped"), pin.dropped);
   const std::string prefix = "serving.lat.";
-  std::map<std::string, std::uint64_t> lat;
+  std::map<std::string, std::uint64_t> per_stage;
   for (const auto& h : r.obs.histograms) {
     if (h.name.rfind(prefix, 0) == 0) {
-      lat[h.name.substr(prefix.size())] = h.count;
+      per_stage[h.name.substr(prefix.size())] = h.count;
     }
   }
-  EXPECT_EQ(lat, pin.lat);
-}
-
-/// Every stage histogram takes one sample per flushed record.
-std::map<std::string, std::uint64_t> lat_counts(std::uint64_t flushed) {
-  std::map<std::string, std::uint64_t> lat;
+  std::map<std::string, std::uint64_t> want;
   for (const char* stage :
        {"queue", "batch", "execute", "swap_stall", "comm", "e2e"}) {
-    lat[stage] = flushed;
+    want[stage] = pin.per_stage;
   }
-  return lat;
+  EXPECT_EQ(per_stage, want);
 }
 
 TEST(TracerWork, SmokeWorkloadTraceCounts) {
   const auto r = run_smoke_workload(1);
-  expect_trace(r, {91, 83, 8, lat_counts(91)});
+  expect_trace(r, {91, 83, 8, 91});
 }
 
 TEST(TracerWork, DiurnalNinetySixWorkersTraceCounts) {
@@ -836,7 +830,7 @@ TEST(TracerWork, DiurnalNinetySixWorkersTraceCounts) {
   cfg.arrivals.seed = 12;
   const auto r =
       exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
-  expect_trace(r, {867, 534, 333, lat_counts(867)});
+  expect_trace(r, {867, 534, 333, 867});
 }
 
 // ---------------------------------------------------------------------------
