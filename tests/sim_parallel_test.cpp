@@ -777,6 +777,46 @@ TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
   expect_lanes(r, 68567, 163756);
 }
 
+TEST(EventCoreWork, SteadyShardedFourCoordinatedShards) {
+  // The benchmark's steady-sharded shape at a twentieth of its length:
+  // constant demand on 96 workers of the three-task traffic pipeline, four
+  // coordinated shards on two threads. Its outcome is pinned as well.
+  const auto graph = pipeline::traffic_analysis_pipeline();
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kConstant;
+  tcfg.duration_s = 30.0;
+  tcfg.peak_qps = 4600.0;
+  tcfg.noise_frac = 0.0;
+  tcfg.seed = 5;
+  exp::ExperimentConfig cfg;
+  cfg.system = "loki-milp";
+  cfg.system_cfg.allocator.cluster_size = 96;
+  cfg.system_cfg.allocator.slo_s = 0.250;
+  cfg.system_cfg.seed = 11;
+  cfg.arrivals.seed = 12;
+  cfg.sim_shards = 4;
+  cfg.sim_coordinated = true;
+  cfg.sim_threads = 2;
+  const auto r =
+      exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
+  expect_work(r, {138078, 278647, 97816, 652674});
+  expect_lanes(r, 138078, 416252);
+  const std::array<std::uint64_t, 4> shard_arrivals = {34520, 34520, 34519,
+                                                       34519};
+  for (std::size_t s = 0; s < shard_arrivals.size(); ++s) {
+    EXPECT_EQ(r.obs.counter_value("exp.shard" + std::to_string(s) +
+                                  ".arrivals"),
+              shard_arrivals[s])
+        << "shard " << s;
+  }
+  EXPECT_EQ(r.allocations, 4);
+  EXPECT_DOUBLE_EQ(r.slo_violation_ratio, 0.040904416344385061);
+  EXPECT_DOUBLE_EQ(r.mean_accuracy, 0.90099872649329515);
+  EXPECT_DOUBLE_EQ(r.mean_latency_s, 0.1288174154919145);
+  EXPECT_DOUBLE_EQ(r.p99_latency_s, 0.17767803707962962);
+  EXPECT_DOUBLE_EQ(r.mean_servers_used, 92.457142857142856);
+}
+
 // ---------------------------------------------------------------------------
 // Tracer work pins: the tracer samples by pool-handle slot and never draws
 // randomness, so the queries it samples and the records it flushes are as
