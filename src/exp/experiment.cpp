@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,9 +104,11 @@ double run_horizon(const trace::DemandCurve& curve,
 
 /// Rejects the knobs run_experiment would otherwise silently ignore: the
 /// system_cfg fields it overwrites per shard, a tier mix next to a replay,
-/// tier-policy fields while tiers are off, and the sharding knobs for a run
-/// that has one shard after the clamp.
-void check_run_level_knobs(const ExperimentConfig& cfg, std::size_t shards) {
+/// tier-policy fields while tiers are off, near_warm_start for a strategy
+/// that never reads it, and the sharding knobs that disagree with the shard
+/// count. Also rejects more shards than the cluster holds.
+void check_run_level_knobs(const ExperimentConfig& cfg,
+                           const pipeline::PipelineGraph& graph) {
   const serving::SystemConfig& scfg = cfg.system_cfg;
   LOKI_CHECK_MSG(scfg.registry == nullptr,
                  "system_cfg.registry is replaced by the per-run registry; "
@@ -119,25 +122,34 @@ void check_run_level_knobs(const ExperimentConfig& cfg, std::size_t shards) {
   LOKI_CHECK_MSG(cfg.replay.empty() || cfg.tier_mix.empty(),
                  "ExperimentConfig::tier_mix is ignored with a replay, which "
                  "stamps each arrival's tier itself; clear one of the two");
-  LOKI_CHECK_MSG(shards > 1 || cfg.sim_threads <= 1,
+  LOKI_CHECK_MSG(!scfg.allocator.near_warm_start ||
+                     (cfg.system != "greedy" && cfg.system != "inferline" &&
+                      cfg.system != "proteus"),
+                 "system_cfg.allocator.near_warm_start is ignored by the "
+                     << cfg.system
+                     << " strategy, which solves no MILP; unset it");
+  // Every shard's allocator needs at least one worker per task.
+  const std::size_t max_shards = static_cast<std::size_t>(std::max(
+      1, scfg.allocator.cluster_size / std::max(1, graph.num_tasks())));
+  LOKI_CHECK_MSG(cfg.sim_shards <= max_shards,
+                 "ExperimentConfig::sim_shards = "
+                     << cfg.sim_shards << " is more than the cluster holds: "
+                     << "each shard needs one worker per pipeline task, so "
+                     << "at most cluster_size / num_tasks = " << max_shards);
+  const bool sharded = cfg.sim_shards > 1;
+  LOKI_CHECK_MSG(cfg.sim_coordinated == sharded,
+                 "ExperimentConfig::sim_coordinated must equal sim_shards > 1 "
+                 "(sim_shards = "
+                     << cfg.sim_shards
+                     << "): every sharded run is coordinated, and a one-shard "
+                        "run plans for itself");
+  LOKI_CHECK_MSG(sharded || cfg.sim_threads <= 1,
                  "ExperimentConfig::sim_threads = "
                      << cfg.sim_threads
                      << " is ignored: the run has one shard (sim_shards = "
                      << cfg.sim_shards
-                     << ", at most cluster_size / num_tasks), which runs on "
-                        "the driving thread alone; set sim_threads to 0 or 1");
-  // One shard receives every arrival and plans for itself, so the deal and
-  // the coordinator have nothing to split.
-  for (const auto& [set, field] :
-       {std::pair{cfg.sim_coordinated, "sim_coordinated"},
-        std::pair{cfg.sim_weighted_split, "sim_weighted_split"},
-        std::pair{cfg.sim_reweight, "sim_reweight"}}) {
-    LOKI_CHECK_MSG(shards > 1 || !set,
-                   "ExperimentConfig::"
-                       << field << " is ignored: the run has one shard "
-                       << "(sim_shards = " << cfg.sim_shards
-                       << ", at most cluster_size / num_tasks); unset it");
-  }
+                     << "), which runs on the driving thread alone; set "
+                        "sim_threads to 0 or 1");
   const serving::TierPolicy off;
   LOKI_CHECK_MSG(cfg.tiers.enabled ||
                      cfg.tiers.depth_watermark == off.depth_watermark,
@@ -168,34 +180,51 @@ serving::SystemConfig shard_config(const ExperimentConfig& cfg,
 /// One planner: the run's strategy sized for `alloc`, wrapped in the
 /// fallback chain when cfg.fallback is enabled — with a near-warm MILP and a
 /// greedy allocator for the same slice as rungs 1 and 2, counting outcomes
-/// under `<prefix>.plan_*`. Every per-shard planner and every coordinator
-/// share is built here.
+/// under serving.degrade.plan_*. The one-shard run's planner and every
+/// coordinator slice are built here.
 std::unique_ptr<serving::AllocationStrategy> make_planner(
     const ExperimentConfig& cfg, const serving::AllocatorConfig& alloc,
     const pipeline::PipelineGraph& graph, const serving::ProfileTable& profiles,
-    obs::Registry& registry, const std::string& prefix) {
+    obs::Registry& registry) {
   auto strategy = make_strategy(cfg.system, alloc, &graph, profiles);
   if (!cfg.fallback.enabled) return strategy;
   serving::AllocatorConfig near = alloc;
+  near.warm_start_across_epochs = true;  // the near tier needs its basis
   near.near_warm_start = true;
   return std::make_unique<serving::PlanFallbackChain>(
       std::move(strategy),
       std::make_unique<serving::MilpAllocator>(near, &graph, profiles),
       std::make_unique<serving::GreedyAllocator>(alloc, &graph, profiles),
-      &graph, alloc.cluster_size, registry, prefix);
+      &graph, alloc.cluster_size, registry,
+      std::string(serving::kMetricPrefix) + ".degrade");
 }
 
 using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
+
+/// Each shard's surviving worker count: its share minus its crashed
+/// workers. The arrival deal follows these, and so do the coordinator's
+/// planned demand slices in fault mode.
+std::vector<double> surviving_workers(const std::vector<int>& share,
+                                      const Systems& systems) {
+  std::vector<double> alive(share.size());
+  for (std::size_t s = 0; s < share.size(); ++s) {
+    alive[s] = static_cast<double>(
+        std::max(0, share[s] - systems[s]->crashed_workers()));
+  }
+  return alive;
+}
 
 /// Streams the global (timestamp, tier) arrival sequence into the shard
 /// systems. The sequence is drawn lazily: the replay verbatim when one is
 /// configured, else the sampled arrival stream with tiers drawn in global
 /// arrival order (TierSampler draws nothing without a tier mix). A
-/// WeightedInterleave deals it to the shards one window at a time, with
-/// weight 1 per shard (round-robin), the worker shares when `weighted`, or
-/// under sim_reweight the surviving worker counts (share minus crashed),
-/// re-read at every barrier; the interleave is rebuilt only when the weights
-/// change. Each shard's dealt arrivals are counted in exp.shard<k>.arrivals.
+/// WeightedInterleave deals it to the shards one window at a time, weighted
+/// by each shard's surviving worker count (share minus crashed), re-read at
+/// every barrier; the interleave is rebuilt only when the weights change.
+/// A crash thus moves load to the survivors, as the one-cluster run's
+/// replica pick does, from the arrivals one window past the next barrier
+/// on. Equal shares with no crash deal round-robin. Each shard's dealt
+/// arrivals are counted in exp.shard<k>.arrivals.
 ///
 /// Dealing runs one window ahead of the simulation, so a shard's chained
 /// pump finds its next arrival in its buffer whenever that arrival is less
@@ -208,11 +237,10 @@ using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
 class ArrivalFeeder {
  public:
   ArrivalFeeder(const trace::DemandCurve& curve, const ExperimentConfig& cfg,
-                const std::vector<int>& share, bool weighted,
-                sim::ParallelSimulation* psim, obs::Registry* registry)
+                const std::vector<int>& share, sim::ParallelSimulation* psim,
+                obs::Registry* registry)
       : cfg_(cfg),
         share_(share),
-        weighted_(weighted),
         psim_(psim),
         stream_(curve, cfg.arrivals),
         sampler_(cfg.tier_mix, cfg.tier_seed),
@@ -238,7 +266,7 @@ class ArrivalFeeder {
 
   /// Barrier hook: deals the window after the next one.
   void on_barrier(double now) {
-    if (cfg_.sim_reweight) refresh_weights();
+    refresh_weights();
     deal_until(now + 2.0 * kSimWindowS);
   }
 
@@ -272,22 +300,11 @@ class ArrivalFeeder {
   }
 
   void refresh_weights() {
-    std::vector<double> w(shards_.size(), 1.0);
-    if (weighted_) {
-      double total = 0.0;
-      for (std::size_t s = 0; s < w.size(); ++s) {
-        const int down = cfg_.sim_reweight ? (*systems_)[s]->crashed_workers()
-                                           : 0;
-        w[s] = static_cast<double>(std::max(0, share_[s] - down));
-        total += w[s];
-      }
-      if (total <= 0.0) {
-        // Every worker everywhere is down: keep dealing by share so arrivals
-        // still land somewhere deterministic (and get accounted as sheds).
-        for (std::size_t s = 0; s < w.size(); ++s) {
-          w[s] = static_cast<double>(share_[s]);
-        }
-      }
+    std::vector<double> w = surviving_workers(share_, *systems_);
+    if (std::accumulate(w.begin(), w.end(), 0.0) <= 0.0) {
+      // Every worker everywhere is down: keep dealing by share so arrivals
+      // still land somewhere deterministic (and get accounted as sheds).
+      w.assign(share_.begin(), share_.end());
     }
     if (interleave_ == nullptr || w != weights_) {
       weights_ = std::move(w);
@@ -334,7 +351,6 @@ class ArrivalFeeder {
 
   const ExperimentConfig& cfg_;
   std::vector<int> share_;
-  bool weighted_;
   sim::ParallelSimulation* psim_;
   const Systems* systems_ = nullptr;
   trace::ArrivalStream stream_;
@@ -346,7 +362,7 @@ class ArrivalFeeder {
   std::vector<Shard> shards_;
 };
 
-/// Coordinated sharding's control plane: ONE strategy per planned share,
+/// The control plane of every sharded run: ONE strategy per planned slice,
 /// solving at window barriers from globally merged shard observations
 /// (summed demand, summed per-task arrival rates, averaged multiplicative
 /// factors) and installing the plans on the externally planned shard
@@ -355,22 +371,21 @@ class ArrivalFeeder {
 /// triggers the in-process Resource Manager uses — and, in fault mode, as
 /// soon as a shard's detected-dead set changes.
 ///
-/// Plan slices follow the arrival deal. Unweighted, every shard serves the
-/// same 1/K slice, so the floor-share plan is installed everywhere (a bigger
-/// shard's extra worker idles — the skew gap); an integral split of one
-/// full-cluster plan was measured strictly worse, since dealing its replicas
-/// across equal-demand shards starves one of them (e.g. 3 detection
-/// replicas over 2 shards). Weighted, each distinct share gets a plan sized
-/// for exactly the share / cluster slice it receives. In fault mode every
-/// shard gets its own plan: two equal shares can lose different workers.
-/// Fault mode means some shard has a fault plane: every fault-plan event
-/// lands on some shard, and an enabled detector arms all of them.
+/// Plan slices follow the arrival deal: each distinct share gets a plan sized
+/// for exactly the share / cluster slice of demand it receives. An integral
+/// split of one full-cluster plan was measured strictly worse, since dealing
+/// its replicas across equal-demand shards starves one of them (e.g. 3
+/// detection replicas over 2 shards). In fault mode every shard gets its own
+/// plan, because two equal shares can lose different workers, and the slices
+/// follow the surviving worker counts as the deal does. Fault mode means
+/// some shard has a fault plane: every fault-plan event lands on some shard,
+/// and an enabled detector arms all of them.
 class Coordinator {
  public:
   Coordinator(const pipeline::PipelineGraph& graph, const ExperimentConfig& cfg,
               const serving::ProfileTable& profiles,
-              const std::vector<int>& share, bool weighted,
-              const Systems* systems, obs::Registry* registry)
+              const std::vector<int>& share, const Systems* systems,
+              obs::Registry* registry)
       : graph_(graph),
         cfg_(cfg),
         share_(share),
@@ -382,33 +397,23 @@ class Coordinator {
     const int cluster = cfg.system_cfg.allocator.cluster_size;
     shard_plan_.assign(shards, 0);
     for (std::size_t s = 0; s < shards; ++s) {
-      const double frac = weighted ? static_cast<double>(share[s]) /
-                                         static_cast<double>(cluster)
-                                   : 1.0 / static_cast<double>(shards);
-      if (fault_mode_) {
-        shard_plan_[s] = s;
+      const auto it =
+          fault_mode_
+              ? plan_shares_.end()
+              : std::find(plan_shares_.begin(), plan_shares_.end(), share[s]);
+      shard_plan_[s] = static_cast<std::size_t>(it - plan_shares_.begin());
+      if (it == plan_shares_.end()) {
         plan_shares_.push_back(share[s]);
-        plan_fracs_.push_back(frac);
-      } else if (weighted) {
-        const auto it =
-            std::find(plan_shares_.begin(), plan_shares_.end(), share[s]);
-        shard_plan_[s] = static_cast<std::size_t>(it - plan_shares_.begin());
-        if (it == plan_shares_.end()) {
-          plan_shares_.push_back(share[s]);
-          plan_fracs_.push_back(frac);
-        }
+        plan_fracs_.push_back(static_cast<double>(share[s]) /
+                              static_cast<double>(cluster));
       }
     }
-    if (plan_shares_.empty()) {
-      plan_shares_.push_back(cluster / static_cast<int>(shards));
-      plan_fracs_.push_back(1.0 / static_cast<double>(shards));
-    }
-    // One planner per planned share; the shard systems carry none.
+    // One planner per planned slice; the shard systems carry none.
     for (const int planned : plan_shares_) {
       serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
       alloc.cluster_size = planned;
       strategies_.push_back(
-          make_planner(cfg, alloc, graph, profiles, *registry, "exp.coord"));
+          make_planner(cfg, alloc, graph, profiles, *registry));
     }
     plans_.resize(plan_shares_.size());
   }
@@ -482,21 +487,14 @@ class Coordinator {
     for (const auto& system : systems_) {
       sys_rates.push_back(system->drain_task_arrivals_now());
     }
-    // Demand fractions: static by default; under reweighted fault mode the
-    // arrival split follows the survivors, so the planned slices must too.
+    // Demand fractions: in fault mode the arrival deal follows the
+    // survivors, so the planned slices (one per shard) must too.
     std::vector<double> fracs = plan_fracs_;
-    if (fault_mode_ && cfg_.sim_reweight) {
-      double surviving_total = 0.0;
-      std::vector<double> surviving(shards, 0.0);
-      for (std::size_t s = 0; s < shards; ++s) {
-        surviving[s] = static_cast<double>(
-            std::max(0, share_[s] - systems_[s]->crashed_workers()));
-        surviving_total += surviving[s];
-      }
-      if (surviving_total > 0.0) {
-        for (std::size_t s = 0; s < shards; ++s) {
-          fracs[s] = surviving[s] / surviving_total;
-        }
+    if (fault_mode_) {
+      const std::vector<double> alive = surviving_workers(share_, systems_);
+      const double total = std::accumulate(alive.begin(), alive.end(), 0.0);
+      if (total > 0.0) {
+        for (std::size_t s = 0; s < shards; ++s) fracs[s] = alive[s] / total;
       }
     }
     for (std::size_t pi = 0; pi < plan_shares_.size(); ++pi) {
@@ -556,23 +554,16 @@ class Coordinator {
 ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
                                 const trace::DemandCurve& curve,
                                 const ExperimentConfig& cfg) {
+  check_run_level_knobs(cfg, graph);
   profile::ModelProfiler profiler(profile::default_batch_set(),
                                   /*repetitions=*/5, cfg.profiler_noise_frac,
                                   cfg.profiler_seed);
   serving::ProfileTable profiles =
       serving::build_profile_table(graph, profiler);
 
-  // Every shard's allocator needs at least one worker per task, so the
-  // shard count is bounded by cluster_size / num_tasks.
-  const std::size_t max_shards = static_cast<std::size_t>(
-      std::max(1, cfg.system_cfg.allocator.cluster_size /
-                      std::max(1, graph.num_tasks())));
-  const std::size_t shards =
-      std::min(std::max<std::size_t>(1, cfg.sim_shards), max_shards);
+  const std::size_t shards = std::max<std::size_t>(1, cfg.sim_shards);
   const std::vector<int> share =
       shard_shares(cfg.system_cfg.allocator.cluster_size, shards);
-  const bool weighted = cfg.sim_weighted_split || cfg.sim_reweight;
-  const bool coordinated = cfg.sim_coordinated && shards > 1;
 
   // One registry per run: concurrent run_experiment calls (e.g. the fig5
   // bench runs three systems on a team) must not mix series. All of
@@ -585,39 +576,35 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   pcfg.window_s = kSimWindowS;
   pcfg.threads = cfg.sim_threads;
   sim::ParallelSimulation psim(pcfg);
-  ArrivalFeeder feeder(curve, cfg, share, weighted, &psim, &registry);
+  ArrivalFeeder feeder(curve, cfg, share, &psim, &registry);
   // The global-id fault plan splits along the worker-share ranges of the
   // cluster split (cluster-wide events go to every shard); ids outside the
   // cluster are rejected here, before anything runs.
   const std::vector<fault::FaultPlan> faults =
       fault::split_by_shares(cfg.fault_plan, share);
-  check_run_level_knobs(cfg, shards);
 
-  // Uncoordinated shards each own a planner sized for their slice; it must
-  // outlive the system holding a pointer to it.
-  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
+  // A one-shard run plans for itself; its planner must outlive the system
+  // holding a pointer to it. Sharded systems carry none: the coordinator
+  // plans for them.
+  std::unique_ptr<serving::AllocationStrategy> planner;
   Systems systems;
   for (std::size_t s = 0; s < shards; ++s) {
     serving::SystemConfig scfg =
         shard_config(cfg, share, faults, s, &registry);
-    serving::AllocationStrategy* strategy = nullptr;
-    if (!coordinated) {
-      strategies.push_back(
-          make_planner(cfg, scfg.allocator, graph, profiles, registry,
-                       std::string(serving::kMetricPrefix) + ".degrade"));
-      strategy = strategies.back().get();
+    if (shards == 1) {
+      planner = make_planner(cfg, scfg.allocator, graph, profiles, registry);
     }
     systems.push_back(std::make_unique<serving::ServingSystem>(
-        &psim.shard(s), &graph, profiles, strategy, scfg));
+        &psim.shard(s), &graph, profiles, planner.get(), scfg));
   }
   // The initial allocation (solver work) runs here, on the driving thread.
   std::unique_ptr<Coordinator> coordinator;
-  if (coordinated) {
+  if (shards > 1) {
     coordinator = std::make_unique<Coordinator>(graph, cfg, profiles, share,
-                                                weighted, &systems, &registry);
+                                                &systems, &registry);
     coordinator->start();
   } else {
-    for (auto& system : systems) system->start();
+    systems[0]->start();
   }
   feeder.arm(&systems);
   psim.set_barrier_callback([&](sim::Time now) {
@@ -635,11 +622,9 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
     out.total_solve_time_s = coordinator->solve_s();
     out.allocations = coordinator->allocations();
   } else {
-    out.system_name = strategies.front()->name();
-    for (const auto& system : systems) {
-      out.total_solve_time_s += system->total_solve_time_s();
-      out.allocations += system->allocations_performed();
-    }
+    out.system_name = planner->name();
+    out.total_solve_time_s = systems[0]->total_solve_time_s();
+    out.allocations = systems[0]->allocations_performed();
   }
   // Shard 0's metrics absorb the rest, so one shard is a plain copy.
   serving::Metrics& m = out.metrics = systems[0]->metrics();

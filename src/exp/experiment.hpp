@@ -49,49 +49,28 @@ struct ExperimentConfig {
   /// Profiler measurement noise (0 = ideal profiles).
   double profiler_noise_frac = 0.0;
   std::uint64_t profiler_seed = 1;
-  /// Event shards the run is split across (clamped so every shard keeps at
-  /// least one worker per pipeline task). Every run goes through the same
-  /// driver on sim::ParallelSimulation: each shard simulates a contiguous
-  /// slice of the cluster serving its dealt slice of one global arrival
-  /// sequence (so total arrivals equal the one-shard run's exactly), and
-  /// per-shard metrics merge at the end. With one shard the run is the
-  /// plain single-cluster simulation and keeps the configured seed. See
-  /// README "Data-plane architecture" for determinism/merging caveats.
+  /// Event shards the run is split across: 0 and 1 mean one shard, and more
+  /// than cluster_size / num_tasks is rejected (a shard needs one worker per
+  /// pipeline task). Every run goes through the same driver on
+  /// sim::ParallelSimulation: each shard simulates a contiguous slice of the
+  /// cluster serving its dealt slice of one global arrival sequence (so
+  /// total arrivals equal the one-shard run's exactly), and per-shard
+  /// metrics merge at the end. One shard is the plain single-cluster
+  /// simulation, planned in-process, with the configured seed. K > 1 shards
+  /// are dealt arrivals by surviving worker count and planned by one
+  /// coordinator at the window barriers. See README "Data-plane
+  /// architecture" for determinism/merging caveats.
   std::size_t sim_shards = 1;
-  /// Where the planner runs when sim_shards > 1. Off: every shard owns a
-  /// strategy and plans its own sub-cluster on its own clock. On: ONE
-  /// strategy plans from barrier-merged observations (summed demand
-  /// estimate, summed per-task arrival rates, averaged multiplicative
-  /// factors) at window barriers, once per control epoch for each shard's
-  /// demand slice, and installs the plans via ServingSystem::install_plan()
-  /// — K× fewer solves. Deterministic for a fixed shard count regardless of
-  /// sim_threads (differential-tested). A run with one shard (after the
-  /// clamp) rejects it, as it does sim_weighted_split and sim_reweight.
+  /// Must equal sim_shards > 1, since every sharded run is coordinated;
+  /// run_experiment rejects any other value. Kept only until the benchmark
+  /// PR deletes it, because the benchmark driver assigns it.
   bool sim_coordinated = false;
   /// Threads that run the shards, the driving thread included (0 =
-  /// min(shards, hw concurrency)). A run with one shard (after the clamp
-  /// to cluster_size / num_tasks) rejects a value of 2 or more. It does not
-  /// size the planner's team: MilpAllocator solves its budget splits on
-  /// min(splits, hardware threads) threads whatever this says.
+  /// min(shards, hw concurrency)). A one-shard run rejects a value of 2 or
+  /// more. It does not size the planner's team: MilpAllocator solves its
+  /// budget splits on min(splits, hardware threads) threads whatever this
+  /// says.
   std::size_t sim_threads = 0;
-  /// Deal arrivals to shards by worker share through a deterministic
-  /// weighted interleave (WeightedInterleave below) instead of round-robin.
-  /// With cluster_size % sim_shards == 0 every share is equal and the deal
-  /// reduces exactly to round-robin (differential-tested bit-identical);
-  /// with skewed shares a bigger shard receives proportionally more
-  /// arrivals, and coordinated mode plans each distinct share for its own
-  /// share-proportional demand slice instead of assuming 1/K everywhere.
-  bool sim_weighted_split = false;
-  /// Re-weight the deal at every window barrier (implies the weighted
-  /// split): arrivals go to shards in proportion to their *surviving*
-  /// worker counts (share minus crashed workers), so a shard that loses
-  /// workers to a FaultPlan crash also sheds its proportional load to its
-  /// peers. Arrivals are dealt one window ahead, so the first barrier after
-  /// a crash re-weights the arrivals from one window (kSimWindowS) past
-  /// that barrier on. The interleave is rebuilt only when the
-  /// weights change, so with constant weights (no faults) the run is
-  /// bit-identical to the weighted split (differential-tested).
-  bool sim_reweight = false;
   /// Deterministic fault schedule (ROADMAP item 4), armed as first-class
   /// simulation events. Worker ids are global cluster ids, split into
   /// per-shard local-id plans along the contiguous worker-share ranges of
@@ -109,24 +88,23 @@ struct ExperimentConfig {
   /// every serving system; setting system_cfg.tiers instead is rejected.
   /// Disabled by default. With tiers disabled — or enabled over all-tier-0
   /// traffic — runs are bit-identical to the untiered system
-  /// (differential-tested sequential, sharded and coordinated). While
-  /// disabled, a non-default depth_watermark or remainder_priority is
-  /// rejected.
+  /// (differential-tested at K = 1 and K > 1). While disabled, a non-default
+  /// depth_watermark or remainder_priority is rejected.
   serving::TierPolicy tiers;
   /// Per-tier arrival mix, e.g. {0.2, 0.4, 0.4}: each arrival's tier is
   /// drawn from these weights on a dedicated RNG substream, in global
-  /// arrival order (the same tier sequence regardless of sim mode or shard
-  /// count). Empty = every arrival is tier 0 and NO randomness is drawn —
+  /// arrival order (the same tier sequence whatever the shard count).
+  /// Empty = every arrival is tier 0 and NO randomness is drawn —
   /// tier-less experiments stay bit-identical (passivity).
   std::vector<double> tier_mix;
   std::uint64_t tier_seed = 99;
   /// Control-plane fallback chain around every planner's plan(): the
   /// strategy -> near-warm MILP resolve -> greedy -> retain previous plan,
   /// a plan that fails validation falling to the next rung. Disabled by
-  /// default. Each planner (a shard's, or the coordinator's per share) is
-  /// wrapped in its own serving::PlanFallbackChain with rungs sized for its
-  /// cluster slice; outcomes count under serving.degrade.plan_* (per-shard
-  /// planners) or exp.coord.plan_* (the coordinator).
+  /// default. Each planner (the one-shard run's, or the coordinator's per
+  /// planned slice) is wrapped in its own serving::PlanFallbackChain with
+  /// rungs sized for its cluster slice; outcomes count under
+  /// serving.degrade.plan_*.
   serving::FallbackConfig fallback;
   /// Replay-driven arrivals: when non-empty, the experiment ignores the
   /// demand curve's arrival sampling and feeds the replay's exact
@@ -167,8 +145,8 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
 /// with the largest weighted deficit w_i * j - n_i, ties to the lowest
 /// index, where n_i counts items already assigned to shard i. Every prefix
 /// of the assignment tracks the weights to within one item per shard, and
-/// equal weights reduce exactly to round-robin (0, 1, ..., K-1, 0, ...) —
-/// the property the weighted-split differential test pins.
+/// equal weights reduce exactly to round-robin (0, 1, ..., K-1, 0, ...), so
+/// equal shares with no crash deal exactly as round-robin would.
 class WeightedInterleave {
  public:
   /// `weights` must be non-negative with a positive sum (a zero-weight shard

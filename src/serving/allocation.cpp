@@ -630,6 +630,11 @@ MilpAllocator::MilpAllocator(AllocatorConfig cfg,
   LOKI_CHECK(graph_ != nullptr);
   LOKI_CHECK_MSG(cfg_.cluster_size >= graph_->num_tasks(),
                  "cluster must fit at least one instance per task");
+  LOKI_CHECK_MSG(cfg_.warm_start_across_epochs || !cfg_.near_warm_start,
+                 "AllocatorConfig::near_warm_start is ignored while "
+                 "warm_start_across_epochs is false: the near tier resumes "
+                 "from the previous epoch's retained basis; unset one of the "
+                 "two");
 }
 
 MilpAllocator::~MilpAllocator() = default;
@@ -1155,9 +1160,8 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
   const bool has_plan = sol.status == solver::MilpStatus::kOptimal ||
                         sol.status == solver::MilpStatus::kFeasible;
   // Memoize only *proven* infeasibility: kNoSolution can mean a truncated
-  // search (possibly wall-clock truncation under machine load), and caching
-  // that would permanently disable the step for steady demand. A proven
-  // infeasible verdict is deterministic and safe to reuse.
+  // search, and caching that would permanently disable the step for steady
+  // demand. A proven infeasible verdict is deterministic and safe to reuse.
   step_cache.last_no_plan = sol.status == solver::MilpStatus::kInfeasible;
   if (!has_plan) {
     return result;

@@ -61,7 +61,9 @@ struct AllocatorConfig {
   /// previous incumbent, instead of cold-solving. Plans may then drift
   /// within the MILP optimality gap (they are still exact solves of the
   /// *current* model; only pivot counts and tie-breaking change relative
-  /// to a cold solve).
+  /// to a cold solve). Needs warm_start_across_epochs: MilpAllocator rejects
+  /// it without. run_experiment rejects it for the greedy, inferline and
+  /// proteus strategies, which never read it.
   bool near_warm_start = false;
   solver::MilpOptions milp = default_milp_options();
 

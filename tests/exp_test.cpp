@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 
 #include "baselines/inferline.hpp"
 #include "common/check.hpp"
@@ -162,8 +161,9 @@ TEST(RunExperiment, MetricsTimeseriesPopulated) {
 }
 
 // Knobs run_experiment would ignore (the fields it replaces per shard, a
-// tier mix next to a replay) are rejected rather than silently ignored; the
-// error names the knob.
+// tier mix next to a replay) and shard counts the cluster cannot hold are
+// rejected rather than silently ignored or clamped; the error names the
+// knob.
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
@@ -218,39 +218,49 @@ TEST(RunExperiment, RejectsTierMixWithReplay) {
 }
 
 TEST(RunExperiment, RejectsSimThreadsWithOneShard) {
-  // Two tasks on 8 workers allow four shards; one shard (asked for, or
-  // clamped from more than the cluster holds) has no helper to run.
+  // One shard (asked for as 1 or 0) has no helper to run.
   for (const std::size_t shards : {1, 0}) {
     auto cfg = small_config();
     cfg.sim_shards = shards;
     cfg.sim_threads = 2;
     expect_rejected(cfg, "ExperimentConfig::sim_threads");
   }
-  auto cfg = small_config();
-  cfg.system_cfg.allocator.cluster_size = 3;  // one shard after the clamp
-  cfg.sim_shards = 4;
-  cfg.sim_threads = 4;
-  expect_rejected(cfg, "ExperimentConfig::sim_threads");
 }
 
-TEST(RunExperiment, RejectsShardingKnobsWithOneShard) {
-  // One shard (asked for, or clamped from more than the cluster holds)
-  // receives every arrival and plans for itself. Pairs of (cluster_size,
-  // sim_shards); two tasks on 3 workers leave one shard.
-  const std::pair<int, std::size_t> one_shard[] = {{8, 1}, {8, 0}, {3, 4}};
-  for (const auto& [workers, shards] : one_shard) {
-    auto base = small_config();
-    base.system_cfg.allocator.cluster_size = workers;
-    base.sim_shards = shards;
-    auto coordinated = base;
-    coordinated.sim_coordinated = true;
-    expect_rejected(coordinated, "ExperimentConfig::sim_coordinated");
-    auto weighted = base;
-    weighted.sim_weighted_split = true;
-    expect_rejected(weighted, "ExperimentConfig::sim_weighted_split");
-    auto reweight = base;
-    reweight.sim_reweight = true;
-    expect_rejected(reweight, "ExperimentConfig::sim_reweight");
+TEST(RunExperiment, RejectsSimCoordinatedUnlessSharded) {
+  // Every sharded run is coordinated, and a one-shard run plans for itself:
+  // the field must equal sim_shards > 1.
+  for (const std::size_t shards : {0, 1}) {
+    auto cfg = small_config();
+    cfg.sim_shards = shards;
+    cfg.sim_coordinated = true;
+    expect_rejected(cfg, "ExperimentConfig::sim_coordinated");
+  }
+  auto cfg = small_config();
+  cfg.sim_shards = 2;
+  expect_rejected(cfg, "ExperimentConfig::sim_coordinated");
+}
+
+TEST(RunExperiment, RejectsMoreShardsThanTheClusterHolds) {
+  // Each shard needs one worker per task: two tasks on 3 workers hold one
+  // shard, so asking for more is refused rather than clamped, whatever the
+  // other sharding knobs say.
+  for (const std::size_t shards : {4, 64}) {
+    auto cfg = small_config();
+    cfg.system_cfg.allocator.cluster_size = 3;
+    cfg.sim_shards = shards;
+    cfg.sim_coordinated = true;
+    cfg.sim_threads = 4;
+    expect_rejected(cfg, "ExperimentConfig::sim_shards");
+  }
+}
+
+TEST(RunExperiment, RejectsNearWarmStartForStrategiesThatIgnoreIt) {
+  for (const char* system : {"greedy", "inferline", "proteus"}) {
+    auto cfg = small_config();
+    cfg.system = system;
+    cfg.system_cfg.allocator.near_warm_start = true;
+    expect_rejected(cfg, "near_warm_start");
   }
 }
 
@@ -265,13 +275,13 @@ TEST(RunExperiment, RejectsTierFieldsWithTiersDisabled) {
 
 TEST(RunExperiment, FallbackChainReportsTheWrappedStrategy) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  for (const bool coordinated : {false, true}) {
+  for (const std::size_t shards : {1, 2}) {
     auto cfg = small_config();
     cfg.fallback.enabled = true;
-    cfg.sim_shards = 2;
-    cfg.sim_coordinated = coordinated;
+    cfg.sim_shards = shards;
+    cfg.sim_coordinated = shards > 1;
     const auto result = run_experiment(graph, small_curve(), cfg);
-    EXPECT_EQ(result.system_name, "greedy") << coordinated;
+    EXPECT_EQ(result.system_name, "greedy") << shards << " shards";
   }
 }
 

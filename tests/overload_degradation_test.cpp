@@ -3,19 +3,19 @@
 //  1. Degradation-off passivity differentials: arming the tier machinery
 //     with inert watermarks over all-tier-0 traffic, plus the fallback
 //     chain over a primary whose plans all validate, must leave every
-//     simulation metric bit-identical to the default run in all three sim
-//     modes, and must only ever *add* zero-valued serving.degrade.* (and
-//     coordinated exp.coord.*) series to the obs snapshot.
+//     simulation metric bit-identical to the default run at one shard and
+//     at two, and must only ever *add* zero-valued serving.degrade.* series
+//     to the obs snapshot.
 //  2. Tiered overload under a pinned seed: per-tier accounting reconciles
 //     exactly (arrivals == completions + drops per tier), tier splits sum
 //     to the totals, and shedding falls strictly lowest-tier-first — the
 //     strict tier never sheds while best-effort traffic absorbs the
 //     overload.
-//  3. Tier stamping is mode-invariant: the same seed produces the same
-//     per-tier arrival counts in sequential, sharded, and coordinated
-//     runs (tiers are drawn in global arrival order, before partitioning).
+//  3. Tier stamping is shard-count-invariant: the same seed produces the
+//     same per-tier arrival counts at one shard and at two (tiers are drawn
+//     in global arrival order, before the deal).
 //  4. A primary whose every plan fails validation falls to the near-warm
-//     rung, which lands each plan, in sequential and coordinated modes.
+//     rung, which lands each plan, at one shard and at two.
 //  5. Tiers composed with a worker crash: stranded queries go through the
 //     deterministic-backoff retry path and the run stays exactly
 //     accounted.
@@ -117,8 +117,7 @@ exp::ExperimentConfig armed_inert(exp::ExperimentConfig cfg) {
 
 /// Every series present in `off` must appear in `armed` with the identical
 /// value; series only in `armed` must be zero-valued degradation ones
-/// (serving.degrade.* in-system, exp.coord.* when the coordinator owns the
-/// fallback chain).
+/// (serving.degrade.*).
 void expect_snapshot_superset(const obs::Snapshot& off,
                               const obs::Snapshot& armed) {
   for (const auto& [name, value] : off.counters) {
@@ -132,10 +131,8 @@ void expect_snapshot_superset(const obs::Snapshot& off,
   }
   for (const auto& [name, value] : armed.counters) {
     if (off.counter_value(name) == value) continue;
-    const bool degrade_series =
-        name.find(".degrade.") != std::string::npos ||
-        name.rfind("exp.coord.", 0) == 0;
-    EXPECT_TRUE(degrade_series) << "unexpected new counter " << name;
+    EXPECT_NE(name.find(".degrade."), std::string::npos)
+        << "unexpected new counter " << name;
     EXPECT_EQ(value, 0u) << "inert degrade counter " << name << " moved";
   }
 }
@@ -166,18 +163,6 @@ TEST(DegradePassivity, ArmedInertSequentialOnPinnedSeedsIsBitIdentical) {
   EXPECT_EQ(armed.obs.counter_value("serving.degrade.plan_fallbacks"), 0u);
 }
 
-TEST(DegradePassivity, ArmedInertShardedIsBitIdentical) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = od_curve();
-  auto cfg = od_config();
-  cfg.sim_shards = 2;
-  const auto off = exp::run_experiment(graph, curve, cfg);
-  const auto armed = exp::run_experiment(graph, curve, armed_inert(cfg));
-  expect_metrics_bit_identical(off, armed);
-  EXPECT_EQ(off.allocations, armed.allocations);
-  expect_snapshot_superset(off.obs, armed.obs);
-}
-
 TEST(DegradePassivity, ArmedInertCoordinatedIsBitIdentical) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = od_curve();
@@ -189,8 +174,8 @@ TEST(DegradePassivity, ArmedInertCoordinatedIsBitIdentical) {
   expect_metrics_bit_identical(off, armed);
   EXPECT_EQ(off.allocations, armed.allocations);
   expect_snapshot_superset(off.obs, armed.obs);
-  EXPECT_EQ(armed.obs.counter_value("exp.coord.plan_fallbacks"), 0u);
-  EXPECT_EQ(armed.obs.counter_value("exp.coord.plan_retained"), 0u);
+  EXPECT_EQ(armed.obs.counter_value("serving.degrade.plan_fallbacks"), 0u);
+  EXPECT_EQ(armed.obs.counter_value("serving.degrade.plan_retained"), 0u);
 }
 
 TEST(DegradePassivity, DefaultSnapshotHasNoDegradeSeries) {
@@ -322,28 +307,23 @@ TEST(TieredOverload, TieredRunIsDeterministic) {
 }
 
 TEST(TieredOverload, TierStampingIsModeInvariant) {
-  // Tiers are drawn in global arrival order before any shard partitioning,
-  // so all three sim modes see the identical per-tier arrival counts.
+  // Tiers are drawn in global arrival order before the deal to shards, so
+  // one shard and two see the identical per-tier arrival counts.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = overload_curve();
   const auto seq =
       exp::run_experiment(graph, curve, tiered_overload_config());
   auto scfg = tiered_overload_config();
   scfg.sim_shards = 2;
+  scfg.sim_coordinated = true;
   const auto sharded = exp::run_experiment(graph, curve, scfg);
-  auto ccfg = scfg;
-  ccfg.sim_coordinated = true;
-  const auto coord = exp::run_experiment(graph, curve, ccfg);
 
   for (int k = 0; k < serving::kNumTiers; ++k) {
     EXPECT_EQ(seq.metrics.tier(k).arrivals, sharded.metrics.tier(k).arrivals)
         << "tier " << k;
-    EXPECT_EQ(seq.metrics.tier(k).arrivals, coord.metrics.tier(k).arrivals)
-        << "tier " << k;
   }
-  // Parallel modes keep the aggregate reconciliation invariant too.
+  // The sharded run keeps the aggregate reconciliation invariant too.
   EXPECT_EQ(sharded.metrics.completions() + sharded.drops, sharded.arrivals);
-  EXPECT_EQ(coord.metrics.completions() + coord.drops, coord.arrivals);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,7 +390,7 @@ TEST(FallbackChain, RejectedPrimaryLandsNearWarmRung) {
 }
 
 TEST(FallbackChain, CoordinatedRejectedPrimaryLandsNearWarmRung) {
-  // The coordinator owns the chain and counts one fallback per share plan.
+  // The coordinator owns the chains and counts one fallback per slice plan.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = overload_curve();
   auto cfg = rejected_primary_config();
@@ -422,10 +402,10 @@ TEST(FallbackChain, CoordinatedRejectedPrimaryLandsNearWarmRung) {
   near_cfg.sim_coordinated = true;
   const auto near = exp::run_experiment(graph, curve, near_cfg);
 
-  EXPECT_GT(r.obs.counter_value("exp.coord.plan_fallbacks"), 0u);
-  EXPECT_EQ(r.obs.counter_value("exp.coord.plan_fallbacks"),
+  EXPECT_GT(r.obs.counter_value("serving.degrade.plan_fallbacks"), 0u);
+  EXPECT_EQ(r.obs.counter_value("serving.degrade.plan_fallbacks"),
             static_cast<std::uint64_t>(r.allocations));
-  EXPECT_EQ(r.obs.counter_value("exp.coord.plan_retained"), 0u);
+  EXPECT_EQ(r.obs.counter_value("serving.degrade.plan_retained"), 0u);
   EXPECT_EQ(r.allocations, near.allocations);
   expect_metrics_bit_identical(r, near);
   EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);

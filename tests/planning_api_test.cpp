@@ -406,6 +406,23 @@ TEST(NearWarmTier, DemandRampEngagesAndStaysWithinGap) {
   EXPECT_GT(near_stats.near_warm_hits, 0);
 }
 
+TEST(NearWarmTier, RejectedWithoutCrossEpochWarmStarts) {
+  // The tier resumes from the previous epoch's retained basis, which only
+  // cross-epoch warm starts keep.
+  Fixture f;
+  serving::AllocatorConfig cfg = f.cfg;
+  cfg.near_warm_start = true;
+  cfg.warm_start_across_epochs = false;
+  try {
+    serving::MilpAllocator alloc(cfg, &f.graph, f.profiles);
+    ADD_FAILURE() << "MilpAllocator accepted an ignored near_warm_start";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("near_warm_start"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden planner trajectory
 // ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-// Differential suite for the opt-in parallel simulation mode (tentpole 4):
+// Differential suite for the parallel simulation:
 //
 //  1. ParallelSimulation primitives: lockstep windows, deterministic
 //     cross-shard post merging, conservative-lookahead enforcement, team
 //     sizes that leave every shard's events unchanged, shard failures.
 //  2. Experiment-level differential checks: a K-shard run against the
 //     sequential reference — the total arrival count must match *exactly*
-//     (round-robin partition of one arrival sequence), aggregate accounting
-//     must hold in both modes, and the sharded run must be deterministic.
+//     (one arrival sequence dealt to the shards), aggregate accounting must
+//     hold in both, and the sharded run must be deterministic whatever its
+//     thread count.
 //  3. Sequential bit-identity goldens: the one-shard path is the
 //     bit-reproducible reference, pinned to full-precision metrics captured
 //     before the data-plane overhaul (pooled events / indexed heap /
@@ -207,6 +208,7 @@ exp::ExperimentConfig diff_config(std::size_t shards) {
   cfg.system_cfg.allocator.slo_s = 0.250;
   cfg.arrivals.seed = test::test_seed("sim_parallel_arrivals");
   cfg.sim_shards = shards;
+  cfg.sim_coordinated = shards > 1;
   return cfg;
 }
 
@@ -217,8 +219,8 @@ TEST(ParallelExperiment, ShardedRunPreservesArrivalTotalExactly) {
   const auto seq = exp::run_experiment(graph, curve, diff_config(1));
   const auto par = exp::run_experiment(graph, curve, diff_config(2));
 
-  // The sharded run round-robins the *same* arrival sequence, so the total
-  // is exact, not approximate.
+  // The sharded run deals out the *same* arrival sequence, so the total is
+  // exact, not approximate.
   EXPECT_EQ(par.arrivals, seq.arrivals);
 
   // Both modes satisfy the accounting invariants.
@@ -232,9 +234,9 @@ TEST(ParallelExperiment, ShardedRunPreservesArrivalTotalExactly) {
     EXPECT_GT(r->allocations, 0);
   }
 
-  // Metric equivalence: the workload is well inside capacity in both modes
-  // (8 workers sequentially, 4+4 sharded), so both must essentially meet
-  // the SLO; server usage must be in the same ballpark.
+  // Metric equivalence: the workload is well inside capacity in both runs
+  // (8 workers in one cell, or 4+4 planned by one coordinator), so both must
+  // essentially meet the SLO; server usage must be in the same ballpark.
   EXPECT_LE(seq.slo_violation_ratio, 0.05);
   EXPECT_LE(par.slo_violation_ratio, 0.05);
   EXPECT_GT(par.mean_servers_used, 0.5 * seq.mean_servers_used);
@@ -259,148 +261,63 @@ TEST(ParallelExperiment, ShardedRunIsDeterministic) {
 }
 
 TEST(ParallelExperiment, ShardedRunIsIndependentOfThreadCount) {
-  // Plain sharded mode must honour sim_threads (it used to run on the
-  // default thread count whatever the config said), and the outcome may not
-  // depend on it: every shard replans on its own clock, and the window
-  // barriers fix the order in which shard events meet. Four shards on one,
-  // two and four worker threads give bit-identical metrics and registry
-  // snapshots.
+  // A sharded run must honour sim_threads, and the outcome may not depend
+  // on it: the coordinator plans at window barriers on the driving thread
+  // from inputs merged in shard order, and the barriers fix the order in
+  // which shard events meet. Two and four shards on one, two and four
+  // threads give bit-identical metrics and registry snapshots.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = diff_curve();
 
-  std::vector<exp::ExperimentResult> runs;
-  for (const std::size_t threads : {1, 2, 4}) {
-    auto cfg = diff_config(4);
-    cfg.sim_threads = threads;
-    runs.push_back(exp::run_experiment(graph, curve, cfg));
-  }
-  const auto& a = runs.front();
-  EXPECT_GT(a.arrivals, 0u);
-  EXPECT_EQ(a.metrics.completions() + a.drops, a.arrivals);
-  for (std::size_t k = 1; k < runs.size(); ++k) {
-    const auto& b = runs[k];
-    SCOPED_TRACE("run " + std::to_string(k));
-    EXPECT_EQ(a.arrivals, b.arrivals);
-    EXPECT_EQ(a.drops, b.drops);
-    EXPECT_EQ(a.metrics.completions(), b.metrics.completions());
-    EXPECT_EQ(a.metrics.shed(), b.metrics.shed());
-    EXPECT_EQ(a.metrics.late(), b.metrics.late());
-    EXPECT_EQ(a.metrics.violations(), b.metrics.violations());
-    EXPECT_DOUBLE_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
-    EXPECT_DOUBLE_EQ(a.mean_accuracy, b.mean_accuracy);
-    EXPECT_DOUBLE_EQ(a.mean_latency_s, b.mean_latency_s);
-    EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
-    EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
-    EXPECT_EQ(a.allocations, b.allocations);
-    EXPECT_EQ(a.obs.counters, b.obs.counters);
-    ASSERT_EQ(a.obs.histograms.size(), b.obs.histograms.size());
-    for (std::size_t h = 0; h < a.obs.histograms.size(); ++h) {
-      const auto& ha = a.obs.histograms[h];
-      const auto& hb = b.obs.histograms[h];
-      EXPECT_EQ(ha.name, hb.name);
-      EXPECT_EQ(ha.count, hb.count) << ha.name;
-      EXPECT_EQ(ha.sum, hb.sum) << ha.name;
-      EXPECT_EQ(ha.bucket, hb.bucket) << ha.name;
+  for (const std::size_t shards : {2, 4}) {
+    std::vector<exp::ExperimentResult> runs;
+    for (const std::size_t threads : {1, 2, 4}) {
+      auto cfg = diff_config(shards);
+      cfg.sim_threads = threads;
+      runs.push_back(exp::run_experiment(graph, curve, cfg));
+    }
+    const auto& a = runs.front();
+    EXPECT_GT(a.arrivals, 0u);
+    EXPECT_EQ(a.metrics.completions() + a.drops, a.arrivals);
+    for (std::size_t k = 1; k < runs.size(); ++k) {
+      const auto& b = runs[k];
+      SCOPED_TRACE(std::to_string(shards) + " shards, run " +
+                   std::to_string(k));
+      EXPECT_EQ(a.arrivals, b.arrivals);
+      EXPECT_EQ(a.drops, b.drops);
+      EXPECT_EQ(a.metrics.completions(), b.metrics.completions());
+      EXPECT_EQ(a.metrics.shed(), b.metrics.shed());
+      EXPECT_EQ(a.metrics.late(), b.metrics.late());
+      EXPECT_EQ(a.metrics.violations(), b.metrics.violations());
+      EXPECT_DOUBLE_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
+      EXPECT_DOUBLE_EQ(a.mean_accuracy, b.mean_accuracy);
+      EXPECT_DOUBLE_EQ(a.mean_latency_s, b.mean_latency_s);
+      EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
+      EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
+      EXPECT_EQ(a.allocations, b.allocations);
+      EXPECT_EQ(a.obs.counters, b.obs.counters);
+      ASSERT_EQ(a.obs.histograms.size(), b.obs.histograms.size());
+      for (std::size_t h = 0; h < a.obs.histograms.size(); ++h) {
+        const auto& ha = a.obs.histograms[h];
+        const auto& hb = b.obs.histograms[h];
+        EXPECT_EQ(ha.name, hb.name);
+        EXPECT_EQ(ha.count, hb.count) << ha.name;
+        EXPECT_EQ(ha.sum, hb.sum) << ha.name;
+        EXPECT_EQ(ha.bucket, hb.bucket) << ha.name;
+      }
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Coordinated intra-cluster sharding (one allocator, barrier-pushed plans)
-// ---------------------------------------------------------------------------
-
-exp::ExperimentConfig coord_config(std::size_t shards, std::size_t threads) {
-  auto cfg = diff_config(shards);
-  cfg.sim_coordinated = true;
-  cfg.sim_threads = threads;
-  return cfg;
-}
-
-TEST(CoordinatedExperiment, PreservesArrivalTotalAndAccounting) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto seq = exp::run_experiment(graph, curve, diff_config(1));
-  const auto coord = exp::run_experiment(graph, curve, coord_config(2, 0));
-
-  // Same round-robin partition of one arrival sequence as sharded mode:
-  // totals match the sequential reference exactly.
-  EXPECT_EQ(coord.arrivals, seq.arrivals);
-  EXPECT_GT(coord.arrivals, 0u);
-  EXPECT_LE(coord.drops, coord.arrivals);
-  EXPECT_EQ(coord.metrics.completions() + coord.drops, coord.arrivals);
-  EXPECT_GT(coord.allocations, 0);
-  // One allocator for the whole cluster: the coordinated run performs far
-  // fewer solves than independent-per-shard mode would (K allocators each
-  // replanning on their own period), and both modes stay within SLO on this
-  // in-capacity workload.
-  EXPECT_LE(coord.slo_violation_ratio, 0.05);
-  EXPECT_GT(coord.mean_servers_used, 0.0);
-}
-
-TEST(CoordinatedExperiment, DeterministicAcrossThreadCounts) {
-  // The coordinator runs at window barriers on the driving thread with
-  // merged inputs read in shard order; nothing downstream may depend on how
-  // the OS scheduled the shard threads. One worker thread vs. two must
-  // produce bit-identical metrics.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto a = exp::run_experiment(graph, curve, coord_config(2, 1));
-  const auto b = exp::run_experiment(graph, curve, coord_config(2, 2));
-
-  EXPECT_EQ(a.arrivals, b.arrivals);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_EQ(a.metrics.completions(), b.metrics.completions());
-  EXPECT_EQ(a.metrics.shed(), b.metrics.shed());
-  EXPECT_EQ(a.metrics.late(), b.metrics.late());
-  EXPECT_DOUBLE_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(a.mean_accuracy, b.mean_accuracy);
-  EXPECT_DOUBLE_EQ(a.mean_latency_s, b.mean_latency_s);
-  EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
-  EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
-  EXPECT_EQ(a.allocations, b.allocations);
-  // total_solve_time_s is wall-clock measured inside the strategy, so it is
-  // deliberately not compared (same solves, different host timings).
-}
-
-TEST(CoordinatedExperiment, RepeatRunsAreDeterministic) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto a = exp::run_experiment(graph, curve, coord_config(2, 0));
-  const auto b = exp::run_experiment(graph, curve, coord_config(2, 0));
-
-  EXPECT_EQ(a.arrivals, b.arrivals);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_DOUBLE_EQ(a.mean_latency_s, b.mean_latency_s);
-  EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
-  EXPECT_EQ(a.allocations, b.allocations);
-}
-
-TEST(ParallelExperiment, ShardCountIsClampedToClusterSize) {
-  // More shards than the cluster can feed degenerates gracefully: every
-  // shard needs at least one worker per task, so a 3-worker cluster on a
-  // 2-task pipeline falls back to the sequential path.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-  auto cfg = diff_config(64);
-  cfg.system_cfg.allocator.cluster_size = 3;
-  const auto r = exp::run_experiment(graph, curve, cfg);
-  EXPECT_GT(r.arrivals, 0u);
-  EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);
-}
-
 TEST(ParallelExperiment, MeanServersUsedIsClusterWide) {
   // The merged servers series sums the shards' heartbeats, and
-  // mean_servers_used is its time average in every sharded mode: a plain
-  // two-shard run and a coordinated, weighted three-shard run.
+  // mean_servers_used is its time average whatever the shares: two equal
+  // shards, and three skewed ones.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = diff_curve();
-  auto weighted = coord_config(3, 0);
-  weighted.system_cfg.allocator.cluster_size = 10;
-  weighted.sim_weighted_split = true;
-  for (const auto& cfg : {diff_config(2), weighted}) {
+  auto skewed = diff_config(3);
+  skewed.system_cfg.allocator.cluster_size = 10;
+  for (const auto& cfg : {diff_config(2), skewed}) {
     SCOPED_TRACE(cfg.sim_shards);
     const auto r = exp::run_experiment(graph, curve, cfg);
     EXPECT_DOUBLE_EQ(r.mean_servers_used, r.metrics.servers_series().mean());
@@ -408,8 +325,7 @@ TEST(ParallelExperiment, MeanServersUsedIsClusterWide) {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted shard splits (satellite of the observability PR; closes the
-// per-shard demand-skew gap of ROADMAP item 2)
+// The arrival deal: by surviving worker count, through a weighted interleave
 // ---------------------------------------------------------------------------
 
 TEST(WeightedInterleave, EqualWeightsReduceToRoundRobin) {
@@ -438,55 +354,8 @@ TEST(WeightedInterleave, DeterministicAcrossInstances) {
   for (int j = 0; j < 200; ++j) EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(WeightedSplit, EqualSharesAreBitIdenticalToRoundRobinSharded) {
-  // cluster_size 8 / 2 shards -> shares {4, 4}: the weighted interleave must
-  // reduce exactly to round-robin, so the whole run is bit-identical.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, diff_config(2));
-  auto wcfg = diff_config(2);
-  wcfg.sim_weighted_split = true;
-  const auto w = exp::run_experiment(graph, curve, wcfg);
-
-  EXPECT_EQ(w.arrivals, rr.arrivals);
-  EXPECT_EQ(w.drops, rr.drops);
-  EXPECT_EQ(w.metrics.completions(), rr.metrics.completions());
-  EXPECT_EQ(w.metrics.shed(), rr.metrics.shed());
-  EXPECT_DOUBLE_EQ(w.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(w.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(w.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(w.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(w.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(w.allocations, rr.allocations);
-}
-
-TEST(WeightedSplit, EqualSharesAreBitIdenticalToRoundRobinCoordinated) {
-  // Coordinated mode with equal shares: the per-distinct-share planning path
-  // collapses to one plan with fraction share/cluster == 1/K (the same exact
-  // binary double), so metrics must match the round-robin coordinated run
-  // bit for bit.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, coord_config(2, 0));
-  auto wcfg = coord_config(2, 0);
-  wcfg.sim_weighted_split = true;
-  const auto w = exp::run_experiment(graph, curve, wcfg);
-
-  EXPECT_EQ(w.arrivals, rr.arrivals);
-  EXPECT_EQ(w.drops, rr.drops);
-  EXPECT_EQ(w.metrics.completions(), rr.metrics.completions());
-  EXPECT_DOUBLE_EQ(w.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(w.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(w.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(w.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(w.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(w.allocations, rr.allocations);
-}
-
 TEST(WeightedSplit, SkewedSharesSplitArrivalsProportionally) {
-  // cluster_size 10 / 3 shards -> shares {4, 3, 3}. The weighted partition
+  // cluster_size 10 / 3 shards -> shares {4, 3, 3}. With no crash the deal
   // must preserve the arrival total exactly and hand each shard a share-
   // proportional slice (within one item per shard at every prefix, so
   // exactly within one at the end). Per-shard observed demand is read back
@@ -496,11 +365,10 @@ TEST(WeightedSplit, SkewedSharesSplitArrivalsProportionally) {
 
   auto cfg = diff_config(3);
   cfg.system_cfg.allocator.cluster_size = 10;
-  cfg.sim_weighted_split = true;
   const auto seqcfg = [&] {
     auto c = cfg;
     c.sim_shards = 1;
-    c.sim_weighted_split = false;
+    c.sim_coordinated = false;
     return c;
   }();
 
@@ -525,15 +393,15 @@ TEST(WeightedSplit, SkewedSharesSplitArrivalsProportionally) {
 }
 
 TEST(WeightedSplit, SkewedCoordinatedRunIsDeterministicAndAccounted) {
-  // Coordinated + skewed shares: two distinct plan shares (4 and 3) are
-  // solved per epoch. Accounting must hold and repeat runs must be
-  // bit-identical regardless of worker-thread count.
+  // Skewed shares: two distinct plan slices (4 and 3 workers) are solved
+  // per epoch. Accounting must hold and repeat runs must be bit-identical
+  // regardless of worker-thread count.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = diff_curve();
 
-  auto cfg = coord_config(3, 1);
+  auto cfg = diff_config(3);
   cfg.system_cfg.allocator.cluster_size = 10;
-  cfg.sim_weighted_split = true;
+  cfg.sim_threads = 1;
   const auto a = exp::run_experiment(graph, curve, cfg);
   cfg.sim_threads = 2;
   const auto b = exp::run_experiment(graph, curve, cfg);
@@ -555,81 +423,8 @@ TEST(WeightedSplit, SkewedCoordinatedRunIsDeterministicAndAccounted) {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier re-weighting (sim_reweight, ROADMAP item 4)
+// Barrier re-weighting: a crash moves the deal to the survivors
 // ---------------------------------------------------------------------------
-
-TEST(Reweight, ConstantWeightsAreBitIdenticalSharded) {
-  // With no faults the surviving-worker weights never change, so the
-  // windowed re-weighting feeder must reproduce the upfront round-robin
-  // partition bit for bit (equal shares reduce the interleave to
-  // round-robin, and per-arrival scheduling preserves event order).
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, diff_config(2));
-  auto rcfg = diff_config(2);
-  rcfg.sim_reweight = true;
-  const auto rw = exp::run_experiment(graph, curve, rcfg);
-
-  EXPECT_EQ(rw.arrivals, rr.arrivals);
-  EXPECT_EQ(rw.drops, rr.drops);
-  EXPECT_EQ(rw.metrics.completions(), rr.metrics.completions());
-  EXPECT_EQ(rw.metrics.shed(), rr.metrics.shed());
-  EXPECT_DOUBLE_EQ(rw.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(rw.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(rw.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(rw.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(rw.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(rw.allocations, rr.allocations);
-}
-
-TEST(Reweight, ConstantWeightsAreBitIdenticalCoordinated) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, coord_config(2, 0));
-  auto rcfg = coord_config(2, 0);
-  rcfg.sim_reweight = true;
-  const auto rw = exp::run_experiment(graph, curve, rcfg);
-
-  EXPECT_EQ(rw.arrivals, rr.arrivals);
-  EXPECT_EQ(rw.drops, rr.drops);
-  EXPECT_EQ(rw.metrics.completions(), rr.metrics.completions());
-  EXPECT_DOUBLE_EQ(rw.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(rw.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(rw.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(rw.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(rw.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(rw.allocations, rr.allocations);
-}
-
-TEST(Reweight, CoordinatedReweightPlansTheWeightedSlices) {
-  // 9 workers over 2 shards: shares {5, 4}. Re-weighting deals by share even
-  // without sim_weighted_split, so the coordinator must plan each shard for
-  // its share-proportional slice too, not one 1/K floor-share plan.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  auto rcfg = coord_config(2, 0);
-  rcfg.system_cfg.allocator.cluster_size = 9;
-  rcfg.sim_reweight = true;
-  const auto rw = exp::run_experiment(graph, curve, rcfg);
-  auto wcfg = rcfg;
-  wcfg.sim_weighted_split = true;
-  const auto w = exp::run_experiment(graph, curve, wcfg);
-
-  EXPECT_EQ(rw.arrivals, w.arrivals);
-  EXPECT_EQ(rw.drops, w.drops);
-  EXPECT_EQ(rw.metrics.completions(), w.metrics.completions());
-  EXPECT_DOUBLE_EQ(rw.slo_violation_ratio, w.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(rw.mean_accuracy, w.mean_accuracy);
-  EXPECT_DOUBLE_EQ(rw.mean_latency_s, w.mean_latency_s);
-  EXPECT_DOUBLE_EQ(rw.p99_latency_s, w.p99_latency_s);
-  EXPECT_DOUBLE_EQ(rw.mean_servers_used, w.mean_servers_used);
-  EXPECT_EQ(rw.allocations, w.allocations);
-  EXPECT_EQ(rw.obs.counter_value("exp.shard0.arrivals"),
-            w.obs.counter_value("exp.shard0.arrivals"));
-}
 
 TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
   // Kill a worker in shard 0 (global id 1, shares {4, 4}) with no recovery:
@@ -640,7 +435,6 @@ TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
   const auto curve = diff_curve();
 
   auto cfg = diff_config(2);
-  cfg.sim_reweight = true;
   cfg.fault_plan = fault::crash_plan(1, 10.0, 0.0);
   const auto r = exp::run_experiment(graph, curve, cfg);
 
@@ -739,6 +533,7 @@ exp::ExperimentResult run_smoke_workload(std::size_t shards) {
   cfg.system_cfg.allocator.slo_s = 0.250;
   cfg.arrivals.seed = test::test_seed("e2e_smoke_arrivals");
   cfg.sim_shards = shards;
+  cfg.sim_coordinated = shards > 1;
   return exp::run_experiment(graph, trace::generate_trace(tcfg), cfg);
 }
 
@@ -752,8 +547,8 @@ TEST(EventCoreWork, TwoShardCountsSumOverShards) {
   // Both shards' pumps together fire every arrival of the one global
   // sequence, so the arrival lane's total is the arrival count.
   const auto r = run_smoke_workload(2);
-  expect_work(r, {3070, 4293, 5352, 15996});
-  expect_lanes(r, 3070, 7358);
+  expect_work(r, {3070, 4318, 5405, 16062});
+  expect_lanes(r, 3070, 7383);
 }
 
 TEST(EventCoreWork, DiurnalNinetySixWorkersEventCounts) {
@@ -874,9 +669,9 @@ TEST(TracerWork, DiurnalNinetySixWorkersTraceCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-mode bit-identity goldens: one pinned run for each way the driver can
-// be configured (sequential with every optional plane armed, plain sharded,
-// coordinated, coordinated with skewed weighted shares). Differential tests
+// Per-mode bit-identity goldens: one pinned run for each shape the driver
+// runs (one shard with every optional plane armed; two equal shards; three
+// skewed shares; two shards with every plane armed). Differential tests
 // only compare runs against each other; these pin the absolute outcome, so a
 // driver change that shifts every mode alike still shows up.
 // ---------------------------------------------------------------------------
@@ -943,20 +738,9 @@ TEST(ModeGoldens, SequentialReplayWithFaultsTiersAndFallback) {
                           0.19933645183646437, 2.0});
 }
 
-TEST(ModeGoldens, PlainShardedTwoShards) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  expect_golden(exp::run_experiment(graph, diff_curve(), diff_config(2)),
-                RunGolden{3180, 38, 3142, 0, 27,
-                          {{{3180, 3142, 38, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
-                          {1590, 1590},
-                          0.011949685534591196, 0.99975047740292777,
-                          0.092251549524716508, 0.22941097646271069,
-                          4.9846153846153847});
-}
-
 TEST(ModeGoldens, CoordinatedTwoShards) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  expect_golden(exp::run_experiment(graph, diff_curve(), coord_config(2, 0)),
+  expect_golden(exp::run_experiment(graph, diff_curve(), diff_config(2)),
                 RunGolden{3180, 39, 3141, 0, 13,
                           {{{3180, 3141, 39, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
                           {1590, 1590},
@@ -968,9 +752,8 @@ TEST(ModeGoldens, CoordinatedTwoShards) {
 TEST(ModeGoldens, CoordinatedThreeSkewedWeightedShards) {
   // cluster 10 over 3 shards: shares {4, 3, 3}, dealt by share.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  auto cfg = coord_config(3, 0);
+  auto cfg = diff_config(3);
   cfg.system_cfg.allocator.cluster_size = 10;
-  cfg.sim_weighted_split = true;
   expect_golden(exp::run_experiment(graph, diff_curve(), cfg),
                 RunGolden{3180, 14, 3166, 0, 26,
                           {{{3180, 3166, 14, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
@@ -990,27 +773,12 @@ void arm_every_plane(exp::ExperimentConfig& cfg) {
   cfg.fault_plan = fault::crash_plan(5, 20.0, 40.0);
 }
 
-TEST(ModeGoldens, PlainTwoShardsWithEveryPlane) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  auto cfg = diff_config(2);
-  arm_every_plane(cfg);
-  expect_golden(exp::run_experiment(graph, diff_curve(), cfg),
-                RunGolden{3180, 60, 3120, 3, 29,
-                          {{{653, 650, 3, 1}, {1201, 1190, 11, 1},
-                            {1326, 1280, 46, 1}}},
-                          {1590, 1590},
-                          0.020125786163522012, 0.99974647435897446,
-                          0.090088322508249302, 0.22252470340516892,
-                          4.9846153846153847});
-}
-
 TEST(ModeGoldens, CoordinatedTwoShardsReweightedWithEveryPlane) {
   // The coordinator must plan in fault mode (one plan per shard, sized for
   // the detected survivors) although only shard 1 is armed, and re-weight
   // the deal toward shard 0 while worker 5 is down.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  auto cfg = coord_config(2, 0);
-  cfg.sim_reweight = true;
+  auto cfg = diff_config(2);
   arm_every_plane(cfg);
   expect_golden(exp::run_experiment(graph, diff_curve(), cfg),
                 RunGolden{3180, 35, 3145, 3, 28,
