@@ -51,7 +51,7 @@ struct ExperimentConfig {
   std::uint64_t profiler_seed = 1;
   /// Event shards the run is split across: 0 and 1 mean one shard, and more
   /// than cluster_size / num_tasks is rejected (a shard needs one worker per
-  /// pipeline task). Every run goes through the same driver on
+  /// pipeline task). Every run goes through the same code on
   /// sim::ParallelSimulation: each shard simulates a contiguous slice of the
   /// cluster serving its dealt slice of one global arrival sequence (so
   /// total arrivals equal the one-shard run's exactly), and per-shard
@@ -62,8 +62,9 @@ struct ExperimentConfig {
   /// architecture" for determinism/merging caveats.
   std::size_t sim_shards = 1;
   /// Must equal sim_shards > 1, since every sharded run is coordinated;
-  /// run_experiment rejects any other value. Kept only until the benchmark
-  /// PR deletes it, because the benchmark driver assigns it.
+  /// run_experiment rejects any other value. Kept only because
+  /// benchmark/loki_bench.cpp assigns it; it goes with the next change to
+  /// the benchmark.
   bool sim_coordinated = false;
   /// Threads that run the shards, the driving thread included (0 =
   /// min(shards, hw concurrency)). A one-shard run rejects a value of 2 or

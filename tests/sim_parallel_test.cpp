@@ -669,8 +669,8 @@ TEST(TracerWork, DiurnalNinetySixWorkersTraceCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-mode bit-identity goldens: one pinned run for each shape the driver
-// runs (one shard with every optional plane armed; two equal shards; three
+// Per-mode bit-identity goldens: one pinned run for each shape a run can
+// take (one shard with every optional plane armed; two equal shards; three
 // skewed shares; two shards with every plane armed). Differential tests
 // only compare runs against each other; these pin the absolute outcome, so a
 // driver change that shifts every mode alike still shows up.
