@@ -5,17 +5,13 @@
 // report against bench/BENCH_dataplane_baseline.json, mirroring the solver
 // pivot gate.
 //
-// Three altitudes:
-//   BM_DataPlaneArrivalIngest  - event core only: a self-rescheduling
-//     arrival pump where every arrival re-arms (and therefore cancels) a
-//     far-future timeout timer. This is the rearmed-timer pattern that made
-//     the tombstone heap pay a compaction tax.
+// Two altitudes:
 //   BM_DataPlaneForwardFanout  - the serving hot path: constant heavy
 //     demand through the two-task pipeline (query-state table, routing
 //     draws, worker batching, fan-out forwarding).
 //   BM_DataPlaneE2EEpoch       - a full miniature experiment (trace ->
 //     plan -> simulate -> metrics), the same shape as the e2e smoke test.
-// A fourth family, BM_Serving*, covers the serving hot path in isolation
+// A third family, BM_Serving*, covers the serving hot path in isolation
 // (routing draws, forward hops, stage counters) and at scale (96-worker
 // e2e epoch); scripts/bench.sh --suite serving gates it separately.
 #include <benchmark/benchmark.h>
@@ -39,49 +35,6 @@
 namespace {
 
 using namespace loki;
-
-// --------------------------------------------------------------------------
-// Event core: arrival pump + rearmed timeout timers.
-// --------------------------------------------------------------------------
-void BM_DataPlaneArrivalIngest(benchmark::State& state) {
-  const std::uint64_t total = static_cast<std::uint64_t>(state.range(0));
-  // Self-rescheduling pump: one stable callable; the scheduled callback is
-  // a thin reference to it (8-byte capture, always inline in SmallFunction)
-  // instead of a re-wrapped std::function per arrival. The per-connection
-  // timeout is pushed out on every arrival via reschedule() — the re-armed
-  // timer fast path (one re-sift, no callback churn) — so it only fires
-  // after the pump stops.
-  struct Pump {
-    sim::Simulation& sim;
-    std::uint64_t total;
-    std::uint64_t n = 0;
-    sim::Simulation::EventId timeout{};
-    void operator()() {
-      ++n;
-      if (!sim.reschedule(timeout, sim.now() + 30.0)) {
-        timeout = sim.schedule_after(30.0, []() {});
-      }
-      if (n < total) sim.schedule_after(0.0001, [this]() { (*this)(); });
-    }
-  };
-  for (auto _ : state) {
-    sim::Simulation sim;
-    Pump pump{sim, total};
-    pump.timeout = sim.schedule_after(30.0, []() {});
-    sim.schedule_at(0.0, [&pump]() { pump(); });
-    sim.run_all();
-    benchmark::DoNotOptimize(pump.n);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(total) *
-                          state.iterations());
-  state.counters["arrivals_per_s"] = benchmark::Counter(
-      static_cast<double>(total) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DataPlaneArrivalIngest)
-    ->Arg(1 << 18)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Serving hot path: heavy constant demand through the two-task pipeline.

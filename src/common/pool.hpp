@@ -181,9 +181,6 @@ class HandlePool {
   void release_slot(std::uint32_t slot) { pool_.erase(slot); }
   T& at_slot(std::uint32_t slot) { return pool_.at(slot); }
   const T& at_slot(std::uint32_t slot) const { return pool_.at(slot); }
-  Handle handle_at(std::uint32_t slot) const {
-    return make_handle(slot, gens_[slot]);
-  }
 
   std::size_t size() const { return pool_.size(); }
   std::size_t slots() const { return pool_.slots(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
 
@@ -78,81 +77,9 @@ double PercentileTracker::mean() const {
   return sum_ / static_cast<double>(samples_.size());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  LOKI_CHECK(hi > lo);
-  LOKI_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  std::ptrdiff_t idx =
-      static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os << bin_lo(i) << ".." << bin_hi(i) << ": " << counts_[i] << "\n";
-  }
-  return os.str();
-}
-
 void TimeSeries::add(double t, double v) {
   LOKI_DCHECK(points_.empty() || t >= points_.back().t);
   points_.push_back({t, v});
-}
-
-std::vector<TimeSeries::Point> TimeSeries::windowed(double t0, double t1,
-                                                    double window,
-                                                    bool average) const {
-  LOKI_CHECK(window > 0.0 && t1 > t0);
-  const std::size_t nwin =
-      static_cast<std::size_t>(std::ceil((t1 - t0) / window));
-  std::vector<double> sums(nwin, 0.0);
-  std::vector<std::size_t> counts(nwin, 0);
-  for (const auto& p : points_) {
-    if (p.t < t0 || p.t >= t1) continue;
-    const auto w = static_cast<std::size_t>((p.t - t0) / window);
-    sums[std::min(w, nwin - 1)] += p.v;
-    ++counts[std::min(w, nwin - 1)];
-  }
-  std::vector<Point> out;
-  out.reserve(nwin);
-  double last = 0.0;
-  for (std::size_t w = 0; w < nwin; ++w) {
-    double v;
-    if (counts[w] == 0) {
-      v = average ? last : 0.0;
-    } else {
-      v = average ? sums[w] / static_cast<double>(counts[w]) : sums[w];
-      last = v;
-    }
-    out.push_back({t0 + window * (static_cast<double>(w) + 0.5), v});
-  }
-  return out;
-}
-
-std::vector<TimeSeries::Point> TimeSeries::window_mean(double t0, double t1,
-                                                       double window) const {
-  return windowed(t0, t1, window, /*average=*/true);
-}
-
-std::vector<TimeSeries::Point> TimeSeries::window_sum(double t0, double t1,
-                                                      double window) const {
-  return windowed(t0, t1, window, /*average=*/false);
 }
 
 double TimeSeries::mean() const {

@@ -1,12 +1,10 @@
 // Statistics accumulators used by the metrics pipeline and the benches:
-// streaming mean/variance, exact percentiles over stored samples, fixed-bin
-// histograms, and windowed time-series reduction.
+// streaming mean/variance, exact percentiles over stored samples, and
+// (time, value) series.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace loki {
@@ -61,29 +59,8 @@ class PercentileTracker {
   double sum_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so no data is dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Render as "lo..hi: count" lines (debugging / bench output).
-  std::string to_string() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// A (time, value) series with helpers to aggregate into fixed windows —
-/// used to produce the timeseries panels of Figs. 5 and 6.
+/// A time-ordered (time, value) series — the timeseries panels of Figs. 5
+/// and 6.
 class TimeSeries {
  public:
   void add(double t, double v);
@@ -96,12 +73,6 @@ class TimeSeries {
   };
   const std::vector<Point>& points() const { return points_; }
 
-  /// Means of v over consecutive windows of `window` seconds starting at
-  /// `t0`. Empty windows repeat the previous value (0 if none yet).
-  std::vector<Point> window_mean(double t0, double t1, double window) const;
-  /// Sum variant (for counting series such as arrivals per window).
-  std::vector<Point> window_sum(double t0, double t1, double window) const;
-
   double mean() const;
   double max() const;
 
@@ -112,8 +83,6 @@ class TimeSeries {
 
  private:
   std::vector<Point> points_;
-  std::vector<Point> windowed(double t0, double t1, double window,
-                              bool average) const;
 };
 
 }  // namespace loki

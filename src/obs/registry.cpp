@@ -66,29 +66,6 @@ void Snapshot::write_csv(const std::string& path) const {
   out << to_csv();
 }
 
-std::string Snapshot::to_json() const {
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << counters[i].first << "\":" << counters[i].second;
-  }
-  out << "},\"histograms\":{";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const auto& h = histograms[i];
-    if (i > 0) out << ',';
-    out << '"' << h.name << "\":{\"count\":" << h.count
-        << ",\"sum\":" << h.sum << ",\"buckets\":[";
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      if (b > 0) out << ',';
-      out << h.bucket[static_cast<std::size_t>(b)];
-    }
-    out << "]}";
-  }
-  out << "}}";
-  return out.str();
-}
-
 Registry::Registry() {
   self_snapshots_ = counter("obs.self.snapshots");
   self_snapshot_ns_ = counter("obs.self.snapshot_ns");

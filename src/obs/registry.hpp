@@ -145,10 +145,6 @@ struct Snapshot {
   /// the writer used — the serving layer records nanoseconds).
   std::string to_csv() const;
   void write_csv(const std::string& path) const;
-  /// JSON object {"counters": {...}, "histograms": {name: {count, sum,
-  /// buckets}}} for machine consumers (full bucket vectors, no quantile
-  /// pre-digestion).
-  std::string to_json() const;
 };
 
 class Registry {

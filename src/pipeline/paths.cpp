@@ -4,38 +4,6 @@
 
 namespace loki::pipeline {
 
-AugmentedGraph::AugmentedGraph(const PipelineGraph& g) {
-  first_vertex_of_task_.assign(static_cast<std::size_t>(g.num_tasks()), -1);
-  for (int t = 0; t < g.num_tasks(); ++t) {
-    first_vertex_of_task_[static_cast<std::size_t>(t)] =
-        static_cast<int>(vertices_.size());
-    for (int k = 0; k < g.task(t).catalog.size(); ++k) {
-      vertices_.push_back({t, k});
-    }
-  }
-  adj_.assign(vertices_.size(), {});
-  for (int t = 0; t < g.num_tasks(); ++t) {
-    for (int k = 0; k < g.task(t).catalog.size(); ++k) {
-      const int vid = vertex_id(t, k);
-      for (int child : g.children(t)) {
-        for (int k2 = 0; k2 < g.task(child).catalog.size(); ++k2) {
-          adj_[static_cast<std::size_t>(vid)].push_back(vertex_id(child, k2));
-        }
-      }
-    }
-  }
-}
-
-int AugmentedGraph::vertex_id(int task, int variant) const {
-  return first_vertex_of_task_.at(static_cast<std::size_t>(task)) + variant;
-}
-
-int AugmentedGraph::num_edges() const {
-  int n = 0;
-  for (const auto& a : adj_) n += static_cast<int>(a.size());
-  return n;
-}
-
 namespace {
 std::vector<VariantPath> enumerate_along(const PipelineGraph& g,
                                          const std::vector<int>& tasks) {

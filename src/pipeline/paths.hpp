@@ -24,34 +24,6 @@ struct VariantPath {
 /// differently per sink.
 using VariantPrefix = VariantPath;  // same shape; "sink" = last task
 
-/// The augmented graph itself (§4.1): one vertex per (task, variant), an
-/// edge (i,k) -> (j,k') for every task edge (i,j) and all k, k'. Exposed for
-/// tests and tooling; path enumeration below walks it implicitly.
-class AugmentedGraph {
- public:
-  explicit AugmentedGraph(const PipelineGraph& g);
-
-  struct Vertex {
-    int task;
-    int variant;
-  };
-
-  int num_vertices() const { return static_cast<int>(vertices_.size()); }
-  const Vertex& vertex(int id) const {
-    return vertices_.at(static_cast<std::size_t>(id));
-  }
-  int vertex_id(int task, int variant) const;
-  const std::vector<int>& out_edges(int vertex_id) const {
-    return adj_.at(static_cast<std::size_t>(vertex_id));
-  }
-  int num_edges() const;
-
- private:
-  std::vector<Vertex> vertices_;
-  std::vector<std::vector<int>> adj_;
-  std::vector<int> first_vertex_of_task_;  // vertex-id of (task, 0)
-};
-
 /// All variant paths from the root to `sink`, in lexicographic variant
 /// order (deterministic). Size = product of catalog sizes along the path.
 std::vector<VariantPath> enumerate_variant_paths(const PipelineGraph& g,

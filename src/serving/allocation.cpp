@@ -369,8 +369,7 @@ std::vector<double> task_budgets_for_split(
   return budgets;
 }
 
-/// One task's slice of feasible_configs; also the recompute unit of
-/// MilpAllocator::update_profile's selective invalidation.
+/// One task's slice of feasible_configs.
 static std::vector<VariantConfig> task_feasible_configs(
     const pipeline::PipelineGraph& g, const ProfileTable& profiles, int task,
     double budget, double utilization_target) {
@@ -639,8 +638,6 @@ MilpAllocator::MilpAllocator(AllocatorConfig cfg,
 
 MilpAllocator::~MilpAllocator() = default;
 
-void MilpAllocator::reset_epoch_context() { epoch_.reset(); }
-
 namespace {
 
 bool all_tasks_nonempty(const pipeline::PipelineGraph& g,
@@ -700,53 +697,6 @@ void MilpAllocator::ensure_epoch_context() {
     if (sc.feasible_hw) sc.sink_paths_hw = build_sink_paths(g, sc.configs_hw);
   }
   epoch_ = std::move(ctx);
-}
-
-void MilpAllocator::update_profile(int task, int variant,
-                                   const profile::BatchProfile& profile) {
-  const auto& g = *graph_;
-  LOKI_CHECK(task >= 0 && task < g.num_tasks());
-  LOKI_CHECK(variant >= 0 &&
-             variant < static_cast<int>(
-                 profiles_[static_cast<std::size_t>(task)].size()));
-  profiles_[static_cast<std::size_t>(task)][static_cast<std::size_t>(variant)] =
-      profile;
-  if (!epoch_) return;  // nothing cached yet; the next plan() builds fresh
-
-  for (auto& sc : epoch_->per_split) {
-    // Recompute only the re-profiled task's config list under this split's
-    // budgets. Identical configs (the common case for a re-profile that
-    // confirms the old numbers, or a variant infeasible before and after)
-    // invalidate nothing: the step models cannot change, so the retained
-    // solver sessions keep warm-starting.
-    auto fresh = task_feasible_configs(g, profiles_, task,
-                                       sc.budgets[static_cast<std::size_t>(task)],
-                                       kUtilizationTarget);
-    if (fresh == sc.configs[static_cast<std::size_t>(task)]) continue;
-
-    sc.configs[static_cast<std::size_t>(task)] = std::move(fresh);
-    sc.feasible = all_tasks_nonempty(g, sc.configs);
-    sc.sink_paths =
-        sc.feasible ? build_sink_paths(g, sc.configs)
-                    : std::vector<std::vector<ConfigPath>>{};
-    sc.steps[1] = EpochContext::StepCache();
-    // The overload step builds over the same full config view.
-    sc.overload = EpochContext::OverloadCache();
-
-    // The hardware step only sees the most-accurate-variant view; a
-    // re-profile of any other variant leaves it (and its retained basis)
-    // untouched.
-    auto fresh_hw =
-        hardware_view(g, task, sc.configs[static_cast<std::size_t>(task)]);
-    if (fresh_hw != sc.configs_hw[static_cast<std::size_t>(task)]) {
-      sc.configs_hw[static_cast<std::size_t>(task)] = std::move(fresh_hw);
-      sc.feasible_hw = all_tasks_nonempty(g, sc.configs_hw);
-      sc.sink_paths_hw =
-          sc.feasible_hw ? build_sink_paths(g, sc.configs_hw)
-                         : std::vector<std::vector<ConfigPath>>{};
-      sc.steps[0] = EpochContext::StepCache();
-    }
-  }
 }
 
 MilpAllocator::MilpResult MilpAllocator::solve_step(

@@ -78,17 +78,6 @@ struct VariantConfig {
   double latency_s = 0.0;       // profiled batch execution latency
 };
 
-/// Exact equality — the selective-invalidation check: a re-profiled variant
-/// whose chosen config is bit-identical under a split's budgets invalidates
-/// nothing in that split.
-inline bool operator==(const VariantConfig& a, const VariantConfig& b) {
-  return a.variant == b.variant && a.batch == b.batch &&
-         a.throughput_qps == b.throughput_qps && a.latency_s == b.latency_s;
-}
-inline bool operator!=(const VariantConfig& a, const VariantConfig& b) {
-  return !(a == b);
-}
-
 /// Profiles for every variant of every task: profiles[task][variant].
 using ProfileTable = std::vector<std::vector<profile::BatchProfile>>;
 
@@ -167,24 +156,6 @@ class MilpAllocator : public AllocationStrategy {
 
   const AllocatorConfig& config() const { return cfg_; }
 
-  /// Drops all EpochContext state (cached budget splits / feasible configs
-  /// and every retained solver basis), forcing the next plan() to rebuild
-  /// and cold-solve everything. Plans are unaffected.
-  void reset_epoch_context();
-
-  /// Applies a re-profiled variant (a profile-table update) and invalidates
-  /// only the EpochContext caches it actually affects, instead of the
-  /// reset_epoch_context() sledgehammer: budget splits and task budgets
-  /// never depend on profiles and always survive; a split keeps its
-  /// feasible-config tables, path enumerations, and retained solver
-  /// sessions whenever the variant's chosen config under that split's
-  /// budgets is unchanged; and the hardware-step caches are dropped only
-  /// when the task's most-accurate-variant view changed. Subsequent plans
-  /// are exactly what a full reset would produce — only the amount of
-  /// retained warm-start state differs.
-  void update_profile(int task, int variant,
-                      const profile::BatchProfile& profile);
-
   /// Explicit cross-epoch state (defined in allocation.cpp). Owns, per
   /// budget split: the cached task budgets, feasible-config tables and
   /// augmented-graph path enumerations (recomputed per solve before this
@@ -193,7 +164,7 @@ class MilpAllocator : public AllocationStrategy {
   /// whose retained basis warm-starts the next epoch's re-solve when the
   /// step model is bit-identical (see AllocatorConfig::
   /// warm_start_across_epochs). This is the state the old API hid inside
-  /// prev_variants_ and per-call locals, now named and resettable.
+  /// prev_variants_ and per-call locals, now named.
   struct EpochContext;
 
  private:

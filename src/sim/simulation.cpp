@@ -14,21 +14,8 @@ void Simulation::cancel(EventId id) {
   events_.erase(id.value);
 }
 
-bool Simulation::fire_front() {
+void Simulation::fire_front() {
   const std::uint32_t slot = heap_.front().slot;
-  {
-    Event& e = events_.at_slot(slot);
-    if (e.deferred_seq != 0) {
-      // Lazily rescheduled: the popped key is stale. Re-key the root with
-      // the deferred (t, seq) — pop order from here on is identical to an
-      // eager re-sift at reschedule() time — and fire nothing.
-      heap_.front().t = e.deferred_t;
-      heap_.front().seq = e.deferred_seq;
-      e.deferred_seq = 0;
-      sift_down(0);
-      return false;
-    }
-  }
   now_ = heap_.front().t;
   ++processed_;
   // Specialized root removal: the root never sifts up.
@@ -40,14 +27,13 @@ bool Simulation::fire_front() {
   heap_.pop_back();
   if (last != 0) sift_down(0);
   // Fire in place: the handle goes stale *before* the callback runs (so
-  // cancel()/reschedule() on the firing event are no-ops, exactly as if it
-  // had been erased), but the callback object is destroyed and its slot
-  // recycled only after it returns. Slab slots are pointer-stable, so
-  // events the callback schedules cannot move it.
+  // cancel() on the firing event is a no-op, exactly as if it had been
+  // erased), but the callback object is destroyed and its slot recycled
+  // only after it returns. Slab slots are pointer-stable, so events the
+  // callback schedules cannot move it.
   events_.invalidate_slot(slot);
   events_.at_slot(slot).cb();
   events_.release_slot(slot);
-  return true;
 }
 
 Simulation::LaneId Simulation::add_lane(std::string name) {
@@ -63,9 +49,6 @@ std::size_t Simulation::pending() const {
 }
 
 int Simulation::earliest(Time* t) const {
-  // A lazily re-keyed heap root carries a key no later than its real one,
-  // so when it wins here fire_front() only re-keys it and the caller asks
-  // again; when a lane front wins, the real key is later still.
   int src = kNothing;
   Time best_t = 0.0;
   std::uint64_t best_seq = 0;
@@ -102,16 +85,15 @@ void Simulation::fire_lane(std::size_t i) {
 }
 
 bool Simulation::step() {
-  for (;;) {
-    Time t = 0.0;
-    const int src = earliest(&t);
-    if (src == kNothing) return false;
-    if (src != kHeapRoot) {
-      fire_lane(static_cast<std::size_t>(src));
-      return true;
-    }
-    if (fire_front()) return true;
+  Time t = 0.0;
+  const int src = earliest(&t);
+  if (src == kNothing) return false;
+  if (src == kHeapRoot) {
+    fire_front();
+  } else {
+    fire_lane(static_cast<std::size_t>(src));
   }
+  return true;
 }
 
 void Simulation::run_until(Time t_end) {

@@ -10,9 +10,8 @@
 // callbacks use SmallFunction inline storage, so scheduling an event costs
 // no heap allocation for ordinary capture sizes. The pending queue is an
 // *indexed* binary heap — every event knows its heap position — so cancel()
-// and reschedule() remove or move the entry in O(log n) directly, with no
-// tombstones and no compaction passes (the old cancel-heavy timeout
-// workloads paid a periodic heap rebuild).
+// removes the entry in O(log n) directly, with no tombstones and no
+// compaction passes.
 //
 // FIFO lanes take time-ordered event streams off the heap. A lane is a ring
 // of (t, seq, callback) entries whose times never go backwards, so its
@@ -21,9 +20,9 @@
 // counter as heap events, and dispatch fires the smallest (t, seq) among the
 // heap root and the lane fronts, so the firing order is exactly the one a
 // single heap would give. A push earlier than the lane's last time falls
-// back to the heap (same order, heap cost). Lane events cannot be cancelled
-// or rescheduled; network hops and the arrival pump, which never are, use
-// lanes, and timers stay on the heap.
+// back to the heap (same order, heap cost). Lane events cannot be
+// cancelled; network hops and the arrival pump, which never are, use lanes,
+// and the workers' load and batch events, which are, stay on the heap.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +63,9 @@ class Simulation {
   Time now() const { return now_; }
 
   /// Schedules `cb` at absolute time `t` (>= now). Returns a handle usable
-  /// with cancel() / reschedule(). Defined inline: this is the data plane's
-  /// single hottest call and inlining lets callers construct the callback
-  /// straight into the event slot.
+  /// with cancel(). Defined inline: this is the data plane's single hottest
+  /// call and inlining lets callers construct the callback straight into
+  /// the event slot.
   EventId schedule_at(Time t, Callback cb) {
     LOKI_CHECK_MSG(t >= now_, "cannot schedule in the past: t="
                                   << t << " now=" << now_);
@@ -85,37 +84,6 @@ class Simulation {
   }
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);
-  /// Moves a pending event to a new time `t` (>= now) without touching its
-  /// callback — the re-armed-timer fast path (timeouts re-armed on every
-  /// request): no allocation, no callback churn, one heap re-sift. The event
-  /// is ordered as if freshly scheduled (it ties *after* events already
-  /// scheduled at `t`). Returns false if the event already fired or was
-  /// cancelled (nothing is scheduled in that case).
-  ///
-  /// Pushing an event *out* is O(1): the new key is only recorded on the
-  /// event (lazy re-key); when the old heap position surfaces, the entry is
-  /// silently re-keyed and sifted instead of firing. Pop order is identical
-  /// to an eager re-sift — the deferred key carries the sequence number
-  /// drawn here — so rearm-heavy timeout workloads pay two stores per
-  /// rearm, not two heap walks.
-  bool reschedule(EventId id, Time t) {
-    Event* e = events_.find(id.value);
-    if (e == nullptr) return false;  // already fired or cancelled
-    LOKI_CHECK_MSG(t >= now_, "cannot reschedule into the past: t="
-                                  << t << " now=" << now_);
-    const auto pos = static_cast<std::size_t>(e->heap_pos);
-    if (t >= heap_[pos].t) {
-      e->deferred_t = t;
-      e->deferred_seq = next_seq_++;
-    } else {
-      e->deferred_seq = 0;  // an earlier target overrides any deferral
-      heap_[pos].t = t;
-      heap_[pos].seq = next_seq_++;
-      sift_down(sift_up(pos));
-    }
-    return true;
-  }
-
   /// Adds an empty FIFO lane; `name` labels its LaneStats.
   LaneId add_lane(std::string name);
   /// Appends `cb` at absolute time `t` (>= now) to `lane`. It fires exactly
@@ -159,8 +127,6 @@ class Simulation {
   struct Event {
     explicit Event(Callback c) : cb(std::move(c)) {}
     std::int32_t heap_pos = -1;
-    Time deferred_t = 0.0;
-    std::uint64_t deferred_seq = 0;  // 0 = no pending lazy re-key
     Callback cb;
   };
   /// Heap entries carry the ordering key (t, seq) inline, so sift compares
@@ -197,10 +163,8 @@ class Simulation {
   void sift_down(std::size_t i);
   /// Removes the heap entry at position `pos` (the slot stays in the pool).
   void heap_remove(std::size_t pos);
-  /// Pops the earliest event and runs its callback (fire-in-place). Returns
-  /// false if the front entry only carried a stale key for a lazily
-  /// rescheduled event — the entry is silently re-keyed, nothing fires.
-  bool fire_front();
+  /// Pops the earliest heap event and runs its callback (fire-in-place).
+  void fire_front();
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;

@@ -144,7 +144,7 @@ TEST(Rng, ShuffleIsPermutation) {
 }
 
 // ---------------------------------------------------------------------------
-// RunningStats / PercentileTracker / Histogram / TimeSeries
+// RunningStats / PercentileTracker / TimeSeries
 // ---------------------------------------------------------------------------
 
 TEST(RunningStats, MatchesDirectComputation) {
@@ -251,36 +251,6 @@ TEST(PercentileTracker, SelectionMatchesSortedInterpolation) {
       EXPECT_EQ(p.quantile(q), want) << "n=" << n << " q=" << q;
     }
   }
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);   // clamps to first bin
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(TimeSeries, WindowMeanAndSum) {
-  TimeSeries ts;
-  ts.add(0.5, 10.0);
-  ts.add(1.5, 20.0);
-  ts.add(1.8, 40.0);
-  ts.add(3.5, 6.0);
-  const auto mean = ts.window_mean(0.0, 4.0, 1.0);
-  ASSERT_EQ(mean.size(), 4u);
-  EXPECT_DOUBLE_EQ(mean[0].v, 10.0);
-  EXPECT_DOUBLE_EQ(mean[1].v, 30.0);
-  EXPECT_DOUBLE_EQ(mean[2].v, 30.0);  // empty window repeats previous
-  EXPECT_DOUBLE_EQ(mean[3].v, 6.0);
-  const auto sum = ts.window_sum(0.0, 4.0, 1.0);
-  EXPECT_DOUBLE_EQ(sum[1].v, 60.0);
-  EXPECT_DOUBLE_EQ(sum[2].v, 0.0);  // sums report empty windows as 0
 }
 
 // ---------------------------------------------------------------------------

@@ -108,17 +108,6 @@ TEST(PipelineGraph, ValidateRejectsEmptyCatalog) {
   EXPECT_THROW(g.validate(), CheckFailure);
 }
 
-TEST(AugmentedGraph, VertexAndEdgeCounts) {
-  const auto g = traffic_analysis_pipeline();  // 5 + 11 + 5 variants
-  const AugmentedGraph ag(g);
-  EXPECT_EQ(ag.num_vertices(), 21);
-  // Edges: det->car 5*11, det->face 5*5.
-  EXPECT_EQ(ag.num_edges(), 5 * 11 + 5 * 5);
-  const auto& v = ag.vertex(ag.vertex_id(0, 3));
-  EXPECT_EQ(v.task, 0);
-  EXPECT_EQ(v.variant, 3);
-}
-
 TEST(Paths, EnumerationCountsAndOrder) {
   const auto g = chain3();
   const auto paths = enumerate_variant_paths(g, 2);

@@ -44,6 +44,16 @@ std::string comparable_text(const serving::AllocationPlan& plan) {
   return serving::plan_to_text(p);
 }
 
+/// Per-step solver stats of a PlanResult, by step name (nullptr when
+/// absent).
+const serving::SolverStats* step_stats(const serving::PlanResult& r,
+                                       const std::string& name) {
+  for (const auto& s : r.steps) {
+    if (s.step == name) return &s.solver;
+  }
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // StrategyRegistry
 // ---------------------------------------------------------------------------
@@ -200,100 +210,6 @@ TEST(EpochWarmStart, FiftyEpochTraceBitIdenticalToColdAndCheaper) {
   EXPECT_GE(cold_stats.lp_iterations, 2 * warm_stats.lp_iterations)
       << "warm=" << warm_stats.lp_iterations
       << " cold=" << cold_stats.lp_iterations;
-}
-
-// ---------------------------------------------------------------------------
-// Selective EpochContext invalidation (update_profile)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Per-step solver stats of a PlanResult, by step name ("" when absent).
-const serving::SolverStats* step_stats(const serving::PlanResult& r,
-                                       const std::string& name) {
-  for (const auto& s : r.steps) {
-    if (s.step == name) return &s.solver;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-TEST(SelectiveInvalidation, ProfileUpdateInvalidatesOnlyAffectedSteps) {
-  Fixture f;
-  serving::MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  // Accuracy regime: the hardware step is infeasible (memoized as an epoch
-  // cache skip from the second epoch on) and the accuracy step carries the
-  // retained solver sessions.
-  serving::PlanRequest req;
-  req.demand_qps = 1400.0;
-  req.mult = f.mult;
-  alloc.plan(req);
-  const auto primed = alloc.plan(req);
-  const auto* hw0 = step_stats(primed, "hardware");
-  const auto* acc0 = step_stats(primed, "accuracy");
-  ASSERT_NE(hw0, nullptr);
-  ASSERT_NE(acc0, nullptr);
-  ASSERT_GT(hw0->epoch_cache_skips, 0);
-  ASSERT_GT(acc0->epoch_warm_hits, 0);
-
-  // Pick a task with a variant that is NOT the most accurate one.
-  int task = -1, variant = -1;
-  for (int t = 0; t < f.graph.num_tasks() && task < 0; ++t) {
-    const int best = f.graph.task(t).catalog.most_accurate();
-    for (std::size_t v = 0; v < f.profiles[t].size(); ++v) {
-      if (static_cast<int>(v) != best) {
-        task = t;
-        variant = static_cast<int>(v);
-        break;
-      }
-    }
-  }
-  ASSERT_GE(task, 0);
-
-  // A re-profile that confirms the old numbers invalidates nothing: both
-  // steps keep their retained state.
-  alloc.update_profile(task, variant, f.profiles[task][variant]);
-  const auto confirmed = alloc.plan(req);
-  EXPECT_GT(step_stats(confirmed, "hardware")->epoch_cache_skips, 0);
-  EXPECT_GT(step_stats(confirmed, "accuracy")->epoch_warm_hits, 0);
-
-  // A real change to a non-most-accurate variant invalidates the accuracy
-  // step (its model changed) but leaves the hardware step's caches — the
-  // hardware view only contains the most accurate variant.
-  profile::BatchProfile slower = f.profiles[task][variant];
-  for (auto& q : slower.throughput_qps) q *= 0.5;
-  alloc.update_profile(task, variant, slower);
-  const auto updated = alloc.plan(req);
-  EXPECT_GT(step_stats(updated, "hardware")->epoch_cache_skips, 0);
-  EXPECT_EQ(step_stats(updated, "accuracy")->epoch_warm_hits, 0);
-
-  // The plan equals what a from-scratch allocator produces over the updated
-  // profile table: selective invalidation changes retained warm-start
-  // state, never results.
-  serving::ProfileTable fresh_profiles = f.profiles;
-  fresh_profiles[task][variant] = slower;
-  serving::MilpAllocator fresh(f.cfg, &f.graph, fresh_profiles);
-  const auto expected = fresh.plan(req);
-  EXPECT_EQ(comparable_text(updated.plan), comparable_text(expected.plan));
-}
-
-TEST(EpochWarmStart, ResetForcesColdButIdenticalPlans) {
-  Fixture f;
-  serving::MilpAllocator alloc(f.cfg, &f.graph, f.profiles);
-  serving::PlanRequest req;
-  req.demand_qps = 900.0;
-  req.mult = f.mult;
-  auto first = alloc.plan(req);
-  req.previous_plan = &first.plan;
-  auto second = alloc.plan(req);
-  alloc.reset_epoch_context();
-  auto third = alloc.plan(req);
-  // Same request, same plan, warm or not.
-  EXPECT_EQ(comparable_text(second.plan), comparable_text(third.plan));
-  // After the reset nothing is retained, so the re-plan ran cold.
-  EXPECT_EQ(third.solver.epoch_warm_hits, 0);
-  EXPECT_EQ(third.solver.epoch_cache_skips, 0);
 }
 
 TEST(EpochWarmStart, SteadyOverloadDemandSkipsReSolvesBitIdentically) {

@@ -1,8 +1,7 @@
 // Differential suite for the parallel simulation:
 //
-//  1. ParallelSimulation primitives: lockstep windows, deterministic
-//     cross-shard post merging, conservative-lookahead enforcement, team
-//     sizes that leave every shard's events unchanged, shard failures.
+//  1. ParallelSimulation primitives: lockstep windows, team sizes that
+//     leave every shard's events unchanged, shard failures.
 //  2. Experiment-level differential checks: a K-shard run against the
 //     sequential reference — the total arrival count must match *exactly*
 //     (one arrival sequence dealt to the shards), aggregate accounting must
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "exp/experiment.hpp"
 #include "fault/plan.hpp"
 #include "pipeline/pipelines.hpp"
@@ -53,86 +51,16 @@ TEST(ParallelSim, SingleShardRunsLikeSequential) {
   EXPECT_EQ(order[1], 2);
 }
 
-TEST(ParallelSim, CrossShardPostsArriveAtTargetTime) {
-  sim::ParallelSimulation::Config cfg;
-  cfg.shards = 2;
-  cfg.window_s = 0.25;
-  sim::ParallelSimulation psim(cfg);
-  double fired_at = -1.0;
-  // From shard 0's first window, post into shard 1 beyond the barrier.
-  psim.shard(0).schedule_at(0.1, [&]() {
-    psim.post(0, 1, 0.6, [&]() { fired_at = psim.shard(1).now(); });
-  });
-  psim.run_until(1.0);
-  EXPECT_DOUBLE_EQ(fired_at, 0.6);
-}
-
-TEST(ParallelSim, PostMergeOrderIsDeterministic) {
-  // Posts issued from different source shards at equal target times must
-  // apply in (t, dst, src, issue-order) order regardless of which shard's
-  // window happened to run first. Two runs must agree exactly.
-  auto run_once = [](std::vector<int>& order) {
-    sim::ParallelSimulation::Config cfg;
-    cfg.shards = 2;
-    cfg.window_s = 0.25;
-    sim::ParallelSimulation psim(cfg);
-    for (std::size_t src = 0; src < 2; ++src) {
-      psim.shard(src).schedule_at(0.1, [&psim, &order, src]() {
-        // Same destination, same time: merge key falls through to (src,
-        // issue-order).
-        psim.post(src, 0, 0.5,
-                  [&order, src]() { order.push_back(static_cast<int>(src)); });
-        psim.post(src, 0, 0.5, [&order, src]() {
-          order.push_back(10 + static_cast<int>(src));
-        });
-      });
-    }
-    psim.run_until(1.0);
-  };
-  std::vector<int> a, b;
-  run_once(a);
-  run_once(b);
-  const std::vector<int> want = {0, 10, 1, 11};
-  EXPECT_EQ(a, want);
-  EXPECT_EQ(b, want);
-}
-
-TEST(ParallelSim, PostBeforeBarrierIsRejected) {
-  // Conservative lookahead: a post targeting a time inside the current
-  // window could land in a shard's past. Must fail loudly, not corrupt.
-  sim::ParallelSimulation::Config cfg;
-  cfg.shards = 1;  // single shard runs inline, so the throw propagates
-  cfg.window_s = 0.25;
-  sim::ParallelSimulation psim(cfg);
-  bool threw = false;
-  psim.shard(0).schedule_at(0.05, [&]() {
-    try {
-      psim.post(0, 0, 0.1, []() {});  // 0.1 < window barrier 0.25
-    } catch (const CheckFailure&) {
-      threw = true;
-    }
-  });
-  psim.run_until(0.5);
-  EXPECT_TRUE(threw);
-}
-
-/// A shard's event stream that logs every firing and posts one event into
-/// the next shard a window later.
+/// A shard's event stream that logs every firing.
 struct Ticker {
   sim::ParallelSimulation* psim;
   std::vector<std::vector<double>>* log;
   std::size_t shard;
   double period;
-  double window;
 
   void operator()() const {
     sim::Simulation& s = psim->shard(shard);
     (*log)[shard].push_back(s.now());
-    const std::size_t dst = (shard + 1) % log->size();
-    std::vector<std::vector<double>>* l = log;
-    sim::ParallelSimulation* p = psim;
-    psim->post(shard, dst, s.now() + window,
-               [l, p, dst]() { (*l)[dst].push_back(-p->shard(dst).now()); });
     s.schedule_after(period, *this);
   }
 };
@@ -153,8 +81,7 @@ TEST(ParallelSim, TeamSizeDoesNotChangeAnyShardsEvents) {
     std::vector<std::vector<double>> log(kShards);
     for (std::size_t s = 0; s < kShards; ++s) {
       const double period = 0.0007 * static_cast<double>(s + 1);
-      psim.shard(s).schedule_at(
-          period, Ticker{&psim, &log, s, period, kWindow});
+      psim.shard(s).schedule_at(period, Ticker{&psim, &log, s, period});
     }
     psim.run_until(2.0);
     return log;

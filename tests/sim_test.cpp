@@ -177,64 +177,6 @@ TEST(Simulation, MassCancellationDoesNotAccumulateTombstones) {
   EXPECT_EQ(sim.processed(), 1u);
 }
 
-TEST(Simulation, RescheduleMovesEventWithoutCallbackChurn) {
-  Simulation sim;
-  std::vector<double> fired;
-  const auto id = sim.schedule_at(1.0, [&]() { fired.push_back(sim.now()); });
-  EXPECT_TRUE(sim.reschedule(id, 5.0));  // push the timer out
-  sim.schedule_at(2.0, [&]() { fired.push_back(sim.now()); });
-  sim.run_all();
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_DOUBLE_EQ(fired[0], 2.0);
-  EXPECT_DOUBLE_EQ(fired[1], 5.0);  // fired at the new time, once
-}
-
-TEST(Simulation, RescheduleTiesAfterEventsAlreadyAtTargetTime) {
-  // A rescheduled event is ordered as if freshly scheduled: it gets a new
-  // sequence number, so it ties *after* events already sitting at `t`.
-  Simulation sim;
-  std::vector<int> order;
-  const auto id = sim.schedule_at(1.0, [&]() { order.push_back(0); });
-  sim.schedule_at(3.0, [&]() { order.push_back(1); });
-  sim.reschedule(id, 3.0);
-  sim.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 0}));
-}
-
-TEST(Simulation, RescheduleAfterFireOrCancelReturnsFalse) {
-  Simulation sim;
-  int fired = 0;
-  const auto a = sim.schedule_at(1.0, [&]() { ++fired; });
-  sim.run_all();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(sim.reschedule(a, 2.0));  // already fired
-  sim.run_all();
-  EXPECT_EQ(fired, 1);  // nothing re-armed
-
-  const auto b = sim.schedule_at(3.0, [&]() { ++fired; });
-  sim.cancel(b);
-  EXPECT_FALSE(sim.reschedule(b, 4.0));  // already cancelled
-  sim.run_all();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Simulation, RearmedTimerWorkloadStaysExact) {
-  // The pattern reschedule() exists for: a timeout pushed out on every
-  // "request" so it only fires when requests stop coming.
-  Simulation sim;
-  int timeouts = 0;
-  const auto timer = sim.schedule_at(0.5, [&]() { ++timeouts; });
-  for (int i = 1; i <= 100; ++i) {
-    const double t = 0.01 * i;
-    sim.schedule_at(t, [&sim, timer, t]() {
-      EXPECT_TRUE(sim.reschedule(timer, t + 0.5));
-    });
-  }
-  sim.run_all();
-  EXPECT_EQ(timeouts, 1);
-  EXPECT_NEAR(sim.now(), 1.5, 1e-9);  // last re-arm at t=1.0 fires at 1.5
-}
-
 TEST(Simulation, HeavySelfSchedulingIsStable) {
   // A self-rescheduling periodic event plus churn: counts must be exact.
   Simulation sim;
@@ -349,31 +291,11 @@ TEST(SimulationLane, PendingAndProcessedCountLaneEvents) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(SimulationLane, LazilyRekeyedHeapRootOrdersAgainstALaneFront) {
-  // reschedule() to a later time leaves the root's old key in the heap and
-  // re-keys it only when it surfaces. That stale key must not let the
-  // event fire ahead of a lane front it now follows.
-  Simulation sim;
-  const auto lane = sim.add_lane("hop");
-  std::vector<int> order;
-  const auto late = sim.schedule_at(1.0, [&]() { order.push_back(0); });
-  ASSERT_TRUE(sim.reschedule(late, 3.0));  // deferred: the root still says 1
-  sim.push(lane, 2.0, [&]() { order.push_back(1); });
-  sim.push(lane, 3.0, [&]() { order.push_back(2); });  // ties after the rekey
-  const auto tied = sim.schedule_at(1.0, [&]() { order.push_back(3); });
-  sim.push(lane, 4.0, [&]() { order.push_back(4); });
-  ASSERT_TRUE(sim.reschedule(tied, 4.0));  // ties after the lane push at 4
-  sim.run_until(2.5);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  sim.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 4, 3}));
-}
-
 TEST(SimulationLane, RandomMixFiresInReferenceOrder) {
-  // A seeded mix of heap schedules, in-order and out-of-order lane pushes,
-  // cancels and reschedules (both directions), interleaved with run_until.
-  // The reference is the specification: every live event fires in order of
-  // (time, order of the schedule/push/reschedule call that set that time).
+  // A seeded mix of heap schedules, in-order and out-of-order lane pushes
+  // and cancels, interleaved with run_until. The reference is the
+  // specification: every live event fires in order of (time, order of the
+  // schedule/push call).
   Simulation sim;
   const Simulation::LaneId lanes[] = {sim.add_lane("a"), sim.add_lane("b")};
   std::mt19937_64 rng(20261017);
@@ -410,21 +332,15 @@ TEST(SimulationLane, RandomMixFiresInReferenceOrder) {
         sim.push(lanes[l], lt, cb);
         refs.push_back({lt, calls++, tag, true, {}});
       } else {
-        // Cancel or reschedule a random live heap event, if any.
+        // Cancel a random live heap event, if any.
         std::vector<std::size_t> heap_live;
         for (std::size_t i = 0; i < refs.size(); ++i) {
           if (refs[i].live && refs[i].id.valid()) heap_live.push_back(i);
         }
         if (heap_live.empty()) continue;
         Ref& r = refs[heap_live[pick(heap_live.size())]];
-        if (kind == 7) {
-          sim.cancel(r.id);
-          r.live = false;
-        } else {
-          ASSERT_TRUE(sim.reschedule(r.id, t));
-          r.t = t;
-          r.order = calls++;
-        }
+        sim.cancel(r.id);
+        r.live = false;
       }
     }
     const double t_end = sim.now() + 0.25 * static_cast<double>(pick(12));
