@@ -143,13 +143,13 @@ void check_run_level_knobs(const ExperimentConfig& cfg,
                      << cfg.sim_shards
                      << "): every sharded run is coordinated, and a one-shard "
                         "run plans for itself");
-  LOKI_CHECK_MSG(sharded || cfg.sim_threads <= 1,
+  const std::size_t shards = std::max<std::size_t>(1, cfg.sim_shards);
+  LOKI_CHECK_MSG(cfg.sim_threads <= shards,
                  "ExperimentConfig::sim_threads = "
-                     << cfg.sim_threads
-                     << " is ignored: the run has one shard (sim_shards = "
-                     << cfg.sim_shards
-                     << "), which runs on the driving thread alone; set "
-                        "sim_threads to 0 or 1");
+                     << cfg.sim_threads << " is more than the run's " << shards
+                     << " shard(s), and a thread runs whole shards; set it to "
+                        "0 (automatic) or at most "
+                     << shards);
   const serving::TierPolicy off;
   LOKI_CHECK_MSG(cfg.tiers.enabled ||
                      cfg.tiers.depth_watermark == off.depth_watermark,
@@ -369,7 +369,9 @@ class ArrivalFeeder {
 /// systems. It replans every rm_period_s (at the first barrier at or past
 /// the deadline), when the merged demand estimate surges or collapses — the
 /// triggers the in-process Resource Manager uses — and, in fault mode, as
-/// soon as a shard's detected-dead set changes.
+/// soon as a shard's detected-dead set changes. It counts each re-plan a
+/// dead-set change forced in serving.fault.replans, where a one-shard run's
+/// fault plane counts its own.
 ///
 /// Plan slices follow the arrival deal: each distinct share gets a plan sized
 /// for exactly the share / cluster slice of demand it receives. An integral
@@ -416,6 +418,10 @@ class Coordinator {
           make_planner(cfg, alloc, graph, profiles, *registry));
     }
     plans_.resize(plan_shares_.size());
+    if (fault_mode_) {
+      replans_ = registry->counter(std::string(serving::kMetricPrefix) +
+                                   ".fault.replans");
+    }
   }
 
   /// Starts the shard systems without planners of their own and installs
@@ -440,6 +446,7 @@ class Coordinator {
     }
     if (!due) return;
     replan(now, /*force=*/fault_due);
+    if (fault_due) replans_.add(1);
     while (next_replan_ <= now + 1e-9) {
       next_replan_ += cfg_.system_cfg.rm_period_s;
     }
@@ -547,6 +554,7 @@ class Coordinator {
   double last_demand_ = 0.0;
   bool have_plan_ = false;
   double next_replan_ = 0.0;
+  obs::Counter replans_;  // fault mode only
 };
 
 }  // namespace

@@ -67,10 +67,10 @@ struct ExperimentConfig {
   /// the benchmark.
   bool sim_coordinated = false;
   /// Threads that run the shards, the driving thread included (0 =
-  /// min(shards, hw concurrency)). A one-shard run rejects a value of 2 or
-  /// more. It does not size the planner's team: MilpAllocator solves its
-  /// budget splits on min(splits, hardware threads) threads whatever this
-  /// says.
+  /// min(shards, hw concurrency)). A value above the shard count is
+  /// rejected, since a thread runs whole shards. It does not size the
+  /// planner's team: MilpAllocator solves its budget splits on
+  /// min(splits, hardware threads) threads whatever this says.
   std::size_t sim_threads = 0;
   /// Deterministic fault schedule (ROADMAP item 4), armed as first-class
   /// simulation events. Worker ids are global cluster ids, split into

@@ -217,14 +217,20 @@ TEST(RunExperiment, RejectsTierMixWithReplay) {
   expect_rejected(cfg, "ExperimentConfig::tier_mix");
 }
 
-TEST(RunExperiment, RejectsSimThreadsWithOneShard) {
-  // One shard (asked for as 1 or 0) has no helper to run.
+TEST(RunExperiment, RejectsMoreThreadsThanShards) {
+  // A thread runs whole shards: one shard (asked for as 1 or 0) takes at
+  // most one thread, and two shards at most two.
   for (const std::size_t shards : {1, 0}) {
     auto cfg = small_config();
     cfg.sim_shards = shards;
     cfg.sim_threads = 2;
     expect_rejected(cfg, "ExperimentConfig::sim_threads");
   }
+  auto cfg = small_config();
+  cfg.sim_shards = 2;
+  cfg.sim_coordinated = true;
+  cfg.sim_threads = 3;
+  expect_rejected(cfg, "ExperimentConfig::sim_threads");
 }
 
 TEST(RunExperiment, RejectsSimCoordinatedUnlessSharded) {

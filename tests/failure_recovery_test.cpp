@@ -258,6 +258,12 @@ TEST(FailureRecovery, ShardedAndCoordinatedCrashRunsStayAccounted) {
   EXPECT_EQ(r.obs.counter_value("serving.fault.recoveries"), 1u);
   EXPECT_GE(r.obs.counter_value("serving.fault.dead"), 1u);
   EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);
+  // The coordinator's re-plans on the detected death and recovery count
+  // like the one-shard run's own.
+  const auto one = exp::run_experiment(graph, curve, crash_config());
+  EXPECT_GE(one.obs.counter_value("serving.fault.replans"), 1u);
+  EXPECT_EQ(r.obs.counter_value("serving.fault.replans"),
+            one.obs.counter_value("serving.fault.replans"));
   EXPECT_GE(static_cast<double>(r.metrics.completions()),
             0.85 * static_cast<double>(r.arrivals));
 
