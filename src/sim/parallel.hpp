@@ -64,8 +64,8 @@ class ParallelSimulation {
 
   /// Barrier hook: called on the driving thread after every window barrier,
   /// with the barrier time. All shards are quiescent at that point, so the
-  /// callback may inspect and mutate any shard directly — this is how the
-  /// experiment driver deals arrivals and plans the whole cluster at
+  /// callback may inspect and mutate any shard directly — this is how
+  /// exp::run_experiment deals arrivals and plans the whole cluster at
   /// deterministic points. Work it schedules into shards lands at or after
   /// the barrier time.
   using BarrierFn = std::function<void(Time)>;
