@@ -4,7 +4,8 @@
 //  1. Tracer unit behaviour: deterministic slot sampling, period rounding,
 //     record accumulation and flush, stale-handle guards.
 //  2. The passivity invariant: tracing on vs. off leaves every simulation
-//     metric bit-identical, differential-tested at one shard and at two.
+//     metric bit-identical, differential-tested at one shard and at two,
+//     and on the 96-worker overloaded epoch that bm_obs times.
 //  3. End-to-end attribution: stage histograms populate, trace counters
 //     reconcile with admissions, and the cluster-wide stage counters both
 //     stay monotonic across plan re-installs and match their registry twins.
@@ -245,6 +246,30 @@ TEST(TracePassivity, CoordinatedMetricsAreBitIdenticalTracingOnOrOff) {
   const auto off = exp::run_experiment(graph, curve, off_cfg);
   expect_bit_identical(on, off);
   EXPECT_GT(on.obs.counter_value("serving.trace.sampled"), 0u);
+}
+
+TEST(TracePassivity, NinetySixWorkerMilpEpochIsBitIdenticalTracingOnOrOff) {
+  // The shape bm_obs times the tracer on: 96 loki-milp workers under a
+  // constant 6000 qps for 20 s. It overloads the cluster, so drops, plan
+  // changes and the tracer's slot recycling all run.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  trace::DemandCurve curve;
+  curve.interval_s = 1.0;
+  curve.qps.assign(20, 6000.0);
+
+  exp::ExperimentConfig on_cfg;
+  on_cfg.system = "loki-milp";
+  on_cfg.system_cfg.allocator.cluster_size = 96;
+  on_cfg.system_cfg.allocator.slo_s = 0.250;
+  on_cfg.arrivals.seed = 11;
+  auto off_cfg = on_cfg;
+  off_cfg.system_cfg.trace.enabled = false;
+
+  const auto on = exp::run_experiment(graph, curve, on_cfg);
+  const auto off = exp::run_experiment(graph, curve, off_cfg);
+  expect_bit_identical(on, off);
+  EXPECT_GT(on.obs.counter_value("serving.trace.sampled"), 0u);
+  EXPECT_EQ(off.obs.counter_value("serving.trace.sampled"), 0u);
 }
 
 TEST(TracePassivity, SamplePeriodDoesNotPerturbMetrics) {
