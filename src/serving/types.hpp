@@ -135,19 +135,21 @@ struct PlanRequest {
   /// Strategies use it for plan-continuity regularization (the old hidden
   /// prev_variants_ state, now caller-owned).
   const AllocationPlan* previous_plan = nullptr;
-  /// Workers currently usable for placement. 0 (the default) means "the full
-  /// configured cluster"; the failure-recovery path sets it to the surviving
-  /// worker count so re-plans after a crash never place instances on dead
-  /// hardware. Strategies clamp their capacity to min(cluster_size, this).
-  int available_workers = 0;
+  /// Workers currently usable for placement. -1 (the default) means "the
+  /// full configured cluster"; the failure-recovery path sets it to the
+  /// surviving worker count, 0 included, so re-plans after a crash never
+  /// place instances on dead hardware. Strategies clamp their capacity to
+  /// min(cluster_size, this).
+  int available_workers = -1;
 };
 
 /// Effective placement capacity for one plan() call: the configured cluster
 /// shrunk to the request's surviving-worker count (never below one worker
-/// per task, so every stage keeps a host even in deep degradation).
+/// per task, so every stage keeps a host even in deep degradation; with no
+/// survivors at all the plan is sized at that floor).
 inline int effective_cluster_size(int cluster_size, const PlanRequest& req,
                                   int num_tasks) {
-  if (req.available_workers <= 0 || req.available_workers >= cluster_size) {
+  if (req.available_workers < 0 || req.available_workers >= cluster_size) {
     return cluster_size;
   }
   return req.available_workers > num_tasks ? req.available_workers : num_tasks;

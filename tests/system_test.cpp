@@ -485,6 +485,41 @@ TEST(FaultPlane, CrashSuspectDeadRetryReplanRecoverWithExactAccounting) {
   EXPECT_EQ(rig.counter("fault.stranded_dropped"), 0u);
 }
 
+TEST(FaultPlane, ReplanWithNoSurvivorsIsSizedAtOneWorkerPerTask) {
+  // Every worker crashes at t = 10.5 and is declared dead at t = 16. The
+  // forced re-plan then carries zero survivors, which must floor at one
+  // worker per task instead of reading as "the full cluster".
+  PlaneRig rig;
+  rig.cfg.detector.enabled = true;
+  GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
+  RecordingStrategy strategy(&greedy);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, &strategy,
+                       rig.cfg);
+  FaultPlane* fault = system.fault();
+  ASSERT_NE(fault, nullptr);
+  system.start();
+  rig.feed(system, 30.0);
+  for (int w = 0; w < rig.cfg.allocator.cluster_size; ++w) {
+    rig.sim.schedule_at(10.5, [fault, w]() { fault->inject_worker_crash(w); });
+  }
+
+  rig.sim.run_until(16.5);
+  EXPECT_EQ(fault->detector().dead_count(), rig.cfg.allocator.cluster_size);
+  ASSERT_FALSE(strategy.requests.empty());
+  EXPECT_DOUBLE_EQ(strategy.requests.back().first, 16.0);
+  EXPECT_EQ(strategy.requests.back().second, 0);
+  EXPECT_LE(system.current_plan().servers_used, rig.graph.num_tasks());
+
+  rig.sim.run_until(35.0);
+  system.finish(35.0);
+  const Metrics& m = system.metrics();
+  EXPECT_EQ(m.arrivals(), 3000u);
+  EXPECT_EQ(m.arrivals(), m.completions() + m.drops());
+  for (int k = 0; k < kNumTiers; ++k) {
+    EXPECT_EQ(m.tier(k).arrivals, m.tier(k).completions + m.tier(k).drops);
+  }
+}
+
 TEST(FaultPlane, ExternallyPlannedSystemStaysDegradedUntilItsCoordinator) {
   // No Resource Manager: a detected death leaves a re-plan pending and
   // sheds the lost capacity at the frontend until a plan is installed.
