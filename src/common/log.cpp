@@ -1,13 +1,11 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace loki {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_mutex;
 
 const char* level_name(LogLevel level) {
@@ -20,14 +18,6 @@ const char* level_name(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {

@@ -9,9 +9,8 @@ namespace loki {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Sets the minimum level that is emitted (default: kInfo).
-void set_log_level(LogLevel level);
-LogLevel log_level();
+/// Minimum level that is emitted.
+inline constexpr LogLevel kLogLevel = LogLevel::kInfo;
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
@@ -22,7 +21,7 @@ void log_emit(LogLevel level, const std::string& msg);
 #define LOKI_LOG(level, expr)                                        \
   do {                                                               \
     if (static_cast<int>(level) >=                                   \
-        static_cast<int>(::loki::log_level())) {                     \
+        static_cast<int>(::loki::kLogLevel)) {                       \
       std::ostringstream loki_log_os_;                               \
       loki_log_os_ << expr;                                          \
       ::loki::detail::log_emit(level, loki_log_os_.str());           \

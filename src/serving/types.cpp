@@ -55,12 +55,4 @@ int AllocationPlan::total_replicas() const {
   return n;
 }
 
-int AllocationPlan::replicas_of(int task, int variant) const {
-  int n = 0;
-  for (const auto& ic : instances) {
-    if (ic.task == task && ic.variant == variant) n += ic.replicas;
-  }
-  return n;
-}
-
 }  // namespace loki::serving

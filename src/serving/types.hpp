@@ -101,8 +101,6 @@ struct AllocationPlan {
   bool feasible = true;
 
   int total_replicas() const;
-  /// Replicas hosting (task, variant) summed over batch configs.
-  int replicas_of(int task, int variant) const;
 };
 
 /// Everything the Resource Manager knows when it asks for a plan (one

@@ -59,13 +59,6 @@ void LpProblem::set_bounds(int var, double lo, double hi) {
   hi_[var] = hi;
 }
 
-bool LpProblem::is_mip() const {
-  for (VarType t : types_) {
-    if (t != VarType::kContinuous) return true;
-  }
-  return false;
-}
-
 double LpProblem::objective_value(const std::vector<double>& x) const {
   LOKI_CHECK(static_cast<int>(x.size()) == num_variables());
   double v = obj_offset_;

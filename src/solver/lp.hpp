@@ -65,9 +65,6 @@ class LpProblem {
   int num_constraints() const { return static_cast<int>(constraints_.size()); }
   const std::vector<Constraint>& constraints() const { return constraints_; }
 
-  /// True if any variable is integer or binary.
-  bool is_mip() const;
-
   /// Evaluates the objective (including offset) at a point.
   double objective_value(const std::vector<double>& x) const;
 

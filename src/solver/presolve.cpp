@@ -44,20 +44,6 @@ std::vector<double> Postsolve::restore_point(
   return out;
 }
 
-std::vector<double> Postsolve::reduce_point(
-    const std::vector<double>& original) const {
-  LOKI_CHECK(static_cast<int>(original.size()) == original_variables());
-  std::vector<double> out(col_scale_.size(), 0.0);
-  for (std::size_t j = 0; j < red_idx_.size(); ++j) {
-    const int k = red_idx_[j];
-    if (k >= 0) {
-      out[static_cast<std::size_t>(k)] =
-          original[j] / col_scale_[static_cast<std::size_t>(k)];
-    }
-  }
-  return out;
-}
-
 PresolveResult presolve(const LpProblem& p, const PresolveOptions& opt) {
   PresolveResult res;
   const int nv = p.num_variables();

@@ -48,19 +48,13 @@ struct PresolveStats {
 
 struct PresolveResult;
 
-/// Maps a reduced-space point back to the original variable space (and
-/// original points into the reduced space, for warm-start incumbents).
-/// All scale factors are powers of two, so both directions are exact.
+/// Maps a reduced-space point back to the original variable space. All
+/// scale factors are powers of two, so the mapping is exact.
 class Postsolve {
  public:
   /// x_orig[j] = fixed value, or col_scale[k] * x_reduced[k] for the
   /// surviving column k = reduced_index[j].
   std::vector<double> restore_point(const std::vector<double>& reduced) const;
-
-  /// Projects an original-space point into the reduced space (dropping
-  /// fixed variables; their values are NOT checked — feasibility of the
-  /// projected point is the caller's concern).
-  std::vector<double> reduce_point(const std::vector<double>& original) const;
 
   int original_variables() const { return static_cast<int>(red_idx_.size()); }
   int reduced_variables() const { return static_cast<int>(col_scale_.size()); }
