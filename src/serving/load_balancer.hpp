@@ -65,9 +65,8 @@ struct RoutingPlan {
   /// Flattened draw view over one routing table: cumulative probability
   /// thresholds (the same left-to-right partial sums the linear pick_route
   /// accumulates, so every draw maps to the same group bit-for-bit) plus the
-  /// group ids, both contiguous. pick() is branchless either way — a
-  /// counting scan at realistic sizes, an O(log n) binary search for large
-  /// tables — with no per-draw memory traffic beyond the two arrays.
+  /// group ids, both contiguous. pick() is a branchless counting scan with
+  /// no per-draw memory traffic beyond the two arrays.
   struct DrawTable {
     const double* cum = nullptr;
     const std::int32_t* grp = nullptr;
@@ -79,29 +78,15 @@ struct RoutingPlan {
     /// the draw lands in the unplaced remainder; a draw past an exhaustive
     /// table's fp tail falls back to the last route instead of shedding.
     ///
-    /// Locates the first threshold > r. Small tables (the common case:
-    /// frontend and child tables hold a handful of groups) use a branchless
-    /// counting scan — independent compares over a contiguous double array,
-    /// one per cycle, with none of pick_route's serial fp-accumulate chain.
-    /// Large tables switch to a branchless binary search (conditional add
-    /// compiles to cmov), whose dependent-load chain only pays off once
-    /// O(n) compares cost more than O(log n) serialized levels.
+    /// Locates the first threshold > r by counting the thresholds <= r
+    /// (they never decrease): independent compares over a contiguous double
+    /// array, one per cycle, with none of pick_route's serial fp-accumulate
+    /// chain. A table holds one task's groups, a handful in practice.
     int pick(double r) const {
       if (size == 0) return -1;
       std::uint32_t first_gt = 0;
-      if (size <= 64) {
-        for (std::uint32_t i = 0; i < size; ++i) {
-          first_gt += (cum[i] <= r) ? 1u : 0u;
-        }
-      } else {
-        std::uint32_t lo = 0;
-        std::uint32_t len = size;
-        while (len > 1) {
-          const std::uint32_t half = len >> 1;
-          lo += (cum[lo + half - 1] <= r) ? half : 0u;
-          len -= half;
-        }
-        first_gt = lo + ((cum[lo] <= r) ? 1u : 0u);
+      for (std::uint32_t i = 0; i < size; ++i) {
+        first_gt += (cum[i] <= r) ? 1u : 0u;
       }
       if (first_gt < size) return grp[first_gt];
       if (cum[size - 1] >= 1.0 - 1e-9) return grp[size - 1];

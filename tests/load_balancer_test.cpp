@@ -238,6 +238,14 @@ RoutingPlan table_plan(std::vector<GroupRoute> routes) {
   return r;
 }
 
+/// A 100-group table with uneven probabilities that sum to 0.9875, so the
+/// draws past its sum shed.
+std::vector<GroupRoute> hundred_routes() {
+  std::vector<GroupRoute> routes;
+  for (int g = 0; g < 100; ++g) routes.push_back({g, (g % 7 + 1) / 400.0});
+  return routes;
+}
+
 TEST(DrawTable, MatchesLinearPickRouteOnDenseDrawSweep) {
   // Tables exercising every structural case: exhaustive, partial (sheds),
   // zero-probability routes (never drawn, but thresholds tie), singleton.
@@ -248,13 +256,14 @@ TEST(DrawTable, MatchesLinearPickRouteOnDenseDrawSweep) {
       {{5, 0.0}, {6, 0.5}, {7, 0.5}},                    // leading zero-prob
       {{1, 0.1}, {2, 0.2}, {3, 0.3}, {4, 0.39999999}},   // fp-shy of 1
       {{9, 0.6}},                                        // partial singleton
+      hundred_routes(),                                  // 100 groups
   };
   for (const auto& routes : tables) {
     const auto r = table_plan(routes);
     const auto table = r.frontend_table();
     ASSERT_EQ(table.size, routes.size());
     // Dense sweep across [0, 1) plus the exact threshold values (the
-    // boundary draws are where an off-by-one in the binary search shows).
+    // boundary draws are where an off-by-one in the counting scan shows).
     std::vector<double> draws;
     for (int i = 0; i < 2000; ++i) draws.push_back(i / 2000.0);
     double cum = 0.0;
