@@ -194,9 +194,9 @@ int main(int argc, char** argv) {
         r.metrics);
   }
 
-  // The headline number: the tiered greedy run (the configuration the
-  // overload bench gate pins) keeps the strict tier at >= 99% attainment
-  // through a 2x flash crowd plus a mid-burst crash.
+  // The headline number: the tiered greedy run (the shape ctest pins in
+  // TieredOverload.FlashCrowdKeepsStrictTierWhole) keeps the strict tier at
+  // >= 99% attainment through a 2x flash crowd plus a mid-burst crash.
   LOKI_CHECK_MSG(results[1].metrics.tier_attainment(0) >= 0.99,
                  "strict-tier attainment fell below 99%: "
                      << results[1].metrics.tier_attainment(0));

@@ -32,8 +32,9 @@
 namespace loki::obs {
 
 struct TraceOptions {
-  /// Master switch. On by default — always-on observability is the point;
-  /// the obs bench suite gates its cost at <= 3% of e2e throughput.
+  /// Master switch. On by default — always-on observability is the point.
+  /// TracerWork.* pins the tracer's work and TracePassivity.* that it
+  /// leaves the simulation bit-identical; bm_obs times its cost, ungated.
   bool enabled = true;
   /// Trace 1 in N queries (rounded down to a power of two, min 1).
   std::uint32_t sample_period = 64;
