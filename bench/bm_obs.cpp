@@ -9,8 +9,8 @@
 //     one tracing-off and one tracing-on run_experiment back to back, so
 //     host drift hits both arms. Reports overhead_frac (on/off wall-time
 //     ratio - 1). It is the only wall-clock timing of the tracer; its
-//     run-to-run spread on a shared host is wider than the cost it measures
-//     (README "Observability").
+//     run-to-run spread on a shared host is about as wide as the cost it
+//     measures (README "Observability").
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -101,7 +101,7 @@ void BM_ObsTracerOverhead(benchmark::State& state) {
       off_wall > 0.0 ? on_wall / off_wall - 1.0 : 0.0;
 }
 // The per-benchmark MinTime overrides --benchmark_min_time, so even a short
-// smoke run averages overhead_frac over about a dozen pairs.
+// smoke run averages overhead_frac over about twenty pairs.
 BENCHMARK(BM_ObsTracerOverhead)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)

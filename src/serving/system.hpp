@@ -24,7 +24,7 @@
 //
 // Hot-path discipline (per arrival / per forwarded item): routing draws go
 // through RoutingPlan::DrawTable (flat cumulative thresholds, branchless
-// binary search — bit-identical to the linear scan); replica selection is
+// counting scan — bit-identical to the linear scan); replica selection is
 // one branchless argmin over the packed per-worker load-cell array
 // (cluster::least_loaded) instead of dereferencing Worker objects; latency
 // budgets read a dense per-(task, variant) LUT rebuilt at plan install
