@@ -1,10 +1,12 @@
 // Statistics accumulators used by the metrics pipeline and the benches:
-// streaming mean/variance, exact percentiles over stored samples, and
-// (time, value) series.
+// streaming mean/variance, exact percentiles over stored samples (kept in
+// fixed-size blocks that a merge moves rather than copies), and (time, value)
+// series.
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace loki {
@@ -35,12 +37,37 @@ class RunningStats {
 
 /// Stores samples and answers exact quantile queries. Suitable for the
 /// volumes produced by a single experiment run (millions of doubles).
+///
+/// Samples live in blocks of kBlockSize doubles, filled in insertion order;
+/// add() opens a block when the last one is full. Every block has the same
+/// size, so the blocks a finished run frees serve the next run, and the
+/// allocator never holds multi-megabyte buffers of changing sizes. merge()
+/// appends the source's blocks without copying a sample, which may leave a
+/// part-filled block mid-list; the next quantile query closes such gaps by
+/// shifting samples left in place, keeping their order.
+///
+/// A quantile query reorders the stored samples, and merge() sums the
+/// source's samples in stored order, so a tracker that has answered a query
+/// cannot be a merge source (CheckFailure): merge first, then query. Querying
+/// the destination is allowed.
 class PercentileTracker {
  public:
+  /// Samples per block (256 KiB).
+  static constexpr std::size_t kBlockSize = std::size_t{1} << 15;
+
+  PercentileTracker() = default;
+  /// Copies every sample into blocks of its own, so querying the copy does
+  /// not reorder the original.
+  PercentileTracker(const PercentileTracker& other);
+  /// Takes the blocks; `other` is left empty and can be reused.
+  PercentileTracker(PercentileTracker&& other) noexcept;
+  PercentileTracker& operator=(PercentileTracker other) noexcept;
+
   void add(double x);
-  void merge(const PercentileTracker& other);
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  std::size_t count() const { return samples_.size(); }
+  /// Appends `other`'s samples after this tracker's. An rvalue hands over
+  /// its blocks; an lvalue is copied first.
+  void merge(PercentileTracker other);
+  std::size_t count() const { return count_; }
 
   /// Exact quantile with linear interpolation, q in [0, 1], by selection
   /// (the stored samples are reordered). Returns 0 when empty.
@@ -54,9 +81,22 @@ class PercentileTracker {
   double mean() const;
 
  private:
-  // Partially reordered by every quantile query.
-  mutable std::vector<double> samples_;
+  struct Block {
+    std::unique_ptr<double[]> samples;
+    std::size_t size = 0;
+  };
+  class Cursor;
+
+  Block& open_block();
+  void close_gaps() const;
+
+  // Reordered by every quantile query; gaps a merge left are closed by the
+  // first query after it.
+  mutable std::vector<Block> blocks_;
+  std::size_t count_ = 0;
   double sum_ = 0.0;
+  // Set by a quantile query: the stored order is no longer insertion order.
+  mutable bool queried_ = false;
 };
 
 /// A time-ordered (time, value) series — the timeseries panels of Figs. 5

@@ -634,9 +634,12 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
     out.total_solve_time_s = systems[0]->total_solve_time_s();
     out.allocations = systems[0]->allocations_performed();
   }
-  // Shard 0's metrics absorb the rest, so one shard is a plain copy.
-  serving::Metrics& m = out.metrics = systems[0]->metrics();
-  for (std::size_t s = 1; s < shards; ++s) m.merge(systems[s]->metrics());
+  // Shard 0's metrics absorb the rest. Every shard's metrics move, so no
+  // latency sample is copied at any shard count.
+  serving::Metrics& m = out.metrics = std::move(systems[0]->metrics());
+  for (std::size_t s = 1; s < shards; ++s) {
+    m.merge(std::move(systems[s]->metrics()));
+  }
   out.slo_violation_ratio = m.slo_violation_ratio();
   out.mean_accuracy = m.mean_accuracy();
   out.mean_latency_s = m.mean_latency_s();

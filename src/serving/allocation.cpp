@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "solver/simplex.hpp"
 
 namespace loki::serving {

@@ -1,5 +1,7 @@
 #include "serving/metrics.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace loki::serving {
@@ -89,7 +91,7 @@ double Metrics::slo_violation_ratio() const {
 
 void Metrics::flush(double t) { roll(t + window_s_); }
 
-void Metrics::merge(const Metrics& other) {
+void Metrics::merge(Metrics other) {
   LOKI_CHECK(window_s_ == other.window_s_);
   for (int t = 0; t < kNumTiers; ++t) {
     TierCounts& tc = tiers_[t];
@@ -107,7 +109,7 @@ void Metrics::merge(const Metrics& other) {
   forwards_ += other.forwards_;
   model_swaps_ += other.model_swaps_;
   accuracy_.merge(other.accuracy_);
-  latency_.merge(other.latency_);
+  latency_.merge(std::move(other.latency_));
   // Windows are anchored at t = 0, so the i-th window of every shard covers
   // the same span.
   for (std::size_t i = 0; i < other.windows_.size(); ++i) {

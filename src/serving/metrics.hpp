@@ -124,8 +124,9 @@ class Metrics {
   /// window sums, the servers series (pointwise on the shared heartbeat
   /// grid) and cluster sizes add; sample distributions merge; the ratio
   /// series are then derived again from the sums, so a K-shard merge is
-  /// exact.
-  void merge(const Metrics& other);
+  /// exact. An rvalue hands over its latency samples without copying one;
+  /// an lvalue is copied first.
+  void merge(Metrics other);
 
  private:
   /// Raw sums of one closed metrics window, stamped with its midpoint.

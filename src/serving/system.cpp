@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace loki::serving {
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace loki::solver {
 
@@ -203,8 +202,6 @@ MilpSolution BranchAndBound::solve(
         incumbent_obj = obj;
         incumbent = std::move(x);
       }
-    } else {
-      LOG_DEBUG("MILP warm start rejected (not integer-feasible)");
     }
   };
   if (warm_start) offer_incumbent(*warm_start);

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -232,7 +233,10 @@ TEST(PercentileTracker, SelectionMatchesSortedInterpolation) {
   // has distinct values, so the upper neighbour is not found by luck. Each
   // query runs on the order the previous one left behind.
   Rng rng(5);
-  for (const std::size_t n : {1u, 2u, 3u, 10u, 1001u, 100000u}) {
+  constexpr std::size_t kB = PercentileTracker::kBlockSize;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{10}, std::size_t{1001},
+                              std::size_t{100000}, kB - 1, kB, kB + 1}) {
     PercentileTracker p;
     std::vector<double> sorted;
     for (std::size_t i = 0; i < n; ++i) {
@@ -251,6 +255,181 @@ TEST(PercentileTracker, SelectionMatchesSortedInterpolation) {
       EXPECT_EQ(p.quantile(q), want) << "n=" << n << " q=" << q;
     }
   }
+}
+
+// Sorted-interpolation reference for PercentileTracker::quantile, and the
+// insertion-order sum behind its mean(), over the samples a tracker was fed.
+void expect_tracker_matches(const PercentileTracker& p,
+                            const std::vector<double>& fed) {
+  ASSERT_EQ(p.count(), fed.size());
+  double sum = 0.0;
+  for (const double x : fed) sum += x;
+  const double mean = fed.empty() ? 0.0 : sum / static_cast<double>(fed.size());
+  EXPECT_EQ(p.mean(), mean);  // bit-identical, not merely close
+  std::vector<double> sorted = fed;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    double want = 0.0;
+    if (!sorted.empty()) {
+      const double pos = q * static_cast<double>(sorted.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+      const double frac = pos - static_cast<double>(lo);
+      want = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    }
+    EXPECT_EQ(p.quantile(q), want) << "n=" << fed.size() << " q=" << q;
+  }
+  EXPECT_EQ(p.mean(), mean);  // the queries did not move it
+}
+
+// Feeds n exponential samples to `p` and records them in `fed`.
+void feed(Rng& rng, std::size_t n, PercentileTracker& p,
+          std::vector<double>& fed) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.exponential(10.0);
+    p.add(x);
+    fed.push_back(x);
+  }
+}
+
+TEST(PercentileTracker, SizesAroundTheBlockSize) {
+  constexpr std::size_t kB = PercentileTracker::kBlockSize;
+  Rng rng(17);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kB - 1, kB,
+                              kB + 1, 3 * kB + 7}) {
+    PercentileTracker p;
+    std::vector<double> fed;
+    feed(rng, n, p, fed);
+    expect_tracker_matches(p, fed);
+  }
+}
+
+TEST(PercentileTracker, MergeShapesMatchTheConcatenatedSamples) {
+  // {destination size, source size}. A merge leaves the destination's
+  // part-filled last block mid-list; the first query closes the gap.
+  constexpr std::size_t kB = PercentileTracker::kBlockSize;
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {0, 0},                   // empty into empty
+      {0, kB / 2},              // part-filled into empty
+      {kB / 2, 0},              // empty into part-filled
+      {kB / 2 + 3, kB / 2 + 5}, // part-filled into part-filled, past a block
+      {kB + 100, kB},           // full into part-filled
+      {2 * kB + 1, 3 * kB + 7}, // several blocks each side
+  };
+  Rng rng(23);
+  for (const auto& [dst_n, src_n] : shapes) {
+    SCOPED_TRACE(testing::Message() << dst_n << " <- " << src_n);
+    PercentileTracker dst, src;
+    std::vector<double> fed, src_fed;
+    feed(rng, dst_n, dst, fed);
+    feed(rng, src_n, src, src_fed);
+    dst.merge(std::move(src));
+    fed.insert(fed.end(), src_fed.begin(), src_fed.end());
+    expect_tracker_matches(dst, fed);
+    // A queried destination takes further samples and merges.
+    feed(rng, 11, dst, fed);
+    PercentileTracker more;
+    std::vector<double> more_fed;
+    feed(rng, kB / 3, more, more_fed);
+    dst.merge(std::move(more));
+    fed.insert(fed.end(), more_fed.begin(), more_fed.end());
+    expect_tracker_matches(dst, fed);
+  }
+}
+
+TEST(PercentileTracker, MergeOfMergesHasTheFlatMergeMeanBits) {
+  // Shard-shaped parts around the block size, merged flat (0 <- 1, 2, 3 in
+  // turn) and as a merge of two merges ((0 <- 1) <- (2 <- 3)).
+  constexpr std::size_t kB = PercentileTracker::kBlockSize;
+  Rng rng(29);
+  std::vector<PercentileTracker> parts(4);
+  std::vector<double> fed;
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    feed(rng, kB - 5 + 7 * s, parts[s], fed);
+  }
+  PercentileTracker flat = parts[0];
+  for (std::size_t s = 1; s < parts.size(); ++s) flat.merge(parts[s]);
+  PercentileTracker left = parts[0];
+  left.merge(parts[1]);
+  PercentileTracker right = parts[2];
+  right.merge(parts[3]);
+  left.merge(std::move(right));
+  EXPECT_EQ(left.mean(), flat.mean());
+  expect_tracker_matches(left, fed);
+  expect_tracker_matches(flat, fed);
+}
+
+TEST(PercentileTracker, CopyIsIndependentOfItsOriginal) {
+  constexpr std::size_t kB = PercentileTracker::kBlockSize;
+  Rng rng(31);
+  PercentileTracker original;
+  std::vector<double> fed;
+  feed(rng, 3 * kB + 7, original, fed);
+  PercentileTracker copy = original;
+  PercentileTracker assigned;
+  assigned = original;
+  EXPECT_GT(copy.p99(), copy.p50());
+  EXPECT_GT(assigned.p99(), assigned.p50());
+  // The queries reordered the copies only: the original is still a merge
+  // source whose samples sum in insertion order.
+  PercentileTracker merged;
+  merged.merge(original);
+  expect_tracker_matches(merged, fed);
+  expect_tracker_matches(copy, fed);
+}
+
+TEST(PercentileTracker, MovedFromTrackerCountsZeroAndIsReusable) {
+  // A defaulted move would hand over the blocks but copy the count, the
+  // sum and the queried mark.
+  constexpr std::size_t kB = PercentileTracker::kBlockSize;
+  Rng rng(37);
+  PercentileTracker dst, x;
+  std::vector<double> fed, x_fed;
+  feed(rng, 5, dst, fed);
+  feed(rng, kB + 3, x, x_fed);
+  dst.merge(std::move(x));
+  fed.insert(fed.end(), x_fed.begin(), x_fed.end());
+  EXPECT_EQ(x.count(), 0u);
+  EXPECT_EQ(x.mean(), 0.0);
+  EXPECT_EQ(x.quantile(0.5), 0.0);
+  std::vector<double> reused;
+  feed(rng, 3, x, reused);
+  expect_tracker_matches(x, reused);
+  expect_tracker_matches(dst, fed);
+
+  // Moving a queried tracker clears its mark along with its samples.
+  PercentileTracker moved_to = std::move(x);
+  expect_tracker_matches(moved_to, reused);
+  EXPECT_EQ(x.count(), 0u);
+  x.add(1.0);
+  PercentileTracker y;
+  EXPECT_NO_THROW(y.merge(std::move(x)));
+  EXPECT_EQ(y.count(), 1u);
+}
+
+TEST(PercentileTracker, MergeRejectsAQueriedSource) {
+  // merge() sums the source's samples in stored order, which a query
+  // rearranges, so merging a queried source would move the merged mean's
+  // bits. The check states the rule: merge first, then query.
+  Rng rng(11);
+  PercentileTracker a, b;
+  for (int i = 0; i < 1000; ++i) (i < 600 ? a : b).add(rng.exponential(10.0));
+  b.quantile(0.99);
+  try {
+    a.merge(b);
+    ADD_FAILURE() << "merging a queried tracker did not throw";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("before querying"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(a.count(), 600u);
+  // Querying the destination stays allowed.
+  PercentileTracker c;
+  c.add(1.0);
+  a.quantile(0.5);
+  EXPECT_NO_THROW(a.merge(std::move(c)));
+  EXPECT_EQ(a.count(), 601u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 // rolling, and utilization series.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "serving/metrics.hpp"
@@ -138,6 +140,48 @@ TEST(Metrics, MergeAveragesRatioSeriesOverEveryShard) {
   right.merge(shards[3]);
   left.merge(right);
   EXPECT_DOUBLE_EQ(left.violation_series().points()[0].v, 0.25);
+}
+
+TEST(Metrics, MergeOfMergesHasTheFlatMergeLatencyBits) {
+  // Four shards whose latency samples straddle the tracker's block size,
+  // merged flat by copy, flat by move, and as a merge of two merges (the
+  // shape above). Every sample reaches the result in shard order, so the
+  // mean has the bits of one insertion-order sum each way.
+  const std::size_t b = PercentileTracker::kBlockSize;
+  std::vector<Metrics> shards;
+  double sum = 0.0;
+  std::uint64_t n = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    Metrics m(10.0);
+    for (std::size_t i = 0; i < b - 3 + 5 * s; ++i, ++n) {
+      const double t = 1.0 + static_cast<double>(i) * 1e-4;
+      const double latency = 1e-3 * static_cast<double>((i * 7919 + s) % 1000);
+      m.record_arrival(t);
+      m.record_outcome(t, QueryOutcome::kOnTime, 1.0, latency);
+      sum += latency;
+    }
+    m.flush(10.0);
+    shards.push_back(m);
+  }
+  Metrics copied = shards[0];
+  for (std::size_t s = 1; s < 4; ++s) copied.merge(shards[s]);
+  Metrics left = shards[0];
+  left.merge(shards[1]);
+  Metrics right = shards[2];
+  right.merge(shards[3]);
+  left.merge(std::move(right));
+  std::vector<Metrics> moved_shards = shards;
+  Metrics moved = std::move(moved_shards[0]);
+  for (std::size_t s = 1; s < 4; ++s) moved.merge(std::move(moved_shards[s]));
+
+  for (const Metrics* m : {&copied, &left, &moved}) {
+    EXPECT_EQ(m->latency().count(), n);
+    EXPECT_EQ(m->completions(), n);
+    EXPECT_EQ(m->mean_latency_s(), sum / static_cast<double>(n));
+    EXPECT_EQ(m->p99_latency_s(), copied.p99_latency_s());
+  }
+  // The lvalue sources were copied, not emptied.
+  EXPECT_EQ(shards[3].latency().count(), b - 3 + 15);
 }
 
 TEST(Metrics, MergePoolsRatioSeriesFromWindowSums) {
