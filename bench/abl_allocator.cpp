@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
         near_epoch.max_gap + cold_epoch.max_gap +
         2.0 * serving::kContinuityBonus *
             static_cast<double>(cfg.cluster_size) +
-        2.0 * cfg.milp.gap_tol + 1e-9;
+        2.0 * serving::kPlanGapTol + 1e-9;
     const double drift = std::abs(near_prev.expected_accuracy -
                                   ramp_cold_prev.expected_accuracy);
     worst_drift = std::max(worst_drift, drift);

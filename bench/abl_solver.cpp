@@ -56,30 +56,6 @@ void BM_RawSimplexSize(benchmark::State& state) {
 BENCHMARK(BM_RawSimplexSize)->Arg(30)->Arg(60)->Arg(120)->Unit(
     benchmark::kMicrosecond);
 
-// Dantzig vs devex pricing on the same LP: the wall-time and pivot deltas
-// of reference-weight pricing in isolation.
-void BM_RawSimplexPricing(benchmark::State& state) {
-  const int n = 120;
-  const LpProblem p = boxed_lp(n, 3);
-  SimplexOptions opt;
-  opt.pricing = state.range(0) == 0 ? PricingRule::kDantzig
-                                    : PricingRule::kDevex;
-  SimplexSolver solver(opt);
-  int pivots = 0;
-  int resets = 0;
-  for (auto _ : state) {
-    auto sol = solver.solve(p);
-    benchmark::DoNotOptimize(sol.objective);
-    pivots = sol.iterations;
-    resets = sol.devex_resets;
-  }
-  state.counters["pivots"] = benchmark::Counter(static_cast<double>(pivots));
-  state.counters["devex_resets"] =
-      benchmark::Counter(static_cast<double>(resets));
-}
-BENCHMARK(BM_RawSimplexPricing)->Arg(0)->Arg(1)->Unit(
-    benchmark::kMicrosecond);
-
 // Presolve on/off over the allocation-shaped MILP of BM_BnbAllocationShaped:
 // rows/cols removed and the pivot/node effect of searching in the reduced
 // space.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local wrapper mirroring CI: build + test Release and Debug+ASan/UBSan,
 # then run the four example smokes on each; the Release leg also greps src/
-# for environment reads and runs the benchmark smoke. The TSan leg builds
-# RelWithDebInfo with ThreadSanitizer and runs CI's threaded suites.
+# for environment reads and runs the benchmark smoke and the bench smoke.
+# The TSan leg builds RelWithDebInfo with ThreadSanitizer and runs CI's
+# threaded suites.
 # Usage: scripts/check.sh [--release-only|--asan-only]
 #   --release-only  skips both sanitizer legs
 #   --asan-only     runs only the ASan/UBSan leg
@@ -60,6 +61,20 @@ if [[ "$run_release" == 1 ]]; then
   build_and_test release build-release -DCMAKE_BUILD_TYPE=Release
   echo "==> [release] benchmark smoke"
   benchmark/run.sh --smoke
+  # CI's "Bench smoke" step. CMake builds the four google-benchmark
+  # binaries only when it finds libbenchmark; abl_allocator always.
+  echo "==> [release] bench smoke"
+  if grep -q '^benchmark_DIR:PATH=.*NOTFOUND' build-release/CMakeCache.txt; then
+    echo "libbenchmark not found: skipping abl_solver, tab_runtime_overhead," \
+      "bm_dataplane and bm_obs"
+    build-release/abl_allocator
+  else
+    build-release/abl_solver --benchmark_min_time=0.01
+    build-release/tab_runtime_overhead --benchmark_min_time=0.01
+    build-release/abl_allocator
+    build-release/bm_dataplane --benchmark_min_time=0.01
+    build-release/bm_obs --benchmark_min_time=0.01
+  fi
 fi
 if [[ "$run_asan" == 1 ]]; then
   build_and_test asan build-asan -DCMAKE_BUILD_TYPE=Debug \

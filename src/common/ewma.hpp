@@ -2,8 +2,6 @@
 // estimate the demand it should provision for (§4.2 of the paper).
 #pragma once
 
-#include <cmath>
-
 #include "common/check.hpp"
 
 namespace loki {
@@ -35,41 +33,5 @@ class Ewma {
   double value_ = 0.0;
   bool initialized_ = false;
 };
-
-/// EWMA over irregularly-spaced samples: the decay applied to the previous
-/// estimate is exp(-dt / tau), so the estimator is invariant to the sampling
-/// cadence. Used by the demand estimator, which receives per-window counts.
-class TimeDecayEwma {
- public:
-  /// tau: time constant in seconds.
-  explicit TimeDecayEwma(double tau) : tau_(tau) { LOKI_CHECK(tau > 0.0); }
-
-  void add(double t, double sample);
-  bool initialized() const { return initialized_; }
-  double value() const { return initialized_ ? value_ : 0.0; }
-
- private:
-  double tau_;
-  double value_ = 0.0;
-  double last_t_ = 0.0;
-  bool initialized_ = false;
-};
-
-inline void TimeDecayEwma::add(double t, double sample) {
-  if (!initialized_) {
-    value_ = sample;
-    last_t_ = t;
-    initialized_ = true;
-    return;
-  }
-  const double dt = t - last_t_;
-  if (dt <= 0.0) {
-    value_ = 0.5 * (value_ + sample);  // coincident samples: average
-    return;
-  }
-  const double decay = std::exp(-dt / tau_);
-  value_ = decay * value_ + (1.0 - decay) * sample;
-  last_t_ = t;
-}
 
 }  // namespace loki

@@ -13,6 +13,26 @@ namespace loki::serving {
 
 namespace {
 
+/// The planner's branch-and-bound options; each step's solve also picks its
+/// node order (MilpAllocator::solve_step).
+constexpr solver::MilpOptions kPlannerMilp = [] {
+  solver::MilpOptions o;
+  // The accuracy objective lives in [0, 1]; differences below kPlanGapTol
+  // (0.05% system accuracy) are immaterial, and the coarser gap prunes the
+  // search hard enough to keep a full 3-step allocation within the paper's
+  // ~500 ms Gurobi budget (§6.5).
+  o.gap_tol = kPlanGapTol;
+  // The greedy warm start is already near-optimal; the node budget buys
+  // improvement attempts, not an optimality proof (the LP bound of this
+  // formulation stays fractionally above the best integer point).
+  o.max_nodes = 120;
+  // Allocation LPs have ~150 rows and solve in a few hundred pivots; a
+  // degenerate node crawling through Bland's rule must not eat the whole
+  // budget (a capped node is dropped conservatively).
+  o.lp.max_iterations = 3000;
+  return o;
+}();
+
 /// A path through the augmented graph at config granularity: position i on
 /// the root->sink task path uses feasible-config index cfg_idx[i].
 struct ConfigPath {
@@ -285,33 +305,6 @@ AllocationPlan plan_from_choice(const pipeline::PipelineGraph& g,
 }
 
 }  // namespace
-
-solver::MilpOptions AllocatorConfig::default_milp_options() {
-  solver::MilpOptions o;
-  // The accuracy objective lives in [0, 1]; differences below 5e-4 (0.05%
-  // system accuracy) are immaterial, and the coarser gap prunes the search
-  // hard enough to keep a full 3-step allocation within the paper's ~500 ms
-  // Gurobi budget (§6.5).
-  o.gap_tol = 5e-4;
-  // The greedy warm start is already near-optimal; the node budget buys
-  // improvement attempts, not an optimality proof (the LP bound of this
-  // formulation stays fractionally above the best integer point).
-  o.max_nodes = 120;
-  // Allocation LPs have ~150 rows and solve in a few hundred pivots; a
-  // degenerate node crawling through Bland's rule must not eat the whole
-  // budget (a capped node is dropped conservatively).
-  o.lp.max_iterations = 3000;
-  // Presolve: row/column elimination and fixed-variable substitution pay
-  // for themselves; implied-bound tightening and equilibration are OFF
-  // here — they reshape the node LPs in ways that make the bounded dual
-  // warm repairs (the dominant per-node cost) measurably slower on these
-  // models, even though they help one-shot cold solves. Measured on the
-  // demand {100, 900, 5000} workload: elim+fix 5.2k total pivots vs 6.1k
-  // with tightening+scaling on.
-  o.presolve_options.tighten_bounds = false;
-  o.presolve_options.scale = false;
-  return o;
-}
 
 ProfileTable build_profile_table(const pipeline::PipelineGraph& g,
                                  const profile::ModelProfiler& profiler) {
@@ -929,7 +922,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
   // and best-first reaches a stable plan fixed point (plan(prev=A) == A)
   // where diving oscillates between near-equal optima — which would break
   // the steady-state bit-identical warm tier's hit rate.
-  solver::MilpOptions step_milp = cfg_.milp;
+  solver::MilpOptions step_milp = kPlannerMilp;
   if (served_fraction_mode) {
     step_milp.node_order = solver::NodeOrder::kDepthFirst;
   }

@@ -39,6 +39,9 @@ inline constexpr double kContinuityBonus = 2e-4;
 /// longer holds under stochastic arrivals; 0.85 keeps single-replica groups
 /// (the low-demand regime) out of the heavy-queueing region.
 inline constexpr double kUtilizationTarget = 0.85;
+/// The planner's branch-and-bound optimality gap, in system-accuracy units:
+/// a plan is optimal once no open node can beat it by more than this.
+inline constexpr double kPlanGapTol = 5e-4;
 
 struct AllocatorConfig {
   int cluster_size = 20;
@@ -65,9 +68,6 @@ struct AllocatorConfig {
   /// it without. run_experiment rejects it for the greedy, inferline and
   /// proteus strategies, which never read it.
   bool near_warm_start = false;
-  solver::MilpOptions milp = default_milp_options();
-
-  static solver::MilpOptions default_milp_options();
 };
 
 /// Per-(task, variant) batch configuration chosen by a budget split.

@@ -12,10 +12,10 @@
 //                        (Eq. 5–7), where l(i,k) = Σ_b z(i,k,b)·lat(i,k,b).
 //
 // It is exponentially heavier than the budget-split model the production
-// allocator uses (extra binaries per batch choice and per path), so it is
-// exposed for tests and the allocator ablation: on small instances the
-// budget-split optimum should match the exact optimum closely, which is
-// precisely what tests/exact_milp_test.cpp verifies.
+// allocator uses (extra binaries per batch choice and per path), so only
+// tests/exact_milp_test.cpp solves it: on small instances the budget-split
+// optimum should match the exact optimum closely, which is what that test
+// verifies.
 #pragma once
 
 #include "pipeline/paths.hpp"

@@ -299,8 +299,8 @@ class ServingSystem {
 
   LoadBalancer lb_;
   Metrics metrics_;
-  /// Frontend demand estimate at the estimator's defaults (1 s windows,
-  /// EWMA weight 0.35, headroom 1.10).
+  /// Frontend demand estimate (1 s windows, EWMA weight 0.35, headroom
+  /// 1.10: the trace::kDemand* constants).
   trace::DemandEstimator demand_;
 
   AllocationPlan plan_;

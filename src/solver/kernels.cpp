@@ -111,7 +111,7 @@ int price_portable(const double* d, const ColumnState* state, const double* lo,
                    const double* hi, const double* w, int n, double tol,
                    bool bland, int* dir) {
   int q = -1;
-  double best = 0.0;  // Dantzig: |d|; devex: d^2 / w
+  double best = 0.0;  // the devex merit d^2 / w
   for (int j = 0; j < n; ++j) {
     if (state[j] == ColumnState::kBasic || lo[j] == hi[j]) continue;
     const double dj = d[j];
@@ -126,7 +126,7 @@ int price_portable(const double* d, const ColumnState* state, const double* lo,
       *dir = cand_dir;
       return j;
     }
-    const double merit = w != nullptr ? dj * dj / w[j] : std::abs(dj);
+    const double merit = dj * dj / w[j];
     if (merit > best) {
       best = merit;
       q = j;
@@ -334,9 +334,7 @@ LOKI_AVX2 int price_avx2(const double* d, const ColumnState* state,
       return q;
     }
     const __m256d merit =
-        w != nullptr
-            ? _mm256_div_pd(_mm256_mul_pd(dj, dj), _mm256_loadu_pd(w + j))
-            : abs4(dj);
+        _mm256_div_pd(_mm256_mul_pd(dj, dj), _mm256_loadu_pd(w + j));
     for_each_lane(bits, j, merit, visit);
   }
   for (; j < n; ++j) {
@@ -349,7 +347,7 @@ LOKI_AVX2 int price_avx2(const double* d, const ColumnState* state,
       *dir = state[j] == ColumnState::kAtLower ? +1 : -1;
       return j;
     }
-    visit(j, w != nullptr ? dj * dj / w[j] : std::abs(dj));
+    visit(j, dj * dj / w[j]);
   }
   return q;
 }

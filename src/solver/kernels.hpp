@@ -47,9 +47,9 @@ struct Kernels {
                     const double* hi, int n, bool below, double tol);
   /// Primal pricing: the nonbasic, non-fixed column whose reduced cost
   /// improves by more than tol (d_j < -tol at lower, d_j > tol at upper)
-  /// with the largest merit, |d_j| (w == nullptr) or d_j^2 / w_j (devex),
-  /// lowest index on ties; under `bland` the lowest improving index. Sets
-  /// *dir to +1 (rise from lower) or -1 (fall from upper). -1 when none.
+  /// with the largest devex merit d_j^2 / w_j, lowest index on ties; under
+  /// `bland` the lowest improving index. Sets *dir to +1 (rise from lower)
+  /// or -1 (fall from upper). -1 when none.
   int (*price)(const double* d, const ColumnState* state, const double* lo,
                const double* hi, const double* w, int n, double tol,
                bool bland, int* dir);

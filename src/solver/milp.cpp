@@ -20,6 +20,8 @@ std::string to_string(MilpStatus s) {
 
 namespace {
 
+constexpr double kIntTol = 1e-6;  // |x - round(x)| below this is integral
+
 struct BoundDelta {
   int var;
   double lo;
@@ -59,9 +61,8 @@ bool snap_integral(const LpProblem& p, std::vector<double>& x, double tol) {
 // The near-identical tier requires the old and new *reduced* problems to
 // live in the same combinatorial space: identical original->reduced
 // variable mapping and surviving-row list, identical variable types, and
-// identical constraint relations + sparsity. Coefficient values, bounds,
-// objectives and scale factors may all differ — a basis carries over
-// regardless.
+// identical constraint relations + sparsity. Coefficient values, bounds
+// and objectives may all differ — a basis carries over regardless.
 bool reductions_compatible(const PresolveResult& a, const PresolveResult& b) {
   if (a.post.reduced_index() != b.post.reduced_index()) return false;
   if (a.post.kept_rows() != b.post.kept_rows()) return false;
@@ -139,7 +140,7 @@ MilpSolution BranchAndBound::solve(
   PresolveResult pre_local;
   const bool use_pre = options_.presolve;
   if (use_pre) {
-    pre_local = presolve(base, options_.presolve_options);
+    pre_local = presolve(base);
     out.presolve_rows_removed = pre_local.stats.rows_removed;
     out.presolve_cols_removed = pre_local.stats.cols_removed;
     if (pre_local.infeasible) {
@@ -384,18 +385,18 @@ MilpSolution BranchAndBound::solve(
       const double v = rel.values[j];
       const double frac = v - std::floor(v);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist > options_.int_tol && dist > branch_frac_dist) {
+      if (dist > kIntTol && dist > branch_frac_dist) {
         branch_frac_dist = dist;
         branch_var = j;
       }
     }
 
     if (branch_var < 0) {
-      // Integer feasible: new incumbent. Snap in the reduced space (integer
-      // columns are never scaled, so snapped values survive postsolve
-      // exactly), then validate against the original model.
+      // Integer feasible: new incumbent. Snap in the reduced space (the
+      // postsolve copies values, so snapped ones survive it exactly), then
+      // validate against the original model.
       std::vector<double> xr = rel.values;
-      snap_integral(red, xr, options_.int_tol * 4 + 1e-9);
+      snap_integral(red, xr, kIntTol * 4 + 1e-9);
       std::vector<double> x =
           use_pre ? pre->post.restore_point(xr) : std::move(xr);
       if (base.is_feasible(x, 1e-5)) {

@@ -49,17 +49,14 @@ std::string to_string(MilpStatus s);
 enum class NodeOrder { kBestFirst, kDepthFirst };
 
 struct MilpOptions {
-  double int_tol = 1e-6;        // |x - round(x)| below this counts as integral
   double gap_tol = 1e-9;        // absolute bound-vs-incumbent pruning slack
   int max_nodes = 200000;       // branch-and-bound node budget
   NodeOrder node_order = NodeOrder::kBestFirst;
-  /// Presolve + scale the model before the shared simplex instance is
-  /// built; the search runs in the reduced space and solutions are
-  /// postsolved back. Besides shrinking the tableau, the implied finite
-  /// boxes presolve derives are what let node LPs start dual-feasible and
-  /// skip the artificial phase 1.
+  /// Presolve the model before the shared simplex instance is built; the
+  /// search runs in the reduced space and solutions are postsolved back.
+  /// Fewer rows and columns make every node LP smaller, and a model whose
+  /// variables presolve fixes all is solved without a tableau.
   bool presolve = true;
-  PresolveOptions presolve_options;
   SimplexOptions lp;            // options for node relaxations
 };
 

@@ -7,6 +7,17 @@
 
 namespace loki::solver {
 
+namespace {
+
+constexpr double kTol = 1e-9;          // pivot / zero tolerance
+constexpr double kFeasTol = 1e-7;      // bound violation treated as feasible
+constexpr int kRefreshInterval = 128;  // pivots between exact rebuilds of
+                                       // the reduced costs and basic values
+constexpr double kDevexWeightCap = 1e8;  // weight growth that forces a
+                                         // devex reference-frame reset
+
+}  // namespace
+
 std::string to_string(LpStatus s) {
   switch (s) {
     case LpStatus::kOptimal: return "optimal";
@@ -220,25 +231,22 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
   int degenerate_run = 0;
   bool bland = false;
   bool verified = false;
-  const bool devex = opt_.pricing == PricingRule::kDevex;
-  if (devex) {
-    // Fresh reference frame per primal pass: every nonbasic column starts
-    // at weight 1 (not counted as a reset — resets are mid-solve events).
-    std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
-  }
+  // Fresh devex reference frame per primal pass: every nonbasic column
+  // starts at weight 1 (not counted as a reset — resets are mid-solve
+  // events).
+  std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
   for (;;) {
     if (out.iterations >= opt_.max_iterations) return LpStatus::kIterLimit;
 
     // Pricing: one O(n) pass over the incrementally maintained reduced
     // costs. A nonbasic-at-lower column improves if d < -tol (it wants to
-    // rise), an at-upper column if d > tol (it wants to fall). Under devex
-    // the merit of an improving column is d^2 / w instead of |d|; the
-    // anti-cycling Bland fallback ignores weights entirely and takes the
-    // lowest improving index.
+    // rise), an at-upper column if d > tol (it wants to fall). The merit of
+    // an improving column is its devex ratio d^2 / w; the anti-cycling
+    // Bland fallback ignores weights entirely and takes the lowest
+    // improving index.
     int dir = 0;
     const int q = k_->price(d_.data(), state_.data(), lo_.data(), hi_.data(),
-                            devex ? devex_w_.data() : nullptr, live_n_,
-                            opt_.tol, bland, &dir);
+                            devex_w_.data(), live_n_, kTol, bland, &dir);
     if (q < 0) {
       // Confirm optimality against an exactly rebuilt reduced-cost row so
       // incremental drift can never terminate us early.
@@ -261,18 +269,18 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
       const double alpha = dir > 0 ? aiq : -aiq;
       const int b = basis_[i];
       double limit;
-      if (alpha > opt_.tol) {
+      if (alpha > kTol) {
         if (!std::isfinite(lo_[b])) continue;
         limit = (xb_[i] - lo_[b]) / alpha;
-      } else if (alpha < -opt_.tol) {
+      } else if (alpha < -kTol) {
         if (!std::isfinite(hi_[b])) continue;
         limit = (hi_[b] - xb_[i]) / (-alpha);
       } else {
         continue;
       }
       if (limit < 0.0) limit = 0.0;  // tiny infeasibility noise -> degenerate
-      if (leave_row < 0 || limit < t_row - opt_.tol ||
-          (limit < t_row + opt_.tol && basis_[i] < basis_[leave_row])) {
+      if (leave_row < 0 || limit < t_row - kTol ||
+          (limit < t_row + kTol && basis_[i] < basis_[leave_row])) {
         leave_row = i;
         t_row = limit;
       }
@@ -309,35 +317,33 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
       continue;
     }
 
-    const bool degenerate = t_row < opt_.tol;
+    const bool degenerate = t_row < kTol;
     const double alpha_r = dir > 0 ? at(leave_row, q) : -at(leave_row, q);
     const int b = basis_[leave_row];
     const double leave_value = alpha_r > 0 ? lo_[b] : hi_[b];
     const VarState leave_state =
         alpha_r > 0 ? VarState::kAtLower : VarState::kAtUpper;
-    const double wq = devex ? devex_w_[q] : 0.0;
+    const double wq = devex_w_[q];
     pivot(leave_row, q, dir > 0 ? t_row : -t_row, leave_value, leave_state);
     ++out.iterations;
-    if (devex) {
-      // Reference-framework update: the post-pivot row r holds a_rj / a_rq,
-      // so w_j = max(w_j, (a_rj/a_rq)^2 * w_q) is one multiply per nonbasic
-      // column; the leaving variable re-enters the frame at weight >= 1.
-      devex_w_[b] = 1.0;
-      const double* rowr = &a_[static_cast<std::size_t>(leave_row) * n_];
-      double wmax = 1.0;
-      for (int j = 0; j < live_n_; ++j) {
-        if (state_[j] == VarState::kBasic) continue;
-        const double rj = rowr[j];
-        if (rj != 0.0) {
-          const double cand = rj * rj * wq;
-          if (cand > devex_w_[j]) devex_w_[j] = cand;
-        }
-        if (devex_w_[j] > wmax) wmax = devex_w_[j];
+    // Reference-framework update: the post-pivot row r holds a_rj / a_rq,
+    // so w_j = max(w_j, (a_rj/a_rq)^2 * w_q) is one multiply per nonbasic
+    // column; the leaving variable re-enters the frame at weight >= 1.
+    devex_w_[b] = 1.0;
+    const double* rowr = &a_[static_cast<std::size_t>(leave_row) * n_];
+    double wmax = 1.0;
+    for (int j = 0; j < live_n_; ++j) {
+      if (state_[j] == VarState::kBasic) continue;
+      const double rj = rowr[j];
+      if (rj != 0.0) {
+        const double cand = rj * rj * wq;
+        if (cand > devex_w_[j]) devex_w_[j] = cand;
       }
-      if (wmax > opt_.devex_weight_cap) {
-        std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
-        ++out.devex_resets;
-      }
+      if (devex_w_[j] > wmax) wmax = devex_w_[j];
+    }
+    if (wmax > kDevexWeightCap) {
+      std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
+      ++out.devex_resets;
     }
     if (degenerate) {
       if (++degenerate_run >= opt_.degenerate_switch) bland = true;
@@ -345,7 +351,7 @@ LpStatus SimplexContext::primal_loop(LpSolution& out, bool phase1) {
       degenerate_run = 0;
       bland = false;
     }
-    if (++since_refresh_ >= opt_.refresh_interval) {
+    if (++since_refresh_ >= kRefreshInterval) {
       recompute_reduced_costs();
       recompute_basic_values();
       since_refresh_ = 0;
@@ -393,7 +399,7 @@ SimplexContext::DualResult SimplexContext::dual_repair(LpSolution& out,
     }
     int r = -1;
     bool below = false;
-    double worst = opt_.feas_tol;
+    double worst = kFeasTol;
     for (int i = 0; i < m_; ++i) {
       if (!row_active_[i]) continue;
       const int b = basis_[i];
@@ -419,7 +425,7 @@ SimplexContext::DualResult SimplexContext::dual_repair(LpSolution& out,
     const double target = below ? lo_[bvar] : hi_[bvar];
     const double* rowr = &a_[static_cast<std::size_t>(r) * n_];
     const int q = k_->dual_ratio(rowr, d_.data(), state_.data(), lo_.data(),
-                                 hi_.data(), live_n_, below, opt_.tol);
+                                 hi_.data(), live_n_, below, kTol);
     if (q < 0) return DualResult::kInfeasible;
 
     const double dx = (xb_[r] - target) / rowr[q];
@@ -428,7 +434,7 @@ SimplexContext::DualResult SimplexContext::dual_repair(LpSolution& out,
           below ? VarState::kAtLower : VarState::kAtUpper);
     ++out.iterations;
     ++out.phase1_iterations;
-    if (++since_refresh_ >= opt_.refresh_interval) {
+    if (++since_refresh_ >= kRefreshInterval) {
       recompute_reduced_costs();
       recompute_basic_values();
       since_refresh_ = 0;
@@ -447,7 +453,7 @@ void SimplexContext::drive_out_artificials() {
     int enter = -1;
     for (int j = 0; j < nv_ + m_; ++j) {
       if (state_[j] == VarState::kBasic) continue;
-      if (std::abs(rowi[j]) > opt_.tol) {
+      if (std::abs(rowi[j]) > kTol) {
         enter = j;
         break;
       }
@@ -544,9 +550,9 @@ bool SimplexContext::can_dual_start(const std::vector<double>& lo,
     const double l = lo[static_cast<std::size_t>(j)];
     const double h = hi[static_cast<std::size_t>(j)];
     if (l == h) continue;  // fixed: never priced, any placement works
-    if (c > opt_.tol) {
+    if (c > kTol) {
       if (!std::isfinite(l)) return false;
-    } else if (c < -opt_.tol) {
+    } else if (c < -kTol) {
       if (!std::isfinite(h)) return false;
     } else if (!std::isfinite(l) && !std::isfinite(h)) {
       return false;
@@ -565,9 +571,9 @@ void SimplexContext::reset_cold_dual(const std::vector<double>& lo,
   for (int j = 0; j < nv_; ++j) {
     const double c = sign_ * obj_[j];
     bool at_lower;
-    if (c > opt_.tol) {
+    if (c > kTol) {
       at_lower = true;
-    } else if (c < -opt_.tol) {
+    } else if (c < -kTol) {
       at_lower = false;
     } else {
       at_lower = std::isfinite(lo_[j]);
@@ -681,8 +687,8 @@ bool SimplexContext::repair_and_finish(LpSolution& out,
   for (int j = 0; j < live_n_; ++j) {
     if (state_[j] == VarState::kBasic || fixed(j)) continue;
     const double dj = d_[j];
-    const bool broken = state_[j] == VarState::kAtLower ? dj < -opt_.tol
-                                                        : dj > opt_.tol;
+    const bool broken = state_[j] == VarState::kAtLower ? dj < -kTol
+                                                        : dj > kTol;
     if (broken) {
       shifts_.emplace_back(j, dj);
       cost_[j] -= dj;
@@ -849,8 +855,10 @@ LpSolution SimplexContext::solve_with_bounds(const std::vector<double>& lo,
   // bound its cost sign prefers, the all-slack basis is dual feasible and
   // the bounded dual simplex restores primal feasibility directly — the
   // artificial-column phase 1 (which dominates cold-solve pivot counts on
-  // the degenerate allocation LPs) is skipped entirely. Presolve's implied
-  // finite boxes are what make this applicable to the allocation models.
+  // the degenerate allocation LPs) is skipped entirely. It applies where
+  // every variable has the finite bound its cost sign needs; a model that
+  // rewards a variable with no upper bound (the accuracy step's path flows)
+  // takes the artificial phase 1 below.
   if (opt_.dual_cold_start && can_dual_start(lo, hi)) {
     reset_cold_dual(lo, hi);
     set_phase2_costs();
@@ -879,7 +887,7 @@ LpSolution SimplexContext::solve_with_bounds(const std::vector<double>& lo,
         art_sum += std::max(0.0, xb_[i]);
       }
     }
-    if (art_sum > opt_.feas_tol) {
+    if (art_sum > kFeasTol) {
       out.status = LpStatus::kInfeasible;
       return out;
     }

@@ -8,15 +8,18 @@
 //    doubled m on the all-integer allocation LPs);
 //  * the reduced-cost row is maintained incrementally across pivots, so
 //    pricing is O(n) per pivot instead of O(m*n); it is rebuilt exactly
-//    every `refresh_interval` pivots and before declaring optimality, which
-//    keeps the fast path honest numerically;
+//    every 128 pivots and before declaring optimality, which keeps the fast
+//    path honest numerically;
 //  * two-phase method with explicit artificial columns only on rows whose
 //    initial slack basis is infeasible, so infeasibility is detected exactly
 //    (the hardware-scaling step *relies* on a clean infeasible verdict to
 //    trigger accuracy scaling, §4.1 step 1);
-//  * Dantzig pricing with an automatic switch to Bland's rule after a run of
-//    degenerate pivots, guaranteeing termination; all tie-breaks are
-//    lowest-index and therefore deterministic;
+//  * reference-framework devex pricing (Forrest & Goldfarb): approximate
+//    steepest-edge weights maintained from the pivot row, reset to the
+//    current frame when they grow past 1e8, with an automatic switch to
+//    Bland's rule after a run of degenerate pivots, guaranteeing
+//    termination; all tie-breaks are lowest-index and therefore
+//    deterministic;
 //  * SimplexContext keeps the standard form and the final basis alive
 //    between solves: bounds can be swapped (branch-and-bound nodes are pure
 //    bound overlays) and the next solve warm-starts with a bounded dual
@@ -58,26 +61,9 @@ struct LpSolution {
   bool warm_started = false;         // solved from a reused basis
 };
 
-/// Entering-variable pricing rule for the primal simplex.
-///  * kDantzig: most negative reduced cost — cheapest per pivot, but blind
-///    to edge lengths, so it crawls on degenerate LPs;
-///  * kDevex: reference-framework devex (Forrest & Goldfarb) — approximate
-///    steepest-edge weights maintained from the pivot row, reset to the
-///    current frame when they drift past a cap. Usually far fewer pivots on
-///    the degenerate overload LPs for ~one extra multiply per priced column.
-/// Both rules break ties on the lowest column index and fall back to
-/// Bland's rule after a degenerate-pivot stall, so solves stay
-/// deterministic and cycle-free either way.
-enum class PricingRule { kDantzig, kDevex };
-
 struct SimplexOptions {
   int max_iterations = 50000;
-  double tol = 1e-9;            // pivot / zero tolerance
-  double feas_tol = 1e-7;       // bound violation treated as feasible
   int degenerate_switch = 64;   // consecutive degenerate pivots before Bland
-  int refresh_interval = 128;   // pivots between exact tableau-state rebuilds
-  PricingRule pricing = PricingRule::kDevex;
-  double devex_weight_cap = 1e8;  // weight growth that forces a frame reset
   /// Cold solves may start from the all-slack basis with the bounded dual
   /// simplex when that basis is dual feasible (skipping the artificial
   /// phase 1 entirely); off forces the classic two-phase start.

@@ -2,15 +2,7 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace loki::trace {
-
-DemandEstimator::DemandEstimator(DemandEstimatorConfig config)
-    : cfg_(config), ewma_(config.ewma_alpha) {
-  LOKI_CHECK(cfg_.window_s > 0.0);
-  LOKI_CHECK(cfg_.headroom >= 1.0);
-}
 
 void DemandEstimator::record_arrival(double t) {
   roll_to(t);
@@ -18,19 +10,18 @@ void DemandEstimator::record_arrival(double t) {
 }
 
 void DemandEstimator::roll_to(double now) {
-  while (now >= window_start_ + cfg_.window_s) {
-    const double rate =
-        static_cast<double>(count_in_window_) / cfg_.window_s;
+  while (now >= window_start_ + kDemandWindowS) {
+    const double rate = static_cast<double>(count_in_window_) / kDemandWindowS;
     ewma_.add(rate);
     last_window_rate_ = rate;
     count_in_window_ = 0;
-    window_start_ += cfg_.window_s;
+    window_start_ += kDemandWindowS;
   }
 }
 
 double DemandEstimator::estimate(double now) {
   roll_to(now);
-  return std::max(ewma_.value(), last_window_rate_) * cfg_.headroom;
+  return std::max(ewma_.value(), last_window_rate_) * kDemandHeadroom;
 }
 
 }  // namespace loki::trace

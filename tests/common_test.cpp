@@ -457,16 +457,6 @@ TEST(Ewma, StepResponse) {
   EXPECT_DOUBLE_EQ(e.value(), 50.0);
 }
 
-TEST(TimeDecayEwma, CadenceInvariant) {
-  // Sampling the same signal at different cadences converges to the same
-  // value because decay depends on elapsed time.
-  TimeDecayEwma fast(10.0), slow(10.0);
-  for (int i = 0; i < 1000; ++i) fast.add(i * 0.1, 5.0);
-  for (int i = 0; i < 100; ++i) slow.add(i * 1.0, 5.0);
-  EXPECT_NEAR(fast.value(), 5.0, 1e-6);
-  EXPECT_NEAR(slow.value(), 5.0, 1e-6);
-}
-
 // ---------------------------------------------------------------------------
 // CsvTable
 // ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ TEST(NearWarmTier, DemandRampEngagesAndStaysWithinGap) {
     ASSERT_EQ(static_cast<int>(near_prev.mode),
               static_cast<int>(cold_prev.mode));
     EXPECT_NEAR(near_prev.expected_accuracy, cold_prev.expected_accuracy,
-                2.0 * f.cfg.milp.gap_tol + 1e-9)
+                2.0 * serving::kPlanGapTol + 1e-9)
         << "epoch " << e << " demand " << demand;
     EXPECT_NEAR(near_prev.served_fraction, cold_prev.served_fraction, 1e-9);
   }

@@ -96,62 +96,54 @@ TEST(SimplexEdge, ZeroObjectiveReturnsFeasiblePoint) {
 // Beale's classic cycling LP: under naive most-negative-reduced-cost
 // pricing with unlucky tie-breaks the simplex revisits bases forever. The
 // stall guard (degenerate_switch consecutive degenerate pivots -> Bland's
-// rule) must terminate it at the true optimum under every pricing rule,
-// even with the guard wound down to trip almost immediately.
-TEST(SimplexAntiCycling, BealeCycleTerminatesUnderBothPricingRules) {
-  for (PricingRule rule : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    for (int degenerate_switch : {2, 64}) {
-      LpProblem p(Sense::kMinimize);
-      const int x4 = p.add_variable("x4", 0, kInf, -0.75);
-      const int x5 = p.add_variable("x5", 0, kInf, 150.0);
-      const int x6 = p.add_variable("x6", 0, kInf, -0.02);
-      const int x7 = p.add_variable("x7", 0, kInf, 6.0);
-      p.add_constraint({{{x4, 0.25}, {x5, -60.0}, {x6, -0.04}, {x7, 9.0}},
-                        Relation::kLe, 0.0, ""});
-      p.add_constraint({{{x4, 0.5}, {x5, -90.0}, {x6, -0.02}, {x7, 3.0}},
-                        Relation::kLe, 0.0, ""});
-      p.add_constraint({{{x6, 1.0}}, Relation::kLe, 1.0, ""});
-      SimplexOptions opt;
-      opt.pricing = rule;
-      opt.degenerate_switch = degenerate_switch;
-      const auto s = SimplexSolver(opt).solve(p);
-      ASSERT_EQ(s.status, LpStatus::kOptimal)
-          << "rule=" << static_cast<int>(rule)
-          << " switch=" << degenerate_switch;
-      EXPECT_NEAR(s.objective, -0.05, 1e-9);
-      EXPECT_TRUE(p.is_feasible(s.values, 1e-7));
-    }
+// rule) must terminate it at the true optimum, at the default guard and
+// with the guard wound down to trip almost immediately.
+TEST(SimplexAntiCycling, BealeCycleTerminatesUnderBothStallGuards) {
+  for (int degenerate_switch : {2, 64}) {
+    LpProblem p(Sense::kMinimize);
+    const int x4 = p.add_variable("x4", 0, kInf, -0.75);
+    const int x5 = p.add_variable("x5", 0, kInf, 150.0);
+    const int x6 = p.add_variable("x6", 0, kInf, -0.02);
+    const int x7 = p.add_variable("x7", 0, kInf, 6.0);
+    p.add_constraint({{{x4, 0.25}, {x5, -60.0}, {x6, -0.04}, {x7, 9.0}},
+                      Relation::kLe, 0.0, ""});
+    p.add_constraint({{{x4, 0.5}, {x5, -90.0}, {x6, -0.02}, {x7, 3.0}},
+                      Relation::kLe, 0.0, ""});
+    p.add_constraint({{{x6, 1.0}}, Relation::kLe, 1.0, ""});
+    SimplexOptions opt;
+    opt.degenerate_switch = degenerate_switch;
+    const auto s = SimplexSolver(opt).solve(p);
+    ASSERT_EQ(s.status, LpStatus::kOptimal) << "switch=" << degenerate_switch;
+    EXPECT_NEAR(s.objective, -0.05, 1e-9);
+    EXPECT_TRUE(p.is_feasible(s.values, 1e-7));
   }
 }
 
 // A vertex shared by many redundant rows: every pivot at the optimum is
 // degenerate, which is where a stalled pricing rule would spin.
 TEST(SimplexAntiCycling, MassivelyDegenerateVertexTerminates) {
-  for (PricingRule rule : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    LpProblem p(Sense::kMaximize);
-    const int n = 6;
-    for (int j = 0; j < n; ++j) {
-      p.add_variable("x" + std::to_string(j), 0, kInf, 1.0 + 0.01 * j);
-    }
-    // All rows active at the origin-adjacent optimum vertex: sum x <= 1
-    // duplicated with scalings, plus per-variable caps that are tight at
-    // the same point.
-    for (int r = 0; r < 12; ++r) {
-      Constraint c;
-      const double scale = 1.0 + 0.5 * (r % 3);
-      for (int j = 0; j < n; ++j) c.terms.push_back({j, scale});
-      c.rel = Relation::kLe;
-      c.rhs = scale;
-      p.add_constraint(std::move(c));
-    }
-    SimplexOptions opt;
-    opt.pricing = rule;
-    opt.degenerate_switch = 4;
-    const auto s = SimplexSolver(opt).solve(p);
-    ASSERT_EQ(s.status, LpStatus::kOptimal);
-    // Everything into the highest-coefficient variable.
-    EXPECT_NEAR(s.objective, 1.05, 1e-7);
+  LpProblem p(Sense::kMaximize);
+  const int n = 6;
+  for (int j = 0; j < n; ++j) {
+    p.add_variable("x" + std::to_string(j), 0, kInf, 1.0 + 0.01 * j);
   }
+  // All rows active at the origin-adjacent optimum vertex: sum x <= 1
+  // duplicated with scalings, plus per-variable caps that are tight at
+  // the same point.
+  for (int r = 0; r < 12; ++r) {
+    Constraint c;
+    const double scale = 1.0 + 0.5 * (r % 3);
+    for (int j = 0; j < n; ++j) c.terms.push_back({j, scale});
+    c.rel = Relation::kLe;
+    c.rhs = scale;
+    p.add_constraint(std::move(c));
+  }
+  SimplexOptions opt;
+  opt.degenerate_switch = 4;
+  const auto s = SimplexSolver(opt).solve(p);
+  ASSERT_EQ(s.status, LpStatus::kOptimal);
+  // Everything into the highest-coefficient variable.
+  EXPECT_NEAR(s.objective, 1.05, 1e-7);
 }
 
 // A miniature resource-allocation MILP shaped exactly like the Resource
@@ -299,6 +291,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom3D, ::testing::Range(0, 30));
 
 namespace seedref {
 
+constexpr double kTol = 1e-9;      // the seed solver's pivot / zero tolerance
+constexpr double kFeasTol = 1e-7;  // and its phase-1 infeasibility slack
+
 struct Tableau {
   int m = 0;
   int n = 0;
@@ -386,7 +381,7 @@ inline LpStatus run_simplex(Tableau& t, const std::vector<double>& cost,
   int degenerate_run = 0;
   bool bland = false;
   while (iterations < opt.max_iterations) {
-    PivotResult r = pivot_step(t, cost, bland, opt.tol);
+    PivotResult r = pivot_step(t, cost, bland, kTol);
     if (r.unbounded) return LpStatus::kUnbounded;
     if (!r.moved) return LpStatus::kOptimal;
     ++iterations;
@@ -502,7 +497,7 @@ inline LpSolution solve(const LpProblem& p, SimplexOptions options = {}) {
     for (int i = 0; i < m; ++i) {
       if (t.artificial[t.basis[i]]) art_sum += t.b[i];
     }
-    if (art_sum > options.feas_tol) {
+    if (art_sum > kFeasTol) {
       out.status = LpStatus::kInfeasible;
       return out;
     }
@@ -510,7 +505,7 @@ inline LpSolution solve(const LpProblem& p, SimplexOptions options = {}) {
       if (!t.artificial[t.basis[i]]) continue;
       int enter = -1;
       for (int j = 0; j < nv + n_slack; ++j) {
-        if (std::abs(t.at(i, j)) > options.tol) {
+        if (std::abs(t.at(i, j)) > kTol) {
           enter = j;
           break;
         }
@@ -919,11 +914,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialMilp,
                          ::testing::Range(0, 50));
 
 // ---------------------------------------------------------------------------
-// Presolve + pricing differential suites: every random LP of the seeded
-// generator runs (a) through presolve -> reduced solve -> postsolve against
-// a direct solve, and (b) under Dantzig vs devex pricing — statuses must
-// match, optimal objectives must agree, and postsolved points must be
-// feasible for the ORIGINAL model.
+// Presolve differential suite: every random LP of the seeded generator runs
+// through presolve -> reduced solve -> postsolve against a direct solve —
+// statuses must match, optimal objectives must agree, and postsolved points
+// must be feasible for the ORIGINAL model.
 // ---------------------------------------------------------------------------
 
 class SolverDifferentialPresolve : public ::testing::TestWithParam<int> {};
@@ -964,38 +958,75 @@ TEST_P(SolverDifferentialPresolve, PostsolvedSolutionMatchesDirectSolve) {
   EXPECT_TRUE(p.is_feasible(x, 1e-5)) << p.to_string();
   const double tol = 1e-5 * std::max(1.0, std::abs(direct.objective));
   EXPECT_NEAR(p.objective_value(x), direct.objective, tol) << p.to_string();
-  // The reduced problem's own objective (offset absorbs fixed variables,
-  // power-of-two scaling cancels) must agree too.
+  // The reduced problem's own objective (the offset absorbs fixed
+  // variables) must agree too.
   EXPECT_NEAR(reduced.objective, direct.objective, tol) << p.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialPresolve,
                          ::testing::Range(0, 110));
 
-class SolverDifferentialPricing : public ::testing::TestWithParam<int> {};
-
-TEST_P(SolverDifferentialPricing, DantzigAndDevexAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 101);
-  LpProblem p = random_lp(rng);
-  SimplexOptions dantzig;
-  dantzig.pricing = PricingRule::kDantzig;
-  SimplexOptions devex;
-  devex.pricing = PricingRule::kDevex;
-  const auto a = SimplexSolver(dantzig).solve(p);
-  const auto b = SimplexSolver(devex).solve(p);
-  ASSERT_EQ(a.status, b.status)
-      << "dantzig=" << to_string(a.status) << " devex=" << to_string(b.status)
-      << "\n" << p.to_string();
-  if (a.status != LpStatus::kOptimal) return;
-  EXPECT_TRUE(p.is_feasible(a.values, 1e-5)) << p.to_string();
-  EXPECT_TRUE(p.is_feasible(b.values, 1e-5)) << p.to_string();
-  EXPECT_NEAR(a.objective, b.objective,
-              1e-5 * std::max(1.0, std::abs(a.objective)))
-      << p.to_string();
+// Two chains of equalities (v0 = 1, v0 + v1 = 3, v1 + v2 = 3, v2 + v3 = 3)
+// turn singleton one row per pass, so the passes run out with v3 fixed in
+// the last one and still in the row that couples the chains: the fold after
+// the passes substitutes it, and that row, now empty, is checked there.
+TEST(Presolve, ChainsLongerThanThePassesAreFoldedAfterThem) {
+  for (const double cap : {10.0, 3.0}) {  // a3 + b3 = 4 fits 10, not 3
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    LpProblem p(Sense::kMinimize);
+    int last[2] = {-1, -1};
+    for (int chain = 0; chain < 2; ++chain) {
+      for (int k = 0; k < 4; ++k) {
+        const int v = p.add_variable(std::string(1, "ab"[chain]) +
+                                         std::to_string(k),
+                                     0.0, 10.0, 1.0);
+        if (k == 0) {
+          p.add_constraint({{{v, 1.0}}, Relation::kEq, 1.0, ""});
+        } else {
+          p.add_constraint({{{v - 1, 1.0}, {v, 1.0}}, Relation::kEq, 3.0, ""});
+        }
+        last[chain] = v;
+      }
+    }
+    p.add_constraint(
+        {{{last[0], 1.0}, {last[1], 1.0}}, Relation::kLe, cap, "couple"});
+    const auto pr = presolve(p);
+    if (cap < 4.0) {
+      EXPECT_TRUE(pr.infeasible);
+      EXPECT_EQ(SimplexSolver().solve(p).status, LpStatus::kInfeasible);
+      continue;
+    }
+    ASSERT_FALSE(pr.infeasible);
+    EXPECT_EQ(pr.problem.num_variables(), 0);
+    EXPECT_EQ(pr.problem.num_constraints(), 0);
+    EXPECT_EQ(pr.stats.cols_removed, 8);
+    EXPECT_EQ(pr.stats.rows_removed, 9);
+    const std::vector<double> want = {1, 2, 1, 2, 1, 2, 1, 2};
+    EXPECT_EQ(pr.post.restore_point({}), want);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialPricing,
-                         ::testing::Range(0, 110));
+// A singleton row that crosses a continuous variable's other bound by less
+// than presolve's slack fixes the variable at the row's value instead of
+// proving the model infeasible.
+TEST(Presolve, SingletonWithinSlackOfTheOtherBoundFixesTheVariable) {
+  LpProblem p(Sense::kMinimize);
+  const int x = p.add_variable("x", 0.0, 1.0, 1.0);
+  const int y = p.add_variable("y", 0.0, 4.0, 1.0);
+  const double v = 1.0 + 5e-10;
+  p.add_constraint({{{x, 1.0}}, Relation::kGe, v, ""});
+  p.add_constraint({{{x, 1.0}, {y, 1.0}}, Relation::kGe, 2.0, ""});
+  const auto pr = presolve(p);
+  ASSERT_FALSE(pr.infeasible);
+  EXPECT_EQ(pr.stats.cols_removed, 1);
+  EXPECT_EQ(pr.post.reduced_index()[x], -1);
+  ASSERT_EQ(pr.problem.num_variables(), 1);
+  const auto reduced = SimplexSolver().solve(pr.problem);
+  ASSERT_EQ(reduced.status, LpStatus::kOptimal);
+  const auto point = pr.post.restore_point(reduced.values);
+  EXPECT_EQ(point[x], v);
+  EXPECT_NEAR(point[y], 2.0 - v, 1e-9);
+}
 
 // Branch-and-bound with presolve on vs off over the random MILPs: equal
 // statuses and objectives, feasible values either way.

@@ -275,60 +275,49 @@ TEST(Arrivals, StreamMatchesBatch) {
 }
 
 TEST(DemandEstimator, ConstantRateConverges) {
-  DemandEstimatorConfig cfg;
-  cfg.window_s = 1.0;
-  cfg.headroom = 1.0;
-  DemandEstimator est(cfg);
+  DemandEstimator est;
   // 100 QPS for 30 s.
   for (int s = 0; s < 30; ++s) {
     for (int i = 0; i < 100; ++i) {
       est.record_arrival(s + i / 100.0);
     }
   }
-  EXPECT_NEAR(est.estimate(30.0), 100.0, 5.0);
+  EXPECT_NEAR(est.estimate(30.0), 100.0 * kDemandHeadroom, 1e-9);  // 110
 }
 
 TEST(DemandEstimator, HeadroomApplied) {
-  DemandEstimatorConfig cfg;
-  cfg.window_s = 1.0;
-  cfg.headroom = 1.5;
-  DemandEstimator est(cfg);
+  DemandEstimator est;
   for (int s = 0; s < 20; ++s) {
     for (int i = 0; i < 10; ++i) est.record_arrival(s + i / 10.0);
   }
-  EXPECT_NEAR(est.estimate(20.0), 15.0, 1.5);
+  EXPECT_NEAR(est.estimate(20.0), 10.0 * kDemandHeadroom, 1e-9);  // 11
 }
 
 TEST(DemandEstimator, ReactsInstantlyToRampUp) {
-  DemandEstimatorConfig cfg;
-  cfg.window_s = 1.0;
-  cfg.headroom = 1.0;
-  cfg.ewma_alpha = 0.2;
-  DemandEstimator est(cfg);
+  DemandEstimator est;
   for (int s = 0; s < 10; ++s) {
     for (int i = 0; i < 10; ++i) est.record_arrival(s + i / 10.0);
   }
   // Demand jumps 10 -> 200 for one window; max(ewma, last window) must
-  // reflect the jump immediately, not after EWMA convergence.
+  // reflect the jump immediately, not after EWMA convergence (the EWMA
+  // alone reads 0.35 * 200 + 0.65 * 10 = 76.5 here).
   for (int i = 0; i < 200; ++i) est.record_arrival(10.0 + i / 200.0);
-  EXPECT_GE(est.estimate(11.0), 190.0);
+  EXPECT_NEAR(est.estimate(11.0), 200.0 * kDemandHeadroom, 1e-9);  // 220
 }
 
 TEST(DemandEstimator, SmoothOnTheWayDown) {
-  DemandEstimatorConfig cfg;
-  cfg.window_s = 1.0;
-  cfg.headroom = 1.0;
-  cfg.ewma_alpha = 0.3;
-  DemandEstimator est(cfg);
+  DemandEstimator est;
   for (int s = 0; s < 10; ++s) {
     for (int i = 0; i < 100; ++i) est.record_arrival(s + i / 100.0);
   }
-  // Demand stops entirely; the estimate should decay, not drop to zero in
-  // one window.
+  // Demand stops entirely; the estimate should decay by the EWMA's weight
+  // per empty window, not drop to zero in one window.
+  const double keep = 1.0 - kDemandEwmaAlpha;
   const double just_after = est.estimate(11.0);
-  EXPECT_GT(just_after, 30.0);
-  const double later = est.estimate(25.0);
-  EXPECT_LT(later, just_after * 0.2);
+  EXPECT_NEAR(just_after, 100.0 * keep * kDemandHeadroom, 1e-9);  // 71.5
+  const double later = est.estimate(25.0);  // fifteen empty windows
+  EXPECT_NEAR(later, 100.0 * std::pow(keep, 15) * kDemandHeadroom,
+              1e-9);  // 0.17
 }
 
 }  // namespace
