@@ -56,19 +56,23 @@ void BM_RawSimplexSize(benchmark::State& state) {
 BENCHMARK(BM_RawSimplexSize)->Arg(30)->Arg(60)->Arg(120)->Unit(
     benchmark::kMicrosecond);
 
-// Presolve on/off over the allocation-shaped MILP of BM_BnbAllocationShaped:
-// rows/cols removed and the pivot/node effect of searching in the reduced
-// space.
-void BM_BnbPresolveAblation(benchmark::State& state) {
+// The Resource Manager's step model in miniature (MilpAllocator::
+// solve_step): integer instance counts n(t, k) for `configs` configurations
+// of each of four tasks, continuous path flows c(k) (configuration k on
+// every task), a capacity row per (t, k), the cluster row and a host row
+// per task. With three configurations it has the accuracy step's shape.
+// With one, the hardware step's (each task keeps its most accurate
+// variant), the flow row and the host rows are singletons: presolve fixes
+// the flow, folds the host rows into bounds, and then the capacity rows,
+// singletons too once the flow is fixed, into integer lower bounds.
+LpProblem allocation_model(int configs, double demand) {
   Rng rng(29);
   LpProblem p(Sense::kMaximize);
   const int tasks = 4;
-  const int variants = 3;
-  const double demand = 120.0;
   Constraint cluster;
   std::vector<std::vector<int>> n_var(tasks);
   for (int t = 0; t < tasks; ++t) {
-    for (int k = 0; k < variants; ++k) {
+    for (int k = 0; k < configs; ++k) {
       const int v = p.add_variable(
           "n_" + std::to_string(t) + "_" + std::to_string(k), 0, kInf,
           -1e-6, VarType::kInteger);
@@ -78,7 +82,7 @@ void BM_BnbPresolveAblation(benchmark::State& state) {
   }
   std::vector<int> c_var;
   Constraint flow;
-  for (int k = 0; k < variants; ++k) {
+  for (int k = 0; k < configs; ++k) {
     const int c = p.add_variable("c_" + std::to_string(k), 0, kInf,
                                  1.0 - 0.07 * k);
     c_var.push_back(c);
@@ -88,7 +92,7 @@ void BM_BnbPresolveAblation(benchmark::State& state) {
   flow.rhs = 1.0;
   p.add_constraint(std::move(flow));
   for (int t = 0; t < tasks; ++t) {
-    for (int k = 0; k < variants; ++k) {
+    for (int k = 0; k < configs; ++k) {
       const double q = rng.uniform(8.0, 30.0) * (1 + k);
       p.add_constraint({{{c_var[k], demand}, {n_var[t][k], -q}},
                         Relation::kLe,
@@ -99,6 +103,20 @@ void BM_BnbPresolveAblation(benchmark::State& state) {
   cluster.rel = Relation::kLe;
   cluster.rhs = 22.0;
   p.add_constraint(std::move(cluster));
+  for (int t = 0; t < tasks; ++t) {
+    Constraint host;
+    for (const int v : n_var[t]) host.terms.push_back({v, 1.0});
+    host.rel = Relation::kGe;
+    host.rhs = 1.0;
+    p.add_constraint(std::move(host));
+  }
+  return p;
+}
+
+// Presolve on/off over the hardware-step model: rows/cols removed and the
+// pivot/node effect of searching in the reduced space.
+void BM_BnbPresolveAblation(benchmark::State& state) {
+  const LpProblem p = allocation_model(/*configs=*/1, /*demand=*/40.0);
   MilpOptions opts;
   opts.presolve = state.range(0) != 0;
   BranchAndBound bnb(opts);
@@ -213,48 +231,9 @@ void BM_BnbKnapsack(benchmark::State& state) {
 }
 BENCHMARK(BM_BnbKnapsack)->Arg(16)->Arg(24)->Unit(benchmark::kMicrosecond);
 
-// Allocation-shaped MILP: integer instance counts coupled to continuous
-// path flows by capacity rows — the Resource Manager's step-2 structure.
+// Full branch-and-bound on the accuracy-step model.
 void BM_BnbAllocationShaped(benchmark::State& state) {
-  Rng rng(29);
-  LpProblem p(Sense::kMaximize);
-  const int tasks = 4;
-  const int variants = 3;
-  const double demand = 120.0;
-  Constraint cluster;
-  std::vector<std::vector<int>> n_var(tasks);
-  for (int t = 0; t < tasks; ++t) {
-    for (int k = 0; k < variants; ++k) {
-      const int v = p.add_variable(
-          "n_" + std::to_string(t) + "_" + std::to_string(k), 0, kInf,
-          -1e-6, VarType::kInteger);
-      n_var[t].push_back(v);
-      cluster.terms.push_back({v, 1.0});
-    }
-  }
-  std::vector<int> c_var;
-  Constraint flow;
-  for (int k = 0; k < variants; ++k) {
-    const int c = p.add_variable("c_" + std::to_string(k), 0, kInf,
-                                 1.0 - 0.07 * k);
-    c_var.push_back(c);
-    flow.terms.push_back({c, 1.0});
-  }
-  flow.rel = Relation::kEq;
-  flow.rhs = 1.0;
-  p.add_constraint(std::move(flow));
-  for (int t = 0; t < tasks; ++t) {
-    for (int k = 0; k < variants; ++k) {
-      const double q = rng.uniform(8.0, 30.0) * (1 + k);
-      p.add_constraint({{{c_var[k], demand}, {n_var[t][k], -q}},
-                        Relation::kLe,
-                        0.0,
-                        ""});
-    }
-  }
-  cluster.rel = Relation::kLe;
-  cluster.rhs = 22.0;
-  p.add_constraint(std::move(cluster));
+  const LpProblem p = allocation_model(/*configs=*/3, /*demand=*/120.0);
   BranchAndBound bnb;
   MilpSolution last;
   for (auto _ : state) {

@@ -702,7 +702,7 @@ double find_capacity(serving::AllocationStrategy& strategy, double lo,
                      double tol_qps) {
   LOKI_CHECK(lo >= 0.0 && hi > lo && tol_qps > 0.0);
   auto servable = [&](double qps) {
-    return strategy.plan({qps, mult}).plan.served_fraction >= 1.0 - 1e-9;
+    return strategy.serves_demand({qps, mult}).served;
   };
   if (!servable(lo)) return 0.0;
   if (servable(hi)) return hi;

@@ -180,8 +180,11 @@ struct PlanProbe {
 PlanProbe probe_plan(serving::AllocationStrategy& strategy,
                      const pipeline::PipelineGraph& graph, double demand_qps);
 
-/// Largest constant demand (QPS) the strategy can serve with
-/// served_fraction == 1, found by bisection within [lo, hi].
+/// Largest constant demand (QPS) the strategy can serve in full, found by
+/// bisection within [lo, hi]. Each probe asks the strategy's full-service
+/// verdict (AllocationStrategy::serves_demand), not for a plan: whether
+/// plan() would return served_fraction == 1 (within 1e-9). For
+/// MilpAllocator that is exactly "the hardware or accuracy step plans".
 double find_capacity(serving::AllocationStrategy& strategy, double lo,
                      double hi, const pipeline::MultFactorTable& mult,
                      double tol_qps = 1.0);

@@ -695,7 +695,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     std::size_t split_idx, double demand_qps,
     const pipeline::MultFactorTable& mult,
     const std::vector<std::vector<bool>>& prev_variants, bool hardware_only,
-    bool served_fraction_mode) {
+    bool served_fraction_mode, bool verdict) {
   using solver::Constraint;
   using solver::LpProblem;
   using solver::Relation;
@@ -1066,6 +1066,17 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     set_accuracy_objective();
   }
 
+  if (verdict) {
+    // A stopped search holds an incumbent exactly when the full one would,
+    // but it is no plan: it stays off the step cache, so no later plan()
+    // can resume from it.
+    const auto sol = bnb.find_feasible(lp, warm);
+    track(sol);
+    result.feasible = sol.status == solver::MilpStatus::kOptimal ||
+                      sol.status == solver::MilpStatus::kFeasible;
+    return result;
+  }
+
   // Cross-epoch warm-start gate: with steady demand / mult / previous-plan
   // inputs the step model is bit-identical to last epoch's, so the solve can
   // resume from the retained basis (same plans, far fewer pivots). Any
@@ -1116,14 +1127,8 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
   return result;
 }
 
-PlanResult MilpAllocator::plan(const PlanRequest& request) {
-  const auto t0 = std::chrono::steady_clock::now();
-  // Failure re-plans shrink placement capacity to the surviving workers.
-  // The smaller capacity changes the built models, so the epoch warm cache
-  // naturally falls back to cold for the degraded epochs and re-warms once
-  // capacity is restored.
-  ScopedClusterCapacity capacity(&cfg_.cluster_size, request,
-                                 graph_->num_tasks());
+std::vector<std::vector<bool>> MilpAllocator::prepare_request(
+    const PlanRequest& request) {
   // Request shape invariant: observed arrival rates are either absent
   // (planner probes) or one entry per task — never a partial vector.
   LOKI_CHECK_MSG(request.task_arrivals_qps.empty() ||
@@ -1133,11 +1138,9 @@ PlanResult MilpAllocator::plan(const PlanRequest& request) {
                                           << " entries for "
                                           << graph_->num_tasks() << " tasks");
   ensure_epoch_context();
-  const double demand_qps = request.demand_qps;
-  const auto& splits = epoch_->splits;
   if (!team_) {
     team_ = std::make_unique<Team>(std::min<std::size_t>(
-        splits.size(),
+        epoch_->splits.size(),
         std::max<std::size_t>(1, std::thread::hardware_concurrency())));
   }
 
@@ -1160,6 +1163,20 @@ PlanResult MilpAllocator::plan(const PlanRequest& request) {
       pv[static_cast<std::size_t>(ic.variant)] = true;
     }
   }
+  return prev_variants;
+}
+
+PlanResult MilpAllocator::plan(const PlanRequest& request) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // Failure re-plans shrink placement capacity to the surviving workers.
+  // The smaller capacity changes the built models, so the epoch warm cache
+  // naturally falls back to cold for the degraded epochs and re-warms once
+  // capacity is restored.
+  ScopedClusterCapacity capacity(&cfg_.cluster_size, request,
+                                 graph_->num_tasks());
+  const auto prev_variants = prepare_request(request);
+  const double demand_qps = request.demand_qps;
+  const auto& splits = epoch_->splits;
 
   PlanResult out;
   out.epoch = request.epoch;
@@ -1190,7 +1207,8 @@ PlanResult MilpAllocator::plan(const PlanRequest& request) {
     std::vector<MilpResult> results(splits.size());
     team_->run(splits.size(), [&](std::size_t i) {
       results[i] = solve_step(i, demand_qps, request.mult, prev_variants,
-                              hardware_only, served_fraction_mode);
+                              hardware_only, served_fraction_mode,
+                              /*verdict=*/false);
     });
     std::optional<AllocationPlan> best;
     for (auto& res : results) {
@@ -1240,6 +1258,30 @@ PlanResult MilpAllocator::plan(const PlanRequest& request) {
   LOKI_CHECK_MSG(best.has_value(),
                  "overload MILP must always be feasible (lambda=0 works)");
   return finish(std::move(*best));
+}
+
+ServiceVerdict MilpAllocator::serves_demand(const PlanRequest& request) {
+  ScopedClusterCapacity capacity(&cfg_.cluster_size, request,
+                                 graph_->num_tasks());
+  const auto prev_variants = prepare_request(request);
+  // No cancellation across splits: each search stops only at its own
+  // first incumbent, so the work counted is the same on every run.
+  ServiceVerdict verdict;
+  for (const bool hardware_only : {true, false}) {
+    std::vector<MilpResult> results(epoch_->splits.size());
+    team_->run(results.size(), [&](std::size_t i) {
+      results[i] = solve_step(i, request.demand_qps, request.mult,
+                              prev_variants, hardware_only,
+                              /*served_fraction_mode=*/false,
+                              /*verdict=*/true);
+    });
+    for (const MilpResult& res : results) {
+      verdict.solver += res.stats;
+      verdict.served = verdict.served || res.feasible;
+    }
+    if (verdict.served) break;
+  }
+  return verdict;
 }
 
 }  // namespace loki::serving

@@ -152,6 +152,13 @@ class MilpAllocator : public AllocationStrategy {
   ~MilpAllocator() override;
 
   PlanResult plan(const PlanRequest& request) override;
+  /// plan() serves the whole demand exactly when its hardware or accuracy
+  /// step plans, so this runs those two steps on the same budget splits,
+  /// models and team, and never the overload step. Each split's search
+  /// stops at its first incumbent (BranchAndBound::find_feasible) and
+  /// neither reads nor writes the EpochContext's solver caches, so a later
+  /// plan() is what it would have been without the verdict.
+  ServiceVerdict serves_demand(const PlanRequest& request) override;
   std::string name() const override { return "loki-milp"; }
 
   const AllocatorConfig& config() const { return cfg_; }
@@ -176,6 +183,12 @@ class MilpAllocator : public AllocationStrategy {
     SolverStats stats;
   };
 
+  /// What plan() and serves_demand() do before any step runs: checks the
+  /// request's shape, builds the EpochContext and the team, and returns the
+  /// hosted-variant bitmap of the request's previous plan (empty without
+  /// one).
+  std::vector<std::vector<bool>> prepare_request(const PlanRequest& request);
+
   /// Lazily builds the per-split caches of the EpochContext.
   void ensure_epoch_context();
 
@@ -184,11 +197,15 @@ class MilpAllocator : public AllocationStrategy {
   /// minimizes servers; otherwise maximizes accuracy. `served_fraction_mode`
   /// relaxes the demand constraint and maximizes the served fraction first.
   /// `prev_variants` (per task, per variant) marks variants hosted by the
-  /// request's previous plan for the continuity bonus.
+  /// request's previous plan for the continuity bonus. `verdict` (hardware
+  /// and accuracy steps only) asks whether the step plans, not for its
+  /// plan: the search stops at its first incumbent, the result carries no
+  /// plan, and the split's StepCache is neither read nor written.
   MilpResult solve_step(std::size_t split_idx, double demand_qps,
                         const pipeline::MultFactorTable& mult,
                         const std::vector<std::vector<bool>>& prev_variants,
-                        bool hardware_only, bool served_fraction_mode);
+                        bool hardware_only, bool served_fraction_mode,
+                        bool verdict);
 
   AllocatorConfig cfg_;
   const pipeline::PipelineGraph* graph_;

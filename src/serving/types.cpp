@@ -49,6 +49,11 @@ std::string to_string(ScalingMode m) {
   return "?";
 }
 
+ServiceVerdict AllocationStrategy::serves_demand(const PlanRequest& request) {
+  const PlanResult r = plan(request);
+  return {r.plan.served_fraction >= 1.0 - 1e-9, r.solver};
+}
+
 int AllocationPlan::total_replicas() const {
   int n = 0;
   for (const auto& ic : instances) n += ic.replicas;

@@ -199,6 +199,13 @@ struct PlanResult {
   int epoch = 0;
 };
 
+/// Answer of AllocationStrategy::serves_demand: whether plan() would serve
+/// the whole demand, and the solver work spent deciding it.
+struct ServiceVerdict {
+  bool served = false;
+  SolverStats solver;
+};
+
 /// Allocation strategy interface: Loki's MILP allocator and the InferLine /
 /// Proteus baselines all implement this, so the runtime and benches can swap
 /// them freely. Strategies are constructed by name through StrategyRegistry
@@ -212,6 +219,12 @@ class AllocationStrategy {
   /// estimate, multiplicative-factor estimates, observed per-task arrivals,
   /// time/epoch bookkeeping, and a view of the previously applied plan.
   virtual PlanResult plan(const PlanRequest& request) = 0;
+
+  /// Full-service verdict for capacity probes (exp::find_capacity): would
+  /// plan(request) serve the whole demand (served_fraction >= 1 - 1e-9)?
+  /// The default asks plan() itself; a strategy that can answer the yes/no
+  /// question with less work overrides it, and must give the same answer.
+  virtual ServiceVerdict serves_demand(const PlanRequest& request);
 
   virtual std::string name() const = 0;
 };

@@ -80,12 +80,25 @@ bool reductions_compatible(const PresolveResult& a, const PresolveResult& b) {
 MilpSolution BranchAndBound::solve(
     const LpProblem& base,
     const std::optional<std::vector<double>>& warm_start) const {
-  return solve(base, warm_start, nullptr, WarmTier::kCold);
+  return search(base, warm_start, nullptr, WarmTier::kCold, false);
 }
 
 MilpSolution BranchAndBound::solve(
     const LpProblem& base, const std::optional<std::vector<double>>& warm_start,
     ResolveSession* session, WarmTier tier) const {
+  return search(base, warm_start, session, tier, false);
+}
+
+MilpSolution BranchAndBound::find_feasible(
+    const LpProblem& base,
+    const std::optional<std::vector<double>>& warm_start) const {
+  return search(base, warm_start, nullptr, WarmTier::kCold, true);
+}
+
+MilpSolution BranchAndBound::search(
+    const LpProblem& base, const std::optional<std::vector<double>>& warm_start,
+    ResolveSession* session, WarmTier tier,
+    bool stop_at_first_incumbent) const {
   MilpSolution out;
   const double sense_sign = base.sense() == Sense::kMinimize ? 1.0 : -1.0;
   const int nv_orig = base.num_variables();
@@ -254,7 +267,8 @@ MilpSolution BranchAndBound::solve(
   SimplexContext::Snapshot root_anchor;
 
   while (!open.empty()) {
-    if (out.nodes_explored >= options_.max_nodes) {
+    if (out.nodes_explored >= options_.max_nodes ||
+        (stop_at_first_incumbent && !incumbent.empty())) {
       truncated = true;
       break;
     }

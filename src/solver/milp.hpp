@@ -173,7 +173,22 @@ class BranchAndBound {
                      const std::optional<std::vector<double>>& warm_start,
                      ResolveSession* session, WarmTier tier) const;
 
+  /// Feasibility variant: the same search as solve(), stopped at its first
+  /// incumbent (checked at the top of the node loop, so presolve's verdicts
+  /// and the warm start come first). It ends holding an incumbent exactly
+  /// when solve() would: both explore the same nodes up to that point, and
+  /// a search never discards an incumbent. It takes no ResolveSession: a
+  /// stopped search is not a result a later solve may resume from.
+  MilpSolution find_feasible(const LpProblem& problem,
+                             const std::optional<std::vector<double>>&
+                                 warm_start = std::nullopt) const;
+
  private:
+  MilpSolution search(const LpProblem& problem,
+                      const std::optional<std::vector<double>>& warm_start,
+                      ResolveSession* session, WarmTier tier,
+                      bool stop_at_first_incumbent) const;
+
   MilpOptions options_;
 };
 

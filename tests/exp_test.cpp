@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/inferline.hpp"
 #include "common/check.hpp"
@@ -11,6 +13,7 @@
 #include "obs/registry.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
+#include "serving/plan_io.hpp"
 
 namespace loki::exp {
 namespace {
@@ -73,7 +76,8 @@ TEST(FindCapacity, InferLineCapacityBelowLoki) {
   EXPECT_GT(cap_loki, cap_il * 2.0);
 }
 
-/// Forwards to a strategy and sums what its plans cost.
+/// Forwards to a strategy, sums what its plans and verdicts cost, and logs
+/// each verdict's demand and answer.
 class CountingStrategy : public serving::AllocationStrategy {
  public:
   explicit CountingStrategy(serving::AllocationStrategy* inner)
@@ -84,10 +88,19 @@ class CountingStrategy : public serving::AllocationStrategy {
     solver += r.solver;
     return r;
   }
+  serving::ServiceVerdict serves_demand(
+      const serving::PlanRequest& request) override {
+    serving::ServiceVerdict v = inner_->serves_demand(request);
+    ++calls;
+    solver += v.solver;
+    verdicts.emplace_back(request.demand_qps, v.served);
+    return v;
+  }
   std::string name() const override { return inner_->name(); }
 
   int calls = 0;
   serving::SolverStats solver;
+  std::vector<std::pair<double, bool>> verdicts;
 
  private:
   serving::AllocationStrategy* inner_;
@@ -110,8 +123,8 @@ TEST(FindCapacity, BenchmarkClustersArePinned) {
     double capacity_qps;
     int calls, lp_iterations, nodes, milp_solves;
   };
-  for (const Case& c : {Case{96, 6592.27783203125, 14, 34558, 12874, 216},
-                        Case{32, 2140.63720703125, 14, 37750, 13496, 228}}) {
+  for (const Case& c : {Case{96, 6592.27783203125, 14, 3329, 343, 120},
+                        Case{32, 2140.63720703125, 14, 3864, 413, 120}}) {
     SCOPED_TRACE(c.workers);
     serving::AllocatorConfig acfg;
     acfg.cluster_size = c.workers;
@@ -124,6 +137,106 @@ TEST(FindCapacity, BenchmarkClustersArePinned) {
     EXPECT_EQ(counted.solver.lp_iterations, c.lp_iterations);
     EXPECT_EQ(counted.solver.nodes_explored, c.nodes);
     EXPECT_EQ(counted.solver.milp_solves, c.milp_solves);
+  }
+}
+
+// The profiler of the benchmark's capacity probe.
+serving::ProfileTable bench_profiles(const pipeline::PipelineGraph& graph) {
+  return serving::build_profile_table(
+      graph, profile::ModelProfiler(profile::default_batch_set(),
+                                    /*repetitions=*/5, /*noise_frac=*/0.0,
+                                    /*seed=*/1));
+}
+
+bool plan_serves(serving::AllocationStrategy& strategy, double qps,
+                 const pipeline::MultFactorTable& mult) {
+  return strategy.plan({qps, mult}).plan.served_fraction >= 1.0 - 1e-9;
+}
+
+// MilpAllocator's verdict skips the overload step and stops each search at
+// its first incumbent; it must still answer exactly what plan() answers.
+// On three pipelines, four cluster sizes and three SLOs it is checked at
+// every demand the bisection of the benchmark visits and on a 0.5% grid
+// within 3% of the capacity, against a second instance that is only asked
+// for plans. Then the probed instance plans at the bisection's demands,
+// latest first: each plan must equal that instance's bit for bit, work
+// included. Consecutive demands differ, so every one of those plans is a
+// cold solve, and a verdict that left its model in the epoch caches would
+// show as a cheaper first plan.
+TEST(FullServiceVerdict, MilpAnswersWhatPlanAnswers) {
+  struct Case {
+    pipeline::PipelineGraph (*pipeline)();
+    int workers;
+    double slo_s;
+  };
+  const Case cases[] = {
+      {pipeline::traffic_analysis_pipeline, 96, 0.25},
+      {pipeline::traffic_analysis_pipeline, 32, 0.15},
+      {pipeline::traffic_analysis_two_task_pipeline, 8, 0.40},
+      {pipeline::traffic_analysis_two_task_pipeline, 20, 0.25},
+      {pipeline::social_media_pipeline, 20, 0.15},
+      {pipeline::social_media_pipeline, 32, 0.40},
+  };
+  for (const Case& c : cases) {
+    const auto graph = c.pipeline();
+    SCOPED_TRACE(graph.name() + " on " + std::to_string(c.workers) +
+                 " workers, SLO " + std::to_string(c.slo_s));
+    const auto profiles = bench_profiles(graph);
+    const auto mult = pipeline::default_mult_factors(graph);
+    serving::AllocatorConfig acfg;
+    acfg.cluster_size = c.workers;
+    acfg.slo_s = c.slo_s;
+    serving::MilpAllocator probed(acfg, &graph, profiles);
+    serving::MilpAllocator reference(acfg, &graph, profiles);
+    CountingStrategy counted(&probed);
+    const double cap = find_capacity(counted, 10.0, 30000.0, mult, 10.0);
+    ASSERT_GT(cap, 10.0);
+    ASSERT_LT(cap, 30000.0);
+
+    std::vector<serving::PlanResult> planned;
+    for (const auto& [qps, served] : counted.verdicts) {
+      planned.push_back(reference.plan({qps, mult}));
+      EXPECT_EQ(served, planned.back().plan.served_fraction >= 1.0 - 1e-9)
+          << qps << " qps";
+    }
+    for (std::size_t i = planned.size(); i-- > 0;) {
+      const double qps = counted.verdicts[i].first;
+      serving::PlanResult r = probed.plan({qps, mult});
+      const serving::PlanResult& want = planned[i];
+      EXPECT_EQ(r.solver.lp_iterations, want.solver.lp_iterations) << qps;
+      EXPECT_EQ(r.solver.nodes_explored, want.solver.nodes_explored) << qps;
+      EXPECT_EQ(r.solver.milp_solves, want.solver.milp_solves) << qps;
+      r.plan.solve_time_s = want.plan.solve_time_s;
+      EXPECT_EQ(serving::plan_to_text(r.plan),
+                serving::plan_to_text(want.plan))
+          << qps;
+    }
+    for (int k = -6; k <= 6; ++k) {
+      const double qps = cap * (1.0 + 0.005 * k);
+      EXPECT_EQ(probed.serves_demand({qps, mult}).served,
+                plan_serves(reference, qps, mult))
+          << qps << " qps";
+    }
+  }
+}
+
+// The other strategies keep the default verdict, which asks plan().
+TEST(FullServiceVerdict, DefaultAsksPlan) {
+  const auto graph = pipeline::traffic_analysis_pipeline();
+  const auto profiles = bench_profiles(graph);
+  const auto mult = pipeline::default_mult_factors(graph);
+  serving::AllocatorConfig acfg;
+  acfg.cluster_size = 32;
+  for (const char* name : {"greedy", "inferline", "proteus"}) {
+    SCOPED_TRACE(name);
+    auto probed = make_strategy(name, acfg, &graph, profiles);
+    auto reference = make_strategy(name, acfg, &graph, profiles);
+    CountingStrategy counted(probed.get());
+    const double cap = find_capacity(counted, 10.0, 30000.0, mult, 10.0);
+    EXPECT_GT(cap, 10.0);
+    for (const auto& [qps, served] : counted.verdicts) {
+      EXPECT_EQ(served, plan_serves(*reference, qps, mult)) << qps << " qps";
+    }
   }
 }
 

@@ -842,11 +842,10 @@ TEST(SimplexColumnRegimes, SnapshotRestoreAcrossColdRebuild) {
   EXPECT_GE(covered, 10);
 }
 
-// Random MILP generator + exhaustive integer-box enumeration reference.
-class SolverDifferentialMilp : public ::testing::TestWithParam<int> {};
-
-TEST_P(SolverDifferentialMilp, MatchesExhaustiveEnumeration) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 4409 + 23);
+// Random MILP generator: 2-3 variables in [0, 2..5], mostly integer, and
+// 1-3 dense rows, some of which make the model infeasible.
+LpProblem random_milp(int seed) {
+  Rng rng(static_cast<std::uint64_t>(seed) * 4409 + 23);
   const int nvars = 2 + static_cast<int>(rng.uniform_index(2));  // 2..3
   const int ub = 2 + static_cast<int>(rng.uniform_index(4));     // 2..5
   LpProblem p(rng.bernoulli(0.5) ? Sense::kMaximize : Sense::kMinimize);
@@ -867,6 +866,16 @@ TEST_P(SolverDifferentialMilp, MatchesExhaustiveEnumeration) {
     con.rhs = rng.uniform(-5.0, 12.0);
     p.add_constraint(std::move(con));
   }
+  return p;
+}
+
+// Random MILP generator + exhaustive integer-box enumeration reference.
+class SolverDifferentialMilp : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverDifferentialMilp, MatchesExhaustiveEnumeration) {
+  const LpProblem p = random_milp(GetParam());
+  const int nvars = p.num_variables();
+  const int ub = static_cast<int>(p.upper_bound(0));
 
   // Reference: enumerate integer assignments; for each, solve the remaining
   // continuous variables with the (already differentially validated) seed
@@ -1033,27 +1042,7 @@ TEST(Presolve, SingletonWithinSlackOfTheOtherBoundFixesTheVariable) {
 class SolverDifferentialMilpPresolve : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolverDifferentialMilpPresolve, PresolveOnOffAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 4409 + 23);
-  const int nvars = 2 + static_cast<int>(rng.uniform_index(2));  // 2..3
-  const int ub = 2 + static_cast<int>(rng.uniform_index(4));     // 2..5
-  LpProblem p(rng.bernoulli(0.5) ? Sense::kMaximize : Sense::kMinimize);
-  for (int j = 0; j < nvars; ++j) {
-    p.add_variable("x" + std::to_string(j), 0, ub, rng.uniform(-5.0, 5.0),
-                   rng.bernoulli(0.8) ? VarType::kInteger
-                                      : VarType::kContinuous);
-  }
-  const int rows = 1 + static_cast<int>(rng.uniform_index(3));
-  for (int c = 0; c < rows; ++c) {
-    Constraint con;
-    for (int j = 0; j < nvars; ++j) {
-      con.terms.push_back({j, rng.uniform(-3.0, 3.0)});
-    }
-    const double u = rng.uniform();
-    con.rel = u < 0.6 ? Relation::kLe : u < 0.9 ? Relation::kGe
-                                                : Relation::kEq;
-    con.rhs = rng.uniform(-5.0, 12.0);
-    p.add_constraint(std::move(con));
-  }
+  const LpProblem p = random_milp(GetParam());
 
   MilpOptions with;
   with.presolve = true;
@@ -1074,6 +1063,61 @@ TEST_P(SolverDifferentialMilpPresolve, PresolveOnOffAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialMilpPresolve,
                          ::testing::Range(0, 50));
+
+bool has_incumbent(const MilpSolution& s) {
+  return s.status == MilpStatus::kOptimal || s.status == MilpStatus::kFeasible;
+}
+
+// find_feasible, the search stopped at its first incumbent, ends feasible
+// exactly when the full search does on the random MILPs above: with the
+// default node budget, and with budgets of 1-3 nodes that truncate the full
+// search before or after its first incumbent. It explores a prefix of the
+// full search's nodes, all of them when it never finds an incumbent. It has
+// no ResolveSession to touch.
+TEST(MilpFirstIncumbent, FeasibleExactlyWhenTheFullSearchIs) {
+  int infeasible = 0, truncated_empty = 0, truncated_feasible = 0;
+  int stopped_early = 0;
+  for (int seed = 0; seed < 50; ++seed) {
+    const LpProblem p = random_milp(seed);
+    for (const int max_nodes : {200000, 3, 2, 1}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", max_nodes " +
+                   std::to_string(max_nodes));
+      MilpOptions opts;
+      opts.max_nodes = max_nodes;
+      const BranchAndBound bnb(opts);
+      const MilpSolution full = bnb.solve(p);
+      const MilpSolution stopped = bnb.find_feasible(p);
+      ASSERT_EQ(has_incumbent(stopped), has_incumbent(full))
+          << to_string(stopped.status) << " vs " << to_string(full.status)
+          << "\n" << p.to_string();
+      EXPECT_LE(stopped.nodes_explored, full.nodes_explored);
+      infeasible += full.status == MilpStatus::kInfeasible;
+      truncated_empty += full.status == MilpStatus::kNoSolution;
+      truncated_feasible += full.status == MilpStatus::kFeasible;
+      if (!has_incumbent(full)) {
+        EXPECT_EQ(stopped.status, full.status);
+        EXPECT_EQ(stopped.nodes_explored, full.nodes_explored);
+        EXPECT_EQ(stopped.lp_iterations, full.lp_iterations);
+        continue;
+      }
+      stopped_early += stopped.nodes_explored < full.nodes_explored;
+      std::vector<double> x = stopped.values;
+      EXPECT_TRUE(p.is_feasible(x, 1e-5)) << p.to_string();
+      for (int j = 0; j < p.num_variables(); ++j) {
+        if (p.var_type(j) == VarType::kContinuous) continue;
+        EXPECT_EQ(x[j], std::round(x[j])) << p.to_string();
+      }
+      // A feasible warm start is the first incumbent: no node LP runs.
+      const MilpSolution warm = bnb.find_feasible(p, full.values);
+      EXPECT_TRUE(has_incumbent(warm));
+      EXPECT_EQ(warm.nodes_explored, 0);
+    }
+  }
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GT(truncated_empty, 0);
+  EXPECT_GT(truncated_feasible, 0);
+  EXPECT_GT(stopped_early, 0);
+}
 
 }  // namespace
 }  // namespace loki::solver
