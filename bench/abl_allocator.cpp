@@ -1,43 +1,20 @@
 // Allocator ablation: MILP vs greedy allocation quality and
 // latency across the demand range, the effect of the latency-budget grid
-// resolution, and the cross-epoch warm-start ablation (steady-state
-// re-planning with EpochContext vs cold re-solves), which is exported to
-// BENCH_allocator.json (--json=PATH to override the location).
+// resolution, and the near-identical warm tier on a demand ramp against
+// the default (cold) planner, which is exported to BENCH_allocator.json
+// (--json=PATH to override the location).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/flags.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
-#include "serving/plan_io.hpp"
 
 using namespace loki;
-
-namespace {
-
-/// Serialized plan with wall-clock fields zeroed, for bitwise comparison.
-std::string comparable_plan_text(const serving::AllocationPlan& plan) {
-  serving::AllocationPlan p = plan;
-  p.solve_time_s = 0.0;
-  p.solver = serving::SolverStats{};
-  return serving::plan_to_text(p);
-}
-
-/// One allocator's tallies over the epoch loop.
-struct EpochTally {
-  serving::SolverStats stats;
-  double steady_replan_s = 0.0;  // wall time spent on steady-state epochs
-  int steady_epochs = 0;
-  int steady_pivots = 0;
-  double total_replan_s = 0.0;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -95,102 +72,19 @@ int main(int argc, char** argv) {
   grid_csv.write(bench::output_dir() + "/abl_budget_grid.csv");
 
   // -------------------------------------------------------------------------
-  // Cross-epoch warm-start ablation: the Resource Manager re-plans every
-  // control epoch; in the steady state (demand unchanged within the
-  // re-allocation hysteresis) the step models are bit-identical and the
-  // EpochContext resumes from the previous epoch's basis. Drive 60 epochs of
-  // a piecewise-steady demand trace through a warm allocator and a cold
-  // reference (warm_start_across_epochs=false), assert the plans are
-  // bit-identical, and report pivot counts + steady-state re-plan latency.
-  // -------------------------------------------------------------------------
-  bench::banner("Ablation — cross-epoch warm starts (steady-state re-plan)");
-
-  std::vector<double> epochs;
-  for (int i = 0; i < 20; ++i) epochs.push_back(600.0);   // hardware regime
-  for (int i = 0; i < 20; ++i) epochs.push_back(900.0);   // accuracy regime
-  for (int i = 0; i < 20; ++i) epochs.push_back(600.0);   // back down
-
-  serving::MilpAllocator warm_alloc(cfg, &graph, profiles);
-  serving::AllocatorConfig cold_cfg = cfg;
-  cold_cfg.warm_start_across_epochs = false;
-  serving::MilpAllocator cold_alloc(cold_cfg, &graph, profiles);
-
-  EpochTally warm_t, cold_t;
-  serving::AllocationPlan warm_prev, cold_prev;
-  bool identical = true;
-  for (std::size_t e = 0; e < epochs.size(); ++e) {
-    const bool steady = e > 0 && epochs[e] == epochs[e - 1];
-    auto run = [&](serving::MilpAllocator& alloc, EpochTally& tally,
-                   serving::AllocationPlan& prev) {
-      serving::PlanRequest req;
-      req.demand_qps = epochs[e];
-      req.mult = mult;
-      req.epoch = static_cast<int>(e);
-      req.previous_plan = e > 0 ? &prev : nullptr;
-      const auto t0 = std::chrono::steady_clock::now();
-      auto result = alloc.plan(req);
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      tally.stats += result.solver;
-      tally.total_replan_s += wall;
-      if (steady) {
-        ++tally.steady_epochs;
-        tally.steady_replan_s += wall;
-        tally.steady_pivots += result.solver.lp_iterations;
-      }
-      prev = std::move(result.plan);
-    };
-    run(warm_alloc, warm_t, warm_prev);
-    run(cold_alloc, cold_t, cold_prev);
-    if (comparable_plan_text(warm_prev) != comparable_plan_text(cold_prev)) {
-      identical = false;
-      std::printf("  PLAN MISMATCH at epoch %zu (demand %.0f)\n", e,
-                  epochs[e]);
-    }
-  }
-
-  const double warm_hit_rate =
-      warm_t.stats.milp_solves > 0
-          ? static_cast<double>(warm_t.stats.epoch_warm_hits) /
-                static_cast<double>(warm_t.stats.milp_solves)
-          : 0.0;
-  const double pivot_ratio =
-      warm_t.steady_pivots > 0
-          ? static_cast<double>(cold_t.steady_pivots) /
-                static_cast<double>(warm_t.steady_pivots)
-          : 0.0;
-  std::printf("\n  epochs: %zu (%d steady)  plans bit-identical: %s\n",
-              epochs.size(), warm_t.steady_epochs, identical ? "yes" : "NO");
-  std::printf("  warm: %d pivots steady (%d total), %d epoch-warm hits, "
-              "%d cached skips, %.2f hit rate\n",
-              warm_t.steady_pivots, warm_t.stats.lp_iterations,
-              warm_t.stats.epoch_warm_hits, warm_t.stats.epoch_cache_skips,
-              warm_hit_rate);
-  std::printf("  cold: %d pivots steady (%d total)\n", cold_t.steady_pivots,
-              cold_t.stats.lp_iterations);
-  std::printf("  steady pivot ratio cold/warm: %.2fx\n", pivot_ratio);
-  std::printf("  steady re-plan latency: warm %.2f ms, cold %.2f ms\n",
-              warm_t.steady_epochs
-                  ? 1e3 * warm_t.steady_replan_s / warm_t.steady_epochs
-                  : 0.0,
-              cold_t.steady_epochs
-                  ? 1e3 * cold_t.steady_replan_s / cold_t.steady_epochs
-                  : 0.0);
-
-  // -------------------------------------------------------------------------
-  // Near-identical warm tier ablation: a slow linear demand ramp breaks the
-  // bit-identical gate at every epoch (the capacity-row coefficients carry
-  // the demand), which is exactly the territory of the opt-in near tier —
-  // crash-start each step's root LP from the previous epoch's basis and
-  // seed branch-and-bound with the previous incumbent. Plans must stay
-  // within the MILP optimality gap of a cold reference; the win is pivots.
+  // Near-identical warm tier ablation: on a slow linear demand ramp every
+  // epoch's step models keep their shape while the capacity-row
+  // coefficients carry the demand, which is exactly the territory of the
+  // opt-in near tier — crash-start each step's root LP from the previous
+  // epoch's basis and seed branch-and-bound with the previous incumbent.
+  // Plans must stay within the MILP optimality gap of the default planner,
+  // which solves every epoch cold; the win is pivots.
   // -------------------------------------------------------------------------
   bench::banner("Ablation — near-identical warm tier (60-epoch demand ramp)");
   serving::AllocatorConfig near_cfg = cfg;
   near_cfg.near_warm_start = true;
   serving::MilpAllocator near_alloc(near_cfg, &graph, profiles);
-  serving::MilpAllocator ramp_cold_alloc(cold_cfg, &graph, profiles);
+  serving::MilpAllocator ramp_cold_alloc(cfg, &graph, profiles);
 
   const int ramp_epochs = 60;
   serving::SolverStats near_stats, ramp_cold_stats;
@@ -275,32 +169,8 @@ int main(int argc, char** argv) {
   const std::string json_path =
       flags.get_string("json", bench::output_dir() + "/BENCH_allocator.json");
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
-    auto tally_json = [&](const EpochTally& t) {
-      std::fprintf(f,
-                   "{\"milp_solves\": %d, \"total_pivots\": %d, "
-                   "\"steady_pivots\": %d, \"epoch_warm_hits\": %d, "
-                   "\"epoch_cache_skips\": %d, \"steady_epochs\": %d, "
-                   "\"steady_replan_ms_mean\": %.4f, "
-                   "\"total_replan_ms\": %.4f}",
-                   t.stats.milp_solves, t.stats.lp_iterations,
-                   t.steady_pivots, t.stats.epoch_warm_hits,
-                   t.stats.epoch_cache_skips, t.steady_epochs,
-                   t.steady_epochs
-                       ? 1e3 * t.steady_replan_s / t.steady_epochs
-                       : 0.0,
-                   1e3 * t.total_replan_s);
-    };
-    std::fprintf(f, "{\n  \"epochs\": %zu,\n  \"plans_bit_identical\": %s,\n"
-                    "  \"warm_hit_rate\": %.4f,\n"
-                    "  \"steady_pivot_ratio_cold_over_warm\": %.4f,\n"
-                    "  \"warm\": ",
-                 epochs.size(), identical ? "true" : "false", warm_hit_rate,
-                 pivot_ratio);
-    tally_json(warm_t);
-    std::fprintf(f, ",\n  \"cold\": ");
-    tally_json(cold_t);
     std::fprintf(f,
-                 ",\n  \"ramp\": {\"epochs\": %d, \"plans_within_gap\": %s, "
+                 "{\n  \"ramp\": {\"epochs\": %d, \"plans_within_gap\": %s, "
                  "\"near_warm_hits\": %d, \"near_hit_rate\": %.4f, "
                  "\"near_pivots\": %d, \"cold_pivots\": %d, "
                  "\"pivot_ratio_cold_over_near\": %.4f, "
@@ -320,5 +190,5 @@ int main(int argc, char** argv) {
 
   std::printf("\n  wrote %s/abl_allocator.csv, abl_budget_grid.csv\n",
               bench::output_dir().c_str());
-  return identical && within_gap ? 0 : 1;
+  return within_gap ? 0 : 1;
 }

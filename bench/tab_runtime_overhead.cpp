@@ -44,13 +44,10 @@ Setup& setup() {
 // same report as wall time.
 void BM_ResourceManagerMilp(benchmark::State& state) {
   auto& s = setup();
-  // Cold re-plan: cross-epoch warm starts off, so every iteration pays the
-  // full three-step solve (the paper's ~500 ms comparison point). The
-  // steady-state path is measured by BM_ResourceManagerSteadyReplan.
-  serving::AllocatorConfig cfg = s.cfg;
-  cfg.warm_start_across_epochs = false;
-  serving::MilpAllocator alloc(cfg, &s.graph, s.profiles);
-  // No previous plan either: every iteration is the same first-epoch solve.
+  // Every iteration pays the full three-step solve (the paper's ~500 ms
+  // comparison point): the planner keeps no solver state between calls,
+  // and with no previous plan each is the same first-epoch solve.
+  serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
   const serving::PlanRequest req{static_cast<double>(state.range(0)), s.mult};
   serving::SolverStats last;
   for (auto _ : state) {
@@ -81,42 +78,6 @@ BENCHMARK(BM_ResourceManagerMilp)
     ->Arg(100)    // hardware-scaling regime
     ->Arg(900)    // accuracy-scaling regime
     ->Arg(5000)   // overload regime
-    ->Unit(benchmark::kMillisecond);
-
-// Steady-state epoch re-plan: same demand every control epoch (within the
-// hysteresis band nothing about the model changes), so after the first
-// couple of plans the EpochContext warm-starts every step MILP from the
-// previous epoch's basis. This is the latency the Resource Manager actually
-// pays in the common no-news case.
-void BM_ResourceManagerSteadyReplan(benchmark::State& state) {
-  auto& s = setup();
-  serving::MilpAllocator alloc(s.cfg, &s.graph, s.profiles);
-  serving::PlanRequest req{static_cast<double>(state.range(0)), s.mult};
-  // Prime: two epochs stabilize the previous-plan view (continuity bonus)
-  // and retain the bases the timed epochs warm-start from. Every epoch
-  // plans against the plan the one before it returned.
-  serving::AllocationPlan prev = alloc.plan(req).plan;
-  req.previous_plan = &prev;
-  prev = alloc.plan(req).plan;
-  serving::SolverStats last;
-  for (auto _ : state) {
-    auto plan = alloc.plan(req).plan;
-    benchmark::DoNotOptimize(plan.servers_used);
-    last = plan.solver;
-    prev = std::move(plan);
-  }
-  state.counters["lp_pivots"] =
-      benchmark::Counter(static_cast<double>(last.lp_iterations));
-  state.counters["epoch_warm_hits"] =
-      benchmark::Counter(static_cast<double>(last.epoch_warm_hits));
-  state.counters["epoch_cache_skips"] =
-      benchmark::Counter(static_cast<double>(last.epoch_cache_skips));
-  state.counters["milp_solves"] =
-      benchmark::Counter(static_cast<double>(last.milp_solves));
-}
-BENCHMARK(BM_ResourceManagerSteadyReplan)
-    ->Arg(100)
-    ->Arg(900)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GreedyAllocator(benchmark::State& state) {

@@ -189,7 +189,6 @@ std::unique_ptr<serving::AllocationStrategy> make_planner(
   auto strategy = make_strategy(cfg.system, alloc, &graph, profiles);
   if (!cfg.fallback.enabled) return strategy;
   serving::AllocatorConfig near = alloc;
-  near.warm_start_across_epochs = true;  // the near tier needs its basis
   near.near_warm_start = true;
   return std::make_unique<serving::PlanFallbackChain>(
       std::move(strategy),

@@ -563,41 +563,28 @@ PlanResult GreedyAllocator::plan(const PlanRequest& request) {
 
 /// See the declaration in allocation.hpp for the ownership story. Split
 /// caches depend only on construction inputs (cfg, graph, profiles) and are
-/// immutable once built; the per-(split, step) StepCache entries carry the
-/// mutable cross-epoch solver state and are each touched by exactly one
+/// immutable once built; the per-(split, step) NearState entries carry the
+/// near tier's mutable solver state and are each touched by exactly one
 /// thread of the split-parallel solve.
 struct MilpAllocator::EpochContext {
-  /// Cross-epoch solver state for one (budget split, allocation step).
-  struct StepCache {
-    /// The exact model (and greedy warm incumbent) of the last cold build;
-    /// the warm-start gate requires the new model to equal it bitwise.
+  /// The near tier's state for one (budget split, allocation step): the
+  /// step's last model and the session of its solve. Used only with
+  /// AllocatorConfig::near_warm_start.
+  struct NearState {
     bool has_model = false;
     solver::LpProblem model;
-    std::optional<std::vector<double>> warm;
-    /// Persistent simplex context + post-root basis (solver/milp.hpp).
     solver::ResolveSession session;
-    /// Memoized "this model yields no plan" verdict: re-proving the same
-    /// infeasibility every epoch is pure waste, and the solver is
-    /// deterministic, so the cached verdict is exact.
-    bool last_no_plan = false;
-  };
-  /// Cross-epoch memo for the overload (served-fraction) step. Its
-  /// two-stage solve shares one session and stage B mutates the model in
-  /// place, so the generic StepCache cannot snapshot "the" model; instead
-  /// the stage-A model (captured with its objective set, before stage-B
-  /// mutation) keys a memo of the step's final result. A steady overload
-  /// epoch — same demand, mult and previous-plan variants — returns the
-  /// cached result without touching the solver (reported as an
-  /// epoch_cache_skip); otherwise the persistent session gives the opt-in
-  /// near tier a basis to crash-start from, and the cold path rebuilds it
-  /// exactly as a transient session would (bit-identical pivots).
-  struct OverloadCache {
-    bool has_model = false;
-    solver::LpProblem model;                       // stage-A lp
-    std::vector<std::vector<bool>> prev_variants;  // continuity key
-    bool has_result = false;
-    MilpResult result;
-    solver::ResolveSession session;
+
+    /// The tier to solve `lp` at — kNearIdentical when it differs from the
+    /// last model only in coefficient values — after which `lp` is the
+    /// last model.
+    solver::WarmTier tier_for(const solver::LpProblem& lp) {
+      const bool near = has_model && solver::near_identical(lp, model);
+      model = lp;
+      has_model = true;
+      return near ? solver::WarmTier::kNearIdentical
+                  : solver::WarmTier::kCold;
+    }
   };
   struct SplitCache {
     std::vector<double> budgets;
@@ -607,8 +594,7 @@ struct MilpAllocator::EpochContext {
     bool feasible_hw = false;
     std::vector<std::vector<ConfigPath>> sink_paths;
     std::vector<std::vector<ConfigPath>> sink_paths_hw;
-    StepCache steps[2];  // [0] hardware, [1] accuracy
-    OverloadCache overload;
+    NearState near[3];  // [0] hardware, [1] accuracy, [2] overload stage A
   };
   std::vector<std::vector<double>> splits;
   std::vector<SplitCache> per_split;
@@ -621,11 +607,6 @@ MilpAllocator::MilpAllocator(AllocatorConfig cfg,
   LOKI_CHECK(graph_ != nullptr);
   LOKI_CHECK_MSG(cfg_.cluster_size >= graph_->num_tasks(),
                  "cluster must fit at least one instance per task");
-  LOKI_CHECK_MSG(cfg_.warm_start_across_epochs || !cfg_.near_warm_start,
-                 "AllocatorConfig::near_warm_start is ignored while "
-                 "warm_start_across_epochs is false: the near tier resumes "
-                 "from the previous epoch's retained basis; unset one of the "
-                 "two");
 }
 
 MilpAllocator::~MilpAllocator() = default;
@@ -920,8 +901,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
   // at demand 5000). The hardware/accuracy steps keep best-first: their
   // truncated-search incumbents feed the next epoch's continuity bonus,
   // and best-first reaches a stable plan fixed point (plan(prev=A) == A)
-  // where diving oscillates between near-equal optima — which would break
-  // the steady-state bit-identical warm tier's hit rate.
+  // where diving oscillates between near-equal optima.
   solver::MilpOptions step_milp = kPlannerMilp;
   if (served_fraction_mode) {
     step_milp.node_order = solver::NodeOrder::kDepthFirst;
@@ -987,42 +967,19 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     for (const auto& vars : n_var) {
       for (int v : vars) lp.set_objective_coeff(v, -kServerPenalty);
     }
-    // Cross-epoch memo (see OverloadCache): a steady overload epoch — the
-    // stage-A model and the continuity inputs bit-match the last build that
-    // produced a plan — returns that plan without re-solving. Gating on the
-    // stage-A model is sound because stage B is a pure function of stage
-    // A's model and solution (deterministic solver), so equal stage-A
-    // inputs imply an equal final result.
-    auto& oc = split_cache.overload;
-    if (cfg_.warm_start_across_epochs && oc.has_result &&
-        prev_variants == oc.prev_variants &&
-        solver::structurally_equal(lp, oc.model)) {
-      result = oc.result;
-      result.stats = SolverStats{};
-      result.stats.epoch_cache_skips = 1;
-      return result;
-    }
     // Stage A and B share one solver session: stage B's model is stage A's
     // with a different objective and a raised lambda floor, so its root LP
     // crash-starts from stage A's retained root basis (the near-identical
-    // tier) instead of cold-solving. With cross-epoch warm starts the
-    // session persists in the cache — the opt-in near tier then lets a
-    // drifted-demand epoch crash-start stage A from last epoch's basis; a
-    // cold solve resets the session first, so pivots match a transient
-    // session exactly.
+    // tier) instead of cold-solving. With the opt-in near tier the session
+    // is the split's, so a drifted-demand plan() crash-starts stage A from
+    // the last call's basis too; otherwise it lives for this solve only.
     solver::ResolveSession local_session;
     solver::ResolveSession* stage_session = &local_session;
     solver::WarmTier tier_a = solver::WarmTier::kCold;
-    if (cfg_.warm_start_across_epochs) {
-      stage_session = &oc.session;
-      if (cfg_.near_warm_start && oc.has_model &&
-          solver::near_identical(lp, oc.model)) {
-        tier_a = solver::WarmTier::kNearIdentical;
-      }
-      oc.model = lp;  // snapshot before stage B mutates the objective/bounds
-      oc.prev_variants = prev_variants;
-      oc.has_model = true;
-      oc.has_result = false;
+    if (cfg_.near_warm_start) {
+      auto& near = split_cache.near[2];
+      tier_a = near.tier_for(lp);  // before stage B mutates the model
+      stage_session = &near.session;
     }
     auto solA = bnb.solve(lp, trivial, stage_session, tier_a);
     track(solA);
@@ -1050,10 +1007,6 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     extract(sol.values, plan.served_fraction);
     result.feasible = true;
     result.plan = std::move(plan);
-    if (cfg_.warm_start_across_epochs) {
-      oc.result = result;
-      oc.has_result = true;
-    }
     return result;
   }
 
@@ -1068,8 +1021,8 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
 
   if (verdict) {
     // A stopped search holds an incumbent exactly when the full one would,
-    // but it is no plan: it stays off the step cache, so no later plan()
-    // can resume from it.
+    // but it is no plan: it stays out of the near tier's state, so no later
+    // plan() can resume from it.
     const auto sol = bnb.find_feasible(lp, warm);
     track(sol);
     result.feasible = sol.status == solver::MilpStatus::kOptimal ||
@@ -1077,46 +1030,18 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     return result;
   }
 
-  // Cross-epoch warm-start gate: with steady demand / mult / previous-plan
-  // inputs the step model is bit-identical to last epoch's, so the solve can
-  // resume from the retained basis (same plans, far fewer pivots). Any
-  // difference at all — one coefficient, one warm-incumbent entry — reads as
-  // a new model and, unless the opt-in near tier recognizes it as the same
-  // model with drifted coefficients (demand ramp), cold-solves.
-  auto& step_cache = split_cache.steps[hardware_only ? 0 : 1];
-  const bool same_model = cfg_.warm_start_across_epochs &&
-                          step_cache.has_model && warm == step_cache.warm &&
-                          solver::structurally_equal(lp, step_cache.model);
-  if (same_model && step_cache.last_no_plan) {
-    // This exact model already failed to produce a plan; the solver is
-    // deterministic, so re-running it would only re-prove the verdict.
-    result.stats.epoch_cache_skips = 1;
-    return result;
-  }
+  // Without the opt-in near tier every solve is cold and keeps no state.
+  solver::ResolveSession* session = nullptr;
   solver::WarmTier tier = solver::WarmTier::kCold;
-  if (same_model) {
-    tier = solver::WarmTier::kIdentical;
-  } else if (cfg_.warm_start_across_epochs && cfg_.near_warm_start &&
-             step_cache.has_model &&
-             solver::near_identical(lp, step_cache.model)) {
-    tier = solver::WarmTier::kNearIdentical;
+  if (cfg_.near_warm_start) {
+    auto& near = split_cache.near[hardware_only ? 0 : 1];
+    tier = near.tier_for(lp);
+    session = &near.session;
   }
-  solver::ResolveSession* session =
-      cfg_.warm_start_across_epochs ? &step_cache.session : nullptr;
-  auto sol = bnb.solve(lp, warm, session, tier);
-  if (cfg_.warm_start_across_epochs && !same_model) {
-    step_cache.model = lp;
-    step_cache.warm = warm;
-    step_cache.has_model = true;
-  }
+  const auto sol = bnb.solve(lp, warm, session, tier);
   track(sol);
-  const bool has_plan = sol.status == solver::MilpStatus::kOptimal ||
-                        sol.status == solver::MilpStatus::kFeasible;
-  // Memoize only *proven* infeasibility: kNoSolution can mean a truncated
-  // search, and caching that would permanently disable the step for steady
-  // demand. A proven infeasible verdict is deterministic and safe to reuse.
-  step_cache.last_no_plan = sol.status == solver::MilpStatus::kInfeasible;
-  if (!has_plan) {
+  if (sol.status != solver::MilpStatus::kOptimal &&
+      sol.status != solver::MilpStatus::kFeasible) {
     return result;
   }
   plan.mode = hardware_only ? ScalingMode::kHardware : ScalingMode::kAccuracy;
@@ -1169,9 +1094,6 @@ std::vector<std::vector<bool>> MilpAllocator::prepare_request(
 PlanResult MilpAllocator::plan(const PlanRequest& request) {
   const auto t0 = std::chrono::steady_clock::now();
   // Failure re-plans shrink placement capacity to the surviving workers.
-  // The smaller capacity changes the built models, so the epoch warm cache
-  // naturally falls back to cold for the degraded epochs and re-warms once
-  // capacity is restored.
   ScopedClusterCapacity capacity(&cfg_.cluster_size, request,
                                  graph_->num_tasks());
   const auto prev_variants = prepare_request(request);

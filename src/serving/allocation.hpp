@@ -49,24 +49,17 @@ struct AllocatorConfig {
   double slo_s = 0.250;
   /// Grid resolution for splitting the latency budget across depth levels.
   int budget_grid = 7;
-  /// Cross-epoch warm starts: when a step's MILP model is bit-identical to
-  /// the previous epoch's (steady demand within the re-allocation
-  /// hysteresis), re-solve it from the previous epoch's retained basis
-  /// instead of a cold root solve. Plans are bit-identical either way; this
-  /// only changes how many pivots the re-solve costs. Benches measuring
-  /// cold re-plan latency switch it off.
-  bool warm_start_across_epochs = true;
-  /// Opt-in near-identical warm tier (default OFF so existing plans stay
-  /// bit-identical): when the bit-identical gate fails only on drifted
-  /// coefficients — same model shape, sparsity, bounds and integrality,
-  /// e.g. a slow demand ramp — crash-start the step's root LP from the
-  /// previous epoch's retained basis and seed branch-and-bound with the
-  /// previous incumbent, instead of cold-solving. Plans may then drift
-  /// within the MILP optimality gap (they are still exact solves of the
-  /// *current* model; only pivot counts and tie-breaking change relative
-  /// to a cold solve). Needs warm_start_across_epochs: MilpAllocator rejects
-  /// it without. run_experiment rejects it for the greedy, inferline and
-  /// proteus strategies, which never read it.
+  /// Opt-in near-identical warm tier (default OFF so plans stay exactly
+  /// those of a cold solve): when a step's MILP model differs from the
+  /// previous plan() call's only in coefficient values — same model shape,
+  /// sparsity, bounds and integrality, e.g. a slow demand ramp —
+  /// crash-start the step's root LP from the previous call's root basis and
+  /// seed branch-and-bound with the previous incumbent, instead of
+  /// cold-solving. Plans may then drift within the MILP optimality gap
+  /// (they are still exact solves of the *current* model; only pivot counts
+  /// and tie-breaking change relative to a cold solve). run_experiment
+  /// rejects it for the greedy, inferline and proteus strategies, which
+  /// never read it.
   bool near_warm_start = false;
 };
 
@@ -156,8 +149,8 @@ class MilpAllocator : public AllocationStrategy {
   /// step plans, so this runs those two steps on the same budget splits,
   /// models and team, and never the overload step. Each split's search
   /// stops at its first incumbent (BranchAndBound::find_feasible) and
-  /// neither reads nor writes the EpochContext's solver caches, so a later
-  /// plan() is what it would have been without the verdict.
+  /// neither reads nor writes the near tier's state, so a later plan() is
+  /// what it would have been without the verdict.
   ServiceVerdict serves_demand(const PlanRequest& request) override;
   std::string name() const override { return "loki-milp"; }
 
@@ -167,11 +160,10 @@ class MilpAllocator : public AllocationStrategy {
   /// budget split: the cached task budgets, feasible-config tables and
   /// augmented-graph path enumerations (recomputed per solve before this
   /// existed — the allocator-overhead bound of BM_ResourceManagerMilp/100),
-  /// and per (split, allocation step) one persistent solver::ResolveSession
-  /// whose retained basis warm-starts the next epoch's re-solve when the
-  /// step model is bit-identical (see AllocatorConfig::
-  /// warm_start_across_epochs). This is the state the old API hid inside
-  /// prev_variants_ and per-call locals, now named.
+  /// and, with AllocatorConfig::near_warm_start only, per (split,
+  /// allocation step) the step's last model and a solver::ResolveSession
+  /// that the near tier resumes from. Without the near tier, no solver
+  /// state outlives a plan() call.
   struct EpochContext;
 
  private:
@@ -200,7 +192,7 @@ class MilpAllocator : public AllocationStrategy {
   /// request's previous plan for the continuity bonus. `verdict` (hardware
   /// and accuracy steps only) asks whether the step plans, not for its
   /// plan: the search stops at its first incumbent, the result carries no
-  /// plan, and the split's StepCache is neither read nor written.
+  /// plan, and the near tier's state is neither read nor written.
   MilpResult solve_step(std::size_t split_idx, double demand_qps,
                         const pipeline::MultFactorTable& mult,
                         const std::vector<std::vector<bool>>& prev_variants,

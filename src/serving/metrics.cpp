@@ -1,10 +1,17 @@
 #include "serving/metrics.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace loki::serving {
+
+Metrics::Metrics(double window_s) : window_s_(window_s) {
+  LOKI_CHECK_MSG(std::isfinite(window_s) && window_s > 0.0,
+                 "Metrics window_s = " << window_s
+                                       << " must be finite and > 0");
+}
 
 void Metrics::roll(double t) {
   while (t >= window_start_ + window_s_) {

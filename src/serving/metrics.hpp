@@ -50,7 +50,9 @@ struct TierCounts {
 
 class Metrics {
  public:
-  explicit Metrics(double window_s = 10.0) : window_s_(window_s) {}
+  /// Rejects a `window_s` that is not finite and > 0: roll() closes one
+  /// window per `window_s` of simulated time.
+  explicit Metrics(double window_s = 10.0);
 
   void record_arrival(double t, int tier = 0);
   /// Terminal accounting for one client query. `accuracy` is the mean

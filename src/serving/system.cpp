@@ -18,6 +18,25 @@ constexpr int kMaxConcurrentSwaps = 5;
 /// EWMA weight for observed multiplicative factors.
 constexpr double kMultEwmaAlpha = 0.3;
 
+namespace {
+
+/// `cfg`, once its periods are known to advance time: a Resource Manager
+/// period that is not finite and positive reschedules the planner at the
+/// same instant forever (and stalls or rewinds the coordinator's re-plan
+/// clock), and such a metrics window rolls forever.
+const SystemConfig& with_valid_periods(const SystemConfig& cfg) {
+  LOKI_CHECK_MSG(std::isfinite(cfg.rm_period_s) && cfg.rm_period_s > 0.0,
+                 "SystemConfig::rm_period_s = "
+                     << cfg.rm_period_s << " must be finite and > 0");
+  LOKI_CHECK_MSG(
+      std::isfinite(cfg.metrics_window_s) && cfg.metrics_window_s > 0.0,
+      "SystemConfig::metrics_window_s = " << cfg.metrics_window_s
+                                          << " must be finite and > 0");
+  return cfg;
+}
+
+}  // namespace
+
 std::string to_string(DropPolicy p) {
   switch (p) {
     case DropPolicy::kNone: return "no-early-dropping";
@@ -36,7 +55,7 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
       graph_(graph),
       profiles_(std::move(profiles)),
       strategy_(strategy),
-      cfg_(cfg),
+      cfg_(with_valid_periods(cfg)),
       lb_(graph, &profiles_, kUtilizationTarget),
       metrics_(cfg.metrics_window_s),
       rng_routing_(Rng(cfg.seed).stream("routing")),

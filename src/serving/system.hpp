@@ -86,7 +86,8 @@ inline constexpr char kMetricPrefix[] = "serving";
 
 struct SystemConfig {
   AllocatorConfig allocator;
-  /// Resource Manager invocation period (§4.2 uses 10 s).
+  /// Resource Manager invocation period (§4.2 uses 10 s) and the metrics
+  /// window. ServingSystem rejects either unless it is finite and > 0.
   double rm_period_s = 10.0;
   double metrics_window_s = 10.0;
   DropPolicy drop_policy = DropPolicy::kOpportunisticReroute;

@@ -14,8 +14,6 @@ SolverStats& SolverStats::operator+=(const SolverStats& o) {
   lp_phase1_iterations += o.lp_phase1_iterations;
   warm_start_hits += o.warm_start_hits;
   cold_solves += o.cold_solves;
-  epoch_warm_hits += o.epoch_warm_hits;
-  epoch_cache_skips += o.epoch_cache_skips;
   near_warm_hits += o.near_warm_hits;
   devex_resets += o.devex_resets;
   presolve_rows_removed += o.presolve_rows_removed;
@@ -32,7 +30,6 @@ void SolverStats::add(const solver::MilpSolution& sol) {
   lp_phase1_iterations += sol.lp_phase1_iterations;
   warm_start_hits += sol.warm_start_hits;
   cold_solves += sol.cold_solves;
-  if (sol.root_warm_started) ++epoch_warm_hits;
   if (sol.root_near_warm) ++near_warm_hits;
   devex_resets += sol.devex_resets;
   presolve_rows_removed += sol.presolve_rows_removed;

@@ -50,12 +50,11 @@ struct SolverStats {
   int lp_phase1_iterations = 0;  // pivots spent restoring feasibility
   int warm_start_hits = 0;       // node LPs resolved from a reused basis
   int cold_solves = 0;           // node LPs that ran a full two-phase solve
-  /// MILP solves whose root LP warm-started from a basis retained by a
-  /// *previous* plan() call (cross-epoch warm start, EpochContext).
+  /// Always 0: no solve reuses a previous plan() call's result. Both
+  /// fields are kept only because benchmark/loki_bench.cpp reads them for
+  /// solver.epoch_reuse_ratio; they go with the next change to the
+  /// benchmark.
   int epoch_warm_hits = 0;
-  /// Step verdicts ("this model is infeasible / yields no plan") reused
-  /// wholesale because the model was bit-identical to the previous epoch's;
-  /// no solver work was spent at all.
   int epoch_cache_skips = 0;
   /// MILP solves whose root LP crash-started from a *near-identical*
   /// previous epoch's basis (same model shape, drifted coefficients — the

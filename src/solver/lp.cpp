@@ -93,32 +93,6 @@ bool LpProblem::is_feasible(const std::vector<double>& x, double tol) const {
   return true;
 }
 
-bool structurally_equal(const LpProblem& a, const LpProblem& b) {
-  if (a.sense() != b.sense() ||
-      a.objective_offset() != b.objective_offset() ||
-      a.num_variables() != b.num_variables() ||
-      a.num_constraints() != b.num_constraints()) {
-    return false;
-  }
-  for (int j = 0; j < a.num_variables(); ++j) {
-    if (a.objective_coeff(j) != b.objective_coeff(j) ||
-        a.lower_bound(j) != b.lower_bound(j) ||
-        a.upper_bound(j) != b.upper_bound(j) ||
-        a.var_type(j) != b.var_type(j)) {
-      return false;
-    }
-  }
-  const auto& ca = a.constraints();
-  const auto& cb = b.constraints();
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    if (ca[i].rel != cb[i].rel || ca[i].rhs != cb[i].rhs ||
-        ca[i].terms != cb[i].terms) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool same_constraint_sparsity(const LpProblem& a, const LpProblem& b) {
   if (a.num_constraints() != b.num_constraints()) return false;
   const auto& ca = a.constraints();

@@ -87,13 +87,6 @@ class LpProblem {
   double obj_offset_ = 0.0;
 };
 
-/// True when two problems describe the same mathematical model: same sense,
-/// objective offset, per-variable bounds/objective/type, and constraints
-/// (relation, rhs, and terms compared coefficient-for-coefficient; names are
-/// ignored). Comparison is exact floating-point equality — this is the
-/// cross-epoch warm-start gate, where "any doubt" must read as unequal.
-bool structurally_equal(const LpProblem& a, const LpProblem& b);
-
 /// True when `b` is the same model as `a` up to drifted *numbers*: same
 /// sense, dimensions, variable bounds and integrality, same constraint
 /// relations and sparsity pattern (term indices per row), but objective
@@ -101,7 +94,7 @@ bool structurally_equal(const LpProblem& a, const LpProblem& b);
 /// differ. This is the near-identical warm-start gate: a retained basis
 /// from `a` is still a (combinatorially meaningful) basis for `b`, so a
 /// solve of `b` can crash-start from it — accepting plan drift within the
-/// optimality gap, unlike the bit-identical structurally_equal tier.
+/// optimality gap.
 bool near_identical(const LpProblem& a, const LpProblem& b);
 
 /// True when `a` and `b` have the same constraint count, relations, and

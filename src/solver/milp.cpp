@@ -103,51 +103,6 @@ MilpSolution BranchAndBound::search(
   const double sense_sign = base.sense() == Sense::kMinimize ? 1.0 : -1.0;
   const int nv_orig = base.num_variables();
 
-  // Cross-run fast path (bit-identical tier): the caller vouches the model
-  // is bit-identical to the one that built this session. Warm-start the
-  // root LP from the retained post-root basis (bounded dual simplex; zero
-  // pivots when nothing changed) and require it to reproduce the recorded
-  // root objective bit-for-bit. On success the retained solution — produced
-  // by a deterministic search over this exact model — is the answer;
-  // re-running the tree would redo identical work node by node. On any
-  // doubt, fall through to a cold rebuild below. The presolve of an
-  // identical model is identical (presolve is deterministic), so the
-  // retained reduced-space context verifies against the retained reduced
-  // bounds without re-running presolve.
-  if (session != nullptr && tier == WarmTier::kIdentical &&
-      session->ctx != nullptr && session->root_state.valid() &&
-      session->has_solution) {
-    const LpProblem& red =
-        session->has_pre ? session->pre.problem : base;
-    const int nv_red = red.num_variables();
-    if (session->ctx->num_variables() == nv_red &&
-        session->ctx->num_rows() == red.num_constraints() &&
-        (session->has_pre || nv_red == nv_orig) &&
-        session->ctx->restore(session->root_state)) {
-      std::vector<double> lo(static_cast<std::size_t>(nv_red));
-      std::vector<double> hi(static_cast<std::size_t>(nv_red));
-      for (int j = 0; j < nv_red; ++j) {
-        lo[j] = red.lower_bound(j);
-        hi[j] = red.upper_bound(j);
-      }
-      LpSolution root = session->ctx->solve_with_bounds(lo, hi);
-      if (root.status == LpStatus::kOptimal &&
-          root.objective == session->root_objective) {
-        out = session->solution;
-        out.nodes_explored = 1;  // the verification re-solve
-        out.nodes_pruned = 0;
-        out.lp_iterations = root.iterations;
-        out.lp_phase1_iterations = root.phase1_iterations;
-        out.devex_resets = root.devex_resets;
-        out.warm_start_hits = root.warm_started ? 1 : 0;
-        out.cold_solves = root.warm_started ? 0 : 1;
-        out.root_warm_started = true;
-        out.root_near_warm = false;
-        return out;
-      }
-    }
-  }
-
   // Presolve the model once per run; the whole search operates in the
   // reduced space and maps solutions back through the postsolve record.
   PresolveResult pre_local;
@@ -176,22 +131,21 @@ MilpSolution BranchAndBound::search(
     }
   }
 
-  // Near-identical tier: capture the retained root basis and solution
+  // Near-identical tier: capture the retained root basis and incumbent
   // before the session is reset, and validate that the old and new reduced
   // spaces are combinatorially the same.
   SimplexContext::BasisSnapshot near_basis;
-  std::optional<std::vector<double>> near_incumbent;
+  std::vector<double> near_incumbent;
   if (session != nullptr && tier == WarmTier::kNearIdentical &&
-      session->root_basis.valid() && session->has_solution &&
+      session->root_basis.valid() && !session->incumbent.empty() &&
       session->has_pre == use_pre &&
       (!use_pre || reductions_compatible(session->pre, pre_local))) {
-    near_basis = session->root_basis;
-    near_incumbent = session->solution.values;  // original space
+    near_basis = std::move(session->root_basis);
+    near_incumbent = std::move(session->incumbent);  // original space
   }
 
   PresolveResult* pre = &pre_local;
   if (session != nullptr) {
-    // Rebuild from scratch: the model changed (or verification failed).
     session->reset();
     session->pre = std::move(pre_local);
     session->has_pre = use_pre;
@@ -219,20 +173,11 @@ MilpSolution BranchAndBound::search(
     }
   };
   if (warm_start) offer_incumbent(*warm_start);
-  if (near_incumbent) offer_incumbent(*near_incumbent);
+  if (near_basis.valid()) offer_incumbent(near_incumbent);
 
   // One shared standard-form instance for every node: nodes are pure bound
-  // overlays, and each LP warm-starts from the last solved basis. With a
-  // session the instance outlives this run; otherwise it is local.
-  std::unique_ptr<SimplexContext> local_ctx;
-  SimplexContext* ctx = nullptr;
-  if (session != nullptr) {
-    session->ctx = std::make_unique<SimplexContext>(red, options_.lp);
-    ctx = session->ctx.get();
-  } else {
-    local_ctx = std::make_unique<SimplexContext>(red, options_.lp);
-    ctx = local_ctx.get();
-  }
+  // overlays, and each LP warm-starts from the last solved basis.
+  SimplexContext ctx(red, options_.lp);
   std::vector<double> base_lo(static_cast<std::size_t>(nv));
   std::vector<double> base_hi(static_cast<std::size_t>(nv));
   for (int j = 0; j < nv; ++j) {
@@ -307,11 +252,11 @@ MilpSolution BranchAndBound::search(
       // Near-identical tier: crash the previous run's root basis into the
       // fresh tableau instead of cold-solving — typically a handful of
       // dual-repair pivots instead of a full phase-1 + phase-2 run.
-      rel = ctx->solve_from_basis(near_basis);
+      rel = ctx.solve_from_basis(near_basis);
       out.root_near_warm = rel.warm_started;
     } else {
-      if (!root_lp_pending && !ctx->has_warm_basis() && root_anchor.valid()) {
-        ctx->restore(root_anchor);
+      if (!root_lp_pending && !ctx.has_warm_basis() && root_anchor.valid()) {
+        ctx.restore(root_anchor);
       }
       // Node LPs only need to prove their bound relative to the incumbent:
       // the dual re-solve may stop early (kCutoff) once its objective
@@ -321,21 +266,16 @@ MilpSolution BranchAndBound::search(
           root_lp_pending || incumbent_obj >= kInf
               ? kInf
               : incumbent_obj - options_.gap_tol;
-      rel = ctx->solve_with_bounds(node_lo, node_hi, cutoff);
+      rel = ctx.solve_with_bounds(node_lo, node_hi, cutoff);
     }
     if (root_lp_pending) {
-      // Retain the post-root tableau and its objective: node re-anchoring
-      // resumes from this state, the next run's warm-start verification
-      // re-solves from it, and the combinatorial basis feeds the
+      // Retain the post-root tableau: node re-anchoring resumes from this
+      // state, and its combinatorial basis feeds the next run's
       // near-identical tier.
       root_lp_pending = false;
       if (rel.status == LpStatus::kOptimal) {
-        root_anchor = ctx->snapshot();
-        if (session != nullptr) {
-          session->root_state = root_anchor;
-          session->root_objective = rel.objective;
-          session->root_basis = ctx->basis_snapshot();
-        }
+        root_anchor = ctx.snapshot();
+        if (session != nullptr) session->root_basis = ctx.basis_snapshot();
         // Reduced-cost fixing: with an incumbent in hand, a nonbasic
         // integer variable whose root reduced cost alone pushes past the
         // incumbent (minus the pruning slack) can never take a different
@@ -348,13 +288,13 @@ MilpSolution BranchAndBound::search(
           const double root_min = sense_sign * rel.objective;
           for (int j = 0; j < nv; ++j) {
             if (red.var_type(j) == VarType::kContinuous) continue;
-            const double dj = ctx->reduced_cost(j);
-            if (ctx->nonbasic_at_lower(j)) {
+            const double dj = ctx.reduced_cost(j);
+            if (ctx.nonbasic_at_lower(j)) {
               if (root_min + dj >= incumbent_obj - options_.gap_tol &&
                   std::isfinite(base_lo[j])) {
                 base_hi[j] = base_lo[j];
               }
-            } else if (ctx->nonbasic_at_upper(j)) {
+            } else if (ctx.nonbasic_at_upper(j)) {
               if (root_min - dj >= incumbent_obj - options_.gap_tol &&
                   std::isfinite(base_hi[j])) {
                 base_lo[j] = base_hi[j];
@@ -465,12 +405,9 @@ MilpSolution BranchAndBound::search(
     out.status = out.gap <= options_.gap_tol ? MilpStatus::kOptimal
                                              : MilpStatus::kFeasible;
   }
-  // Retain the solution for the cross-run fast path: every stop (the node
-  // budget, an LP iteration cap, or a finished tree) is a deterministic
-  // function of the model, so re-running the search reproduces it.
-  if (session != nullptr && session->root_state.valid()) {
-    session->solution = out;
-    session->has_solution = true;
+  // Retain the incumbent for the next run's near-identical tier.
+  if (session != nullptr && session->root_basis.valid()) {
+    session->incumbent = out.values;
   }
   return out;
 }

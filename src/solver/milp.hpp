@@ -16,7 +16,6 @@
 // handful of pivots instead of a full phase-1 + phase-2 run.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,9 +74,6 @@ struct MilpSolution {
   int devex_resets = 0;          // devex reference-frame resets, all nodes
   int presolve_rows_removed = 0;
   int presolve_cols_removed = 0;
-  /// Root LP warm-started from a prior run's retained basis (cross-run /
-  /// cross-epoch warm start via ResolveSession).
-  bool root_warm_started = false;
   /// Root LP crash-started from a near-identical prior model's basis (the
   /// near-identical warm tier; the tree search still ran in full).
   bool root_near_warm = false;
@@ -85,16 +81,12 @@ struct MilpSolution {
   double gap = 0.0;
 };
 
-/// How much cross-run state a session-aware solve may reuse. The *caller*
-/// owns the model-comparison judgement (structurally_equal /
-/// near_identical); on any doubt pass kCold.
+/// How much of a prior run a session-aware solve may reuse. The *caller*
+/// owns the model-comparison judgement (near_identical); on any doubt pass
+/// kCold.
 enum class WarmTier {
   /// No reuse: rebuild the session from scratch.
   kCold,
-  /// Caller vouches the model is bit-identical to the session's: verify the
-  /// retained root basis and return the retained solution (bit-identical
-  /// guarantee, no tree search).
-  kIdentical,
   /// Caller vouches the model is near-identical (same shape/sparsity/
   /// bounds/integrality, drifted coefficients): crash-start the root LP
   /// from the retained basis and seed the incumbent from the retained
@@ -103,50 +95,27 @@ enum class WarmTier {
   kNearIdentical,
 };
 
-/// Cross-run persistence surface for branch-and-bound. A session keeps the
-/// standard-form instance, a tableau snapshot taken right after the root LP
-/// solve, and the run's complete solution alive between solve() calls. A
-/// later run over a bit-identical model warm-starts its root from the
-/// retained basis: the bounded dual simplex re-verifies that basis (zero
-/// pivots when nothing changed) and must reproduce the recorded root
-/// objective bit-for-bit; only then is the retained solution returned —
-/// skipping the tree search, whose node-by-node dual repairs dominate a
-/// cold re-solve's pivot count. The search is deterministic, so the
-/// retained solution is exactly what re-running it would produce, making
-/// warm results bit-identical to cold ones. Any doubt — restore failure,
-/// a non-optimal warm root, or a root objective that differs in even one
-/// bit — falls back to a cold rebuild and a full search.
-///
-/// The *caller* owns the "is the model really unchanged?" judgement (see
-/// structurally_equal); on any doubt pass model_unchanged = false.
-/// MilpAllocator's EpochContext holds one session per (budget split,
-/// allocation step).
+/// What the near-identical tier keeps of one run for the next: the
+/// presolve record (the next run's reductions must match it), the basis
+/// right after the root LP solve, and the incumbent the search returned.
+/// Every solve with a session, of either tier, rebuilds it; the simplex
+/// context itself lives and dies with each search. With
+/// AllocatorConfig::near_warm_start, MilpAllocator keeps one session per
+/// (budget split, allocation step) across plan() calls; without it, only
+/// its overload step uses one, within a solve, to hand stage A's root basis
+/// to stage B.
 struct ResolveSession {
-  /// Built on the presolved (reduced) model when presolve is enabled.
-  std::unique_ptr<SimplexContext> ctx;
-  /// Reduction + postsolve record of the last cold build. When presolve is
-  /// off, `pre.problem` is empty and has_pre is false.
+  /// Reduction + postsolve record of the last run. When presolve is off,
+  /// `pre.problem` is empty and has_pre is false.
   PresolveResult pre;
   bool has_pre = false;
-  SimplexContext::Snapshot root_state;  // tableau right after the root solve
-  double root_objective = 0.0;          // root LP objective at snapshot time
-                                        // (reduced space when presolved)
   /// Combinatorial root basis for the near-identical tier's crash start.
   SimplexContext::BasisSnapshot root_basis;
-  bool has_solution = false;
-  MilpSolution solution;  // complete result of the last full search
-                          // (values in the original variable space)
+  /// The last run's incumbent in the original variable space; empty when
+  /// it found none or its root LP was not solved to optimality.
+  std::vector<double> incumbent;
 
-  void reset() {
-    ctx.reset();
-    pre = PresolveResult();
-    has_pre = false;
-    root_state = SimplexContext::Snapshot();
-    root_objective = 0.0;
-    root_basis = SimplexContext::BasisSnapshot();
-    has_solution = false;
-    solution = MilpSolution();
-  }
+  void reset() { *this = ResolveSession(); }
 };
 
 class BranchAndBound {
@@ -160,15 +129,13 @@ class BranchAndBound {
                      const std::optional<std::vector<double>>& warm_start =
                          std::nullopt) const;
 
-  /// Session-aware variant: persists the simplex context, presolve record,
-  /// post-root snapshot/basis, and solution in `session` across calls.
-  /// `tier` is the caller's judgement of how the model relates to the one
-  /// that produced the session state (see WarmTier): kIdentical verifies
-  /// the retained root and returns the retained solution without
-  /// re-running the search; kNearIdentical crash-starts the root LP from
-  /// the retained basis and seeds the incumbent from the retained solution
-  /// but runs the full search. Any mismatch or failed verification falls
-  /// back to a cold rebuild of the session and a full search.
+  /// Session-aware variant: keeps the presolve record, the root basis and
+  /// the incumbent in `session` for the next call. `tier` is the caller's
+  /// judgement of how the model relates to the one that produced the
+  /// session state (see WarmTier): kNearIdentical crash-starts the root LP
+  /// from the retained basis and seeds the incumbent from the retained one,
+  /// then runs the full search. When the presolve reductions differ from
+  /// the retained ones, the solve is cold.
   MilpSolution solve(const LpProblem& problem,
                      const std::optional<std::vector<double>>& warm_start,
                      ResolveSession* session, WarmTier tier) const;

@@ -2,6 +2,7 @@
 // and a full run_experiment smoke test.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -380,6 +381,28 @@ TEST(RunExperiment, RejectsNearWarmStartForStrategiesThatIgnoreIt) {
     cfg.system = system;
     cfg.system_cfg.allocator.near_warm_start = true;
     expect_rejected(cfg, "near_warm_start");
+  }
+}
+
+TEST(RunExperiment, RejectsControlPeriodsThatNeverAdvance) {
+  // A zero, negative or NaN period would re-plan (or roll the metrics) at
+  // the same instant forever, at one shard and under the coordinator. The
+  // serving systems refuse it when they are built, before anything runs.
+  for (const double bad : {0.0, -1.0, std::nan("")}) {
+    for (const std::size_t shards : {1, 2}) {
+      SCOPED_TRACE(std::to_string(bad) + " at " + std::to_string(shards) +
+                   " shard(s)");
+      auto rm = small_config();
+      rm.sim_shards = shards;
+      rm.sim_coordinated = shards > 1;
+      rm.system_cfg.rm_period_s = bad;
+      expect_rejected(rm, "SystemConfig::rm_period_s");
+      auto window = small_config();
+      window.sim_shards = shards;
+      window.sim_coordinated = shards > 1;
+      window.system_cfg.metrics_window_s = bad;
+      expect_rejected(window, "SystemConfig::metrics_window_s");
+    }
   }
 }
 

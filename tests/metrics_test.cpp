@@ -2,15 +2,25 @@
 // rolling, and utilization series.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "serving/metrics.hpp"
 
 namespace loki::serving {
 namespace {
+
+TEST(Metrics, RejectsWindowsThatNeverAdvance) {
+  // roll() closes one window per window_s: at 0 or below (or NaN) it would
+  // never catch up with the first arrival.
+  for (const double bad : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW(Metrics{bad}, CheckFailure) << bad;
+  }
+}
 
 TEST(Metrics, CountsOutcomesCorrectly) {
   Metrics m(10.0);

@@ -1,10 +1,9 @@
 // Stateful planning API tests: the PlanRequest -> PlanResult contract, the
 // string-keyed StrategyRegistry (keys are the single source of truth for
-// strategy names), and the cross-epoch warm-start guarantee — a 50-epoch
-// demand trace where warm-started re-solves must produce plans bit-identical
-// to cold re-solves while spending at least 2x fewer LP pivots in the steady
-// state. A golden 50-epoch trajectory on the 96-worker traffic pipeline pins
-// every plan digest and solver work counter.
+// strategy names), and the opt-in near-identical warm tier, whose plans
+// must stay within the optimality gap of cold ones on a demand ramp. A
+// golden 50-epoch trajectory on the 96-worker traffic pipeline pins every
+// plan digest and solver work counter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,16 +41,6 @@ std::string comparable_text(const serving::AllocationPlan& plan) {
   p.solve_time_s = 0.0;
   p.solver = serving::SolverStats{};
   return serving::plan_to_text(p);
-}
-
-/// Per-step solver stats of a PlanResult, by step name (nullptr when
-/// absent).
-const serving::SolverStats* step_stats(const serving::PlanResult& r,
-                                       const std::string& name) {
-  for (const auto& s : r.steps) {
-    if (s.step == name) return &s.solver;
-  }
-  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -157,114 +146,6 @@ TEST(PlanResult, PreviousPlanViewDrivesContinuity) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-epoch warm starts
-// ---------------------------------------------------------------------------
-
-TEST(EpochWarmStart, FiftyEpochTraceBitIdenticalToColdAndCheaper) {
-  Fixture f;
-  // Piecewise-steady 50-epoch demand trace spanning the hardware- and
-  // accuracy-scaling regimes (capacity of the two-task pipeline on 20
-  // workers is ~1000 QPS; 1400 forces accuracy scaling).
-  std::vector<double> demands;
-  for (int i = 0; i < 10; ++i) demands.push_back(300.0);
-  for (int i = 0; i < 15; ++i) demands.push_back(1400.0);
-  for (int i = 0; i < 10; ++i) demands.push_back(300.0);
-  for (int i = 0; i < 15; ++i) demands.push_back(1400.0);
-  ASSERT_EQ(demands.size(), 50u);
-
-  serving::MilpAllocator warm(f.cfg, &f.graph, f.profiles);
-  serving::AllocatorConfig cold_cfg = f.cfg;
-  cold_cfg.warm_start_across_epochs = false;
-  serving::MilpAllocator cold(cold_cfg, &f.graph, f.profiles);
-
-  serving::AllocationPlan warm_prev, cold_prev;
-  serving::SolverStats warm_stats, cold_stats;
-  for (std::size_t e = 0; e < demands.size(); ++e) {
-    auto run = [&](serving::MilpAllocator& alloc,
-                   serving::AllocationPlan& prev, serving::SolverStats& agg) {
-      serving::PlanRequest req;
-      req.demand_qps = demands[e];
-      req.mult = f.mult;
-      req.epoch = static_cast<int>(e);
-      req.previous_plan = e > 0 ? &prev : nullptr;
-      auto result = alloc.plan(req);
-      agg += result.solver;
-      prev = std::move(result.plan);
-    };
-    run(warm, warm_prev, warm_stats);
-    run(cold, cold_prev, cold_stats);
-    // The headline guarantee: warm-started re-solves change nothing about
-    // the plan, bit for bit.
-    ASSERT_EQ(comparable_text(warm_prev), comparable_text(cold_prev))
-        << "warm and cold plans diverged at epoch " << e << " (demand "
-        << demands[e] << ")";
-  }
-
-  // The warm allocator actually warm-started (and memoized the hardware
-  // step's infeasibility in the accuracy regime), and the steady-state
-  // saving is the claimed >= 2x in total LP pivots.
-  EXPECT_GT(warm_stats.epoch_warm_hits, 0);
-  EXPECT_GT(warm_stats.epoch_cache_skips, 0);
-  EXPECT_EQ(cold_stats.epoch_warm_hits, 0);
-  EXPECT_EQ(cold_stats.epoch_cache_skips, 0);
-  EXPECT_GE(cold_stats.lp_iterations, 2 * warm_stats.lp_iterations)
-      << "warm=" << warm_stats.lp_iterations
-      << " cold=" << cold_stats.lp_iterations;
-}
-
-TEST(EpochWarmStart, SteadyOverloadDemandSkipsReSolvesBitIdentically) {
-  // Regression: the overload step used to cold re-solve its two-stage MILP
-  // every epoch even at perfectly steady demand (it never had an epoch
-  // cache). At 5000 QPS the 20-worker cluster (~1000 QPS capacity) lands on
-  // the overload step every epoch; from the second epoch on the steady
-  // re-plan must be a cache skip producing the bit-identical plan.
-  Fixture f;
-  serving::MilpAllocator warm(f.cfg, &f.graph, f.profiles);
-  serving::AllocatorConfig cold_cfg = f.cfg;
-  cold_cfg.warm_start_across_epochs = false;
-  serving::MilpAllocator cold(cold_cfg, &f.graph, f.profiles);
-
-  serving::AllocationPlan warm_prev, cold_prev;
-  for (int e = 0; e < 5; ++e) {
-    auto run = [&](serving::MilpAllocator& alloc,
-                   serving::AllocationPlan& prev) {
-      serving::PlanRequest req;
-      req.demand_qps = 5000.0;
-      req.mult = f.mult;
-      req.epoch = e;
-      req.previous_plan = e > 0 ? &prev : nullptr;
-      auto result = alloc.plan(req);
-      prev = result.plan;
-      return result;
-    };
-    const auto warm_res = run(warm, warm_prev);
-    const auto cold_res = run(cold, cold_prev);
-    ASSERT_EQ(warm_res.plan.mode, serving::ScalingMode::kOverload);
-    ASSERT_LT(warm_res.plan.served_fraction, 1.0);
-    ASSERT_EQ(comparable_text(warm_prev), comparable_text(cold_prev))
-        << "warm and cold overload plans diverged at epoch " << e;
-
-    const auto* ov = step_stats(warm_res, "overload");
-    ASSERT_NE(ov, nullptr);
-    if (e == 0) {
-      EXPECT_GT(ov->milp_solves, 0);
-      EXPECT_EQ(ov->epoch_cache_skips, 0);
-    } else if (e >= 3) {
-      // The continuity key needs two epochs to stabilize (epoch 0 plans
-      // without a previous plan, so epoch 2's hosted-variant key still
-      // differs from the memoized one). From epoch 3 on every step
-      // (hardware/accuracy infeasibility memo, overload result memo) is
-      // served from cache — no MILP runs at all.
-      EXPECT_GT(ov->epoch_cache_skips, 0) << "epoch " << e;
-      EXPECT_EQ(ov->milp_solves, 0) << "epoch " << e;
-      EXPECT_EQ(warm_res.solver.milp_solves, 0) << "epoch " << e;
-    }
-    EXPECT_GT(step_stats(cold_res, "overload")->milp_solves, 0);
-    EXPECT_EQ(cold_res.solver.epoch_cache_skips, 0);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Near-identical warm tier (opt-in)
 // ---------------------------------------------------------------------------
 
@@ -272,19 +153,17 @@ TEST(NearWarmTier, DemandRampEngagesAndStaysWithinGap) {
   Fixture f;
   serving::AllocatorConfig near_cfg = f.cfg;
   near_cfg.near_warm_start = true;
-  serving::AllocatorConfig cold_cfg = f.cfg;
-  cold_cfg.warm_start_across_epochs = false;
 
+  // The default config is the cold reference: it keeps no solver state
+  // between plan() calls.
   serving::MilpAllocator near_alloc(near_cfg, &f.graph, f.profiles);
-  serving::MilpAllocator dflt_alloc(f.cfg, &f.graph, f.profiles);
-  serving::MilpAllocator cold_alloc(cold_cfg, &f.graph, f.profiles);
+  serving::MilpAllocator cold_alloc(f.cfg, &f.graph, f.profiles);
 
   serving::SolverStats near_stats;
-  serving::AllocationPlan near_prev, dflt_prev, cold_prev;
+  serving::AllocationPlan near_prev, cold_prev;
   // Slow linear ramp inside the accuracy-scaling regime: every epoch the
-  // demand (and hence the capacity-row coefficients) drifts, so the
-  // bit-identical gate fails on every epoch, which is exactly the near
-  // tier's territory.
+  // demand (and hence the capacity-row coefficients) drifts while the
+  // model's shape stays, which is exactly the near tier's territory.
   for (int e = 0; e < 20; ++e) {
     const double demand = 1200.0 + 10.0 * e;
     auto run = [&](serving::MilpAllocator& alloc,
@@ -299,15 +178,8 @@ TEST(NearWarmTier, DemandRampEngagesAndStaysWithinGap) {
       return result;
     };
     auto near_res = run(near_alloc, near_prev);
-    run(dflt_alloc, dflt_prev);
     run(cold_alloc, cold_prev);
     near_stats += near_res.solver;
-
-    // With the tier OFF (the default), a ramp epoch cold-solves: plans stay
-    // bit-identical to the cold reference — the pre-existing guarantee the
-    // opt-in must not disturb.
-    ASSERT_EQ(comparable_text(dflt_prev), comparable_text(cold_prev))
-        << "default-config plans diverged from cold at epoch " << e;
 
     // The near tier solves the *current* model exactly; only tie-breaking
     // within the MILP optimality gap may differ from a cold solve.
@@ -320,23 +192,6 @@ TEST(NearWarmTier, DemandRampEngagesAndStaysWithinGap) {
   }
   // The tier actually engaged.
   EXPECT_GT(near_stats.near_warm_hits, 0);
-}
-
-TEST(NearWarmTier, RejectedWithoutCrossEpochWarmStarts) {
-  // The tier resumes from the previous epoch's retained basis, which only
-  // cross-epoch warm starts keep.
-  Fixture f;
-  serving::AllocatorConfig cfg = f.cfg;
-  cfg.near_warm_start = true;
-  cfg.warm_start_across_epochs = false;
-  try {
-    serving::MilpAllocator alloc(cfg, &f.graph, f.profiles);
-    ADD_FAILURE() << "MilpAllocator accepted an ignored near_warm_start";
-  } catch (const CheckFailure& e) {
-    EXPECT_NE(std::string(e.what()).find("near_warm_start"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,15 +224,16 @@ struct GoldenEpoch {
 };
 
 // Demand: the replan-storm shape (Twitter-bursty, peak 5000 qps, 120
-// bursts/hour, seed 5), sampled every 6 s over 300 s and rounded to 250 qps
-// so that flat stretches repeat a demand and reach the cross-epoch warm
-// and cache paths.
+// bursts/hour, seed 5), sampled every 6 s over 300 s and rounded to 250 qps,
+// so that flat stretches repeat a demand. A repeat re-solves in full: the
+// planner keeps no solver state between calls (in a run, the Resource
+// Manager keeps its plan inside the hysteresis band instead).
 constexpr GoldenEpoch kGoldenTrajectory[] = {
     {1500, 0x5616a4b7983b72a5ull, 0, 3, 3, 0, 0, 0},
-    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
-    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
-    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
-    {1500, 0x5616a4b7983b72a5ull, 0, 2, 2, 2, 2, 1},
+    {1500, 0x5616a4b7983b72a5ull, 0, 3, 3, 0, 0, 0},
+    {1500, 0x5616a4b7983b72a5ull, 0, 3, 3, 0, 0, 0},
+    {1500, 0x5616a4b7983b72a5ull, 0, 3, 3, 0, 0, 0},
+    {1500, 0x5616a4b7983b72a5ull, 0, 3, 3, 0, 0, 0},
     {3250, 0x6884bbb4db330e96ull, 3671, 413, 9, 404, 0, 0},
     {6500, 0x78f62885327f4f60ull, 788, 135, 9, 126, 0, 0},
     {4750, 0x3916b3323c475bbaull, 2882, 604, 9, 595, 0, 0},
@@ -389,7 +245,7 @@ constexpr GoldenEpoch kGoldenTrajectory[] = {
     {7250, 0x28d9587e95ffc6abull, 2819, 1287, 21, 1272, 0, 0},
     {8500, 0xf2d90a9658af2c2eull, 2892, 1285, 21, 1270, 0, 0},
     {9000, 0xbf8585ee65a95e7bull, 3130, 1301, 21, 1286, 0, 0},
-    {9000, 0x55eed905db750c07ull, 3054, 1297, 17, 1286, 0, 4},
+    {9000, 0x55eed905db750c07ull, 3075, 1301, 21, 1286, 0, 0},
     {8750, 0xf768d7408ab0099eull, 2989, 1311, 21, 1296, 0, 0},
     {9500, 0xc9486e1da8ee8e0cull, 2946, 1449, 21, 1434, 0, 0},
     {9250, 0x654b7f17602fad31ull, 2960, 1323, 21, 1308, 0, 0},
@@ -404,19 +260,19 @@ constexpr GoldenEpoch kGoldenTrajectory[] = {
     {2750, 0xfe1e52b8316a3df5ull, 3510, 428, 9, 419, 0, 0},
     {2250, 0xccd86d35ca5b8d6full, 1277, 167, 9, 158, 0, 0},
     {2000, 0x1212bb1414108fe6ull, 2454, 287, 9, 278, 0, 0},
-    {2000, 0x1212bb1414108fe6ull, 0, 6, 6, 6, 6, 3},
-    {2000, 0x1212bb1414108fe6ull, 0, 6, 6, 6, 6, 3},
-    {2000, 0x1212bb1414108fe6ull, 0, 6, 6, 6, 6, 3},
+    {2000, 0x1212bb1414108fe6ull, 2454, 287, 9, 278, 0, 0},
+    {2000, 0x1212bb1414108fe6ull, 2454, 287, 9, 278, 0, 0},
+    {2000, 0x1212bb1414108fe6ull, 2454, 287, 9, 278, 0, 0},
     {2500, 0x0b083ae350c6f737ull, 2050, 324, 9, 315, 0, 0},
     {3000, 0x56c1937520f8ddafull, 2103, 262, 9, 253, 0, 0},
     {3500, 0x1c75bc306cb515a1ull, 4560, 723, 9, 714, 0, 0},
     {4250, 0x0f7e3573bc289137ull, 2627, 440, 9, 431, 0, 0},
     {4750, 0x3916b3323c475bbaull, 3171, 604, 9, 595, 0, 0},
     {6000, 0xd1e009e4864ff35cull, 1090, 247, 9, 238, 0, 0},
-    {6000, 0xd1e009e4864ff35cull, 1030, 244, 6, 238, 0, 3},
+    {6000, 0xd1e009e4864ff35cull, 1030, 247, 9, 238, 0, 0},
     {6250, 0x363171f451d58349ull, 1026, 247, 9, 238, 0, 0},
     {5750, 0xd641de665b0f0882ull, 1656, 476, 9, 467, 0, 0},
-    {5750, 0xd641de665b0f0882ull, 1755, 431, 6, 425, 0, 3},
+    {5750, 0xd641de665b0f0882ull, 1755, 434, 9, 425, 0, 0},
     {5500, 0x3cfbb6275795bfd1ull, 1883, 485, 9, 476, 0, 0},
     {5000, 0x2a4fe79e9fdc877bull, 2539, 485, 9, 476, 0, 0},
     {4000, 0x51d037a03192a0baull, 3632, 502, 9, 493, 0, 0},
@@ -499,17 +355,16 @@ constexpr ColdSolve kColdSolves[] = {
 }  // namespace
 
 TEST(ColdAllocationWork, FirstEpochSolvesArePinnedPerRegime) {
-  // The cost of a first-epoch plan with cross-epoch warm starts off: every
-  // step pays a full solve, the number the paper's ~500 ms budget (§6.5)
-  // is about. PlannerTrajectory covers the warm path on 96 workers; this
-  // pins the cold path per regime, so a regression in one regime cannot
-  // hide behind a gain in another.
+  // The cost of a first-epoch plan: every step pays a full solve, the
+  // number the paper's ~500 ms budget (§6.5) is about. PlannerTrajectory
+  // covers re-plans against a previous plan on 96 workers; this pins the
+  // first-epoch plan per regime, so a regression in one regime cannot hide
+  // behind a gain in another.
   const pipeline::PipelineGraph graph = pipeline::traffic_analysis_pipeline();
   const serving::ProfileTable profiles =
       serving::build_profile_table(graph, profile::ModelProfiler());
   serving::AllocatorConfig cfg;
   cfg.cluster_size = 20;
-  cfg.warm_start_across_epochs = false;
   const pipeline::MultFactorTable mult = pipeline::default_mult_factors(graph);
   serving::MilpAllocator alloc(cfg, &graph, profiles);
   for (const ColdSolve& c : kColdSolves) {

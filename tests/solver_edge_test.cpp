@@ -1119,5 +1119,84 @@ TEST(MilpFirstIncumbent, FeasibleExactlyWhenTheFullSearchIs) {
   EXPECT_GT(stopped_early, 0);
 }
 
+// `p` with each objective coefficient and right-hand side moved by up to
+// `rel` of its size: the same sparsity, bounds and integrality, which is
+// what the near-identical tier's caller checks before it asks for the tier.
+LpProblem drifted(const LpProblem& p, double rel, Rng& rng) {
+  LpProblem q(p.sense());
+  for (int j = 0; j < p.num_variables(); ++j) {
+    q.add_variable(p.var_name(j), p.lower_bound(j), p.upper_bound(j),
+                   p.objective_coeff(j) * (1.0 + rng.uniform(-rel, rel)),
+                   p.var_type(j));
+  }
+  for (Constraint c : p.constraints()) {
+    c.rhs += rng.uniform(-rel, rel) * std::max(1.0, std::abs(c.rhs));
+    q.add_constraint(std::move(c));
+  }
+  return q;
+}
+
+// The near-identical tier on the random MILPs above. A session kept from a
+// solve of one model crash-starts the root LP of a drifted twin and seeds
+// the search with the kept incumbent; the search still runs in full, so the
+// twin's near solve and its cold solve reach the same status and objective,
+// and the near solve returns an integral feasible point. When the twin's
+// presolve reductions differ from the kept ones (a variable fixed by its
+// bounds), the session is not reused: the solve does a cold solve's work.
+TEST(MilpNearTier, DriftedTwinMatchesColdSolve) {
+  const BranchAndBound bnb;
+  int kept = 0, engaged = 0;
+  for (int seed = 0; seed < 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const LpProblem p = random_milp(seed);
+    Rng rng(static_cast<std::uint64_t>(seed) + 7);
+    const LpProblem twin = drifted(p, 0.02, rng);
+
+    ResolveSession session;
+    const MilpSolution first =
+        bnb.solve(p, std::nullopt, &session, WarmTier::kCold);
+    const MilpSolution near =
+        bnb.solve(twin, std::nullopt, &session, WarmTier::kNearIdentical);
+    const MilpSolution cold = bnb.solve(twin);
+    ASSERT_EQ(near.status, cold.status)
+        << to_string(near.status) << " vs " << to_string(cold.status) << "\n"
+        << twin.to_string();
+    engaged += near.root_near_warm;
+    if (has_incumbent(cold)) {
+      EXPECT_NEAR(near.objective, cold.objective,
+                  near.gap + cold.gap +
+                      1e-6 * std::max(1.0, std::abs(cold.objective)))
+          << twin.to_string();
+      EXPECT_TRUE(twin.is_feasible(near.values, 1e-5)) << twin.to_string();
+      for (int j = 0; j < twin.num_variables(); ++j) {
+        if (twin.var_type(j) == VarType::kContinuous) continue;
+        EXPECT_EQ(near.values[j], std::round(near.values[j]));
+      }
+    }
+
+    // Fixing x0 makes presolve drop its column, so the reduced spaces no
+    // longer match and the kept basis does not apply.
+    if (!has_incumbent(first)) continue;
+    ++kept;
+    LpProblem fixed = twin;
+    fixed.set_bounds(0, fixed.lower_bound(0), fixed.lower_bound(0));
+    ResolveSession of_p;
+    bnb.solve(p, std::nullopt, &of_p, WarmTier::kCold);
+    const MilpSolution refused =
+        bnb.solve(fixed, std::nullopt, &of_p, WarmTier::kNearIdentical);
+    const MilpSolution fixed_cold = bnb.solve(fixed);
+    EXPECT_GT(refused.presolve_cols_removed, 0);
+    EXPECT_FALSE(refused.root_near_warm);
+    EXPECT_EQ(refused.status, fixed_cold.status);
+    EXPECT_EQ(refused.values, fixed_cold.values);
+    EXPECT_EQ(refused.nodes_explored, fixed_cold.nodes_explored);
+    EXPECT_EQ(refused.lp_iterations, fixed_cold.lp_iterations);
+  }
+  // 29 of the 50 first solves keep an incumbent, and the tier engages on
+  // each of them.
+  EXPECT_EQ(kept, 29);
+  EXPECT_EQ(engaged, kept);
+}
+
 }  // namespace
 }  // namespace loki::solver
