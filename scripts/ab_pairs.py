@@ -24,6 +24,10 @@ pairs the change won, then one verdict:
                 exceeds the bound, so the data cannot tell
   within bound  none of the above
 
+For every metric whose values differ between the sides, it then prints
+each pair's parent and change values in pair order, so a host that ran
+slow for some processes (a bimodal spread) shows which pairs it hit.
+
 It also prints the largest share of failed operations in one run of each
 side ("failed" over "attempted"), flagged MORE when the change's is larger.
 
@@ -136,6 +140,15 @@ def main(argv):
         print(f"{name:22s} {p_s:>36s} {c_s:>36s} {rel + 0.0:+8.2%} "
               f"{won:>3d}/{pairs:<3d} {m['bound']:6.0%}  {v}{tie_s} "
               f"({m['better']} is better)")
+    differing = [m["name"] for m in spec["end_to_end"]
+                 if any(p[m["name"]] != c[m["name"]]
+                        for p, c in zip(runs["parent"], runs["change"]))]
+    if differing:
+        print("per pair, parent -> change, in pair order:")
+        for name in differing:
+            cells = "  ".join(f"{p[name]:.4g}->{c[name]:.4g}"
+                              for p, c in zip(runs["parent"], runs["change"]))
+            print(f"  {name:22s} {cells}")
     more = max(failed["change"]) > max(failed["parent"])
     print(f"failed operations (largest share in one run): parent "
           f"{max(failed['parent']):.2%}, change {max(failed['change']):.2%}"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 namespace loki {
@@ -23,18 +24,22 @@ inline void cpu_relax() {
 }
 
 /// Waits until ready() holds: spins for up to kSpinBudget, then blocks on
-/// `cv`. Whoever changes what ready() reads must do it under `mu`, and
-/// notify `cv` after.
+/// `cv`. Every 64 pauses the spinner yields its CPU, so a member that the
+/// scheduler placed on the CPU of the thread it waits for (or of any other
+/// member) does not keep that thread off it for the whole budget. Whoever
+/// changes what ready() reads must do it under `mu`, and notify `cv` after.
 template <typename Ready>
 void await(std::mutex& mu, std::condition_variable& cv, Ready ready) {
   const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
   for (unsigned i = 1; !ready(); ++i) {
     cpu_relax();
-    if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) {
+    if (i % 64 != 0) continue;
+    if (std::chrono::steady_clock::now() >= deadline) {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, ready);
       return;
     }
+    std::this_thread::yield();
   }
 }
 
@@ -72,7 +77,8 @@ void Team::stop_helpers() {
 }
 
 void Team::run(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (members_ == 1) {
+  // One member, or one index: the caller runs it and wakes no helper.
+  if (members_ == 1 || n == 1) {
     std::exception_ptr first;
     for (std::size_t i = 0; i < n; ++i) {
       try {

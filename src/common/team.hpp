@@ -12,7 +12,11 @@
 // a helper, and the caller waiting for the last index, spins for up to a
 // millisecond before it blocks: a thread that slept at every run would pay
 // an OS wake-up each time, and on a virtual machine that cost depends on
-// what the host is doing.
+// what the host is doing. A spinner yields its CPU every 64 pauses: the
+// scheduler may put a woken helper on the caller's CPU, and a helper that
+// spun there without yielding would keep the caller off it for the whole
+// millisecond after the run's work was done. A run of one index runs on
+// the caller and wakes no helper.
 //
 // Which member runs an index depends on scheduling, so fn must give the
 // same result for an index whichever thread runs it; a fixed index order of

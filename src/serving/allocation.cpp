@@ -598,6 +598,13 @@ struct MilpAllocator::EpochContext {
   };
   std::vector<std::vector<double>> splits;
   std::vector<SplitCache> per_split;
+  /// serves_demand's lp_capacity per split (0 for a split without an
+  /// accuracy model), and the mult table and effective cluster size it was
+  /// computed for: a verdict that reaches the accuracy view recomputes it
+  /// when either differs.
+  std::vector<double> split_capacity_qps;
+  pipeline::MultFactorTable capacity_mult;
+  int capacity_cluster = -1;
 };
 
 MilpAllocator::MilpAllocator(AllocatorConfig cfg,
@@ -646,61 +653,40 @@ std::vector<VariantConfig> hardware_view(const pipeline::PipelineGraph& g,
   return out;
 }
 
-}  // namespace
+/// Objective weight of one server in the accuracy and served-fraction
+/// objectives: a tie-break between plans of equal accuracy or served
+/// fraction.
+constexpr double kServerPenalty = 1e-6;
 
-void MilpAllocator::ensure_epoch_context() {
-  if (epoch_) return;
-  const auto& g = *graph_;
-  auto ctx = std::make_unique<EpochContext>();
-  ctx->splits = budget_splits(cfg_, g);
-  ctx->per_split.resize(ctx->splits.size());
-  for (std::size_t i = 0; i < ctx->splits.size(); ++i) {
-    auto& sc = ctx->per_split[i];
-    sc.budgets = task_budgets_for_split(cfg_, g, ctx->splits[i]);
-    sc.configs =
-        feasible_configs(g, profiles_, sc.budgets, kUtilizationTarget);
-    sc.configs_hw.resize(sc.configs.size());
-    for (int t = 0; t < g.num_tasks(); ++t) {
-      sc.configs_hw[static_cast<std::size_t>(t)] =
-          hardware_view(g, t, sc.configs[static_cast<std::size_t>(t)]);
-    }
-    sc.feasible = all_tasks_nonempty(g, sc.configs);
-    sc.feasible_hw = all_tasks_nonempty(g, sc.configs_hw);
-    if (sc.feasible) sc.sink_paths = build_sink_paths(g, sc.configs);
-    if (sc.feasible_hw) sc.sink_paths_hw = build_sink_paths(g, sc.configs_hw);
-  }
-  epoch_ = std::move(ctx);
-}
+/// One budget split's allocation model before its objective is set.
+struct SplitModel {
+  solver::LpProblem lp;
+  std::vector<std::vector<int>> n_var;  // instances per [task][config]
+  std::vector<std::vector<int>> c_var;  // flow per [sink][config path]
+  int lambda_var = -1;                  // served fraction (overload model)
+};
 
-MilpAllocator::MilpResult MilpAllocator::solve_step(
-    std::size_t split_idx, double demand_qps,
-    const pipeline::MultFactorTable& mult,
-    const std::vector<std::vector<bool>>& prev_variants, bool hardware_only,
-    bool served_fraction_mode, bool verdict) {
+/// The variables and rows of one split's model at `demand_qps` on
+/// `cluster_size` workers: integer instance counts n, continuous path flows
+/// c and, in served-fraction mode, the served fraction lambda in [0, 1] that
+/// each sink's flows sum to instead of 1.
+SplitModel build_split_model(
+    const pipeline::PipelineGraph& g, const ConfigTable& configs,
+    const std::vector<std::vector<ConfigPath>>& sink_paths, double demand_qps,
+    const pipeline::MultFactorTable& mult, int cluster_size,
+    bool served_fraction_mode) {
   using solver::Constraint;
   using solver::LpProblem;
   using solver::Relation;
-  using solver::Sense;
   using solver::VarType;
 
-  const auto& g = *graph_;
-  MilpResult result;
-
-  auto& split_cache = epoch_->per_split[split_idx];
-  if (!(hardware_only ? split_cache.feasible_hw : split_cache.feasible)) {
-    return result;
-  }
-  const ConfigTable& configs =
-      hardware_only ? split_cache.configs_hw : split_cache.configs;
-  const auto& sink_paths =
-      hardware_only ? split_cache.sink_paths_hw : split_cache.sink_paths;
   const auto sinks = g.sinks();
 
   // --- Variables ---
-  LpProblem lp(Sense::kMinimize);
-  const double S = static_cast<double>(cfg_.cluster_size);
-
-  std::vector<std::vector<int>> n_var(static_cast<std::size_t>(g.num_tasks()));
+  SplitModel model;
+  LpProblem& lp = model.lp;
+  auto& n_var = model.n_var;
+  n_var.resize(static_cast<std::size_t>(g.num_tasks()));
   for (int t = 0; t < g.num_tasks(); ++t) {
     for (std::size_t j = 0; j < configs[static_cast<std::size_t>(t)].size();
          ++j) {
@@ -711,7 +697,8 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
                           solver::kInf, 0.0, VarType::kInteger));
     }
   }
-  std::vector<std::vector<int>> c_var(sinks.size());
+  auto& c_var = model.c_var;
+  c_var.resize(sinks.size());
   for (std::size_t si = 0; si < sinks.size(); ++si) {
     for (std::size_t pi = 0; pi < sink_paths[si].size(); ++pi) {
       // c <= 1 is implied by the per-sink flow equality; keep it unbounded
@@ -721,9 +708,8 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
           solver::kInf, 0.0));
     }
   }
-  int lambda_var = -1;
   if (served_fraction_mode) {
-    lambda_var = lp.add_variable("lambda", 0.0, 1.0, 0.0);
+    model.lambda_var = lp.add_variable("lambda", 0.0, 1.0, 0.0);
   }
 
   // --- Constraints ---
@@ -732,7 +718,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     Constraint c;
     for (int v : c_var[si]) c.terms.push_back({v, 1.0});
     if (served_fraction_mode) {
-      c.terms.push_back({lambda_var, -1.0});
+      c.terms.push_back({model.lambda_var, -1.0});
       c.rhs = 0.0;
     } else {
       c.rhs = 1.0;
@@ -816,7 +802,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
       for (int v : vars) c.terms.push_back({v, 1.0});
     }
     c.rel = Relation::kLe;
-    c.rhs = S;
+    c.rhs = static_cast<double>(cluster_size);
     c.name = "cluster";
     lp.add_constraint(std::move(c));
   }
@@ -833,9 +819,95 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     c.name = "host_t" + std::to_string(t);
     lp.add_constraint(std::move(c));
   }
+  return model;
+}
+
+/// The overload model's stage A objective: maximize the served fraction.
+void set_served_fraction_objective(SplitModel& model) {
+  model.lp.set_sense(solver::Sense::kMaximize);
+  model.lp.set_objective_coeff(model.lambda_var, 1.0);
+  for (const auto& vars : model.n_var) {
+    for (int v : vars) model.lp.set_objective_coeff(v, -kServerPenalty);
+  }
+}
+
+}  // namespace
+
+double lp_capacity(const pipeline::PipelineGraph& g, const ConfigTable& configs,
+                   const pipeline::MultFactorTable& mult, int cluster_size,
+                   SolverStats* work) {
+  if (!all_tasks_nonempty(g, configs)) return 0.0;
+  // The overload model's stage A relaxation at unit demand: its flows are in
+  // qps, and lambda, unbounded above, is the demand they carry.
+  SplitModel model =
+      build_split_model(g, configs, build_sink_paths(g, configs), 1.0, mult,
+                        cluster_size, /*served_fraction_mode=*/true);
+  model.lp.set_bounds(model.lambda_var, 0.0, solver::kInf);
+  set_served_fraction_objective(model);
+  const auto sol = solver::SimplexSolver(kPlannerMilp.lp).solve(model.lp);
+  if (work != nullptr) {
+    work->lp_iterations += sol.iterations;
+    work->lp_phase1_iterations += sol.phase1_iterations;
+  }
+  return sol.status == solver::LpStatus::kOptimal
+             ? sol.values[static_cast<std::size_t>(model.lambda_var)]
+             : solver::kInf;
+}
+
+void MilpAllocator::ensure_epoch_context() {
+  if (epoch_) return;
+  const auto& g = *graph_;
+  auto ctx = std::make_unique<EpochContext>();
+  ctx->splits = budget_splits(cfg_, g);
+  ctx->per_split.resize(ctx->splits.size());
+  for (std::size_t i = 0; i < ctx->splits.size(); ++i) {
+    auto& sc = ctx->per_split[i];
+    sc.budgets = task_budgets_for_split(cfg_, g, ctx->splits[i]);
+    sc.configs =
+        feasible_configs(g, profiles_, sc.budgets, kUtilizationTarget);
+    sc.configs_hw.resize(sc.configs.size());
+    for (int t = 0; t < g.num_tasks(); ++t) {
+      sc.configs_hw[static_cast<std::size_t>(t)] =
+          hardware_view(g, t, sc.configs[static_cast<std::size_t>(t)]);
+    }
+    sc.feasible = all_tasks_nonempty(g, sc.configs);
+    sc.feasible_hw = all_tasks_nonempty(g, sc.configs_hw);
+    if (sc.feasible) sc.sink_paths = build_sink_paths(g, sc.configs);
+    if (sc.feasible_hw) sc.sink_paths_hw = build_sink_paths(g, sc.configs_hw);
+  }
+  epoch_ = std::move(ctx);
+}
+
+MilpAllocator::MilpResult MilpAllocator::solve_step(
+    std::size_t split_idx, double demand_qps,
+    const pipeline::MultFactorTable& mult,
+    const std::vector<std::vector<bool>>& prev_variants, bool hardware_only,
+    bool served_fraction_mode, bool verdict) {
+  using solver::LpProblem;
+  using solver::Sense;
+
+  const auto& g = *graph_;
+  MilpResult result;
+
+  auto& split_cache = epoch_->per_split[split_idx];
+  if (!(hardware_only ? split_cache.feasible_hw : split_cache.feasible)) {
+    return result;
+  }
+  const ConfigTable& configs =
+      hardware_only ? split_cache.configs_hw : split_cache.configs;
+  const auto& sink_paths =
+      hardware_only ? split_cache.sink_paths_hw : split_cache.sink_paths;
+  const auto sinks = g.sinks();
+
+  SplitModel model = build_split_model(g, configs, sink_paths, demand_qps, mult,
+                                       cfg_.cluster_size,
+                                       served_fraction_mode);
+  LpProblem& lp = model.lp;
+  const auto& n_var = model.n_var;
+  const auto& c_var = model.c_var;
+  const int lambda_var = model.lambda_var;
 
   // --- Objective ---
-  constexpr double kServerPenalty = 1e-6;
   const double sink_weight = 1.0 / static_cast<double>(sinks.size());
   auto continuity = [&](int task, int variant) {
     if (prev_variants.empty()) return 0.0;
@@ -962,11 +1034,7 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
       trivial[static_cast<std::size_t>(n_var[static_cast<std::size_t>(t)][0])] =
           1.0;
     }
-    lp.set_sense(Sense::kMaximize);
-    lp.set_objective_coeff(lambda_var, 1.0);
-    for (const auto& vars : n_var) {
-      for (int v : vars) lp.set_objective_coeff(v, -kServerPenalty);
-    }
+    set_served_fraction_objective(model);
     // Stage A and B share one solver session: stage B's model is stage A's
     // with a different objective and a raised lambda floor, so its root LP
     // crash-starts from stage A's retained root basis (the near-identical
@@ -997,6 +1065,9 @@ MilpAllocator::MilpResult MilpAllocator::solve_step(
     set_accuracy_objective();
     auto solB = bnb.solve(lp, solA.values, stage_session,
                           solver::WarmTier::kNearIdentical);
+    // That crash start hands stage A's basis on within this call; it is no
+    // near-tier hit, which reuses a previous plan() call's basis.
+    solB.root_near_warm = false;
     track(solB);
     const auto& sol = (solB.status == solver::MilpStatus::kOptimal ||
                        solB.status == solver::MilpStatus::kFeasible)
@@ -1186,22 +1257,66 @@ ServiceVerdict MilpAllocator::serves_demand(const PlanRequest& request) {
   ScopedClusterCapacity capacity(&cfg_.cluster_size, request,
                                  graph_->num_tasks());
   const auto prev_variants = prepare_request(request);
-  // No cancellation across splits: each search stops only at its own
-  // first incumbent, so the work counted is the same on every run.
+  const auto& g = *graph_;
+  const double demand_qps = request.demand_qps;
+  EpochContext& ctx = *epoch_;
   ServiceVerdict verdict;
-  for (const bool hardware_only : {true, false}) {
-    std::vector<MilpResult> results(epoch_->splits.size());
-    team_->run(results.size(), [&](std::size_t i) {
-      results[i] = solve_step(i, request.demand_qps, request.mult,
-                              prev_variants, hardware_only,
-                              /*served_fraction_mode=*/false,
-                              /*verdict=*/true);
-    });
-    for (const MilpResult& res : results) {
-      verdict.solver += res.stats;
-      verdict.served = verdict.served || res.feasible;
+
+  // Hardware view: each task keeps one config, so the path flows are forced
+  // and the model is feasible exactly when the forced replica counts fit
+  // the cluster, which is the greedy choice's test without degrading.
+  for (const auto& sc : ctx.per_split) {
+    if (greedy_choice(g, sc.configs_hw, request.mult, demand_qps,
+                      cfg_.cluster_size, /*allow_degrade=*/false)
+            .feasible) {
+      verdict.served = true;
+      return verdict;
     }
-    if (verdict.served) break;
+  }
+
+  // Accuracy view: settle each split by a shortcut where one applies.
+  if (ctx.capacity_cluster != cfg_.cluster_size ||
+      ctx.capacity_mult != request.mult) {
+    ctx.split_capacity_qps.clear();
+    for (const auto& sc : ctx.per_split) {
+      ctx.split_capacity_qps.push_back(lp_capacity(
+          g, sc.configs, request.mult, cfg_.cluster_size, &verdict.solver));
+    }
+    ctx.capacity_mult = request.mult;
+    ctx.capacity_cluster = cfg_.cluster_size;
+  }
+  // Relative slack for the LP solver's tolerances: only a demand clearly
+  // above a split's LP capacity is known to leave its root LP infeasible.
+  constexpr double kCapacitySlack = 1e-6;
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < ctx.per_split.size(); ++i) {
+    const auto& sc = ctx.per_split[i];
+    // An infeasible root LP leaves the search without an incumbent.
+    if (!sc.feasible ||
+        ctx.split_capacity_qps[i] * (1.0 + kCapacitySlack) < demand_qps) {
+      continue;
+    }
+    // The search offers this warm start and stops at it before any node.
+    if (greedy_choice(g, sc.configs, request.mult, demand_qps,
+                      cfg_.cluster_size, /*allow_degrade=*/true)
+            .feasible) {
+      verdict.served = true;
+      return verdict;
+    }
+    open.push_back(i);
+  }
+
+  // No cancellation across the open splits: each search stops only at its
+  // own first incumbent, so the work counted is the same on every run.
+  std::vector<MilpResult> results(open.size());
+  team_->run(open.size(), [&](std::size_t k) {
+    results[k] = solve_step(open[k], demand_qps, request.mult, prev_variants,
+                            /*hardware_only=*/false,
+                            /*served_fraction_mode=*/false, /*verdict=*/true);
+  });
+  for (const MilpResult& res : results) {
+    verdict.solver += res.stats;
+    verdict.served = verdict.served || res.feasible;
   }
   return verdict;
 }

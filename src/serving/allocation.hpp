@@ -102,6 +102,17 @@ ConfigTable feasible_configs(const pipeline::PipelineGraph& g,
                              const std::vector<double>& task_budgets,
                              double utilization_target = 1.0);
 
+/// The LP capacity of one budget split: the largest demand (qps) at which
+/// the LP relaxation of its accuracy-scaling model is feasible on
+/// `cluster_size` workers, for the split's `configs` (feasible_configs at
+/// kUtilizationTarget). Above it the model has no integer point either, so
+/// no plan step places that demand on the split in full. 0 when some task
+/// has no config, +inf when the LP does not solve. Adds the LP's iterations
+/// to `work` when given.
+double lp_capacity(const pipeline::PipelineGraph& g, const ConfigTable& configs,
+                   const pipeline::MultFactorTable& mult, int cluster_size,
+                   SolverStats* work = nullptr);
+
 /// Greedy allocator used (a) to seed the MILP with an incumbent and (b) as
 /// the ablation baseline for bench/abl_allocator. Picks one variant per
 /// task, starting from the most accurate assignment and repeatedly
@@ -146,11 +157,16 @@ class MilpAllocator : public AllocationStrategy {
 
   PlanResult plan(const PlanRequest& request) override;
   /// plan() serves the whole demand exactly when its hardware or accuracy
-  /// step plans, so this runs those two steps on the same budget splits,
-  /// models and team, and never the overload step. Each split's search
-  /// stops at its first incumbent (BranchAndBound::find_feasible) and
-  /// neither reads nor writes the near tier's state, so a later plan() is
-  /// what it would have been without the verdict.
+  /// step plans, so this answers for those two steps on the same budget
+  /// splits, and never runs the overload step. It settles each split by an
+  /// exact shortcut where one exists: the hardware view's model is feasible
+  /// exactly when the greedy choice without degrading is; an accuracy model
+  /// is infeasible above the split's lp_capacity, and feasible when its
+  /// greedy warm start is. Only the accuracy splits left open run the
+  /// search, stopped at its first incumbent (BranchAndBound::find_feasible):
+  /// on the team when several are open, on the calling thread when one is.
+  /// Nothing here reads or writes the near tier's state, so a later plan()
+  /// is what it would have been without the verdict.
   ServiceVerdict serves_demand(const PlanRequest& request) override;
   std::string name() const override { return "loki-milp"; }
 
@@ -163,7 +179,9 @@ class MilpAllocator : public AllocationStrategy {
   /// and, with AllocatorConfig::near_warm_start only, per (split,
   /// allocation step) the step's last model and a solver::ResolveSession
   /// that the near tier resumes from. Without the near tier, no solver
-  /// state outlives a plan() call.
+  /// state outlives a plan() call. It also keeps serves_demand's
+  /// lp_capacity per split with the mult table and effective cluster size
+  /// they were computed for; plan() never reads them.
   struct EpochContext;
 
  private:

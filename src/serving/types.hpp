@@ -57,8 +57,10 @@ struct SolverStats {
   int epoch_warm_hits = 0;
   int epoch_cache_skips = 0;
   /// MILP solves whose root LP crash-started from a *near-identical*
-  /// previous epoch's basis (same model shape, drifted coefficients — the
-  /// opt-in near warm tier; the tree search still ran).
+  /// previous plan() call's basis (same model shape, drifted coefficients —
+  /// the opt-in near warm tier; the tree search still ran). The overload
+  /// step's stage B, which crash-starts from stage A's basis within one
+  /// call, is not counted.
   int near_warm_hits = 0;
   /// Devex reference-frame resets across all node LPs.
   int devex_resets = 0;

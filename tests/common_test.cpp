@@ -1,6 +1,7 @@
 // Unit tests for the common substrate: RNG, statistics, EWMA, CSV, flags,
 // the fork-join team, and the check macros.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
@@ -21,6 +22,7 @@
 #include "common/small_function.hpp"
 #include "common/stats.hpp"
 #include "common/team.hpp"
+#include "tests/test_support.hpp"
 
 namespace loki {
 namespace {
@@ -564,6 +566,55 @@ TEST(Team, RethrowsLowestIndexAfterEveryIndexRan) {
       EXPECT_EQ(again, std::vector<char>(9, 1)) << members << " members";
     }
   }
+}
+
+TEST(Team, OneIndexRunsOnTheCaller) {
+  // Back to back, while the helpers still spin from the run before: a
+  // helper that took the index would show as another thread's id.
+  for (const std::size_t members : {1, 2, 3, 8}) {
+    Team team(members);
+    team.run(members, [](std::size_t) {});  // helpers start with a run
+    for (int rep = 0; rep < 100; ++rep) {
+      std::thread::id ran;
+      team.run(1, [&](std::size_t) { ran = std::this_thread::get_id(); });
+      ASSERT_EQ(ran, std::this_thread::get_id())
+          << members << " members, run " << rep;
+    }
+  }
+}
+
+TEST(Team, HelpersOnTheCallersCpuDoNotStallIt) {
+  // The whole team on one CPU: a run wakes the helpers, which blocked during
+  // the idle gap before it, onto the caller's CPU, and a helper that spun
+  // there without yielding would hold the caller off it for the whole 1 ms
+  // spin budget once the trivial indices were done.
+  if (test::built_with_sanitizers()) {
+    GTEST_SKIP() << "a timing bound; sanitizers slow every pause and yield";
+  }
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  std::vector<double> run_us;
+  {
+    Team team(4);  // helpers inherit the mask when the first run starts them
+    std::vector<std::size_t> out(6);
+    for (int rep = 0; rep < 21; ++rep) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const auto t0 = std::chrono::steady_clock::now();
+      team.run(out.size(), [&](std::size_t i) { out[i] = i; });
+      run_us.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  std::nth_element(run_us.begin(), run_us.begin() + 10, run_us.end());
+  EXPECT_LT(run_us[10], 250.0) << "median run, microseconds";
 }
 
 // ---------------------------------------------------------------------------

@@ -111,7 +111,10 @@ class CountingStrategy : public serving::AllocationStrategy {
 // set-up: traffic-analysis pipeline, the run's profiler, the default mult
 // table, bisection over [10, 30000] qps to 10 qps). setup_s times it and
 // planned_capacity_qps reports it, so its answer and its solver work are
-// pinned exactly on both benchmark cluster sizes.
+// pinned exactly on both benchmark cluster sizes. The LP iterations include
+// the six splits' LP capacities (200 at either size); the MILP solves are
+// the searches of the two or three near-capacity verdicts that no shortcut
+// settles.
 TEST(FindCapacity, BenchmarkClustersArePinned) {
   const auto graph = pipeline::traffic_analysis_pipeline();
   const profile::ModelProfiler profiler(profile::default_batch_set(),
@@ -124,8 +127,8 @@ TEST(FindCapacity, BenchmarkClustersArePinned) {
     double capacity_qps;
     int calls, lp_iterations, nodes, milp_solves;
   };
-  for (const Case& c : {Case{96, 6592.27783203125, 14, 3329, 343, 120},
-                        Case{32, 2140.63720703125, 14, 3864, 413, 120}}) {
+  for (const Case& c : {Case{96, 6592.27783203125, 14, 1489, 240, 2},
+                        Case{32, 2140.63720703125, 14, 1996, 309, 3}}) {
     SCOPED_TRACE(c.workers);
     serving::AllocatorConfig acfg;
     acfg.cluster_size = c.workers;
@@ -154,16 +157,18 @@ bool plan_serves(serving::AllocationStrategy& strategy, double qps,
   return strategy.plan({qps, mult}).plan.served_fraction >= 1.0 - 1e-9;
 }
 
-// MilpAllocator's verdict skips the overload step and stops each search at
-// its first incumbent; it must still answer exactly what plan() answers.
-// On three pipelines, four cluster sizes and three SLOs it is checked at
-// every demand the bisection of the benchmark visits and on a 0.5% grid
-// within 3% of the capacity, against a second instance that is only asked
-// for plans. Then the probed instance plans at the bisection's demands,
-// latest first: each plan must equal that instance's bit for bit, work
-// included. Consecutive demands differ, so every one of those plans is a
-// cold solve, and a verdict that left its model in the epoch caches would
-// show as a cheaper first plan.
+// MilpAllocator's verdict skips the overload step, settles splits by
+// shortcuts and stops each remaining search at its first incumbent; it must
+// still answer exactly what plan() answers. On three pipelines, four
+// cluster sizes and three SLOs it is checked at every demand the bisection
+// of the benchmark visits, on a 0.5% grid within 3% of the capacity and
+// just below and above every split's LP capacity (where its shortcut
+// switches), against a second instance that is only asked for plans. Then
+// the probed instance plans at the bisection's demands, latest first: each
+// plan must equal that instance's bit for bit, work included. Consecutive
+// demands differ, so every one of those plans is a cold solve, and a
+// verdict that left its model in the epoch caches would show as a cheaper
+// first plan.
 TEST(FullServiceVerdict, MilpAnswersWhatPlanAnswers) {
   struct Case {
     pipeline::PipelineGraph (*pipeline)();
@@ -217,6 +222,23 @@ TEST(FullServiceVerdict, MilpAnswersWhatPlanAnswers) {
       EXPECT_EQ(probed.serves_demand({qps, mult}).served,
                 plan_serves(reference, qps, mult))
           << qps << " qps";
+    }
+    for (const auto& split : serving::budget_splits(acfg, graph)) {
+      const double split_cap = serving::lp_capacity(
+          graph,
+          serving::feasible_configs(
+              graph, profiles,
+              serving::task_budgets_for_split(acfg, graph, split),
+              serving::kUtilizationTarget),
+          mult, c.workers);
+      if (split_cap == 0.0) continue;  // no accuracy model on this split
+      ASSERT_TRUE(std::isfinite(split_cap));
+      for (const double f : {1.0 - 1e-4, 1.0 + 1e-4}) {
+        const double qps = split_cap * f;
+        EXPECT_EQ(probed.serves_demand({qps, mult}).served,
+                  plan_serves(reference, qps, mult))
+            << qps << " qps, split LP capacity " << split_cap;
+      }
     }
   }
 }

@@ -58,9 +58,9 @@ std::uint64_t test_seed();
 /// name, so suites can use independent-but-reproducible streams.
 std::uint64_t test_seed(const std::string& label);
 
-/// True when built under Address/UB sanitizers.
+/// True when built under Address/UB or thread sanitizers.
 constexpr bool built_with_sanitizers() {
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return true;
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
