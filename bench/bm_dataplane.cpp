@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
 #include "serving/allocation.hpp"
+#include "serving/control_plane.hpp"
 #include "serving/load_balancer.hpp"
 #include "serving/system.hpp"
 #include "sim/simulation.hpp"
@@ -96,9 +98,13 @@ void BM_ServingStageCounterOverhead(benchmark::State& state) {
   serving::SystemConfig cfg;
   cfg.allocator.cluster_size = 96;
   cfg.allocator.slo_s = 0.250;
-  serving::MilpAllocator strategy(cfg.allocator, &graph, profiles);
-  serving::ServingSystem system(&sim, &graph, profiles, &strategy, cfg);
-  system.start();
+  serving::ServingSystem system(&sim, &graph, profiles, cfg);
+  serving::ControlPlane control(
+      {&system}, [&](const serving::AllocatorConfig& slice) {
+        return std::make_unique<serving::MilpAllocator>(slice, &graph,
+                                                        profiles);
+      });
+  control.start();
   sim.run_until(1.0);  // let the initial allocation land on the workers
   for (auto _ : state) {
     const cluster::StageCounters sc = system.stage_counters();

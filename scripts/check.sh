@@ -17,7 +17,7 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export TSAN_OPTIONS=halt_on_error=1
 
 # The suites of CI's TSan step: the ones that drive the threaded code.
-tsan_suites="common_test|exp_test|sim_parallel_test|failure_recovery_test|obs_test|obs_trace_test|overload_degradation_test|planning_api_test"
+tsan_suites="common_test|control_plane_test|exp_test|sim_parallel_test|failure_recovery_test|obs_test|obs_trace_test|overload_degradation_test|planning_api_test"
 
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 run_release=1

@@ -14,6 +14,7 @@
 #include "common/check.hpp"
 #include "common/padded.hpp"
 #include "profile/profiler.hpp"
+#include "serving/control_plane.hpp"
 #include "serving/strategy_registry.hpp"
 #include "sim/parallel.hpp"
 
@@ -180,8 +181,8 @@ serving::SystemConfig shard_config(const ExperimentConfig& cfg,
 /// One planner: the run's strategy sized for `alloc`, wrapped in the
 /// fallback chain when cfg.fallback is enabled — with a near-warm MILP and a
 /// greedy allocator for the same slice as rungs 1 and 2, counting outcomes
-/// under serving.degrade.plan_*. The one-shard run's planner and every
-/// coordinator slice are built here.
+/// under serving.degrade.plan_*. The control plane builds every planned
+/// slice's planner here.
 std::unique_ptr<serving::AllocationStrategy> make_planner(
     const ExperimentConfig& cfg, const serving::AllocatorConfig& alloc,
     const pipeline::PipelineGraph& graph, const serving::ProfileTable& profiles,
@@ -199,19 +200,6 @@ std::unique_ptr<serving::AllocationStrategy> make_planner(
 }
 
 using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
-
-/// Each shard's surviving worker count: its share minus its crashed
-/// workers. The arrival deal follows these, and so do the coordinator's
-/// planned demand slices in fault mode.
-std::vector<double> surviving_workers(const std::vector<int>& share,
-                                      const Systems& systems) {
-  std::vector<double> alive(share.size());
-  for (std::size_t s = 0; s < share.size(); ++s) {
-    alive[s] = static_cast<double>(
-        std::max(0, share[s] - systems[s]->crashed_workers()));
-  }
-  return alive;
-}
 
 /// Streams the global (timestamp, tier) arrival sequence into the shard
 /// systems. The sequence is drawn lazily: the replay verbatim when one is
@@ -299,7 +287,10 @@ class ArrivalFeeder {
   }
 
   void refresh_weights() {
-    std::vector<double> w = surviving_workers(share_, *systems_);
+    std::vector<double> w;
+    for (const auto& system : *systems_) {
+      w.push_back(static_cast<double>(system->surviving_workers()));
+    }
     if (std::accumulate(w.begin(), w.end(), 0.0) <= 0.0) {
       // Every worker everywhere is down: keep dealing by share so arrivals
       // still land somewhere deterministic (and get accounted as sheds).
@@ -361,201 +352,6 @@ class ArrivalFeeder {
   std::vector<Shard> shards_;
 };
 
-/// The control plane of every sharded run: ONE strategy per planned slice,
-/// solving at window barriers from globally merged shard observations
-/// (summed demand, summed per-task arrival rates, averaged multiplicative
-/// factors) and installing the plans on the externally planned shard
-/// systems. It replans every rm_period_s (at the first barrier at or past
-/// the deadline), when the merged demand estimate surges or collapses — the
-/// triggers the in-process Resource Manager uses — and, in fault mode, as
-/// soon as a shard's detected-dead set changes. It counts each re-plan a
-/// dead-set change forced in serving.fault.replans, where a one-shard run's
-/// fault plane counts its own.
-///
-/// Plan slices follow the arrival deal: each distinct share gets a plan sized
-/// for exactly the share / cluster slice of demand it receives. An integral
-/// split of one full-cluster plan was measured strictly worse, since dealing
-/// its replicas across equal-demand shards starves one of them (e.g. 3
-/// detection replicas over 2 shards). In fault mode every shard gets its own
-/// plan, because two equal shares can lose different workers, and the slices
-/// follow the surviving worker counts as the deal does. Fault mode means
-/// some shard has a fault plane: every fault-plan event lands on some shard,
-/// and an enabled detector arms all of them.
-class Coordinator {
- public:
-  Coordinator(const pipeline::PipelineGraph& graph, const ExperimentConfig& cfg,
-              const serving::ProfileTable& profiles,
-              const std::vector<int>& share, const Systems* systems,
-              obs::Registry* registry)
-      : graph_(graph),
-        cfg_(cfg),
-        share_(share),
-        systems_(*systems),
-        fault_mode_(std::any_of(
-            systems->begin(), systems->end(),
-            [](const auto& system) { return system->fault() != nullptr; })) {
-    const std::size_t shards = share.size();
-    const int cluster = cfg.system_cfg.allocator.cluster_size;
-    shard_plan_.assign(shards, 0);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto it =
-          fault_mode_
-              ? plan_shares_.end()
-              : std::find(plan_shares_.begin(), plan_shares_.end(), share[s]);
-      shard_plan_[s] = static_cast<std::size_t>(it - plan_shares_.begin());
-      if (it == plan_shares_.end()) {
-        plan_shares_.push_back(share[s]);
-        plan_fracs_.push_back(static_cast<double>(share[s]) /
-                              static_cast<double>(cluster));
-      }
-    }
-    // One planner per planned slice; the shard systems carry none.
-    for (const int planned : plan_shares_) {
-      serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
-      alloc.cluster_size = planned;
-      strategies_.push_back(
-          make_planner(cfg, alloc, graph, profiles, *registry));
-    }
-    plans_.resize(plan_shares_.size());
-    if (fault_mode_) {
-      replans_ = registry->counter(std::string(serving::kMetricPrefix) +
-                                   ".fault.replans");
-    }
-  }
-
-  /// Starts the shard systems without planners of their own and installs
-  /// the initial plan before any arrival.
-  void start() {
-    for (const auto& system : systems_) system->start_external();
-    replan(0.0, /*force=*/true);
-    next_replan_ = cfg_.system_cfg.rm_period_s;
-  }
-
-  void on_barrier(double now) {
-    bool fault_due = false;
-    for (const auto& system : systems_) {
-      const serving::FaultPlane* fault = system->fault();
-      fault_due = fault_due || (fault != nullptr && fault->replan_pending());
-    }
-    bool due = fault_due || now + 1e-9 >= next_replan_;
-    if (!due && have_plan_) {
-      double est = 0.0;
-      for (const auto& system : systems_) est += system->demand_estimate_now();
-      due = serving::demand_shifted(est, last_demand_);
-    }
-    if (!due) return;
-    replan(now, /*force=*/fault_due);
-    if (fault_due) replans_.add(1);
-    while (next_replan_ <= now + 1e-9) {
-      next_replan_ += cfg_.system_cfg.rm_period_s;
-    }
-  }
-
-  std::string name() const { return strategies_.front()->name(); }
-  double solve_s() const { return solve_s_; }
-  int allocations() const { return allocations_; }
-
- private:
-  void replan(double now, bool force) {
-    const std::size_t shards = systems_.size();
-    double demand = 0.0;
-    for (const auto& system : systems_) demand += system->demand_estimate_now();
-    if (have_plan_ && !force) {
-      double min_served = 1.0;
-      for (const auto& p : plans_) {
-        min_served = std::min(min_served, p.served_fraction);
-      }
-      if (serving::keep_plan(demand, last_demand_, min_served,
-                             cfg_.system_cfg.realloc_threshold)) {
-        return;
-      }
-    }
-    const double inv_shards = 1.0 / static_cast<double>(shards);
-    // Merge multiplicative-factor estimates: shards observe the same
-    // underlying pipeline, so the mean is the natural pooled estimate.
-    pipeline::MultFactorTable mult = systems_[0]->mult_estimates();
-    for (std::size_t s = 1; s < shards; ++s) {
-      const auto& m = systems_[s]->mult_estimates();
-      for (std::size_t t = 0; t < mult.size(); ++t) {
-        for (std::size_t k = 0; k < mult[t].size(); ++k) {
-          mult[t][k] += m[t][k];
-        }
-      }
-    }
-    for (auto& row : mult) {
-      for (auto& v : row) v *= inv_shards;
-    }
-    // Drain each shard's per-task arrival-rate window exactly once per
-    // epoch (draining resets it), then build every share's request from the
-    // same observations.
-    std::vector<std::vector<double>> sys_rates;
-    sys_rates.reserve(shards);
-    for (const auto& system : systems_) {
-      sys_rates.push_back(system->drain_task_arrivals_now());
-    }
-    // Demand fractions: in fault mode the arrival deal follows the
-    // survivors, so the planned slices (one per shard) must too.
-    std::vector<double> fracs = plan_fracs_;
-    if (fault_mode_) {
-      const std::vector<double> alive = surviving_workers(share_, systems_);
-      const double total = std::accumulate(alive.begin(), alive.end(), 0.0);
-      if (total > 0.0) {
-        for (std::size_t s = 0; s < shards; ++s) fracs[s] = alive[s] / total;
-      }
-    }
-    for (std::size_t pi = 0; pi < plan_shares_.size(); ++pi) {
-      serving::PlanRequest req;
-      req.demand_qps = demand * fracs[pi];
-      req.mult = mult;
-      req.task_arrivals_qps.assign(
-          static_cast<std::size_t>(graph_.num_tasks()), 0.0);
-      for (const auto& rates : sys_rates) {
-        for (std::size_t t = 0; t < rates.size(); ++t) {
-          req.task_arrivals_qps[t] += rates[t] * fracs[pi];
-        }
-      }
-      req.sim_time_s = now;
-      req.epoch = allocations_;
-      req.previous_plan = have_plan_ ? &plans_[pi] : nullptr;
-      if (fault_mode_) {
-        // Plan over the survivors the controller has *detected* (plan index
-        // == shard index in fault mode); the allocator clamps internally so
-        // it never plans below one worker per task.
-        const serving::FaultPlane* fault = systems_[pi]->fault();
-        const int dead = fault != nullptr ? fault->detector().dead_count() : 0;
-        req.available_workers = share_[pi] - dead;
-      }
-      plans_[pi] = strategies_[pi]->plan(req).plan;
-      solve_s_ += plans_[pi].solve_time_s;
-      ++allocations_;
-    }
-    have_plan_ = true;
-    last_demand_ = demand;
-    for (std::size_t s = 0; s < shards; ++s) {
-      serving::AllocationPlan sub = plans_[shard_plan_[s]];
-      sub.solve_time_s = 0.0;  // the coordinator accounts the solve once
-      systems_[s]->install_plan(std::move(sub));
-    }
-  }
-
-  const pipeline::PipelineGraph& graph_;
-  const ExperimentConfig& cfg_;
-  std::vector<int> share_;
-  const Systems& systems_;
-  bool fault_mode_;
-  std::vector<int> plan_shares_;         // one plan each
-  std::vector<double> plan_fracs_;       // demand fraction that plan serves
-  std::vector<std::size_t> shard_plan_;  // shard -> plan index
-  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies_;
-  std::vector<serving::AllocationPlan> plans_;
-  double solve_s_ = 0.0;
-  int allocations_ = 0;
-  double last_demand_ = 0.0;
-  bool have_plan_ = false;
-  double next_replan_ = 0.0;
-  obs::Counter replans_;  // fault mode only
-};
-
 }  // namespace
 
 ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
@@ -590,33 +386,24 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   const std::vector<fault::FaultPlan> faults =
       fault::split_by_shares(cfg.fault_plan, share);
 
-  // A one-shard run plans for itself; its planner must outlive the system
-  // holding a pointer to it. Sharded systems carry none: the coordinator
-  // plans for them.
-  std::unique_ptr<serving::AllocationStrategy> planner;
   Systems systems;
+  std::vector<serving::ServingSystem*> planned;
   for (std::size_t s = 0; s < shards; ++s) {
-    serving::SystemConfig scfg =
-        shard_config(cfg, share, faults, s, &registry);
-    if (shards == 1) {
-      planner = make_planner(cfg, scfg.allocator, graph, profiles, registry);
-    }
     systems.push_back(std::make_unique<serving::ServingSystem>(
-        &psim.shard(s), &graph, profiles, planner.get(), scfg));
+        &psim.shard(s), &graph, profiles,
+        shard_config(cfg, share, faults, s, &registry)));
+    planned.push_back(systems.back().get());
   }
+  serving::ControlPlane control(
+      std::move(planned), [&](const serving::AllocatorConfig& slice) {
+        return make_planner(cfg, slice, graph, profiles, registry);
+      });
   // The initial allocation (solver work) runs here, on the driving thread.
-  std::unique_ptr<Coordinator> coordinator;
-  if (shards > 1) {
-    coordinator = std::make_unique<Coordinator>(graph, cfg, profiles, share,
-                                                &systems, &registry);
-    coordinator->start();
-  } else {
-    systems[0]->start();
-  }
+  control.start();
   feeder.arm(&systems);
   psim.set_barrier_callback([&](sim::Time now) {
     feeder.on_barrier(now);
-    if (coordinator != nullptr) coordinator->on_barrier(now);
+    control.on_barrier(now);
   });
 
   const double t_end = run_horizon(curve, cfg);
@@ -624,15 +411,9 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
 
   ExperimentResult out;
   for (auto& system : systems) system->finish(t_end);
-  if (coordinator != nullptr) {
-    out.system_name = coordinator->name();
-    out.total_solve_time_s = coordinator->solve_s();
-    out.allocations = coordinator->allocations();
-  } else {
-    out.system_name = planner->name();
-    out.total_solve_time_s = systems[0]->total_solve_time_s();
-    out.allocations = systems[0]->allocations_performed();
-  }
+  out.system_name = control.name();
+  out.total_solve_time_s = control.total_solve_time_s();
+  out.allocations = control.allocations();
   // Shard 0's metrics absorb the rest. Every shard's metrics move, so no
   // latency sample is copied at any shard count.
   serving::Metrics& m = out.metrics = std::move(systems[0]->metrics());

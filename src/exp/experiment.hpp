@@ -35,8 +35,9 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
     const serving::ProfileTable& profiles);
 
 /// Conservative synchronization window (seconds) of every run: shards
-/// advance in lockstep to each window barrier, where arrivals are dealt and
-/// the coordinator (if any) plans.
+/// advance in lockstep to each window barrier, where arrivals are dealt
+/// and, with K > 1 shards, the control plane plans (one shard plans on its
+/// own simulation events).
 inline constexpr double kSimWindowS = 0.25;
 
 struct ExperimentConfig {
@@ -55,10 +56,10 @@ struct ExperimentConfig {
   /// sim::ParallelSimulation: each shard simulates a contiguous slice of the
   /// cluster serving its dealt slice of one global arrival sequence (so
   /// total arrivals equal the one-shard run's exactly), and per-shard
-  /// metrics merge at the end. One shard is the plain single-cluster
-  /// simulation, planned in-process, with the configured seed. K > 1 shards
-  /// are dealt arrivals by surviving worker count and planned by one
-  /// coordinator at the window barriers. See README "Data-plane
+  /// metrics merge at the end. One serving::ControlPlane plans every run:
+  /// one shard is the plain single-cluster simulation, planned in-process,
+  /// with the configured seed; K > 1 shards are dealt arrivals by surviving
+  /// worker count and planned at the window barriers. See README "Data-plane
   /// architecture" for determinism/merging caveats.
   std::size_t sim_shards = 1;
   /// Must equal sim_shards > 1, since every sharded run is coordinated;
@@ -102,10 +103,10 @@ struct ExperimentConfig {
   /// Control-plane fallback chain around every planner's plan(): the
   /// strategy -> near-warm MILP resolve -> greedy -> retain previous plan,
   /// a plan that fails validation falling to the next rung. Disabled by
-  /// default. Each planner (the one-shard run's, or the coordinator's per
-  /// planned slice) is wrapped in its own serving::PlanFallbackChain with
-  /// rungs sized for its cluster slice; outcomes count under
-  /// serving.degrade.plan_*.
+  /// default. Each of the control plane's planners (one per planned slice;
+  /// a one-shard run has one) is wrapped in its own
+  /// serving::PlanFallbackChain with rungs sized for its cluster slice;
+  /// outcomes count under serving.degrade.plan_*.
   serving::FallbackConfig fallback;
   /// Replay-driven arrivals: when non-empty, the experiment ignores the
   /// demand curve's arrival sampling and feeds the replay's exact

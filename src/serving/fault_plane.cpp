@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "fault/injector.hpp"
+#include "serving/control_plane.hpp"
 #include "serving/system.hpp"
 
 namespace loki::serving {
@@ -38,7 +39,6 @@ FaultPlane::FaultPlane(ServingSystem& system, obs::Registry& registry)
   c_stranded_dropped_ = registry.counter(fp + "stranded_dropped");
   c_degraded_shed_ = registry.counter(fp + "degraded_shed");
   c_net_drops_ = registry.counter(fp + "net_drops");
-  c_replans_ = registry.counter(fp + "replans");
   c_stale_heartbeats_ = registry.counter(fp + "stale_heartbeats");
   h_detect_ns_ = registry.histogram(fp + "detect_ns");
   h_recovery_ns_ = registry.histogram(fp + "recovery_ns");
@@ -145,13 +145,7 @@ void FaultPlane::update_degraded() {
 void FaultPlane::on_dead_set_changed() {
   ++epoch_;
   update_degraded();
-  // Event-driven re-planning over the surviving worker set. Externally
-  // planned systems surface the pending epoch to their coordinator via
-  // replan_pending() instead.
-  if (!sys_.external_ && sys_.strategy_ != nullptr) {
-    c_replans_.add(1);
-    sys_.run_resource_manager(/*force=*/true);
-  }
+  if (sys_.control_ != nullptr) sys_.control_->on_dead_set_changed();
 }
 
 void FaultPlane::resolve_stranded(int worker, double now) {

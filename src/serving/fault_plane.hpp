@@ -4,8 +4,10 @@
 // (src/fault). A ServingSystem builds its plane only when armed (non-empty
 // cfg.fault_plan or cfg.detector.enabled); otherwise it holds none, so no
 // series is registered, no RNG drawn and no code run. The plane drives the
-// core it belongs to (re-dispatching stranded items, forcing re-plans), so
-// it reaches into ServingSystem as a friend.
+// core it belongs to (re-dispatching stranded items), so it reaches into
+// ServingSystem as a friend. It never plans: a dead-set change degrades the
+// system until a plan is installed, and the control plane decides when that
+// is (serving/control_plane.hpp).
 #pragma once
 
 #include <array>
@@ -36,8 +38,9 @@ class FaultPlane {
   static constexpr std::array<double, kNumTiers> kRetryHeadroomFrac = {
       0.0, 0.1, 0.25};
 
-  /// Registers the twelve <prefix>.fault.* series and sizes per-worker
-  /// state for `system`'s cluster.
+  /// Registers the <prefix>.fault.* series (all but replans, which the
+  /// control plane counts) and sizes per-worker state for `system`'s
+  /// cluster.
   FaultPlane(ServingSystem& system, obs::Registry& registry);
   // Scheduled fault events and retries hold `this`.
   FaultPlane(const FaultPlane&) = delete;
@@ -64,7 +67,7 @@ class FaultPlane {
   // Core hooks.
 
   /// Folds this heartbeat's reports into the detector and handles health
-  /// transitions (quarantine, stranded-query resolution, re-planning).
+  /// transitions (quarantine, stranded-query resolution, degraded mode).
   void on_heartbeat(double now);
   /// A plan was installed: the current dead set is planned around.
   void on_plan();
@@ -94,7 +97,7 @@ class FaultPlane {
 
   const fault::FailureDetector& detector() const { return detector_; }
   /// True when the detector's dead set changed since the last installed
-  /// plan — coordinators poll this at window barriers to re-plan.
+  /// plan: a barrier-driven control plane polls this to re-plan.
   bool replan_pending() const { return epoch_ != planned_epoch_; }
   /// Degraded overload mode: dead capacity not yet re-planned around.
   bool degraded() const { return degraded_; }
@@ -104,8 +107,8 @@ class FaultPlane {
   void resolve_stranded(int worker, double now);
   /// Tiered recovery gave up on a stranded item: shed-by-failure.
   void give_up(const cluster::WorkItem& item, double now);
-  /// The dead set changed: degrade until re-planned, and re-plan now when
-  /// the system owns its Resource Manager.
+  /// The dead set changed: degrade until re-planned, and tell a one-shard
+  /// control plane, which re-plans at once.
   void on_dead_set_changed();
   /// Recomputes degraded mode from the dead count and the pending re-plan,
   /// and refills the tier plane's shed fills.
@@ -138,7 +141,6 @@ class FaultPlane {
   obs::Counter c_stranded_dropped_;
   obs::Counter c_degraded_shed_;
   obs::Counter c_net_drops_;
-  obs::Counter c_replans_;
   obs::Counter c_stale_heartbeats_;
   obs::Histogram h_detect_ns_;
   obs::Histogram h_recovery_ns_;

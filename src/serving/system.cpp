@@ -6,28 +6,26 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "serving/control_plane.hpp"
 
 namespace loki::serving {
 
-/// Load Balancer refresh period between RM runs (§5.1).
+/// Load Balancer refresh period between Resource Manager runs (§5.1).
 constexpr double kLbPeriodS = 2.0;
 /// A straggler batch runs 1.5x..this much slower.
 constexpr double kStragglerScale = 3.0;
-/// Rolling-update bound on concurrent variant swaps (apply_plan pass 2b).
+/// Rolling-update bound on concurrent variant swaps (apply_plan pass 2b),
+/// per ServingSystem: each shard of a K-shard run applies it to its own
+/// slice, so the run allows 5K swaps at once (ROADMAP item 1 splits it).
 constexpr int kMaxConcurrentSwaps = 5;
 /// EWMA weight for observed multiplicative factors.
 constexpr double kMultEwmaAlpha = 0.3;
 
 namespace {
 
-/// `cfg`, once its periods are known to advance time: a Resource Manager
-/// period that is not finite and positive reschedules the planner at the
-/// same instant forever (and stalls or rewinds the coordinator's re-plan
-/// clock), and such a metrics window rolls forever.
-const SystemConfig& with_valid_periods(const SystemConfig& cfg) {
-  LOKI_CHECK_MSG(std::isfinite(cfg.rm_period_s) && cfg.rm_period_s > 0.0,
-                 "SystemConfig::rm_period_s = "
-                     << cfg.rm_period_s << " must be finite and > 0");
+/// `cfg`, once its metrics window is known to advance time: a window that
+/// is not finite and positive rolls forever.
+const SystemConfig& with_valid_window(const SystemConfig& cfg) {
   LOKI_CHECK_MSG(
       std::isfinite(cfg.metrics_window_s) && cfg.metrics_window_s > 0.0,
       "SystemConfig::metrics_window_s = " << cfg.metrics_window_s
@@ -49,13 +47,11 @@ std::string to_string(DropPolicy p) {
 
 ServingSystem::ServingSystem(sim::Simulation* sim,
                              const pipeline::PipelineGraph* graph,
-                             ProfileTable profiles,
-                             AllocationStrategy* strategy, SystemConfig cfg)
+                             ProfileTable profiles, SystemConfig cfg)
     : sim_(sim),
       graph_(graph),
       profiles_(std::move(profiles)),
-      strategy_(strategy),
-      cfg_(with_valid_periods(cfg)),
+      cfg_(with_valid_window(cfg)),
       lb_(graph, &profiles_, kUtilizationTarget),
       metrics_(cfg.metrics_window_s),
       rng_routing_(Rng(cfg.seed).stream("routing")),
@@ -65,8 +61,6 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
       tiers_(cfg.tiers,
              cfg.registry != nullptr ? *cfg.registry : obs::Registry::global(),
              kMetricPrefix) {
-  // strategy_ may be nullptr for externally-planned systems (coordinated
-  // sharding); start() / run_resource_manager() check it.
   LOKI_CHECK(sim_ && graph_);
   hop_lane_ = sim_->add_lane("hop");
   obs::Registry& reg =
@@ -166,62 +160,26 @@ ServingSystem::ServingSystem(sim::Simulation* sim,
   worker_group_.assign(workers_.size(), -1);
 }
 
-void ServingSystem::schedule_control_loops(bool with_rm) {
-  // Periodic control loops. Self-rescheduling keeps periods exact.
-  auto schedule_periodic = [this](double period, std::function<void()> fn) {
-    // The system owns the callback (periodic_); the scheduled copies only
-    // hold a weak_ptr, so the reschedule cycle cannot keep itself alive
-    // (was a shared_ptr self-capture leak). The copies still capture `this`:
-    // the system must outlive any further sim_->run_*() calls, as everywhere
-    // in this codebase.
-    auto holder = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = holder;
-    *holder = [this, period, weak, fn = std::move(fn)]() {
-      if (stopped_) return;
-      fn();
-      if (auto cb = weak.lock()) sim_->schedule_after(period, *cb);
-    };
-    periodic_.push_back(holder);
-    sim_->schedule_after(period, *holder);
-  };
-  if (with_rm) {
-    schedule_periodic(cfg_.rm_period_s, [this]() { run_resource_manager(); });
-  }
-  schedule_periodic(kLbPeriodS, [this]() { run_load_balancer(); });
-  schedule_periodic(fault::kHeartbeatPeriodS, [this]() { run_heartbeat(); });
-}
-
 void ServingSystem::start() {
   LOKI_CHECK(!started_);
-  LOKI_CHECK_MSG(strategy_ != nullptr,
-                 "start() needs a strategy; externally-planned systems use "
-                 "start_external()");
   started_ = true;
-  run_resource_manager();  // initial allocation + routing
-  schedule_control_loops(/*with_rm=*/true);
+  every(kLbPeriodS, [this]() { run_load_balancer(); });
+  every(fault::kHeartbeatPeriodS, [this]() { run_heartbeat(); });
   if (fault_ != nullptr) fault_->arm();
 }
 
-void ServingSystem::start_external() {
-  LOKI_CHECK(!started_);
-  started_ = true;
-  external_ = true;
-  // No Resource Manager loop: plans arrive via install_plan(). The LB and
-  // heartbeat loops still run so routing tracks the local demand estimate
-  // and mult observations between plan pushes.
-  schedule_control_loops(/*with_rm=*/false);
-  if (fault_ != nullptr) fault_->arm();
+void ServingSystem::every(double period, std::function<void()> fn) {
+  // Each run schedules the next, so the period stays exact. The event
+  // captures `this`: the system must outlive any further sim_->run_*()
+  // calls, as everywhere in this codebase.
+  sim_->schedule_after(period, [this, period, fn = std::move(fn)]() mutable {
+    if (stopped_) return;
+    fn();
+    every(period, std::move(fn));
+  });
 }
 
 void ServingSystem::install_plan(AllocationPlan plan) {
-  const double demand = plan.demand_qps;
-  commit_plan(std::move(plan), demand);
-}
-
-void ServingSystem::commit_plan(AllocationPlan plan, double demand) {
-  has_plan_ = true;
-  last_alloc_demand_ = demand;
-  ++allocations_;
   apply_plan(std::move(plan));
   run_load_balancer();  // LB runs on every allocation change (§5.1)
   if (fault_ != nullptr) fault_->on_plan();
@@ -720,12 +678,9 @@ void ServingSystem::complete_part(std::uint64_t query_id, double now) {
 // Controller
 // ---------------------------------------------------------------------------
 
-std::vector<double> ServingSystem::drain_task_arrivals(double now) {
+std::vector<double> ServingSystem::drain_task_arrivals_now() {
+  const double now = sim_->now();
   const double window = now - arrivals_window_start_;
-  // Always num_tasks entries: a zero-width window (two plan requests at the
-  // same instant, e.g. a surge retrigger) yields zero rates, not an empty
-  // vector — PlanRequest::task_arrivals_qps must never change size between
-  // epochs (strategies index it by task).
   std::vector<double> rates(task_window_arrivals_.size(), 0.0);
   if (window > 1e-9) {
     for (std::size_t t = 0; t < rates.size(); ++t) {
@@ -735,34 +690,6 @@ std::vector<double> ServingSystem::drain_task_arrivals(double now) {
   std::fill(task_window_arrivals_.begin(), task_window_arrivals_.end(), 0.0);
   arrivals_window_start_ = now;
   return rates;
-}
-
-void ServingSystem::run_resource_manager(bool force) {
-  LOKI_CHECK(strategy_ != nullptr);
-  const double now = sim_->now();
-  const double demand = demand_.estimate(now);
-  // Failure re-plans (`force`) skip the hysteresis: the *capacity* moved,
-  // not demand.
-  if (has_plan_ && !force &&
-      keep_plan(demand, last_alloc_demand_, plan_.served_fraction,
-                cfg_.realloc_threshold)) {
-    run_load_balancer();
-    return;
-  }
-  PlanRequest req;
-  req.demand_qps = demand;
-  req.mult = mult_estimates_;
-  req.task_arrivals_qps = drain_task_arrivals(now);
-  req.sim_time_s = now;
-  req.epoch = allocations_;
-  req.previous_plan = has_plan_ ? &plan_ : nullptr;
-  if (fault_ != nullptr) {
-    req.available_workers =
-        cfg_.allocator.cluster_size - fault_->detector().dead_count();
-  }
-  AllocationPlan plan = strategy_->plan(req).plan;
-  total_solve_time_s_ += plan.solve_time_s;
-  commit_plan(std::move(plan), demand);
 }
 
 void ServingSystem::run_load_balancer() {
@@ -792,25 +719,18 @@ void ServingSystem::run_heartbeat() {
     }
   }
   // Per-task arrivals keep accumulating in task_window_arrivals_; they
-  // reach the strategy as PlanRequest::task_arrivals_qps at the next plan
+  // reach the planners as PlanRequest::task_arrivals_qps at the next plan
   // request.
   metrics_.record_utilization(now, plan_.servers_used,
                               cfg_.allocator.cluster_size);
   publish_stage_counters();
 
-  // Failure detection runs on the heartbeat cadence for internal *and*
-  // externally-planned systems (the coordinator polls the plane's
-  // replan_pending() at its barriers; detection itself is local).
+  // Failure detection runs on the heartbeat cadence whoever plans (a
+  // barrier-driven control plane polls the plane's replan_pending();
+  // detection itself is local).
   if (fault_ != nullptr) fault_->on_heartbeat(now);
-
-  // §4.2: the Resource Manager reallocates between periodic invocations
-  // when it detects a significant demand change (e.g. cold start or a
-  // burst arriving right after a periodic run). Externally-planned systems
-  // leave surge handling to their coordinator (which sees all shards).
-  if (external_) return;
-  if (demand_shifted(demand_.estimate(now), last_alloc_demand_)) {
-    run_resource_manager();
-  }
+  // A one-shard control plane checks for a demand surge or collapse here.
+  if (control_ != nullptr) control_->after_heartbeat();
 }
 
 void ServingSystem::apply_plan(AllocationPlan plan) {
@@ -870,9 +790,10 @@ void ServingSystem::apply_plan(AllocationPlan plan) {
     }
   }
   // Pass 2b: repurpose active workers — deferred behind the rolling-update
-  // bound so the cluster never loses more than kMaxConcurrentSwaps
-  // workers' worth of capacity at once. Until their turn they keep serving
-  // their old variant.
+  // bound so this system never loses more than kMaxConcurrentSwaps
+  // workers' worth of capacity at once (a K-shard run: K times that; see
+  // kMaxConcurrentSwaps). Until their turn they keep serving their old
+  // variant.
   for (int gi = 0; gi < ngroups; ++gi) {
     for (std::size_t wi = 0;
          wi < workers_.size() && slots_left[static_cast<std::size_t>(gi)] > 0;

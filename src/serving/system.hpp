@@ -1,18 +1,19 @@
-// The serving system runtime: composes the Frontend, Controller (Resource
-// Manager + Load Balancer + Metadata Store state), and the simulated worker
-// cluster into the full query-processing loop of §3:
+// The serving system runtime: composes the Frontend, the Controller's Load
+// Balancer and Metadata Store state, and the simulated worker cluster into
+// the full query-processing loop of §3:
 //
 //   client -> Frontend -> first-task workers -> ... -> sinks -> Frontend
 //
-// with periodic control events: Resource Manager re-allocation (10 s in the
-// paper), Load Balancer routing refresh, and worker heartbeats that report
-// observed multiplicative factors. The runtime also implements the §5.2
-// early-dropping policies (none / last-task / per-task / opportunistic
-// rerouting), selected per experiment for the Fig. 7 ablation.
+// with periodic control events: Load Balancer routing refresh, and worker
+// heartbeats that report observed multiplicative factors. The runtime also
+// implements the §5.2 early-dropping policies (none / last-task / per-task /
+// opportunistic rerouting), selected per experiment for the Fig. 7 ablation.
 //
-// The same runtime hosts Loki and both baselines: the allocation strategy is
-// injected (MilpAllocator, baselines::InferLineStrategy,
-// baselines::ProteusStrategy).
+// The Resource Manager is the ControlPlane (serving/control_plane.hpp): it
+// reads the system's observations (demand_estimate_now, mult_estimates,
+// drain_task_arrivals_now) and hands it plans through install_plan. Its
+// planners run Loki or a baseline (MilpAllocator,
+// baselines::InferLineStrategy, baselines::ProteusStrategy).
 //
 // This class is the serving core; optional planes plug into it instead of
 // branching through it. The FaultPlane (serving/fault_plane.hpp) exists only
@@ -20,7 +21,7 @@
 // (serving/degrade.hpp) is always present; unarmed, it fills every tier with
 // the untiered fractions and never sheds at admission, so the frontend reads
 // it with no tiers-on branch. The plan fallback chain is a strategy
-// decorator (serving/degrade.hpp) wrapped around the injected strategy.
+// decorator (serving/degrade.hpp) around the control plane's planners.
 //
 // Hot-path discipline (per arrival / per forwarded item): routing draws go
 // through RoutingPlan::DrawTable (flat cumulative thresholds, branchless
@@ -60,13 +61,15 @@
 
 namespace loki::serving {
 
+class ControlPlane;
+
 /// Early-dropping policy (§5.2, ablated in Fig. 7).
 enum class DropPolicy { kNone, kLastTask, kPerTask, kOpportunisticReroute };
 
 std::string to_string(DropPolicy p);
 
-/// Re-planning policy (§4.2) of the Resource Manager and the coordinated
-/// control plane; `last` is the demand the current plan was sized for.
+/// Re-planning policy (§4.2) of the control plane; `last` is the demand the
+/// current plan was sized for.
 /// Off-period trigger: the demand estimate surged or collapsed.
 inline bool demand_shifted(double estimate, double last) {
   return estimate > last * 1.25 + 1.0 || estimate < last * 0.5 - 1.0;
@@ -87,7 +90,8 @@ inline constexpr char kMetricPrefix[] = "serving";
 struct SystemConfig {
   AllocatorConfig allocator;
   /// Resource Manager invocation period (§4.2 uses 10 s) and the metrics
-  /// window. ServingSystem rejects either unless it is finite and > 0.
+  /// window. The ControlPlane rejects the period and ServingSystem the
+  /// window unless it is finite and > 0.
   double rm_period_s = 10.0;
   double metrics_window_s = 10.0;
   DropPolicy drop_policy = DropPolicy::kOpportunisticReroute;
@@ -99,7 +103,7 @@ struct SystemConfig {
   /// Straggler batches: with this probability a batch runs 1.5x..3x slower
   /// (models contention/throttling on a physical cluster).
   double straggler_prob = 0.0;
-  /// Re-allocation hysteresis: the Resource Manager keeps the current plan
+  /// Re-allocation hysteresis: the control plane keeps the current plan
   /// when the demand estimate moved less than this relative amount since the
   /// last allocation. Prevents variant-flapping (and the model-swap storms
   /// it causes) when demand is merely noisy.
@@ -128,32 +132,23 @@ struct SystemConfig {
 
 class ServingSystem {
  public:
-  /// `graph` and `strategy` must outlive the system. `profiles` is the
-  /// Metadata Store's profiled q(i,k,b) table shared with the strategy.
-  /// `strategy` may be nullptr only for externally-planned systems (see
-  /// start_external): such a system never runs its own Resource Manager.
+  /// `graph` must outlive the system. `profiles` is the Metadata Store's
+  /// profiled q(i,k,b) table, shared with the planners.
   ServingSystem(sim::Simulation* sim, const pipeline::PipelineGraph* graph,
-                ProfileTable profiles, AllocationStrategy* strategy,
-                SystemConfig cfg);
+                ProfileTable profiles, SystemConfig cfg);
 
   ServingSystem(const ServingSystem&) = delete;
   ServingSystem& operator=(const ServingSystem&) = delete;
 
-  /// Performs the initial allocation and schedules the periodic control
-  /// events. Call once before submitting queries.
+  /// Schedules the Load Balancer and heartbeat loops, then arms the fault
+  /// plan. Call once before submitting queries; ControlPlane::start() calls
+  /// it for the systems it plans. No plan is installed: until one is, every
+  /// arrival is shed.
   void start();
 
-  /// Externally-planned (coordinated) mode: schedules only the Load
-  /// Balancer and heartbeat loops — no Resource Manager. A coordinator
-  /// (e.g. the intra-cluster-sharded experiment driver) pushes plans via
-  /// install_plan() at parallel-simulation window barriers. Call once,
-  /// instead of start().
-  void start_external();
-
-  /// Applies a plan produced outside this system (coordinated mode): worker
-  /// placement, routing refresh, allocation metrics. The plan's
-  /// solve_time_s is NOT added to total_solve_time_s() — the coordinator
-  /// accounts the (shared) solve once.
+  /// Applies a plan (the control plane's, or any caller's): worker
+  /// placement with the rolling swap bound, a routing refresh, and the
+  /// fault plane's record that the current dead set is planned around.
   void install_plan(AllocationPlan plan);
 
   /// Client query arriving now (drives one end-to-end pipeline execution).
@@ -173,17 +168,13 @@ class ServingSystem {
   const pipeline::MultFactorTable& mult_estimates() const {
     return mult_estimates_;
   }
-  /// Total allocation-solve wall time spent so far (RM overhead, §6.5).
-  double total_solve_time_s() const { return total_solve_time_s_; }
-  int allocations_performed() const { return allocations_; }
-
-  /// Current frontend demand estimate (coordinated-mode input merging).
+  /// Current frontend demand estimate (the control plane's input).
   double demand_estimate_now() { return demand_.estimate(sim_->now()); }
-  /// Drains the per-task arrival-rate window (coordinated-mode input
-  /// merging; the in-process Resource Manager calls the private form).
-  std::vector<double> drain_task_arrivals_now() {
-    return drain_task_arrivals(sim_->now());
-  }
+  /// Observed arrival rate per task since the last drain, handed to the
+  /// planners as PlanRequest::task_arrivals_qps; resets the window. Always
+  /// one entry per task: a zero-width window (two plan requests at the same
+  /// instant) yields zero rates, since strategies index the vector by task.
+  std::vector<double> drain_task_arrivals_now();
 
   /// Aggregated per-stage hot-path counters across the whole cluster
   /// (queue wait / batching / execute / swap stalls). Semantics: monotonic
@@ -196,12 +187,22 @@ class ServingSystem {
 
   /// Workers currently crashed (0 unless the fault plane injected some).
   int crashed_workers() const;
+  /// Workers not crashed. The arrival deal and the control plane's demand
+  /// slices follow it.
+  int surviving_workers() const {
+    return cfg_.allocator.cluster_size - crashed_workers();
+  }
   /// The fault plane; nullptr when unarmed.
   FaultPlane* fault() { return fault_.get(); }
   const FaultPlane* fault() const { return fault_.get(); }
 
  private:
+  // The planes reach into the core: the FaultPlane re-dispatches stranded
+  // items and reports dead-set changes; a one-shard ControlPlane runs its
+  // period through every(), refreshes routing when it keeps its plan, and
+  // registers itself in control_.
   friend class FaultPlane;
+  friend class ControlPlane;
 
   struct QueryState {
     double arrival = 0.0;
@@ -232,16 +233,10 @@ class ServingSystem {
   bool last_task_filter(const cluster::Worker& w,
                         const cluster::WorkItem& item) const;
 
-  /// `force` skips the demand hysteresis (failure re-plans must always
-  /// produce a fresh plan over the surviving workers).
-  void run_resource_manager(bool force = false);
-  /// Installs a plan (from the Resource Manager or a coordinator): worker
-  /// placement, routing refresh and allocation metrics.
-  void commit_plan(AllocationPlan plan, double demand);
   void run_load_balancer();
   void run_heartbeat();
-  /// Schedules the periodic control loops (RM only when `with_rm`).
-  void schedule_control_loops(bool with_rm);
+  /// Runs `fn` every `period` from now until finish(): the control loops.
+  void every(double period, std::function<void()> fn);
 
   void apply_plan(AllocationPlan plan);
   void redistribute(std::vector<cluster::WorkItem>&& items);
@@ -295,7 +290,6 @@ class ServingSystem {
   sim::Simulation::LaneId hop_lane_;
   const pipeline::PipelineGraph* graph_;
   ProfileTable profiles_;
-  AllocationStrategy* strategy_;
   SystemConfig cfg_;
 
   LoadBalancer lb_;
@@ -343,12 +337,6 @@ class ServingSystem {
   /// query finalized) resolve to nullptr, same as the old map-miss path.
   HandlePool<QueryState> queries_;
 
-  /// Observed per-task arrival rates since the last plan request, handed to
-  /// the strategy inside PlanRequest::task_arrivals_qps (pipeline-agnostic
-  /// strategies consume these instead of propagating demand). Resets the
-  /// accumulation window and returns empty when no time has elapsed.
-  std::vector<double> drain_task_arrivals(double now);
-
   // Observed multiplicative factors since the last heartbeat.
   std::vector<std::vector<double>> obs_in_;   // [task][variant]
   std::vector<std::vector<double>> obs_out_;  // [task][variant]
@@ -384,17 +372,12 @@ class ServingSystem {
   obs::Counter c_stage_swaps_;
   obs::Counter c_stage_swap_ns_;
 
-  /// Owners of the self-rescheduling control-loop callbacks. The scheduled
-  /// lambdas hold weak_ptrs into these, so destroying the system breaks the
-  /// reschedule cycle instead of leaking it.
-  std::vector<std::shared_ptr<std::function<void()>>> periodic_;
   bool started_ = false;
   bool stopped_ = false;
-  bool external_ = false;
-  bool has_plan_ = false;
-  double last_alloc_demand_ = 0.0;
-  double total_solve_time_s_ = 0.0;
-  int allocations_ = 0;
+  /// The control plane that plans this system in-process (one-shard runs),
+  /// told after each heartbeat and on each dead-set change; nullptr when
+  /// it plans at window barriers or nothing plans.
+  ControlPlane* control_ = nullptr;
 };
 
 }  // namespace loki::serving

@@ -408,8 +408,9 @@ TEST(RunExperiment, RejectsNearWarmStartForStrategiesThatIgnoreIt) {
 
 TEST(RunExperiment, RejectsControlPeriodsThatNeverAdvance) {
   // A zero, negative or NaN period would re-plan (or roll the metrics) at
-  // the same instant forever, at one shard and under the coordinator. The
-  // serving systems refuse it when they are built, before anything runs.
+  // the same instant forever, at one shard and at several. The control
+  // plane refuses the period and the serving systems the window when they
+  // are built, before anything runs.
   for (const double bad : {0.0, -1.0, std::nan("")}) {
     for (const std::size_t shards : {1, 2}) {
       SCOPED_TRACE(std::to_string(bad) + " at " + std::to_string(shards) +

@@ -258,8 +258,8 @@ TEST(FailureRecovery, ShardedAndCoordinatedCrashRunsStayAccounted) {
   EXPECT_EQ(r.obs.counter_value("serving.fault.recoveries"), 1u);
   EXPECT_GE(r.obs.counter_value("serving.fault.dead"), 1u);
   EXPECT_EQ(r.metrics.completions() + r.drops, r.arrivals);
-  // The coordinator's re-plans on the detected death and recovery count
-  // like the one-shard run's own.
+  // The control plane counts the re-plans on the detected death and
+  // recovery at two shards as it does at one.
   const auto one = exp::run_experiment(graph, curve, crash_config());
   EXPECT_GE(one.obs.counter_value("serving.fault.replans"), 1u);
   EXPECT_EQ(r.obs.counter_value("serving.fault.replans"),

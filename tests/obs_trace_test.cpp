@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
+#include "serving/control_plane.hpp"
 #include "serving/system.hpp"
 #include "sim/simulation.hpp"
 #include "tests/test_support.hpp"
@@ -410,11 +411,12 @@ struct ObsRunner {
       double qps, double duration,
       std::function<void(serving::ServingSystem&)> at_mid = nullptr) {
     sim::Simulation sim;
-    auto strategy = exp::make_strategy("greedy", cfg.allocator, &graph,
-                                       profiles);
-    serving::ServingSystem system(&sim, &graph, profiles, strategy.get(),
-                                  cfg);
-    system.start();
+    serving::ServingSystem system(&sim, &graph, profiles, cfg);
+    serving::ControlPlane control(
+        {&system}, [&](const serving::AllocatorConfig& slice) {
+          return exp::make_strategy("greedy", slice, &graph, profiles);
+        });
+    control.start();
     trace::DemandCurve curve;
     curve.interval_s = 1.0;
     curve.qps.assign(static_cast<std::size_t>(duration), qps);

@@ -390,7 +390,8 @@ TEST(FallbackChain, RejectedPrimaryLandsNearWarmRung) {
 }
 
 TEST(FallbackChain, CoordinatedRejectedPrimaryLandsNearWarmRung) {
-  // The coordinator owns the chains and counts one fallback per slice plan.
+  // The control plane owns the chains and counts one fallback per slice
+  // plan.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = overload_curve();
   auto cfg = rejected_primary_config();

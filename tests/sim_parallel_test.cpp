@@ -162,7 +162,7 @@ TEST(ParallelExperiment, ShardedRunPreservesArrivalTotalExactly) {
   }
 
   // Metric equivalence: the workload is well inside capacity in both runs
-  // (8 workers in one cell, or 4+4 planned by one coordinator), so both must
+  // (8 workers in one cell, or 4+4 planned by one control plane), so both must
   // essentially meet the SLO; server usage must be in the same ballpark.
   EXPECT_LE(seq.slo_violation_ratio, 0.05);
   EXPECT_LE(par.slo_violation_ratio, 0.05);
@@ -189,7 +189,7 @@ TEST(ParallelExperiment, ShardedRunIsDeterministic) {
 
 TEST(ParallelExperiment, ShardedRunIsIndependentOfThreadCount) {
   // A sharded run must honour sim_threads, and the outcome may not depend
-  // on it: the coordinator plans at window barriers on the driving thread
+  // on it: the control plane plans at window barriers on the driving thread
   // from inputs merged in shard order, and the barriers fix the order in
   // which shard events meet. Two shards on one and two threads, and four
   // shards on one, two and four, give bit-identical metrics and registry
@@ -703,7 +703,7 @@ void arm_every_plane(exp::ExperimentConfig& cfg) {
 }
 
 TEST(ModeGoldens, CoordinatedTwoShardsReweightedWithEveryPlane) {
-  // The coordinator must plan in fault mode (one plan per shard, sized for
+  // The control plane must plan in fault mode (one plan per shard, sized for
   // the detected survivors) although only shard 1 is armed, and re-weight
   // the deal toward shard 0 while worker 5 is down.
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,12 +15,34 @@
 #include "obs/registry.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
+#include "serving/control_plane.hpp"
 #include "serving/system.hpp"
 #include "trace/arrivals.hpp"
 #include "trace/generator.hpp"
 
 namespace loki::serving {
 namespace {
+
+/// Plans through a strategy the test owns, so the test can read it after
+/// the control plane is done with it.
+class Borrowed final : public AllocationStrategy {
+ public:
+  explicit Borrowed(AllocationStrategy& inner) : inner_(inner) {}
+  PlanResult plan(const PlanRequest& request) override {
+    return inner_.plan(request);
+  }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  AllocationStrategy& inner_;
+};
+
+/// A one-shard control plane's planner factory that plans with `strategy`.
+ControlPlane::PlannerFactory borrow(AllocationStrategy& strategy) {
+  return [&strategy](const AllocatorConfig&) {
+    return std::make_unique<Borrowed>(strategy);
+  };
+}
 
 struct Runner {
   pipeline::PipelineGraph graph;
@@ -37,11 +60,12 @@ struct Runner {
   Metrics run_constant(double qps, double duration, MakeStrategy&& make,
                        std::uint64_t seed = 1) {
     sim::Simulation sim;
-    auto strategy = make();
     cfg.seed = seed;
     cfg.metrics_warmup_s = 10.0;  // skip the empty-cluster cold start
-    ServingSystem system(&sim, &graph, profiles, strategy.get(), cfg);
-    system.start();
+    ServingSystem system(&sim, &graph, profiles, cfg);
+    ControlPlane control({&system},
+                         [&](const AllocatorConfig&) { return make(); });
+    control.start();
     trace::DemandCurve curve;
     curve.interval_s = 1.0;
     curve.qps.assign(static_cast<std::size_t>(duration), qps);
@@ -202,9 +226,10 @@ TEST(ServingSystem, ExecNoiseStillWithinReason) {
 TEST(ServingSystem, MultFactorEstimatesConvergeToObserved) {
   Runner r(pipeline::traffic_analysis_two_task_pipeline());
   sim::Simulation sim;
-  auto strategy = r.loki();
-  ServingSystem system(&sim, &r.graph, r.profiles, strategy.get(), r.cfg);
-  system.start();
+  ServingSystem system(&sim, &r.graph, r.profiles, r.cfg);
+  ControlPlane control({&system},
+                       [&](const AllocatorConfig&) { return r.loki(); });
+  control.start();
   trace::DemandCurve curve;
   curve.interval_s = 1.0;
   curve.qps.assign(40, 200.0);
@@ -226,23 +251,21 @@ TEST(ServingSystem, MultFactorEstimatesConvergeToObserved) {
 TEST(ServingSystem, StartTwiceForbidden) {
   Runner r(pipeline::social_media_pipeline());
   sim::Simulation sim;
-  auto strategy = r.loki();
-  ServingSystem system(&sim, &r.graph, r.profiles, strategy.get(), r.cfg);
+  ServingSystem system(&sim, &r.graph, r.profiles, r.cfg);
   system.start();
   EXPECT_THROW(system.start(), CheckFailure);
 }
 
-TEST(ServingSystem, SolveTimeTracked) {
+TEST(ControlPlane, SolveTimeTracked) {
   Runner r(pipeline::social_media_pipeline());
-  const auto m = r.run_constant(100.0, 25.0, [&]() { return r.loki(); });
-  (void)m;
-  // run_constant discards the system; re-run inline to check counters.
   sim::Simulation sim;
-  auto strategy = r.loki();
-  ServingSystem system(&sim, &r.graph, r.profiles, strategy.get(), r.cfg);
-  system.start();
-  EXPECT_GE(system.allocations_performed(), 1);
-  EXPECT_GT(system.total_solve_time_s(), 0.0);
+  ServingSystem system(&sim, &r.graph, r.profiles, r.cfg);
+  ControlPlane control({&system},
+                       [&](const AllocatorConfig&) { return r.loki(); });
+  control.start();
+  EXPECT_EQ(control.allocations(), 1);
+  EXPECT_GT(control.total_solve_time_s(), 0.0);
+  EXPECT_EQ(control.name(), "loki-milp");
 }
 
 // ---------------------------------------------------------------------------
@@ -294,11 +317,12 @@ TEST(ModelSwap, CrossTaskReassignWithSameVariantIndexPaysSwap) {
   SystemConfig cfg;
   cfg.allocator.cluster_size = 3;
   cfg.allocator.slo_s = 0.250;
-  cfg.realloc_threshold = 0.0;  // re-plan on every RM period
+  cfg.realloc_threshold = 0.0;  // re-plan on every period
   sim::Simulation sim;
-  ServingSystem system(&sim, &graph, profiles, &strategy, cfg);
-  system.start();
-  sim.run_until(15.0);  // second RM run at t=10 applies the scripted move
+  ServingSystem system(&sim, &graph, profiles, cfg);
+  ControlPlane control({&system}, borrow(strategy));
+  control.start();
+  sim.run_until(15.0);  // the t = 10 period applies the scripted move
   system.finish(15.0);
 
   EXPECT_EQ(system.metrics().model_swaps(), 1u);
@@ -331,8 +355,9 @@ TEST(ModelSwap, SameModelReassignIsFree) {
   cfg.allocator.slo_s = 0.250;
   cfg.realloc_threshold = 0.0;
   sim::Simulation sim;
-  ServingSystem system(&sim, &graph, profiles, &strategy, cfg);
-  system.start();
+  ServingSystem system(&sim, &graph, profiles, cfg);
+  ControlPlane control({&system}, borrow(strategy));
+  control.start();
   sim.run_until(15.0);
   system.finish(15.0);
   EXPECT_EQ(system.metrics().model_swaps(), 0u);
@@ -387,9 +412,10 @@ struct PlaneRig {
 TEST(ServingPlanes, DefaultSystemHasNoFaultPlaneAndNoPlaneSeries) {
   PlaneRig rig;
   GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
-  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, &greedy, rig.cfg);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, rig.cfg);
   EXPECT_EQ(system.fault(), nullptr);
-  system.start();
+  ControlPlane control({&system}, borrow(greedy));
+  control.start();
   rig.feed(system, 5.0);
   rig.sim.run_until(6.0);
   system.finish(6.0);
@@ -415,11 +441,11 @@ TEST(FaultPlane, CrashSuspectDeadRetryReplanRecoverWithExactAccounting) {
   rig.cfg.allocator.slo_s = 8.0;
   GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
   RecordingStrategy strategy(&greedy);
-  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, &strategy,
-                       rig.cfg);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, rig.cfg);
   FaultPlane* fault = system.fault();
   ASSERT_NE(fault, nullptr);
-  system.start();
+  ControlPlane control({&system}, borrow(strategy));
+  control.start();
   rig.feed(system, 40.0);
   rig.sim.schedule_at(10.5, [fault]() { fault->inject_worker_crash(1); });
   rig.sim.schedule_at(20.5, [fault]() { fault->inject_worker_recover(1); });
@@ -493,11 +519,11 @@ TEST(FaultPlane, ReplanWithNoSurvivorsIsSizedAtOneWorkerPerTask) {
   rig.cfg.detector.enabled = true;
   GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
   RecordingStrategy strategy(&greedy);
-  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, &strategy,
-                       rig.cfg);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, rig.cfg);
   FaultPlane* fault = system.fault();
   ASSERT_NE(fault, nullptr);
-  system.start();
+  ControlPlane control({&system}, borrow(strategy));
+  control.start();
   rig.feed(system, 30.0);
   for (int w = 0; w < rig.cfg.allocator.cluster_size; ++w) {
     rig.sim.schedule_at(10.5, [fault, w]() { fault->inject_worker_crash(w); });
@@ -520,16 +546,16 @@ TEST(FaultPlane, ReplanWithNoSurvivorsIsSizedAtOneWorkerPerTask) {
   }
 }
 
-TEST(FaultPlane, ExternallyPlannedSystemStaysDegradedUntilItsCoordinator) {
-  // No Resource Manager: a detected death leaves a re-plan pending and
-  // sheds the lost capacity at the frontend until a plan is installed.
+TEST(FaultPlane, UnplannedSystemStaysDegradedUntilAPlanIsInstalled) {
+  // No control plane: a detected death leaves a re-plan pending and sheds
+  // the lost capacity at the frontend until a plan is installed.
   PlaneRig rig;
   rig.cfg.detector.enabled = true;
   GreedyAllocator greedy(rig.cfg.allocator, &rig.graph, rig.profiles);
-  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, nullptr, rig.cfg);
+  ServingSystem system(&rig.sim, &rig.graph, rig.profiles, rig.cfg);
   FaultPlane* fault = system.fault();
   ASSERT_NE(fault, nullptr);
-  system.start_external();
+  system.start();
   const auto mult = pipeline::default_mult_factors(rig.graph);
   system.install_plan(greedy.plan(PlanRequest(100.0, mult)).plan);
   const int servers = system.current_plan().servers_used;
